@@ -728,15 +728,21 @@ int Run(const char* out_path) {
       STMAKER_CHECK(trainer.Train(small_raws).ok());
       STMAKER_CHECK(trainer.BuildRoadHierarchy().ok());
       STMAKER_CHECK(trainer.SaveModel(dir + "/model").ok());
-      STMAKER_CHECK(trainer.SaveModelContainer(dir + "/model.stm").ok());
+      // The serving corpus as `pack` embeds it: read back from the CSV.
+      Result<std::vector<RawTrajectory>> corpus =
+          ReadTrajectoriesCsv(dir + "/trajectories.csv");
+      STMAKER_CHECK(corpus.ok());
+      STMAKER_CHECK(
+          trainer.SaveModelContainer(dir + "/model.stm", *corpus).ok());
     }
 
     // Cold start, CSV prefix vs binary container (docs/FORMAT.md): time
     // from nothing-in-memory to a maker ready to answer, measured with
-    // direct loads rather than the ModelManager so the shared
-    // trajectories.csv parse (identical on both paths) does not mask the
-    // difference. The container path is mmap + header/CRC walk — no
-    // per-row text parse — so its row should sit well under the CSV one.
+    // direct loads rather than the ModelManager so the serving-corpus load
+    // (trajectories.csv on one path, container sections on the other)
+    // does not mask the difference. The container path is mmap +
+    // header/CRC walk — no per-row text parse — so its row should sit well
+    // under the CSV one.
     // RSS is sampled on the first rep only (see CurrentRssKb).
     const std::string container_path = dir + "/model.stm";
     const int kColdReps = 5;

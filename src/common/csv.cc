@@ -1,6 +1,7 @@
 #include "common/csv.h"
 
 #include <cstdio>
+#include <utility>
 
 #include "common/fileutil.h"
 #include "common/strings.h"
@@ -71,59 +72,14 @@ Status CsvWriter::Close() {
 
 Result<std::vector<std::vector<std::string>>> ParseCsv(
     const std::string& text) {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;
-
-  for (size_t i = 0; i < text.size(); ++i) {
-    char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
-      }
-      continue;
-    }
-    switch (c) {
-      case '"':
-        in_quotes = true;
-        field_started = true;
-        break;
-      case ',':
-        row.push_back(std::move(field));
-        field.clear();
-        field_started = true;
-        break;
-      case '\r':
-        break;  // Tolerate CRLF.
-      case '\n':
-        row.push_back(std::move(field));
-        field.clear();
-        rows.push_back(std::move(row));
-        row.clear();
-        field_started = false;
-        break;
-      default:
-        field += c;
-        field_started = true;
-    }
-  }
-  if (in_quotes) {
-    return Status::InvalidArgument("unterminated quoted CSV field");
-  }
-  if (field_started || !field.empty() || !row.empty()) {
-    row.push_back(std::move(field));
-    rows.push_back(std::move(row));
-  }
-  return rows;
+  struct RowSink {
+    std::vector<std::vector<std::string>> rows;
+    std::vector<std::string> row;
+    void Field(std::string& field) { row.push_back(std::move(field)); }
+    void EndRow() { rows.push_back(std::exchange(row, {})); }
+  } sink;
+  STMAKER_RETURN_IF_ERROR(TokenizeCsv(text, sink));
+  return std::move(sink.rows);
 }
 
 Result<std::vector<std::vector<std::string>>> ReadCsvFile(

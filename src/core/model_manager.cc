@@ -61,7 +61,9 @@ Status ModelManager::Initialize() {
   if (current_ != nullptr) {
     return Status::FailedPrecondition("model manager already initialized");
   }
-  Status loaded = ReloadLocked(options_.model_prefix, /*for_reload=*/false);
+  std::shared_ptr<const ModelSnapshot> displaced;  // none: first publish
+  Status loaded =
+      ReloadLocked(options_.model_prefix, /*for_reload=*/false, &displaced);
   if (!loaded.ok()) return loaded;
   reloader_ = std::thread([this] { ReloaderMain(); });
   return Status::OK();
@@ -72,13 +74,16 @@ std::shared_ptr<const ModelSnapshot> ModelManager::Current() const {
   return current_;
 }
 
-void ModelManager::Publish(std::shared_ptr<const ModelSnapshot> snapshot) {
+std::shared_ptr<const ModelSnapshot> ModelManager::Publish(
+    std::shared_ptr<const ModelSnapshot> snapshot) {
   g_version_.Set(static_cast<int64_t>(snapshot->version));
   g_loaded_unix_ms_.Set(snapshot->loaded_unix_ms);
   std::lock_guard<std::mutex> lock(current_mu_);
-  current_ = std::move(snapshot);
-  // The displaced shared_ptr dies here (or when the last pinned request
-  // finishes) — never under current_mu_ held by a reader.
+  current_.swap(snapshot);
+  // `snapshot` now holds the displaced model. It is handed back rather
+  // than dropped here: when no request pins it, its destructor would run
+  // under current_mu_ and stall every Current() caller.
+  return snapshot;
 }
 
 Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
@@ -98,11 +103,11 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
   const bool from_container =
       !model_prefix.empty() && IsContainerFile(model_prefix);
   if (from_container) {
-    // Binary container: one mmap carries the world and the model. The
-    // snapshot pins the mapping (see ModelSnapshot::container) and the
-    // network's hot arrays alias it zero-copy; everything else is
-    // validated and materialized before publish, so corruption rolls back
-    // exactly like a bad CSV.
+    // Binary container: one mmap carries the world, the serving corpus,
+    // and the model; data_dir is never read. The snapshot pins the
+    // mapping (see ModelSnapshot::container) and the network's hot arrays
+    // alias it zero-copy; everything else is validated and copied out
+    // before publish, so corruption rolls back exactly like a bad CSV.
     STMAKER_ASSIGN_OR_RETURN(snapshot->container,
                              MappedContainer::Open(model_prefix));
     STMAKER_ASSIGN_OR_RETURN(snapshot->network,
@@ -112,6 +117,9 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
         LoadLandmarksFromContainer(*snapshot->container, snapshot->network));
     snapshot->landmarks =
         std::make_unique<LandmarkIndex>(std::move(landmarks));
+    STMAKER_ASSIGN_OR_RETURN(
+        snapshot->trajectories,
+        LoadTrajectoriesFromContainer(*snapshot->container));
   } else {
     // World: road network, landmarks, serving corpus. Loaded fresh per
     // snapshot — sharing a mutable landmark index across model versions is
@@ -123,10 +131,10 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
                              ReadPoisCsv(options_.data_dir + "/pois.csv"));
     snapshot->landmarks = std::make_unique<LandmarkIndex>(
         LandmarkIndex::Build(snapshot->network, pois));
+    STMAKER_ASSIGN_OR_RETURN(
+        snapshot->trajectories,
+        ReadTrajectoriesCsv(options_.data_dir + "/trajectories.csv"));
   }
-  STMAKER_ASSIGN_OR_RETURN(
-      snapshot->trajectories,
-      ReadTrajectoriesCsv(options_.data_dir + "/trajectories.csv"));
 
   snapshot->maker = std::make_unique<STMaker>(
       &snapshot->network, snapshot->landmarks.get(),
@@ -166,8 +174,9 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
   return std::shared_ptr<const ModelSnapshot>(std::move(snapshot));
 }
 
-Status ModelManager::ReloadLocked(const std::string& model_prefix,
-                                  bool for_reload) {
+Status ModelManager::ReloadLocked(
+    const std::string& model_prefix, bool for_reload,
+    std::shared_ptr<const ModelSnapshot>* displaced) {
   const std::string prefix =
       model_prefix.empty() && current_ != nullptr ? current_->model_prefix
                                                   : model_prefix;
@@ -197,16 +206,25 @@ Status ModelManager::ReloadLocked(const std::string& model_prefix,
                  static_cast<unsigned long long>((*candidate)->version),
                  (*candidate)->load_ms);
   }
-  Publish(*std::move(candidate));
+  *displaced = Publish(*std::move(candidate));
   return Status::OK();
 }
 
 Status ModelManager::Reload(const std::string& model_prefix) {
+  // Outlives ReloadKeeping's lock: the displaced snapshot is destroyed
+  // after reload_mu_ is released, on the way out.
+  std::shared_ptr<const ModelSnapshot> displaced;
+  return ReloadKeeping(model_prefix, &displaced);
+}
+
+Status ModelManager::ReloadKeeping(
+    const std::string& model_prefix,
+    std::shared_ptr<const ModelSnapshot>* displaced) {
   std::lock_guard<std::mutex> lock(reload_mu_);
   if (current_ == nullptr) {
     return Status::FailedPrecondition("model manager not initialized");
   }
-  return ReloadLocked(model_prefix, /*for_reload=*/true);
+  return ReloadLocked(model_prefix, /*for_reload=*/true, displaced);
 }
 
 void ModelManager::RequestReload(std::string model_prefix,
@@ -273,11 +291,15 @@ void ModelManager::ReloaderMain() {
     if (have_sighup && !have_request) {
       (void)Reload("");  // outcome lands in the counters + stderr log
     } else if (have_request) {
-      Status outcome = Reload(pending.model_prefix);
+      // The displaced snapshot outlives the reply: tearing it down is not
+      // part of the reload the caller waits for.
+      std::shared_ptr<const ModelSnapshot> displaced;
+      Status outcome = ReloadKeeping(pending.model_prefix, &displaced);
       if (pending.done) {
         auto current = Current();
         pending.done(outcome, current == nullptr ? 0 : current->version);
       }
+      displaced.reset();
     }
     {
       std::lock_guard<std::mutex> lock(queue_mu_);

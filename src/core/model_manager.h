@@ -14,7 +14,9 @@
 /// shared_ptr swap. Every in-flight request pins the snapshot it started
 /// on, so a response is never served from a half-loaded or mixed-version
 /// model and a swap frees the old snapshot only after its last request
-/// finishes.
+/// finishes. When nothing pins it, the reloader frees it after the swap's
+/// lock is released and after the reload's reply, so neither readers nor
+/// the admin caller wait on its teardown.
 ///
 /// Reload triggers (both funnel into one serialized reloader thread):
 ///   - SIGHUP: the signal handler calls NotifySighup() (async-signal-safe,
@@ -63,7 +65,9 @@ namespace stmaker {
 struct ModelSnapshot {
   /// Monotonically increasing per manager, starting at 1.
   uint64_t version = 0;
-  /// Dataset directory the world (network/POIs/corpus) was loaded from.
+  /// Dataset directory of the manager. The world (network/POIs) and the
+  /// serving corpus are read from it only for CSV-model and trained
+  /// snapshots; a container snapshot carries both and never reads it.
   std::string data_dir;
   /// Model file prefix; empty when the snapshot was trained in-process.
   std::string model_prefix;
@@ -82,14 +86,16 @@ struct ModelSnapshot {
   std::shared_ptr<MappedContainer> container;
   RoadNetwork network;
   std::unique_ptr<LandmarkIndex> landmarks;
-  /// The serving corpus backing the protocol's "trip" field.
+  /// The serving corpus backing the protocol's "trip" field (copied out
+  /// of the container's corpus sections, or read from trajectories.csv).
   std::vector<RawTrajectory> trajectories;
   std::unique_ptr<STMaker> maker;
 };
 
 /// Configuration for the manager's snapshot loads.
 struct ModelManagerOptions {
-  /// Dataset directory (network CSVs, pois.csv, trajectories.csv).
+  /// Dataset directory (network CSVs, pois.csv, trajectories.csv); read
+  /// only when the model is a CSV prefix or trained in-process.
   std::string data_dir;
   /// Model prefix for LoadModel; empty trains in-process from the corpus.
   std::string model_prefix;
@@ -146,7 +152,8 @@ class ModelManager {
   Status Reload(const std::string& model_prefix = "");
 
   /// Enqueues a reload for the reloader thread (FIFO; never interleaves
-  /// with another reload) and returns immediately. `done` may be null.
+  /// with another reload) and returns immediately. `done` may be null;
+  /// it runs before the displaced snapshot is released.
   void RequestReload(std::string model_prefix, ReloadCallback done);
 
   /// Marks a SIGHUP-triggered in-place reload pending. Async-signal-safe:
@@ -174,10 +181,21 @@ class ModelManager {
       const std::string& model_prefix, uint64_t version, bool for_reload);
 
   /// The serialized body shared by Initialize/Reload: load, then publish
-  /// or roll back. Caller must hold reload_mu_.
-  Status ReloadLocked(const std::string& model_prefix, bool for_reload);
+  /// or roll back. Caller must hold reload_mu_. On success `*displaced`
+  /// receives the snapshot that stopped serving, for the caller to drop
+  /// once its locks are released.
+  Status ReloadLocked(const std::string& model_prefix, bool for_reload,
+                      std::shared_ptr<const ModelSnapshot>* displaced);
 
-  void Publish(std::shared_ptr<const ModelSnapshot> snapshot);
+  /// Reload() that hands the displaced snapshot to the caller instead of
+  /// destroying it, so the queued path can reply first.
+  Status ReloadKeeping(const std::string& model_prefix,
+                       std::shared_ptr<const ModelSnapshot>* displaced);
+
+  /// Swaps `snapshot` in under current_mu_ and returns the one it
+  /// displaced (null on the first publish).
+  std::shared_ptr<const ModelSnapshot> Publish(
+      std::shared_ptr<const ModelSnapshot> snapshot);
   void ReloaderMain();
 
   ModelManagerOptions options_;

@@ -247,15 +247,19 @@ class STMaker {
   /// Persists the trained model *and its serving world* — road-network
   /// CSR + geometry, CH hierarchy, landmarks with significances,
   /// popular-route transitions, the historical feature map, the visit
-  /// corpus, trajectory-index descriptors, and calibration stats — as one
-  /// binary container file (docs/FORMAT.md) that the server mmaps and
-  /// serves zero-copy. The CSV SaveModel files remain the import/export
+  /// corpus, trajectory-index descriptors, calibration stats, and the
+  /// serving trajectory corpus — as one binary container file
+  /// (docs/FORMAT.md) that the server mmaps and serves from without
+  /// reading any CSV. The CSV SaveModel files remain the import/export
   /// form; the container is the deploy form (`stmaker_cli pack`).
   /// Requires Train() first.
   ///
   /// \param path Destination file, written atomically.
+  /// \param corpus The serving corpus the trip-addressed verbs read,
+  ///   stored bit-exact (LoadTrajectoriesFromContainer returns it).
   /// \return OK, or the I/O error.
-  Status SaveModelContainer(const std::string& path) const;
+  Status SaveModelContainer(const std::string& path,
+                            const std::vector<RawTrajectory>& corpus) const;
 
   /// Restores the trained knowledge from an opened model container. The
   /// maker must have been constructed over the world restored from the
@@ -469,6 +473,19 @@ Result<RoadNetwork> LoadNetworkFromContainer(const MappedContainer& container);
 ///   the damage.
 Result<LandmarkIndex> LoadLandmarksFromContainer(
     const MappedContainer& container, const RoadNetwork& network);
+
+/// Copies the serving trajectory corpus out of a model container's
+/// kCorpusTrips/kCorpusSamples sections — bit-identical to the corpus
+/// SaveModelContainer was given. Both sections are required and
+/// CRC-verified, and the trip ranges must tile the samples section
+/// contiguously; nothing aliases the mapping.
+///
+/// \param container An open container.
+/// \return The corpus, or kInvalidArgument/kFailedPrecondition naming
+///   the damage (a container packed without the corpus sections fails
+///   with "missing required section").
+Result<std::vector<RawTrajectory>> LoadTrajectoriesFromContainer(
+    const MappedContainer& container);
 
 }  // namespace stmaker
 

@@ -1,13 +1,15 @@
 // Binary model-container persistence for STMaker
 // (SaveModelContainer/LoadModelContainer) plus the world loaders
-// (LoadNetworkFromContainer/LoadLandmarksFromContainer). The container
-// replaces the loose CSV model files with one mmap-served file; the CSV
-// path (stmaker_model_io.cc) remains the import/export form and this file
-// mirrors its policy decisions exactly:
+// (LoadNetworkFromContainer/LoadLandmarksFromContainer/
+// LoadTrajectoriesFromContainer). The container replaces the loose CSV
+// model files — and, for serving, trajectories.csv — with one mmap-served
+// file; the CSV path (stmaker_model_io.cc) remains the import/export form
+// and this file mirrors its policy decisions exactly:
 //
 //   - required sections (meta, feature names, transitions, feature map,
-//     stats, visits, and the whole world) fail the load, leaving the maker
-//     untrained — a torn snapshot is never committed;
+//     stats, visits, the serving corpus, and the whole world) fail the
+//     load, leaving the maker untrained — a torn snapshot is never
+//     committed;
 //   - the routing hierarchy and the trajectory index are advisory: damage
 //     costs the accelerator (warning + counter + Dijkstra/scan fallback),
 //     never the model.
@@ -96,6 +98,8 @@ const char* SectionName(SectionType type) {
     case SectionType::kChRank: return "ch-rank";
     case SectionType::kChArcs: return "ch-arcs";
     case SectionType::kStats: return "stats";
+    case SectionType::kCorpusTrips: return "corpus-trips";
+    case SectionType::kCorpusSamples: return "corpus-samples";
   }
   return "unknown";
 }
@@ -171,7 +175,8 @@ Result<std::string> SliceName(const MappedContainer& c, std::string_view blob,
 // Save
 // ---------------------------------------------------------------------------
 
-Status STMaker::SaveModelContainer(const std::string& path) const {
+Status STMaker::SaveModelContainer(
+    const std::string& path, const std::vector<RawTrajectory>& corpus) const {
   if (analyzer_ == nullptr) {
     return Status::FailedPrecondition(
         "SaveModelContainer requires a trained model");
@@ -457,6 +462,29 @@ Status STMaker::SaveModelContainer(const std::string& path) const {
     writer.AddSection(SectionType::kStats, kSectionVersion, sizeof(double),
                       std::move(payload));
   }
+  {  // kCorpusTrips + kCorpusSamples: the serving corpus, trips tiling the
+     // samples section contiguously in corpus order.
+    std::string trips;
+    std::string samples;
+    for (const RawTrajectory& raw : corpus) {
+      CorpusTripRecord rec{};
+      rec.samples_begin = samples.size() / sizeof(CorpusSampleRecord);
+      rec.samples_count = raw.samples.size();
+      rec.traveler = raw.traveler;
+      AppendPod(&trips, rec);
+      for (const RawSample& s : raw.samples) {
+        CorpusSampleRecord sample{};
+        sample.x = s.pos.x;
+        sample.y = s.pos.y;
+        sample.time = s.time;
+        AppendPod(&samples, sample);
+      }
+    }
+    writer.AddSection(SectionType::kCorpusTrips, kSectionVersion,
+                      sizeof(CorpusTripRecord), std::move(trips));
+    writer.AddSection(SectionType::kCorpusSamples, kSectionVersion,
+                      sizeof(CorpusSampleRecord), std::move(samples));
+  }
 
   return writer.Finish(path);
 }
@@ -611,6 +639,52 @@ Result<LandmarkIndex> LoadLandmarksFromContainer(const MappedContainer& c,
   return LandmarkIndex::FromParts(std::move(landmarks),
                                   std::move(network_node), network.NumNodes(),
                                   meta.landmark_cell_m);
+}
+
+Result<std::vector<RawTrajectory>> LoadTrajectoriesFromContainer(
+    const MappedContainer& c) {
+  STMAKER_ASSIGN_OR_RETURN(const SectionEntry* trips_entry,
+                           RequiredSection(c, SectionType::kCorpusTrips));
+  STMAKER_ASSIGN_OR_RETURN(const SectionEntry* samples_entry,
+                           RequiredSection(c, SectionType::kCorpusSamples));
+  STMAKER_ASSIGN_OR_RETURN(auto trips,
+                           c.Records<CorpusTripRecord>(*trips_entry));
+  STMAKER_ASSIGN_OR_RETURN(auto samples,
+                           c.Records<CorpusSampleRecord>(*samples_entry));
+  // Each range is checked before its samples are read: trip i must start
+  // where trip i-1 ended and stay inside the samples section, and the
+  // trips together must cover it exactly.
+  std::vector<RawTrajectory> corpus(trips.size());
+  uint64_t next = 0;
+  for (size_t i = 0; i < trips.size(); ++i) {
+    const CorpusTripRecord& trip = trips[i];
+    if (trip.samples_begin != next ||
+        trip.samples_count > samples.size() - next) {
+      return Status::InvalidArgument(StrFormat(
+          "%s: corpus trip %zu sample range [%llu, +%llu) is not the "
+          "contiguous run starting at %llu within %zu samples",
+          c.path().c_str(), i,
+          static_cast<unsigned long long>(trip.samples_begin),
+          static_cast<unsigned long long>(trip.samples_count),
+          static_cast<unsigned long long>(next), samples.size()));
+    }
+    next += trip.samples_count;
+    RawTrajectory& raw = corpus[i];
+    raw.traveler = trip.traveler;
+    raw.samples.reserve(static_cast<size_t>(trip.samples_count));
+    for (const CorpusSampleRecord& rec :
+         samples.subspan(static_cast<size_t>(trip.samples_begin),
+                         static_cast<size_t>(trip.samples_count))) {
+      raw.samples.push_back({{rec.x, rec.y}, rec.time});
+    }
+  }
+  if (next != samples.size()) {
+    return Status::InvalidArgument(StrFormat(
+        "%s: corpus trips cover %llu samples, the samples section holds %zu",
+        c.path().c_str(), static_cast<unsigned long long>(next),
+        samples.size()));
+  }
+  return corpus;
 }
 
 // ---------------------------------------------------------------------------

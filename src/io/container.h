@@ -8,10 +8,11 @@
 /// The container replaces the ~7 loose model CSVs with one file the server
 /// can `mmap` and serve from directly: the road network's CSR adjacency,
 /// edge geometry/endpoint arrays, the CH hierarchy, landmark table, trip
-/// descriptors, and calibration stats live as fixed-width records that are
-/// valid in-memory representations — no parse, no heap copy of the big
-/// arrays. The byte-level layout (every offset, width, and CRC rule) is
-/// specified in docs/FORMAT.md; this header is its executable twin.
+/// descriptors, calibration stats, and the serving trajectory corpus live
+/// as fixed-width records that are valid in-memory representations — no
+/// text parse, and no heap copy of the network's big arrays. The
+/// byte-level layout (every offset, width, and CRC rule) is specified in
+/// docs/FORMAT.md; this header is its executable twin.
 ///
 /// Layering: this module knows bytes, sections, and CRCs — not model
 /// semantics. The writer (`ContainerWriter`) assembles sections and writes
@@ -59,6 +60,8 @@ enum class SectionType : uint32_t {
   kChRank = 19,           ///< uint32_t per node: contraction rank.
   kChArcs = 20,           ///< ChArcRecord per CH arc (originals + shortcuts).
   kStats = 21,            ///< double: [global_count, global_sum[0..F-1]].
+  kCorpusTrips = 22,      ///< CorpusTripRecord per serving-corpus trip.
+  kCorpusSamples = 23,    ///< CorpusSampleRecord per serving-corpus fix.
 };
 
 /// Current writer format version. Readers accept files with
@@ -235,6 +238,25 @@ struct ChArcRecord {
   int32_t right;   ///< Right child arc index, -1 for originals.
 };
 static_assert(sizeof(ChArcRecord) == 40, "ch arc layout is frozen");
+
+/// kCorpusTrips record: one trip of the serving corpus. Its fixes are the
+/// kCorpusSamples records [samples_begin, samples_begin + samples_count);
+/// trips tile that section contiguously, in corpus order.
+struct CorpusTripRecord {
+  uint64_t samples_begin; ///< First record in kCorpusSamples.
+  uint64_t samples_count;
+  int64_t traveler;       ///< Moving-object id, -1 when unknown.
+};
+static_assert(sizeof(CorpusTripRecord) == 24, "corpus trip layout is frozen");
+
+/// kCorpusSamples record: one GPS fix (RawSample) of the serving corpus.
+struct CorpusSampleRecord {
+  double x;
+  double y;
+  double time; ///< Absolute seconds.
+};
+static_assert(sizeof(CorpusSampleRecord) == 24,
+              "corpus sample layout is frozen");
 
 #pragma pack(pop)
 

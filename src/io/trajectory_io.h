@@ -22,8 +22,10 @@ namespace stmaker {
 Status WriteTrajectoriesCsv(const std::string& path,
                             const std::vector<RawTrajectory>& trajectories);
 
-/// Reads a corpus written by WriteTrajectoriesCsv. Fails on malformed rows,
-/// missing header, non-numeric fields, or interleaved trajectory ids.
+/// Reads a corpus written by WriteTrajectoriesCsv, parsing rows as they
+/// stream out of the file (peak memory: the file text plus the corpus).
+/// Fails on malformed rows, missing header, non-numeric fields, or
+/// interleaved trajectory ids.
 Result<std::vector<RawTrajectory>> ReadTrajectoriesCsv(
     const std::string& path);
 

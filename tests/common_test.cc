@@ -3,9 +3,13 @@
 #include <cmath>
 #include <memory>
 #include <set>
+#include <string>
+#include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
+#include "common/crc32.h"
 #include "common/csv.h"
 #include "common/fileutil.h"
 #include "common/random.h"
@@ -359,6 +363,88 @@ TEST(CsvTest, ParseUnterminatedQuoteFails) {
   EXPECT_EQ(rows.status().code(), StatusCode::kInvalidArgument);
 }
 
+/// The character-at-a-time CSV parser that TokenizeCsv replaced, kept as
+/// the reference ParseCsv must keep agreeing with.
+Result<std::vector<std::vector<std::string>>> ReferenceParseCsv(
+    const std::string& text) {
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> row;
+  std::string field;
+  bool in_quotes = false;
+  bool field_started = false;
+  for (size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < text.size() && text[i + 1] == '"') {
+          field += '"';
+          ++i;
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        field += c;
+      }
+      continue;
+    }
+    switch (c) {
+      case '"':
+        in_quotes = true;
+        field_started = true;
+        break;
+      case ',':
+        row.push_back(std::move(field));
+        field.clear();
+        field_started = true;
+        break;
+      case '\r':
+        break;
+      case '\n':
+        row.push_back(std::move(field));
+        field.clear();
+        rows.push_back(std::move(row));
+        row.clear();
+        field_started = false;
+        break;
+      default:
+        field += c;
+        field_started = true;
+    }
+  }
+  if (in_quotes) {
+    return Status::InvalidArgument("unterminated quoted CSV field");
+  }
+  if (field_started || !field.empty() || !row.empty()) {
+    row.push_back(std::move(field));
+    rows.push_back(std::move(row));
+  }
+  return rows;
+}
+
+TEST(CsvTest, ParseAgreesWithCharacterReferenceOnFuzzedText) {
+  // Quotes, doubled quotes, CR/LF in and out of quotes, empty fields and
+  // missing final newlines, drawn from a small alphabet so every
+  // combination shows up.
+  Random rng(4242);
+  const char alphabet[] = "ab1,,\"\"\n\r ";
+  for (int round = 0; round < 3000; ++round) {
+    std::string text;
+    const size_t len = rng.UniformInt(static_cast<uint64_t>(48));
+    for (size_t i = 0; i < len; ++i) {
+      text += alphabet[rng.UniformInt(
+          static_cast<uint64_t>(sizeof(alphabet) - 1))];
+    }
+    auto got = ParseCsv(text);
+    auto want = ReferenceParseCsv(text);
+    ASSERT_EQ(got.ok(), want.ok()) << "text: " << text;
+    if (!want.ok()) {
+      EXPECT_EQ(got.status().ToString(), want.status().ToString());
+      continue;
+    }
+    EXPECT_EQ(*got, *want) << "text: " << text;
+  }
+}
+
 TEST(CsvTest, WriteReadRoundTrip) {
   std::string path = ::testing::TempDir() + "/stmaker_csv_test.csv";
   {
@@ -442,6 +528,60 @@ TEST(CsvTableTest, ReadCsvTableCarriesPathContext) {
   auto missing = ReadCsvTable("/nonexistent_dir_zz/t.csv", {"x", "y"});
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.status().code(), StatusCode::kIoError);
+}
+
+// --------------------------------------------------------------------------
+// CRC-32
+// --------------------------------------------------------------------------
+
+/// The bytewise table-driven CRC-32 that the slice-by-8 Crc32 replaced,
+/// kept as the reference it must agree with.
+uint32_t BytewiseCrc32(std::string_view data, uint32_t seed) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  uint32_t crc = seed ^ 0xFFFFFFFFu;
+  for (unsigned char byte : data) {
+    crc = table[(crc ^ byte) & 0xFFu] ^ (crc >> 8);
+  }
+  return crc ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, KnownAnswer) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+  // Seeded continuation over a split is the checksum of the whole.
+  EXPECT_EQ(Crc32("56789", Crc32("1234")), 0xCBF43926u);
+}
+
+TEST(Crc32Test, AgreesWithBytewiseReferenceAtEveryLengthAndOffset) {
+  // Every length 0..1024 from every start offset 0..7 covers each
+  // alignment of the 8-byte loop and each tail length, unseeded and
+  // seeded (a fixed seed and a continuation of the preceding bytes).
+  Random rng(77);
+  std::string buffer(1024 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.UniformInt(uint64_t{256}));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    const uint32_t prefix_crc =
+        BytewiseCrc32(std::string_view(buffer.data(), offset), 0);
+    for (size_t len = 0; len <= 1024; ++len) {
+      const std::string_view data(buffer.data() + offset, len);
+      ASSERT_EQ(Crc32(data), BytewiseCrc32(data, 0))
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(Crc32(data, 0xDEADBEEFu), BytewiseCrc32(data, 0xDEADBEEFu))
+          << "offset " << offset << " len " << len;
+      ASSERT_EQ(Crc32(data, prefix_crc), BytewiseCrc32(data, prefix_crc))
+          << "offset " << offset << " len " << len;
+    }
+  }
 }
 
 // --------------------------------------------------------------------------

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <cstring>
 #include <memory>
@@ -34,6 +35,7 @@
 namespace stmaker {
 namespace {
 
+using ::stmaker::testing::ExpectSameCorpus;
 using ::stmaker::testing::GetTestWorld;
 using ::stmaker::testing::TestWorld;
 
@@ -87,6 +89,47 @@ void FlipPayloadByte(std::string* bytes, SectionType type) {
   FAIL() << "container has no section of type " << static_cast<int>(type);
 }
 
+/// The table entry of the first section of `type` (the caller asserts one
+/// exists).
+SectionEntry EntryOf(const std::string& bytes, SectionType type) {
+  for (const SectionEntry& entry : TableOf(bytes)) {
+    if (entry.type == static_cast<uint32_t>(type)) return entry;
+  }
+  ADD_FAILURE() << "container has no section of type "
+                << static_cast<int>(type);
+  return SectionEntry{};
+}
+
+/// Overwrites corpus-trip record `index` with `record`, then recomputes
+/// the section CRC and re-seals the header: the hostile-but-checksummed
+/// file that only the range validation can catch.
+void PatchCorpusTrip(std::string* bytes, size_t index,
+                     const CorpusTripRecord& record) {
+  const SectionEntry entry = EntryOf(*bytes, SectionType::kCorpusTrips);
+  ASSERT_LT(index, entry.record_count);
+  std::memcpy(bytes->data() + entry.offset + index * sizeof(record), &record,
+              sizeof(record));
+  const uint32_t crc = Crc32(std::string_view(
+      bytes->data() + entry.offset, static_cast<size_t>(entry.bytes)));
+  for (size_t i = 0; i < TableOf(*bytes).size(); ++i) {
+    const size_t at = sizeof(ContainerHeader) + i * sizeof(SectionEntry);
+    SectionEntry e{};
+    std::memcpy(&e, bytes->data() + at, sizeof(e));
+    if (e.type != entry.type) continue;
+    e.crc32 = crc;
+    std::memcpy(bytes->data() + at, &e, sizeof(e));
+  }
+  ResealHeaderCrc(bytes);
+}
+
+CorpusTripRecord CorpusTripAt(const std::string& bytes, size_t index) {
+  const SectionEntry entry = EntryOf(bytes, SectionType::kCorpusTrips);
+  CorpusTripRecord record{};
+  std::memcpy(&record, bytes.data() + entry.offset + index * sizeof(record),
+              sizeof(record));
+  return record;
+}
+
 std::string MutatedCopy(const std::string& good_path, const std::string& name,
                         void (*mutate)(std::string*)) {
   Result<std::string> bytes = ReadFileToString(good_path);
@@ -109,6 +152,9 @@ struct ContainerWorld {
   RoadNetwork* network;        ///< CSV-roundtripped network (lives forever).
   LandmarkIndex* landmarks;    ///< With trained significances.
   std::vector<RawTrajectory> raws;
+  /// trajectories.csv as ReadTrajectoriesCsv returns it: the corpus `pack`
+  /// embeds, and what a CSV-model snapshot serves.
+  std::vector<RawTrajectory> corpus;
   STMaker* maker;              ///< Trained, with hierarchy + trip index.
   std::string csv_prefix;      ///< SaveModel output.
   std::string container_path;  ///< SaveModelContainer output.
@@ -131,6 +177,10 @@ const ContainerWorld& GetContainerWorld() {
     for (const auto& trip : world.history) c->raws.push_back(trip.raw);
     STMAKER_CHECK(
         WriteTrajectoriesCsv(c->dir + "/trajectories.csv", c->raws).ok());
+    Result<std::vector<RawTrajectory>> corpus =
+        ReadTrajectoriesCsv(c->dir + "/trajectories.csv");
+    STMAKER_CHECK(corpus.ok());
+    c->corpus = std::move(*corpus);
 
     Result<RoadNetwork> network = ReadRoadNetworkCsv(c->dir + "/network");
     STMAKER_CHECK(network.ok());
@@ -146,7 +196,8 @@ const ContainerWorld& GetContainerWorld() {
     c->csv_prefix = c->dir + "/model";
     c->container_path = c->dir + "/model.stm";
     STMAKER_CHECK(c->maker->SaveModel(c->csv_prefix).ok());
-    STMAKER_CHECK(c->maker->SaveModelContainer(c->container_path).ok());
+    STMAKER_CHECK(
+        c->maker->SaveModelContainer(c->container_path, c->corpus).ok());
     return c;
   }();
   return cw;
@@ -160,6 +211,7 @@ struct LoadedContainerModel {
   std::shared_ptr<MappedContainer> container;
   RoadNetwork network;
   std::unique_ptr<LandmarkIndex> landmarks;
+  std::vector<RawTrajectory> corpus;
   std::unique_ptr<STMaker> maker;
 };
 
@@ -173,6 +225,8 @@ Result<std::unique_ptr<LoadedContainerModel>> LoadContainerModel(
       LandmarkIndex landmarks,
       LoadLandmarksFromContainer(*m->container, m->network));
   m->landmarks = std::make_unique<LandmarkIndex>(std::move(landmarks));
+  STMAKER_ASSIGN_OR_RETURN(m->corpus,
+                           LoadTrajectoriesFromContainer(*m->container));
   STMakerOptions options;
   options.num_threads = threads;
   m->maker = std::make_unique<STMaker>(&m->network, m->landmarks.get(),
@@ -198,7 +252,7 @@ TEST_F(ContainerTest, SaveIsDeterministicAndLoadSaveIsIdentity) {
   ASSERT_TRUE(original.ok());
 
   const std::string again = TempPrefix("container_again.stm");
-  ASSERT_TRUE(cw_.maker->SaveModelContainer(again).ok());
+  ASSERT_TRUE(cw_.maker->SaveModelContainer(again, cw_.corpus).ok());
   Result<std::string> again_bytes = ReadFileToString(again);
   ASSERT_TRUE(again_bytes.ok());
   EXPECT_TRUE(*original == *again_bytes) << "re-save is not deterministic";
@@ -207,7 +261,8 @@ TEST_F(ContainerTest, SaveIsDeterministicAndLoadSaveIsIdentity) {
       LoadContainerModel(cw_.container_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const std::string resaved = TempPrefix("container_resaved.stm");
-  ASSERT_TRUE((*loaded)->maker->SaveModelContainer(resaved).ok());
+  ASSERT_TRUE((*loaded)->maker->SaveModelContainer(resaved, (*loaded)->corpus)
+                  .ok());
   Result<std::string> resaved_bytes = ReadFileToString(resaved);
   ASSERT_TRUE(resaved_bytes.ok());
   EXPECT_TRUE(*original == *resaved_bytes)
@@ -322,16 +377,149 @@ TEST_F(ContainerTest, OpenRejectsMisalignedSection) {
 TEST_F(ContainerTest, BitFlipInRequiredSectionFailsTheLoad) {
   // Open() succeeds — it validates structure only, never payloads — and
   // the per-section CRC check fails the *load* with kFailedPrecondition,
-  // exactly like a CSV model with a bad manifest checksum.
-  const std::string path =
-      MutatedCopy(cw_.container_path, "container_badfeat.stm",
-                  [](std::string* bytes) {
-                    FlipPayloadByte(bytes, SectionType::kFeatureEdges);
-                  });
-  Result<std::unique_ptr<LoadedContainerModel>> loaded = LoadContainerModel(path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
-      << loaded.status().ToString();
+  // exactly like a CSV model with a bad manifest checksum. The corpus
+  // sections are required too: a damaged corpus is never served.
+  Result<std::string> good = ReadFileToString(cw_.container_path);
+  ASSERT_TRUE(good.ok());
+  for (SectionType type :
+       {SectionType::kFeatureEdges, SectionType::kCorpusTrips,
+        SectionType::kCorpusSamples}) {
+    SCOPED_TRACE(static_cast<int>(type));
+    std::string bytes = *good;
+    FlipPayloadByte(&bytes, type);
+    const std::string path = TempPrefix(
+        "container_badsection_" + std::to_string(static_cast<int>(type)) +
+        ".stm");
+    ASSERT_TRUE(WriteFileToPath(path, bytes).ok());
+    Result<std::unique_ptr<LoadedContainerModel>> loaded =
+        LoadContainerModel(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
+        << loaded.status().ToString();
+  }
+}
+
+// --- serving corpus ---------------------------------------------------------
+
+TEST_F(ContainerTest, LoadedCorpusIsBitIdenticalToTheCsvRead) {
+  Result<std::shared_ptr<MappedContainer>> opened =
+      MappedContainer::Open(cw_.container_path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Result<std::vector<RawTrajectory>> corpus =
+      LoadTrajectoriesFromContainer(**opened);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  ASSERT_FALSE(cw_.corpus.empty());
+  ExpectSameCorpus(*corpus, cw_.corpus);
+}
+
+TEST_F(ContainerTest, HostileCorpusRangesAreRejected) {
+  // Each case rewrites corpus-trip records and re-seals every CRC, so the
+  // file passes Open() and the section check; only the range validation
+  // stands between it and an out-of-bounds read of the samples section.
+  Result<std::string> good = ReadFileToString(cw_.container_path);
+  ASSERT_TRUE(good.ok());
+  const SectionEntry trips = EntryOf(*good, SectionType::kCorpusTrips);
+  const SectionEntry samples = EntryOf(*good, SectionType::kCorpusSamples);
+  ASSERT_GE(trips.record_count, 3u);
+  const size_t last = static_cast<size_t>(trips.record_count - 1);
+  const CorpusTripRecord first = CorpusTripAt(*good, 0);
+  const CorpusTripRecord second = CorpusTripAt(*good, 1);
+  const CorpusTripRecord tail = CorpusTripAt(*good, last);
+  ASSERT_EQ(tail.samples_begin + tail.samples_count, samples.record_count);
+
+  struct Case {
+    const char* name;
+    std::vector<std::pair<size_t, CorpusTripRecord>> patches;  // index, record
+  };
+  auto with = [](CorpusTripRecord r, uint64_t begin, uint64_t count) {
+    r.samples_begin = begin;
+    r.samples_count = count;
+    return r;
+  };
+  const uint64_t kMax = ~uint64_t{0};
+  const uint64_t third_begin = second.samples_begin + second.samples_count;
+  const std::vector<Case> cases = {
+      {"overlaps the previous trip",
+       {{1, with(second, 0, second.samples_count)}}},
+      {"leaves a gap",
+       {{1, with(second, second.samples_begin + 1, second.samples_count)}}},
+      {"first trip does not start at 0",
+       {{0, with(first, 1, first.samples_count)}}},
+      {"runs past the end",
+       {{last, with(tail, tail.samples_begin, tail.samples_count + 1)}}},
+      {"count wraps past 2^64",
+       {{last, with(tail, tail.samples_begin, kMax)}}},
+      {"begin far out of bounds", {{last, with(tail, kMax - 1, 2)}}},
+      {"trips cover fewer samples than the section",
+       {{last, with(tail, tail.samples_begin, tail.samples_count - 1)}}},
+      // Contiguous modulo 2^64 and summing to the samples count: trip 0
+      // claims 2^64-1 fixes and trip 1 wraps the running total back to
+      // where trip 2 begins. Only the per-trip bounds check catches it.
+      {"ranges wrap around to a matching total",
+       {{0, with(first, 0, kMax)}, {1, with(second, kMax, third_begin + 1)}}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::string bytes = *good;
+    for (const auto& [index, record] : c.patches) {
+      PatchCorpusTrip(&bytes, index, record);
+    }
+    const std::string path = TempPrefix("container_hostile_corpus.stm");
+    ASSERT_TRUE(WriteFileToPath(path, bytes).ok());
+    Result<std::shared_ptr<MappedContainer>> opened =
+        MappedContainer::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const SectionEntry* entry = (*opened)->Find(SectionType::kCorpusTrips);
+    ASSERT_NE(entry, nullptr);
+    ASSERT_TRUE((*opened)->VerifyCrc(*entry)) << "CRC was not re-sealed";
+    Result<std::vector<RawTrajectory>> corpus =
+        LoadTrajectoriesFromContainer(**opened);
+    ASSERT_FALSE(corpus.ok());
+    EXPECT_EQ(corpus.status().code(), StatusCode::kInvalidArgument)
+        << corpus.status().ToString();
+  }
+}
+
+TEST_F(ContainerTest, ContainerWithoutCorpusSectionsIsRejected) {
+  // A container packed before the corpus sections existed: every other
+  // section byte-identical, 22 and 23 absent. There is no fallback to
+  // trajectories.csv — the load names the missing section, and a reload
+  // to such a file rolls back.
+  Result<std::shared_ptr<MappedContainer>> good =
+      MappedContainer::Open(cw_.container_path);
+  ASSERT_TRUE(good.ok());
+  ContainerWriter writer;
+  for (const SectionEntry& entry : (*good)->sections()) {
+    const auto type = static_cast<SectionType>(entry.type);
+    if (type == SectionType::kCorpusTrips ||
+        type == SectionType::kCorpusSamples) {
+      continue;
+    }
+    writer.AddSection(type, entry.version, entry.record_width,
+                      std::string((*good)->Blob(entry)));
+  }
+  const std::string path = TempPrefix("container_nocorpus.stm");
+  ASSERT_TRUE(writer.Finish(path).ok());
+
+  Result<std::shared_ptr<MappedContainer>> opened = MappedContainer::Open(path);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  Result<std::vector<RawTrajectory>> corpus =
+      LoadTrajectoriesFromContainer(**opened);
+  ASSERT_FALSE(corpus.ok());
+  EXPECT_EQ(corpus.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(corpus.status().message().find("missing required section"),
+            std::string::npos)
+      << corpus.status().ToString();
+
+  ModelManagerOptions opts;
+  opts.data_dir = cw_.dir;
+  opts.model_prefix = cw_.container_path;
+  ModelManager manager(opts);
+  ASSERT_TRUE(manager.Initialize().ok());
+  std::shared_ptr<const ModelSnapshot> before = manager.Current();
+  Status reload = manager.Reload(path);
+  EXPECT_EQ(reload.code(), StatusCode::kInvalidArgument) << reload.ToString();
+  EXPECT_EQ(manager.Current().get(), before.get());
 }
 
 TEST_F(ContainerTest, BitFlipInNetworkSectionFailsTheNetworkLoad) {
@@ -470,6 +658,45 @@ TEST_F(ContainerTest, ManagerServesContainerAndRollsBackOnCorruptReload) {
       swapped->maker->Summarize(swapped->trajectories[0]);
   ASSERT_TRUE(csv_served.ok());
   EXPECT_EQ(first->text, csv_served->text);
+  // Both formats serve the same corpus, bit for bit.
+  ExpectSameCorpus(swapped->trajectories, before->trajectories);
+}
+
+TEST_F(ContainerTest, ManagerServesAndReloadsContainerWithoutTrajectoriesCsv) {
+  // A container snapshot carries its corpus: once the manager serves one,
+  // <data_dir>/trajectories.csv can go away and in-place reloads still
+  // succeed. The CSV-model path is unchanged — it still needs the file,
+  // so a reload to the CSV prefix fails and rolls back.
+  const std::string dir = ::testing::TempDir() + "/container_no_csv";
+  ::mkdir(dir.c_str(), 0755);  // EEXIST from a previous run is fine
+  for (const char* file : {"network_nodes.csv", "network_edges.csv",
+                           "pois.csv", "trajectories.csv", "model.stm"}) {
+    Result<std::string> bytes = ReadFileToString(cw_.dir + "/" + file);
+    ASSERT_TRUE(bytes.ok()) << file;
+    ASSERT_TRUE(WriteFileToPath(dir + "/" + file, *bytes).ok()) << file;
+  }
+  ModelManagerOptions opts;
+  opts.data_dir = dir;
+  opts.model_prefix = dir + "/model.stm";
+  ModelManager manager(opts);
+  ASSERT_TRUE(manager.Initialize().ok());
+  ASSERT_EQ(::unlink((dir + "/trajectories.csv").c_str()), 0);
+
+  std::shared_ptr<const ModelSnapshot> before = manager.Current();
+  ExpectSameCorpus(before->trajectories, cw_.corpus);
+  ASSERT_TRUE(manager.Reload().ok());
+  std::shared_ptr<const ModelSnapshot> reloaded = manager.Current();
+  EXPECT_EQ(reloaded->version, before->version + 1);
+  ExpectSameCorpus(reloaded->trajectories, cw_.corpus);
+  Result<Summary> expect = before->maker->Summarize(before->trajectories[2]);
+  Result<Summary> got = reloaded->maker->Summarize(reloaded->trajectories[2]);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(expect->text, got->text);
+
+  Status csv_reload = manager.Reload(cw_.csv_prefix);
+  EXPECT_EQ(csv_reload.code(), StatusCode::kIoError) << csv_reload.ToString();
+  EXPECT_EQ(manager.Current().get(), reloaded.get());
 }
 
 }  // namespace

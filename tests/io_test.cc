@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <sstream>
 
 #include "common/csv.h"
+#include "common/fileutil.h"
+#include "common/random.h"
+#include "common/strings.h"
 #include "io/json.h"
 #include "io/geojson.h"
 #include "io/latlon_io.h"
@@ -16,6 +20,7 @@
 namespace stmaker {
 namespace {
 
+using ::stmaker::testing::ExpectSameCorpus;
 using ::stmaker::testing::GetTestWorld;
 
 std::string TempPath(const std::string& name) {
@@ -122,6 +127,169 @@ TEST(TrajectoryIoTest, RejectsInterleavedIds) {
 TEST(TrajectoryIoTest, MissingFileIsIoError) {
   EXPECT_EQ(ReadTrajectoriesCsv("/nonexistent_zz/t.csv").status().code(),
             StatusCode::kIoError);
+}
+
+/// The reader ReadTrajectoriesCsv replaced: the whole file as a table of
+/// strings, then the rows, with interleaving checked by scanning every
+/// earlier id. Kept as the reference the streaming reader must agree with,
+/// values and error text alike.
+Result<std::vector<RawTrajectory>> ReferenceReadTrajectoriesCsv(
+    const std::string& path) {
+  auto parse_double = [](const std::string& field) -> Result<double> {
+    char* end = nullptr;
+    double v = std::strtod(field.c_str(), &end);
+    if (end == field.c_str() || *end != '\0') {
+      return Status::InvalidArgument("not a number: '" + field + "'");
+    }
+    return v;
+  };
+  auto parse_int = [](const std::string& field) -> Result<int64_t> {
+    char* end = nullptr;
+    long long v = std::strtoll(field.c_str(), &end, 10);
+    if (end == field.c_str() || *end != '\0') {
+      return Status::InvalidArgument("not an integer: '" + field + "'");
+    }
+    return static_cast<int64_t>(v);
+  };
+  STMAKER_ASSIGN_OR_RETURN(
+      auto rows,
+      ReadCsvTable(path, {"trajectory_id", "traveler", "x", "y", "time"}));
+  std::vector<RawTrajectory> out;
+  int64_t current_id = -1;
+  bool have_current = false;
+  std::vector<int64_t> seen_ids;
+  for (const auto& row : rows) {
+    STMAKER_ASSIGN_OR_RETURN(int64_t id, parse_int(row[0]));
+    STMAKER_ASSIGN_OR_RETURN(int64_t traveler, parse_int(row[1]));
+    STMAKER_ASSIGN_OR_RETURN(double x, parse_double(row[2]));
+    STMAKER_ASSIGN_OR_RETURN(double y, parse_double(row[3]));
+    STMAKER_ASSIGN_OR_RETURN(double time, parse_double(row[4]));
+    if (!have_current || id != current_id) {
+      for (int64_t prev : seen_ids) {
+        if (prev == id) {
+          return Status::InvalidArgument(StrFormat(
+              "trajectory id %lld is interleaved", static_cast<long long>(id)));
+        }
+      }
+      seen_ids.push_back(id);
+      out.emplace_back();
+      current_id = id;
+      have_current = true;
+    }
+    out.back().traveler = traveler;
+    out.back().samples.push_back({{x, y}, time});
+  }
+  return out;
+}
+
+TEST(TrajectoryIoTest, StreamingReaderMatchesReferenceOnGeneratedCorpus) {
+  const auto& world = GetTestWorld();
+  std::vector<RawTrajectory> corpus;
+  for (const auto& trip : world.history) corpus.push_back(trip.raw);
+  const std::string path = TempPath("traj_reference_generated.csv");
+  ASSERT_TRUE(WriteTrajectoriesCsv(path, corpus).ok());
+  auto got = ReadTrajectoriesCsv(path);
+  auto want = ReferenceReadTrajectoriesCsv(path);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(want.ok()) << want.status().ToString();
+  ExpectSameCorpus(*got, *want, "generated corpus");
+}
+
+TEST(TrajectoryIoTest, StreamingReaderMatchesReferenceOnHostileRows) {
+  // Rows built from field spellings strtod/strtoll treat differently from
+  // a plain decimal parser (blanks, '+', hex, nan/inf, overflow, trailing
+  // junk, NUL bytes), quoted and CRLF-terminated variants, repeated and
+  // interleaved ids, dropped or extra fields, a damaged header and an
+  // unterminated quote. Each file must produce the reference's corpus or
+  // the reference's exact error.
+  const std::vector<std::string> ints = {
+      "0", "1", "2", "-1", " 3", "+4", "007", "9223372036854775808",
+      "-9223372036854775809", "1.0", "", "x", "0x10", std::string("5\0z", 3)};
+  const std::vector<std::string> reals = {
+      "0", "-0", "1.5", "-2.25", "1e3", "1E-3", " 7", "+8", "0x1p3", ".5",
+      "5.", "nan", "-nan", "nan(123)", "inf", "-Infinity", "1e999", "1e-400",
+      "4.9e-324", "2.2250738585072011e-308", "123456.789012345678901",
+      "", "abc", "1.5x", "1,5", std::string("6\0q", 3)};
+  Random rng(9001);
+  const std::string path = TempPath("traj_reference_fuzz.csv");
+  auto quoted = [&](const std::string& field) {
+    if (rng.UniformInt(uint64_t{6}) != 0) return field;
+    std::string q = "\"";
+    for (char c : field) {
+      q += c == '"' ? std::string("\"\"") : std::string(1, c);
+    }
+    return q + "\"";
+  };
+  for (int round = 0; round < 600; ++round) {
+    std::string text;
+    const uint64_t header_roll = rng.UniformInt(uint64_t{40});
+    if (header_roll == 0) {
+      text = "trajectory_id,traveler,x,y\n";
+    } else if (header_roll != 1) {  // roll 1: no header at all
+      text = "trajectory_id,traveler,x,y,time\n";
+    }
+    const uint64_t rows = rng.UniformInt(uint64_t{12});
+    const uint64_t base = rng.UniformInt(uint64_t{3});
+    for (uint64_t r = 0; r < rows; ++r) {
+      // Mostly well-formed rows so the fuzz reaches the value and
+      // interleaving checks; the rest exercise every other path.
+      const bool clean = rng.UniformInt(uint64_t{4}) != 0;
+      std::vector<std::string> fields;
+      fields.push_back(clean ? std::to_string(base + r / 3 +
+                                              rng.UniformInt(uint64_t{2}))
+                             : ints[rng.UniformInt(ints.size())]);
+      fields.push_back(clean ? std::to_string(rng.UniformInt(uint64_t{3}))
+                             : ints[rng.UniformInt(ints.size())]);
+      for (int k = 0; k < 3; ++k) {
+        fields.push_back(clean ? StrFormat("%.3f", rng.Uniform(-500, 500))
+                               : reals[rng.UniformInt(reals.size())]);
+      }
+      const uint64_t shape = rng.UniformInt(uint64_t{30});
+      if (shape == 0) fields.pop_back();
+      if (shape == 1) fields.push_back("9");
+      for (size_t f = 0; f < fields.size(); ++f) {
+        if (f > 0) text += ',';
+        text += quoted(fields[f]);
+      }
+      text += rng.UniformInt(uint64_t{5}) == 0 ? "\r\n" : "\n";
+    }
+    if (rng.UniformInt(uint64_t{3}) == 0 && !text.empty()) {
+      text.pop_back();  // no final newline
+    }
+    if (rng.UniformInt(uint64_t{50}) == 0) text += "\"open";
+    ASSERT_TRUE(WriteFileToPath(path, text).ok());
+    auto got = ReadTrajectoriesCsv(path);
+    auto want = ReferenceReadTrajectoriesCsv(path);
+    ASSERT_EQ(got.ok(), want.ok())
+        << "round " << round << ": got " << got.status().ToString()
+        << ", want " << want.status().ToString() << "\n" << text;
+    if (!want.ok()) {
+      EXPECT_EQ(got.status().ToString(), want.status().ToString())
+          << "round " << round << "\n" << text;
+      continue;
+    }
+    ExpectSameCorpus(*got, *want, "round " + std::to_string(round));
+  }
+}
+
+TEST(TrajectoryIoTest, InterleaveCheckScalesToManyTrips) {
+  // 20k one-fix trips: the old earlier-id scan was quadratic in this; the
+  // hash set keeps it linear, and the last id repeating the first is
+  // still caught.
+  std::string text = "trajectory_id,traveler,x,y,time\n";
+  for (int id = 0; id < 20000; ++id) {
+    text += std::to_string(id) + ",1,0.000,0.000," + std::to_string(id) + "\n";
+  }
+  const std::string path = TempPath("traj_many_trips.csv");
+  ASSERT_TRUE(WriteFileToPath(path, text).ok());
+  auto loaded = ReadTrajectoriesCsv(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded->size(), 20000u);
+
+  ASSERT_TRUE(WriteFileToPath(path, text + "0,1,0.000,0.000,0.000\n").ok());
+  auto interleaved = ReadTrajectoriesCsv(path);
+  ASSERT_FALSE(interleaved.ok());
+  EXPECT_EQ(interleaved.status().message(), "trajectory id 0 is interleaved");
 }
 
 // --------------------------------------------------------------------------

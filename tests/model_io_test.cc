@@ -385,5 +385,32 @@ TEST_F(ModelIoTest, ManagerBackToBackReloadsAreSerializedFifo) {
   EXPECT_TRUE(final_snapshot->maker->has_road_hierarchy());
 }
 
+TEST_F(ModelIoTest, ReloadCallbackRunsBeforeTheDisplacedSnapshotIsFreed) {
+  // With no request pinning the old snapshot, the swap leaves the manager
+  // holding its last reference. Its teardown must happen after the reply
+  // (and outside the lock Current() takes), so the callback still sees it
+  // alive — and once the reloader is idle it is gone.
+  const std::string& dir = GetManagerWorldDir();
+
+  ModelManagerOptions opts;
+  opts.data_dir = dir;
+  opts.model_prefix = dir + "/model";
+  ModelManager manager(opts);
+  ASSERT_TRUE(manager.Initialize().ok());
+  const std::weak_ptr<const ModelSnapshot> displaced = manager.Current();
+
+  Status outcome = Status::Internal("callback never ran");
+  bool alive_in_callback = false;
+  manager.RequestReload(dir + "/second", [&](const Status& s, uint64_t) {
+    outcome = s;
+    alive_in_callback = !displaced.expired();
+  });
+  manager.WaitIdle();
+
+  EXPECT_TRUE(outcome.ok()) << outcome.ToString();
+  EXPECT_TRUE(alive_in_callback);
+  EXPECT_TRUE(displaced.expired());
+}
+
 }  // namespace
 }  // namespace stmaker

@@ -1,7 +1,12 @@
 #ifndef STMAKER_TESTS_TEST_WORLD_H_
 #define STMAKER_TESTS_TEST_WORLD_H_
 
+#include <gtest/gtest.h>
+
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/check.h"
@@ -56,6 +61,32 @@ inline const TestWorld& GetTestWorld() {
     return w;
   }();
   return world;
+}
+
+/// Asserts two corpora are equal bit for bit (NaN payloads and signed
+/// zeros included); `context` prefixes every failure message.
+inline void ExpectSameCorpus(const std::vector<RawTrajectory>& got,
+                             const std::vector<RawTrajectory>& want,
+                             const std::string& context = "") {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  for (size_t t = 0; t < want.size(); ++t) {
+    ASSERT_EQ(got[t].traveler, want[t].traveler) << context << " trip " << t;
+    ASSERT_EQ(got[t].samples.size(), want[t].samples.size())
+        << context << " trip " << t;
+    for (size_t i = 0; i < want[t].samples.size(); ++i) {
+      const RawSample& a = got[t].samples[i];
+      const RawSample& b = want[t].samples[i];
+      ASSERT_EQ(std::bit_cast<uint64_t>(a.pos.x),
+                std::bit_cast<uint64_t>(b.pos.x))
+          << context << " trip " << t << " fix " << i;
+      ASSERT_EQ(std::bit_cast<uint64_t>(a.pos.y),
+                std::bit_cast<uint64_t>(b.pos.y))
+          << context << " trip " << t << " fix " << i;
+      ASSERT_EQ(std::bit_cast<uint64_t>(a.time),
+                std::bit_cast<uint64_t>(b.time))
+          << context << " trip " << t << " fix " << i;
+    }
+  }
 }
 
 }  // namespace stmaker::testing

@@ -16,13 +16,14 @@
 //   # Summarize using a persisted model (no re-training):
 //   stmaker_cli summarize --dir /tmp/city --trip 3 --model /tmp/city/model
 //
-//   # Pack a trained CSV model into the single-file binary container the
-//   # server mmaps (docs/FORMAT.md); serve/reload accept it via --model:
+//   # Pack a trained CSV model, its world, and the trajectories.csv
+//   # serving corpus into the single-file binary container the server
+//   # mmaps (docs/FORMAT.md); serve/reload accept it via --model:
 //   stmaker_cli pack --dir /tmp/city --model /tmp/city/model
 //                    --out /tmp/city/model.stm
 //
 //   # Export a container back to the CSV model schema (byte-exact
-//   # round-trip: pack(unpack(c)) == c):
+//   # round-trip with the same --dir: pack(unpack(c)) == c):
 //   stmaker_cli unpack --model /tmp/city/model.stm --out /tmp/city/model2
 //
 //   # Corpus-level feature-frequency statistics:
@@ -182,7 +183,9 @@ int Usage() {
                "(pack/unpack: convert between the CSV model schema (prefix "
                "P, the train/import format) and the single-file binary "
                "container (path C, the deploy format the server mmaps — see "
-               "docs/FORMAT.md); serve/reload --model accepts either)\n"
+               "docs/FORMAT.md); pack also embeds D/trajectories.csv as the "
+               "serving corpus, so serving a container reads no CSV; "
+               "serve/reload --model accepts either)\n"
                "(--port: serve NDJSON over TCP instead of stdin; 0 picks a "
                "free port, reported as `listening on ADDR:PORT` on stderr. "
                "SIGTERM/SIGINT drain gracefully: stop accepting, finish "
@@ -376,9 +379,10 @@ int RunTrain(const Args& args) {
 }
 
 // pack: CSV model prefix -> single-file binary container (the deploy
-// artifact the server mmaps; see docs/FORMAT.md). The world CSVs are
-// needed because the container carries the road network and landmark
-// geometry alongside the mined model — one file ships everything.
+// artifact the server mmaps; see docs/FORMAT.md). The world CSVs and
+// trajectories.csv are needed because the container carries the road
+// network, the landmark geometry, and the serving corpus alongside the
+// mined model — one file ships everything `serve` reads.
 int RunPack(const Args& args) {
   if (!args.Has("dir") || !args.Has("model") || !args.Has("out")) {
     return Usage();
@@ -389,16 +393,19 @@ int RunPack(const Args& args) {
   Result<std::vector<RawPoi>> pois = ReadPoisCsv(dir + "/pois.csv");
   if (!pois.ok()) return Fail(pois.status());
   LandmarkIndex landmarks = LandmarkIndex::Build(*network, *pois);
+  Result<std::vector<RawTrajectory>> corpus =
+      ReadTrajectoriesCsv(dir + "/trajectories.csv");
+  if (!corpus.ok()) return Fail(corpus.status());
   STMaker maker(&*network, &landmarks, FeatureRegistry::BuiltIn());
   Status st = maker.LoadModel(args.Get("model", "model"));
   if (!st.ok()) return Fail(st);
   const std::string out = args.Get("out", "model.stm");
-  st = maker.SaveModelContainer(out);
+  st = maker.SaveModelContainer(out, *corpus);
   if (!st.ok()) return Fail(st);
-  std::printf("packed %s_* (%zu nodes, %zu edges, %zu landmarks%s%s) into "
-              "%s\n",
+  std::printf("packed %s_* (%zu nodes, %zu edges, %zu landmarks, %zu "
+              "trips%s%s) into %s\n",
               args.Get("model", "model").c_str(), network->NumNodes(),
-              network->NumEdges(), landmarks.size(),
+              network->NumEdges(), landmarks.size(), corpus->size(),
               maker.has_road_hierarchy() ? ", routing hierarchy" : "",
               maker.has_trajectory_index() ? ", trajectory index" : "",
               out.c_str());
@@ -406,8 +413,9 @@ int RunPack(const Args& args) {
 }
 
 // unpack: container -> CSV model prefix. Self-contained (the container
-// carries the world), so no --dir. pack(unpack(c)) reproduces c
-// byte-for-byte — pinned by tests/container_test.cc.
+// carries the world), so no --dir; the serving corpus is not exported, so
+// pack(unpack(c)) reproduces c byte-for-byte given the --dir c was packed
+// from — pinned by tests/container_test.cc.
 int RunUnpack(const Args& args) {
   if (!args.Has("model") || !args.Has("out")) return Usage();
   Result<std::shared_ptr<MappedContainer>> container =
