@@ -6,6 +6,7 @@
 #include <limits>
 #include <queue>
 #include <thread>
+#include <utility>
 
 #include "common/failpoint.h"
 #include "common/metrics.h"
@@ -24,6 +25,7 @@ PopularRouteMiner::PopularRouteMiner() : route_cache_(kRouteCacheCapacity) {}
 PopularRouteMiner::PopularRouteMiner(PopularRouteMiner&& other) noexcept
     : graph_(std::move(other.graph_)),
       from_order_(std::move(other.from_order_)),
+      num_transitions_(std::exchange(other.num_transitions_, 0)),
       max_count_(other.max_count_),
       route_cache_(kRouteCacheCapacity) {}
 
@@ -32,6 +34,7 @@ PopularRouteMiner& PopularRouteMiner::operator=(
   if (this != &other) {
     graph_ = std::move(other.graph_);
     from_order_ = std::move(other.from_order_);
+    num_transitions_ = std::exchange(other.num_transitions_, 0);
     max_count_ = other.max_count_;
     InvalidateCache();
   }
@@ -62,6 +65,7 @@ void PopularRouteMiner::AddTransitionCount(LandmarkId a, LandmarkId b,
     }
   }
   out.push_back({b, count});
+  ++num_transitions_;
   max_count_ = std::max(max_count_, count);
 }
 
@@ -93,12 +97,6 @@ double PopularRouteMiner::TransitionCount(LandmarkId a, LandmarkId b) const {
     if (e.to == b) return e.count;
   }
   return 0;
-}
-
-size_t PopularRouteMiner::NumTransitions() const {
-  size_t n = 0;
-  for (const auto& [from, out] : graph_) n += out.size();
-  return n;
 }
 
 void PopularRouteMiner::InvalidateCache() {

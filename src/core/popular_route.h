@@ -60,7 +60,8 @@ class PopularRouteMiner {
       LandmarkId from, LandmarkId to,
       const RequestContext* ctx = nullptr) const;
 
-  size_t NumTransitions() const;
+  /// Number of distinct (from, to) transitions mined; O(1).
+  size_t NumTransitions() const { return num_transitions_; }
 
   /// One mined transition, for model persistence.
   struct Transition {
@@ -124,6 +125,7 @@ class PopularRouteMiner {
 
   std::unordered_map<LandmarkId, std::vector<OutEdge>> graph_;
   std::vector<LandmarkId> from_order_;  ///< first-seen order of graph_ keys
+  size_t num_transitions_ = 0;  ///< out-edges across graph_, kept on insert
   double max_count_ = 0;
 
   /// Query-side memoization (route LRU + totals), guarded by cache_mu_.

@@ -142,6 +142,17 @@ Status CountMismatch(const MappedContainer& c, SectionType type,
       static_cast<unsigned long long>(want)));
 }
 
+/// A record position that is non-finite or beyond kMaxAbsCoordM: the
+/// spatial indexes' cell arithmetic and build cost assume bounded input.
+Status UnboundedPosition(const MappedContainer& c, SectionType type,
+                         size_t record, const Vec2& pos) {
+  return Status::InvalidArgument(StrFormat(
+      "%s: section '%s' record %zu position (%g, %g) is not finite or "
+      "exceeds %g m",
+      c.path().c_str(), SectionName(type), record, pos.x, pos.y,
+      kMaxAbsCoordM));
+}
+
 /// Reads the single kMeta record (shared by every loader).
 Result<ContainerMetaRecord> ReadMeta(const MappedContainer& c) {
   STMAKER_ASSIGN_OR_RETURN(const SectionEntry* entry,
@@ -510,6 +521,9 @@ Result<RoadNetwork> LoadNetworkFromContainer(const MappedContainer& c) {
     RoadNode node;
     node.id = static_cast<NodeId>(i);
     node.pos = Vec2{node_records[i].x, node_records[i].y};
+    if (!IsBoundedCoord(node.pos)) {
+      return UnboundedPosition(c, SectionType::kNodes, i, node.pos);
+    }
     nodes.push_back(std::move(node));
   }
 
@@ -628,6 +642,9 @@ Result<LandmarkIndex> LoadLandmarksFromContainer(const MappedContainer& c,
     Landmark lm;
     lm.id = static_cast<LandmarkId>(i);
     lm.pos = Vec2{rec.x, rec.y};
+    if (!IsBoundedCoord(lm.pos)) {
+      return UnboundedPosition(c, SectionType::kLandmarks, i, lm.pos);
+    }
     STMAKER_ASSIGN_OR_RETURN(
         lm.name, SliceName(c, names, SectionType::kLandmarkNames,
                            rec.name_offset, rec.name_len));

@@ -13,13 +13,23 @@
 
 namespace stmaker {
 
+/// Slack added around a cell rectangle (a query window, or the cells an
+/// item is listed in) so a floating-point distance filter can never accept
+/// an item from a cell the rectangle missed: 10^-9 of the magnitudes
+/// involved, about 10^6 ulps — far more than the rounding of a distance
+/// or of floor(v / cell), and under a centimetre at the 10^7 m coordinate
+/// bound, far less than a cell.
+inline double CellRoundingPad(double magnitude) {
+  return 1e-9 * (1.0 + magnitude);
+}
+
 /// \brief Uniform spatial hash grid over (id, position) pairs.
 ///
 /// The workhorse index for nearest-landmark and radius queries during
-/// calibration, POI clustering, and map matching. Cell size should be on the
-/// order of the typical query radius; queries inspect the 3×3 (or larger)
-/// neighborhood of cells, so correctness does not depend on the choice, only
-/// performance.
+/// calibration and POI clustering. Cell size should be on the order of the
+/// typical query radius; a radius query inspects only the cells that
+/// overlap the query's bounding square, so correctness does not depend on
+/// the choice, only performance.
 class GridIndex {
  public:
   /// `cell_size` is the grid pitch in meters (> 0).
@@ -31,12 +41,13 @@ class GridIndex {
   size_t size() const { return items_.size(); }
 
   /// Ids of all items within `radius` meters of `center` (inclusive),
-  /// in unspecified order.
+  /// ordered by cell x, then cell y, then insertion order.
   std::vector<int64_t> WithinRadius(const Vec2& center, double radius) const;
 
   /// Appends the ids of all items within `radius` of `center` to `*out`
-  /// (same result set as WithinRadius). Lets hot paths reuse one buffer
-  /// across queries instead of allocating a vector per call.
+  /// (same result and order as WithinRadius). Lets hot paths reuse one
+  /// buffer across queries instead of allocating a vector per call. Visits
+  /// only the occupied cells that overlap the disc's bounding square.
   void AppendWithinRadius(const Vec2& center, double radius,
                           std::vector<int64_t>* out) const;
 
@@ -70,11 +81,16 @@ class GridIndex {
     }
   };
 
+  /// floor(v / cell_size_), saturated to +-2^53.
+  int64_t CellCoord(double v) const;
   CellKey CellOf(const Vec2& p) const;
 
   double cell_size_;
   std::vector<Item> items_;
   std::unordered_map<CellKey, std::vector<size_t>, CellKeyHash> cells_;
+  /// Lowest and highest occupied cell on each axis (valid when non-empty).
+  CellKey lo_{0, 0};
+  CellKey hi_{0, 0};
 };
 
 }  // namespace stmaker

@@ -32,6 +32,18 @@ inline double Cross(const Vec2& a, const Vec2& b) { return a.x * b.y - a.y * b.x
 inline double Norm(const Vec2& a) { return std::sqrt(Dot(a, a)); }
 inline double Distance(const Vec2& a, const Vec2& b) { return Norm(a - b); }
 
+/// Largest coordinate magnitude, in projected meters, that any input may
+/// carry: 10,000 km covers any local projection. Trajectory sanitizing
+/// drops fixes beyond it; the world readers (road-network and POI CSVs,
+/// container node and landmark records) reject the whole input.
+inline constexpr double kMaxAbsCoordM = 1.0e7;
+
+/// True when both components are finite and at most kMaxAbsCoordM in
+/// magnitude (NaN fails every comparison, so it is rejected too).
+inline bool IsBoundedCoord(const Vec2& p) {
+  return std::fabs(p.x) <= kMaxAbsCoordM && std::fabs(p.y) <= kMaxAbsCoordM;
+}
+
 /// Heading of the vector in degrees clockwise from north, in [0, 360).
 /// Matches compass convention: (0,1) → 0°, (1,0) → 90°.
 inline double HeadingDegrees(const Vec2& v) {

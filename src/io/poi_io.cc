@@ -4,6 +4,7 @@
 
 #include "common/csv.h"
 #include "common/strings.h"
+#include "geo/vec2.h"
 
 namespace stmaker {
 
@@ -32,6 +33,11 @@ Result<std::vector<RawPoi>> ReadPoisCsv(const std::string& path) {
     double y = std::strtod(row[1].c_str(), &end);
     if (end == row[1].c_str() || *end != '\0') {
       return Status::InvalidArgument("bad y: " + row[1]);
+    }
+    if (!IsBoundedCoord({x, y})) {
+      return Status::InvalidArgument(StrFormat(
+          "%s: row %zu position (%g, %g) is not finite or exceeds %g m",
+          path.c_str(), r + 2, x, y, kMaxAbsCoordM));
     }
     out.push_back({{x, y}, row[2]});
   }

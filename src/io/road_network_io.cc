@@ -4,6 +4,7 @@
 
 #include "common/csv.h"
 #include "common/strings.h"
+#include "geo/vec2.h"
 
 namespace stmaker {
 
@@ -65,14 +66,19 @@ Status WriteRoadNetworkCsv(const std::string& prefix,
 Result<RoadNetwork> ReadRoadNetworkCsv(const std::string& prefix) {
   RoadNetwork network;
 
-  STMAKER_ASSIGN_OR_RETURN(
-      auto node_rows,
-      ReadCsvTable(prefix + "_nodes.csv", {"node_id", "x", "y"}));
+  const std::string nodes_path = prefix + "_nodes.csv";
+  STMAKER_ASSIGN_OR_RETURN(auto node_rows,
+                           ReadCsvTable(nodes_path, {"node_id", "x", "y"}));
   for (size_t r = 0; r < node_rows.size(); ++r) {
     const auto& row = node_rows[r];
     STMAKER_ASSIGN_OR_RETURN(int64_t id, ParseInt(row[0]));
     STMAKER_ASSIGN_OR_RETURN(double x, ParseDouble(row[1]));
     STMAKER_ASSIGN_OR_RETURN(double y, ParseDouble(row[2]));
+    if (!IsBoundedCoord({x, y})) {
+      return Status::InvalidArgument(StrFormat(
+          "%s: row %zu position (%g, %g) is not finite or exceeds %g m",
+          nodes_path.c_str(), r + 2, x, y, kMaxAbsCoordM));
+    }
     NodeId assigned = network.AddNode({x, y});
     if (assigned != id) {
       return Status::InvalidArgument(

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
+#include "geo/grid_index.h"
 #include "geo/polyline.h"
 
 namespace stmaker {
@@ -11,9 +13,10 @@ namespace stmaker {
 namespace {
 
 /// Per-thread visited stamps for deduplicating spatial-index probes (an
-/// edge is inserted at many sample points, so one probe returns the same
-/// id repeatedly). A monotonically increasing epoch makes clearing free;
-/// thread_local makes concurrent queries race-free without locks.
+/// edge is listed in every cell it passes through, so one probe can meet
+/// the same id in several cells). A monotonically increasing epoch makes
+/// clearing free; thread_local makes concurrent queries race-free without
+/// locks.
 struct DedupStamps {
   std::vector<uint64_t> stamp;
   uint64_t epoch = 0;
@@ -36,10 +39,57 @@ DedupStamps& Stamps() {
   return stamps;
 }
 
-/// Scratch id buffer for spatial-index probes, reused across queries.
-std::vector<int64_t>& ProbeBuffer() {
-  thread_local std::vector<int64_t> buffer;
-  return buffer;
+/// Grid coordinate floor(v / cell) of the segment-cell index, saturated to
+/// the int32 range so no value (huge, infinite or NaN) reaches an
+/// undefined float-to-int cast. Saturation is monotone, so an interval of
+/// values still maps onto an interval of cells.
+int32_t CellCoord(double v) {
+  constexpr double kLo = std::numeric_limits<int32_t>::min();
+  constexpr double kHi = std::numeric_limits<int32_t>::max();
+  const double c = std::floor(v / RoadNetwork::kSpatialCellM);
+  if (!(c > kLo)) return std::numeric_limits<int32_t>::min();  // NaN too
+  if (c >= kHi) return std::numeric_limits<int32_t>::max();
+  return static_cast<int32_t>(c);
+}
+
+/// Packs (row, column) into one key whose unsigned order is (row, column)
+/// order, so the cells of one row form a sorted run.
+uint64_t CellKey(int64_t row, int64_t col) {
+  return (static_cast<uint64_t>(static_cast<uint32_t>(row) ^ 0x80000000u)
+          << 32) |
+         (static_cast<uint32_t>(col) ^ 0x80000000u);
+}
+
+/// Calls fn(row, col) once for every cell the segment a-b passes through:
+/// per column of its (padded) x-extent, the rows spanned by the piece of
+/// the segment inside that column (padded). The work is proportional to
+/// length / cell size, never to the area of the bounding box.
+template <typename Fn>
+void ForEachSegmentCell(Vec2 a, Vec2 b, Fn&& fn) {
+  if (b.x < a.x) std::swap(a, b);
+  const double pad = CellRoundingPad(std::max(
+      {std::fabs(a.x), std::fabs(a.y), std::fabs(b.x), std::fabs(b.y)}));
+  const double dx = b.x - a.x;
+  const double dy = b.y - a.y;
+  const int64_t col_lo = CellCoord(a.x - pad);
+  const int64_t col_hi = CellCoord(b.x + pad);
+  for (int64_t col = col_lo; col <= col_hi; ++col) {
+    // Parameter range of the segment inside [col, col + 1) widened by the
+    // pad; a vertical segment stays whole in its column.
+    double t0 = 0.0;
+    double t1 = 1.0;
+    if (dx > 0) {
+      const double x0 = static_cast<double>(col) * RoadNetwork::kSpatialCellM;
+      const double x1 = x0 + RoadNetwork::kSpatialCellM;
+      t0 = std::clamp((x0 - pad - a.x) / dx, 0.0, 1.0);
+      t1 = std::clamp((x1 + pad - a.x) / dx, 0.0, 1.0);
+    }
+    const double y0 = a.y + dy * t0;
+    const double y1 = a.y + dy * t1;
+    const int64_t row_lo = CellCoord(std::min(y0, y1) - pad);
+    const int64_t row_hi = CellCoord(std::max(y0, y1) + pad);
+    for (int64_t row = row_lo; row <= row_hi; ++row) fn(row, col);
+  }
 }
 
 }  // namespace
@@ -68,7 +118,11 @@ RoadNetwork& RoadNetwork::operator=(RoadNetwork&& other) noexcept {
   csr_dirty_.store(other.csr_dirty_.load(std::memory_order_acquire),
                    std::memory_order_release);
   csr_mu_ = std::move(other.csr_mu_);
-  edge_index_ = std::move(other.edge_index_);
+  cell_keys_ = std::move(other.cell_keys_);
+  cell_starts_ = std::move(other.cell_starts_);
+  cell_edges_ = std::move(other.cell_edges_);
+  cell_row_lo_ = other.cell_row_lo_;
+  cell_row_hi_ = other.cell_row_hi_;
   return *this;
 }
 
@@ -232,18 +286,40 @@ void RoadNetwork::AnnotateTurningPoints() {
   }
 }
 
-void RoadNetwork::BuildSpatialIndex(double sample_step_m) {
-  STMAKER_CHECK(sample_step_m > 0);
-  edge_index_ = std::make_unique<GridIndex>(sample_step_m * 2.0);
-  for (const RoadEdge& e : edges_) {
-    const Vec2& a = nodes_[e.from].pos;
-    const Vec2& b = nodes_[e.to].pos;
-    int steps = std::max(1, static_cast<int>(e.length_m / sample_step_m));
-    for (int s = 0; s <= steps; ++s) {
-      double t = static_cast<double>(s) / steps;
-      edge_index_->Insert(e.id, a + (b - a) * t);
-    }
+void RoadNetwork::BuildSpatialIndex() {
+  // (cell, edge) for every cell each segment passes through. Sorting the
+  // pairs groups them by cell, in row-major cell order, and leaves each
+  // cell's edges ascending by id.
+  std::vector<std::pair<uint64_t, uint32_t>> listed;
+  listed.reserve(edge_geom_view_.size() * 4);
+  for (size_t e = 0; e < edge_geom_view_.size(); ++e) {
+    const EdgeGeometry& g = edge_geom_view_[e];
+    // The world readers reject such input; past the bound a segment could
+    // span 2^32 columns.
+    STMAKER_CHECK(IsBoundedCoord(g.a) && IsBoundedCoord(g.b));
+    ForEachSegmentCell(g.a, g.b, [&](int64_t row, int64_t col) {
+      listed.push_back({CellKey(row, col), static_cast<uint32_t>(e)});
+    });
   }
+  std::sort(listed.begin(), listed.end());
+  cell_keys_.clear();
+  cell_starts_.clear();
+  cell_edges_.clear();
+  cell_edges_.reserve(listed.size());
+  for (const auto& [key, edge] : listed) {
+    if (cell_keys_.empty() || cell_keys_.back() != key) {
+      cell_keys_.push_back(key);
+      cell_starts_.push_back(static_cast<uint32_t>(cell_edges_.size()));
+    }
+    cell_edges_.push_back(edge);
+  }
+  cell_starts_.push_back(static_cast<uint32_t>(cell_edges_.size()));
+  auto row_of = [](uint64_t key) {
+    return static_cast<int32_t>(static_cast<uint32_t>(key >> 32) ^
+                                0x80000000u);
+  };
+  cell_row_lo_ = cell_keys_.empty() ? 0 : row_of(cell_keys_.front());
+  cell_row_hi_ = cell_keys_.empty() ? -1 : row_of(cell_keys_.back());
   // Queries usually follow immediately; pack the adjacency block now so
   // the first routed request doesn't pay the finalize.
   if (csr_dirty_.load(std::memory_order_acquire)) FinalizeAdjacency();
@@ -258,45 +334,56 @@ double RoadNetwork::DistanceToEdge(const Vec2& p, EdgeId e) const {
 void RoadNetwork::CollectEdgesWithin(
     const Vec2& p, double radius,
     std::vector<std::pair<double, EdgeId>>* out) const {
-  // Sample points are at most (sample step) away from the true geometry,
-  // so widen the index probe a little and verify with exact distances.
-  std::vector<int64_t>& probe = ProbeBuffer();
-  probe.clear();
-  edge_index_->AppendWithinRadius(p, radius * 1.5 + 60.0, &probe);
+  if (!(radius >= 0)) return;
+  // Exact by construction: the closest point of any edge within `radius`
+  // of p lies inside [p - radius, p + radius] on both axes, and lies in a
+  // cell that lists the edge; the window below covers that square. Both
+  // the window and the per-edge listing are padded by CellRoundingPad,
+  // which dwarfs the rounding in PointSegmentDistance and in the cell
+  // arithmetic, so the distance filter never accepts an edge from a cell
+  // the window missed.
+  const double reach =
+      radius +
+      CellRoundingPad(std::max({std::fabs(p.x), std::fabs(p.y), radius}));
+  const int64_t col_lo = CellCoord(p.x - reach);
+  const int64_t col_hi = CellCoord(p.x + reach);
+  const int64_t row_lo = std::max<int64_t>(CellCoord(p.y - reach),
+                                           cell_row_lo_);
+  const int64_t row_hi = std::min<int64_t>(CellCoord(p.y + reach),
+                                           cell_row_hi_);
   DedupStamps& stamps = Stamps();
-  const uint64_t epoch = stamps.Begin(edges_.size());
-  for (int64_t id : probe) {
-    if (!stamps.FirstVisit(id, epoch)) continue;
-    const EdgeGeometry& g = edge_geom_view_[static_cast<size_t>(id)];
-    double d = PointSegmentDistance(p, g.a, g.b);
-    if (d <= radius) out->push_back({d, id});
+  const uint64_t epoch = stamps.Begin(edge_geom_view_.size());
+  for (int64_t row = row_lo; row <= row_hi; ++row) {
+    // The window's cells in one row are one contiguous run of keys, and
+    // their edge lists one contiguous run of cell_edges_.
+    const uint64_t hi_key = CellKey(row, col_hi);
+    auto first = std::lower_bound(cell_keys_.begin(), cell_keys_.end(),
+                                  CellKey(row, col_lo));
+    auto last = first;
+    while (last != cell_keys_.end() && *last <= hi_key) ++last;
+    const uint32_t begin = cell_starts_[first - cell_keys_.begin()];
+    const uint32_t end = cell_starts_[last - cell_keys_.begin()];
+    for (uint32_t i = begin; i < end; ++i) {
+      const uint32_t id = cell_edges_[i];
+      if (!stamps.FirstVisit(id, epoch)) continue;
+      const EdgeGeometry& g = edge_geom_view_[id];
+      const double d = PointSegmentDistance(p, g.a, g.b);
+      if (d <= radius) out->push_back({d, static_cast<EdgeId>(id)});
+    }
   }
 }
 
 EdgeId RoadNetwork::NearestEdge(const Vec2& p, double max_radius) const {
-  if (edge_index_ == nullptr) return -1;
-  std::vector<int64_t>& probe = ProbeBuffer();
-  probe.clear();
-  edge_index_->AppendWithinRadius(p, max_radius, &probe);
-  DedupStamps& stamps = Stamps();
-  const uint64_t epoch = stamps.Begin(edges_.size());
-  EdgeId best = -1;
-  double best_d = max_radius;
-  for (int64_t id : probe) {
-    if (!stamps.FirstVisit(id, epoch)) continue;
-    double d = DistanceToEdge(p, id);
-    if (d <= best_d) {
-      best_d = d;
-      best = id;
-    }
-  }
-  return best;
+  // The head of the (distance, id) order: lowest id among equidistant.
+  std::vector<std::pair<double, EdgeId>> best;
+  ClosestEdges(p, max_radius, 1, &best);
+  return best.empty() ? -1 : best.front().second;
 }
 
 std::vector<EdgeId> RoadNetwork::EdgesNear(const Vec2& p,
                                            double radius) const {
   std::vector<EdgeId> out;
-  if (edge_index_ == nullptr) return out;
+  if (cell_starts_.empty()) return out;
   std::vector<std::pair<double, EdgeId>> scored;
   CollectEdgesWithin(p, radius, &scored);
   out.reserve(scored.size());
@@ -406,21 +493,11 @@ Result<RoadNetwork> RoadNetwork::AdoptMapped(
 void RoadNetwork::ClosestEdges(
     const Vec2& p, double radius, size_t max_count,
     std::vector<std::pair<double, EdgeId>>* out) const {
-  if (edge_index_ == nullptr || max_count == 0) return;
+  if (cell_starts_.empty() || max_count == 0) return;
   const size_t base = out->size();
-  // Expanding search: most fixes sit on or next to a road, so a probe at a
-  // third of the radius usually already yields max_count candidates — and
-  // in dense cores it touches an order of magnitude fewer index cells. The
-  // result is exact: if k candidates exist within r' <= r, the k closest
-  // within r all lie within r' as well, so escalation is only needed when
-  // the small probe comes up short.
-  const double first = radius / 3.0;
-  CollectEdgesWithin(p, first, out);
-  if (out->size() - base < max_count) {
-    out->resize(base);
-    CollectEdgesWithin(p, radius, out);
-  }
-  // Sort by (distance, id): bit-identical to the full-radius scan order.
+  CollectEdgesWithin(p, radius, out);
+  // (distance, id) is a total order, so the head is the same whatever
+  // order the cells yielded the edges in.
   std::sort(out->begin() + base, out->end());
   if (out->size() - base > max_count) out->resize(base + max_count);
 }

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "geo/grid_index.h"
 #include "geo/vec2.h"
 #include "roadnet/road_types.h"
 
@@ -173,23 +172,31 @@ class RoadNetwork {
   /// the map generator after construction; idempotent.
   void AnnotateTurningPoints();
 
-  /// Prepares the spatial index used by NearestEdge(). Must be re-called if
-  /// edges are added afterwards. `sample_step_m` controls the density of the
-  /// edge sampling in the index.
-  void BuildSpatialIndex(double sample_step_m = 50.0);
+  /// Builds the segment-cell index behind NearestEdge, EdgesNear and
+  /// ClosestEdges (DESIGN.md §13): a grid of kSpatialCellM-meter cells in
+  /// which every edge is listed in each cell its segment passes through,
+  /// so build work and memory grow with total edge length ÷ cell size.
+  /// Must be re-called if edges are added afterwards. Every edge endpoint
+  /// must pass IsBoundedCoord (CHECK-enforced; the world readers reject
+  /// anything else).
+  void BuildSpatialIndex();
 
-  /// Nearest edge to `p` by true point-to-segment distance, searching items
-  /// within `max_radius` meters. Returns -1 if none (or index not built).
+  /// Pitch of the segment-cell index, in meters.
+  static constexpr double kSpatialCellM = 100.0;
+
+  /// Nearest edge to `p` by true point-to-segment distance among the edges
+  /// within `max_radius` meters (inclusive). Among equidistant edges the
+  /// lowest id wins. Returns -1 if none (or the index is not built).
   EdgeId NearestEdge(const Vec2& p, double max_radius) const;
 
-  /// Edges whose geometry passes within `radius` of `p`.
+  /// Edges whose geometry passes within `radius` of `p`, ascending by id.
   std::vector<EdgeId> EdgesNear(const Vec2& p, double radius) const;
 
   /// Up to `max_count` closest edges within `radius` of `p`, appended to
-  /// `*out` as (distance, edge) sorted ascending by (distance, id). The
-  /// result is exactly the `max_count` head of the sorted EdgesNear(radius)
-  /// scan, but found with an expanding search that probes a fraction of the
-  /// index in dense areas (where the full-radius scan is the map-match p99).
+  /// `*out` as (distance, edge) sorted ascending by (distance, id): exactly
+  /// the `max_count` head of the sorted EdgesNear(radius) scan. One index
+  /// probe at the full radius visits only the cells that overlap
+  /// [p - radius, p + radius].
   void ClosestEdges(const Vec2& p, double radius, size_t max_count,
                     std::vector<std::pair<double, EdgeId>>* out) const;
 
@@ -228,8 +235,9 @@ class RoadNetwork {
   /// the AddEdge history).
   void FinalizeAdjacency() const;
 
-  /// Deduplicating exact-distance scan over one spatial-index probe.
-  /// Appends verified (distance, edge) pairs with distance <= `radius`.
+  /// Deduplicating exact-distance scan over the index cells overlapping
+  /// [p - radius, p + radius]. Appends every (distance, edge) pair with
+  /// distance <= `radius`, in no particular order.
   void CollectEdgesWithin(const Vec2& p, double radius,
                           std::vector<std::pair<double, EdgeId>>* out) const;
 
@@ -268,7 +276,16 @@ class RoadNetwork {
   mutable std::unique_ptr<std::mutex> csr_mu_ =
       std::make_unique<std::mutex>();
 
-  std::unique_ptr<GridIndex> edge_index_;
+  // Segment-cell index (BuildSpatialIndex). Occupied cells are keyed by
+  // their packed (row, column), ascending, so one grid row is one sorted
+  // run; cell i lists its edges, ascending by id, at
+  // cell_edges_[cell_starts_[i] .. cell_starts_[i + 1]). An empty
+  // cell_starts_ means the index is not built.
+  std::vector<uint64_t> cell_keys_;
+  std::vector<uint32_t> cell_starts_;
+  std::vector<uint32_t> cell_edges_;
+  int32_t cell_row_lo_ = 0;  ///< Lowest occupied row.
+  int32_t cell_row_hi_ = -1;  ///< Highest occupied row.
 };
 
 }  // namespace stmaker

@@ -51,7 +51,7 @@ struct SanitizeOptions {
   /// Coordinates are projected meters; anything beyond this magnitude (or
   /// non-finite) cannot be a real fix. 10,000 km covers any local
   /// projection.
-  double max_abs_coord_m = 1.0e7;
+  double max_abs_coord_m = kMaxAbsCoordM;
   /// Speed above which a jump is a GPS teleport, not driving. 90 m/s =
   /// 324 km/h. Non-positive disables the teleport check.
   double max_speed_mps = 90.0;

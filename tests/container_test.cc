@@ -13,7 +13,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <cmath>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -100,12 +102,15 @@ SectionEntry EntryOf(const std::string& bytes, SectionType type) {
   return SectionEntry{};
 }
 
-/// Overwrites corpus-trip record `index` with `record`, then recomputes
-/// the section CRC and re-seals the header: the hostile-but-checksummed
-/// file that only the range validation can catch.
-void PatchCorpusTrip(std::string* bytes, size_t index,
-                     const CorpusTripRecord& record) {
-  const SectionEntry entry = EntryOf(*bytes, SectionType::kCorpusTrips);
+/// Overwrites record `index` of the `type` section with `record`, then
+/// recomputes the section CRC and re-seals the header: the
+/// hostile-but-checksummed file that only the semantic validation can
+/// catch.
+template <typename Record>
+void PatchRecord(std::string* bytes, SectionType type, size_t index,
+                 const Record& record) {
+  const SectionEntry entry = EntryOf(*bytes, type);
+  ASSERT_EQ(entry.record_width, sizeof(record));
   ASSERT_LT(index, entry.record_count);
   std::memcpy(bytes->data() + entry.offset + index * sizeof(record), &record,
               sizeof(record));
@@ -122,9 +127,10 @@ void PatchCorpusTrip(std::string* bytes, size_t index,
   ResealHeaderCrc(bytes);
 }
 
-CorpusTripRecord CorpusTripAt(const std::string& bytes, size_t index) {
-  const SectionEntry entry = EntryOf(bytes, SectionType::kCorpusTrips);
-  CorpusTripRecord record{};
+template <typename Record>
+Record RecordAt(const std::string& bytes, SectionType type, size_t index) {
+  const SectionEntry entry = EntryOf(bytes, type);
+  Record record{};
   std::memcpy(&record, bytes.data() + entry.offset + index * sizeof(record),
               sizeof(record));
   return record;
@@ -412,71 +418,133 @@ TEST_F(ContainerTest, LoadedCorpusIsBitIdenticalToTheCsvRead) {
   ExpectSameCorpus(*corpus, cw_.corpus);
 }
 
-TEST_F(ContainerTest, HostileCorpusRangesAreRejected) {
-  // Each case rewrites corpus-trip records and re-seals every CRC, so the
-  // file passes Open() and the section check; only the range validation
-  // stands between it and an out-of-bounds read of the samples section.
+TEST_F(ContainerTest, HostileRecordsFailTheLoadAndRollBackAReload) {
+  // Each case rewrites records and re-seals every CRC, so the file passes
+  // Open() and the section check; only the semantic validation stands
+  // between it and an out-of-bounds read of the samples section, or a
+  // coordinate no spatial index can hold.
   Result<std::string> good = ReadFileToString(cw_.container_path);
   ASSERT_TRUE(good.ok());
   const SectionEntry trips = EntryOf(*good, SectionType::kCorpusTrips);
   const SectionEntry samples = EntryOf(*good, SectionType::kCorpusSamples);
   ASSERT_GE(trips.record_count, 3u);
   const size_t last = static_cast<size_t>(trips.record_count - 1);
-  const CorpusTripRecord first = CorpusTripAt(*good, 0);
-  const CorpusTripRecord second = CorpusTripAt(*good, 1);
-  const CorpusTripRecord tail = CorpusTripAt(*good, last);
+  auto trip_at = [&](size_t index) {
+    return RecordAt<CorpusTripRecord>(*good, SectionType::kCorpusTrips,
+                                      index);
+  };
+  const CorpusTripRecord first = trip_at(0);
+  const CorpusTripRecord second = trip_at(1);
+  const CorpusTripRecord tail = trip_at(last);
   ASSERT_EQ(tail.samples_begin + tail.samples_count, samples.record_count);
 
+  using Patch = std::function<void(std::string*)>;
   struct Case {
     const char* name;
-    std::vector<std::pair<size_t, CorpusTripRecord>> patches;  // index, record
+    SectionType section;  ///< The section the patch rewrites.
+    Patch patch;
+    const char* message;  ///< Expected in the load error.
   };
   auto with = [](CorpusTripRecord r, uint64_t begin, uint64_t count) {
     r.samples_begin = begin;
     r.samples_count = count;
     return r;
   };
+  auto trip_patch =
+      [](std::vector<std::pair<size_t, CorpusTripRecord>> patches) -> Patch {
+    return [patches](std::string* bytes) {
+      for (const auto& [index, record] : patches) {
+        PatchRecord(bytes, SectionType::kCorpusTrips, index, record);
+      }
+    };
+  };
+  NodeRecord far_node =
+      RecordAt<NodeRecord>(*good, SectionType::kNodes, 0);
+  far_node.x = 1e300;
+  LandmarkRecord nan_landmark =
+      RecordAt<LandmarkRecord>(*good, SectionType::kLandmarks, 0);
+  nan_landmark.y = std::nan("");
   const uint64_t kMax = ~uint64_t{0};
   const uint64_t third_begin = second.samples_begin + second.samples_count;
+  const char* kRange = "is not the contiguous run";
   const std::vector<Case> cases = {
-      {"overlaps the previous trip",
-       {{1, with(second, 0, second.samples_count)}}},
-      {"leaves a gap",
-       {{1, with(second, second.samples_begin + 1, second.samples_count)}}},
-      {"first trip does not start at 0",
-       {{0, with(first, 1, first.samples_count)}}},
-      {"runs past the end",
-       {{last, with(tail, tail.samples_begin, tail.samples_count + 1)}}},
-      {"count wraps past 2^64",
-       {{last, with(tail, tail.samples_begin, kMax)}}},
-      {"begin far out of bounds", {{last, with(tail, kMax - 1, 2)}}},
+      {"overlaps the previous trip", SectionType::kCorpusTrips,
+       trip_patch({{1, with(second, 0, second.samples_count)}}), kRange},
+      {"leaves a gap", SectionType::kCorpusTrips,
+       trip_patch(
+           {{1, with(second, second.samples_begin + 1,
+                     second.samples_count)}}),
+       kRange},
+      {"first trip does not start at 0", SectionType::kCorpusTrips,
+       trip_patch({{0, with(first, 1, first.samples_count)}}), kRange},
+      {"runs past the end", SectionType::kCorpusTrips,
+       trip_patch(
+           {{last, with(tail, tail.samples_begin, tail.samples_count + 1)}}),
+       kRange},
+      {"count wraps past 2^64", SectionType::kCorpusTrips,
+       trip_patch({{last, with(tail, tail.samples_begin, kMax)}}), kRange},
+      {"begin far out of bounds", SectionType::kCorpusTrips,
+       trip_patch({{last, with(tail, kMax - 1, 2)}}), kRange},
       {"trips cover fewer samples than the section",
-       {{last, with(tail, tail.samples_begin, tail.samples_count - 1)}}},
+       SectionType::kCorpusTrips,
+       trip_patch(
+           {{last, with(tail, tail.samples_begin, tail.samples_count - 1)}}),
+       "cover"},
       // Contiguous modulo 2^64 and summing to the samples count: trip 0
       // claims 2^64-1 fixes and trip 1 wraps the running total back to
       // where trip 2 begins. Only the per-trip bounds check catches it.
-      {"ranges wrap around to a matching total",
-       {{0, with(first, 0, kMax)}, {1, with(second, kMax, third_begin + 1)}}},
+      {"ranges wrap around to a matching total", SectionType::kCorpusTrips,
+       trip_patch({{0, with(first, 0, kMax)},
+                   {1, with(second, kMax, third_begin + 1)}}),
+       kRange},
+      // Node 0 is an edge endpoint, so the edge geometry disagrees with it
+      // too; the coordinate bound must fire first, before any index cell
+      // arithmetic sees 1e300.
+      {"node at x = 1e300", SectionType::kNodes,
+       [&](std::string* bytes) {
+         PatchRecord(bytes, SectionType::kNodes, 0, far_node);
+       },
+       "section 'nodes' record 0 position"},
+      {"landmark at y = NaN", SectionType::kLandmarks,
+       [&](std::string* bytes) {
+         PatchRecord(bytes, SectionType::kLandmarks, 0, nan_landmark);
+       },
+       "section 'landmarks' record 0 position"},
   };
+
+  ModelManagerOptions opts;
+  opts.data_dir = cw_.dir;
+  opts.model_prefix = cw_.container_path;
+  ModelManager manager(opts);
+  ASSERT_TRUE(manager.Initialize().ok());
+  std::shared_ptr<const ModelSnapshot> before = manager.Current();
+  const uint64_t base_failures = manager.reload_failures();
+  uint64_t failures = 0;
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
     std::string bytes = *good;
-    for (const auto& [index, record] : c.patches) {
-      PatchCorpusTrip(&bytes, index, record);
-    }
-    const std::string path = TempPrefix("container_hostile_corpus.stm");
+    c.patch(&bytes);
+    const std::string path = TempPrefix("container_hostile_records.stm");
     ASSERT_TRUE(WriteFileToPath(path, bytes).ok());
     Result<std::shared_ptr<MappedContainer>> opened =
         MappedContainer::Open(path);
     ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-    const SectionEntry* entry = (*opened)->Find(SectionType::kCorpusTrips);
+    const SectionEntry* entry = (*opened)->Find(c.section);
     ASSERT_NE(entry, nullptr);
     ASSERT_TRUE((*opened)->VerifyCrc(*entry)) << "CRC was not re-sealed";
-    Result<std::vector<RawTrajectory>> corpus =
-        LoadTrajectoriesFromContainer(**opened);
-    ASSERT_FALSE(corpus.ok());
-    EXPECT_EQ(corpus.status().code(), StatusCode::kInvalidArgument)
-        << corpus.status().ToString();
+    Result<std::unique_ptr<LoadedContainerModel>> loaded =
+        LoadContainerModel(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+    EXPECT_NE(loaded.status().message().find(c.message), std::string::npos)
+        << loaded.status().ToString();
+
+    Status reload = manager.Reload(path);
+    EXPECT_EQ(reload.code(), StatusCode::kInvalidArgument)
+        << reload.ToString();
+    EXPECT_EQ(manager.reload_failures(), base_failures + ++failures);
+    EXPECT_EQ(manager.Current().get(), before.get());
   }
 }
 

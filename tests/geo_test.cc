@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <set>
+#include <tuple>
 
 #include "common/random.h"
 #include "geo/bounding_box.h"
@@ -215,6 +217,25 @@ struct GridIndexParam {
 class GridIndexPropertyTest
     : public ::testing::TestWithParam<GridIndexParam> {};
 
+/// Brute-force WithinRadius in the index's documented order: by cell x,
+/// then cell y, then insertion index (ids equal insertion indices here).
+std::vector<int64_t> BruteWithinRadius(const std::vector<Vec2>& points,
+                                       double cell_size, const Vec2& center,
+                                       double radius) {
+  std::vector<std::tuple<double, double, int64_t>> hits;
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (Distance(points[i], center) <= radius) {
+      hits.emplace_back(std::floor(points[i].x / cell_size),
+                        std::floor(points[i].y / cell_size),
+                        static_cast<int64_t>(i));
+    }
+  }
+  std::sort(hits.begin(), hits.end());
+  std::vector<int64_t> ids;
+  for (const auto& hit : hits) ids.push_back(std::get<2>(hit));
+  return ids;
+}
+
 TEST_P(GridIndexPropertyTest, RadiusQueriesMatchBruteForce) {
   const GridIndexParam param = GetParam();
   Random rng(param.seed);
@@ -225,17 +246,46 @@ TEST_P(GridIndexPropertyTest, RadiusQueriesMatchBruteForce) {
     points.push_back(p);
     index.Insert(i, p);
   }
+  // Extra items exactly on cell edges: on a vertical edge, a horizontal
+  // edge, or a corner, on both sides of the origin.
+  Random edge_rng(param.seed + 1000);
+  auto on_edge = [&](double v) {
+    return std::round(v / param.cell_size) * param.cell_size;
+  };
+  for (int i = 0; i < 30; ++i) {
+    Vec2 p{edge_rng.Uniform(-1000, 1000), edge_rng.Uniform(-1000, 1000)};
+    if (i % 3 != 1) p.x = on_edge(p.x);
+    if (i % 3 != 0) p.y = on_edge(p.y);
+    index.Insert(static_cast<int64_t>(points.size()), p);
+    points.push_back(p);
+  }
   for (int q = 0; q < 40; ++q) {
     Vec2 center{rng.Uniform(-1200, 1200), rng.Uniform(-1200, 1200)};
     double radius = rng.Uniform(0, 400);
-    std::set<int64_t> expected;
-    for (int i = 0; i < param.num_points; ++i) {
-      if (Distance(points[i], center) <= radius) expected.insert(i);
+    EXPECT_EQ(index.WithinRadius(center, radius),
+              BruteWithinRadius(points, param.cell_size, center, radius));
+  }
+  // Centres on cell edges, radii that are and are not multiples of the
+  // cell size, and radii that reach exactly to an item (inclusive bound).
+  for (int q = 0; q < 40; ++q) {
+    Vec2 center{edge_rng.Uniform(-1200, 1200), edge_rng.Uniform(-1200, 1200)};
+    if (q % 2 == 0) center = {on_edge(center.x), on_edge(center.y)};
+    const size_t target = static_cast<size_t>(q * 7) % points.size();
+    const double radii[] = {Distance(points[target], center),
+                            param.cell_size * (1 + q % 3),
+                            param.cell_size * edge_rng.Uniform(0.1, 3.7),
+                            0.0};
+    for (double radius : radii) {
+      std::vector<int64_t> got = index.WithinRadius(center, radius);
+      EXPECT_EQ(got,
+                BruteWithinRadius(points, param.cell_size, center, radius))
+          << "centre (" << center.x << ", " << center.y << ") r=" << radius;
     }
-    std::vector<int64_t> got = index.WithinRadius(center, radius);
-    std::set<int64_t> got_set(got.begin(), got.end());
-    EXPECT_EQ(got_set, expected);
-    EXPECT_EQ(got.size(), got_set.size()) << "no duplicate ids";
+    std::vector<int64_t> reach =
+        index.WithinRadius(center, Distance(points[target], center));
+    EXPECT_NE(std::find(reach.begin(), reach.end(),
+                        static_cast<int64_t>(target)),
+              reach.end());
   }
 }
 
@@ -267,7 +317,8 @@ INSTANTIATE_TEST_SUITE_P(
                       GridIndexParam{250.0, 200, 2},
                       GridIndexParam{10.0, 50, 3},
                       GridIndexParam{1000.0, 500, 4},
-                      GridIndexParam{100.0, 1, 5}));
+                      GridIndexParam{100.0, 1, 5},
+                      GridIndexParam{37.5, 300, 6}));
 
 TEST(GridIndexTest, EmptyIndexBehaviour) {
   GridIndex index(100);

@@ -350,9 +350,81 @@ TEST(RoadNetworkIoTest, RejectsInvalidGrade) {
   EXPECT_FALSE(ReadRoadNetworkCsv(prefix).ok());
 }
 
+TEST(RoadNetworkIoTest, RejectsUnboundedNodeCoordinates) {
+  // strtod reads all of these; none is a position a map can hold.
+  const std::vector<std::pair<std::string, std::string>> bad = {
+      {"inf", "0"}, {"0", "-inf"}, {"nan", "0"}, {"0", "NAN"},
+      {"2e7", "0"}, {"0", "-2e7"}, {"1e300", "1e300"}};
+  for (const auto& [x, y] : bad) {
+    SCOPED_TRACE(x + "," + y);
+    std::string prefix = TempPath("net_unbounded");
+    {
+      auto nodes = CsvWriter::Open(prefix + "_nodes.csv");
+      ASSERT_TRUE(nodes.ok());
+      ASSERT_TRUE(nodes->WriteRow({"node_id", "x", "y"}).ok());
+      ASSERT_TRUE(nodes->WriteRow({"0", "0", "0"}).ok());
+      ASSERT_TRUE(nodes->WriteRow({"1", x, y}).ok());
+      ASSERT_TRUE(nodes->Close().ok());
+      auto edges = CsvWriter::Open(prefix + "_edges.csv");
+      ASSERT_TRUE(edges.ok());
+      ASSERT_TRUE(edges
+                      ->WriteRow({"edge_id", "from", "to", "grade", "width",
+                                  "direction", "name", "bias"})
+                      .ok());
+      ASSERT_TRUE(
+          edges->WriteRow({"0", "0", "1", "3", "10", "1", "X", "1.0"}).ok());
+      ASSERT_TRUE(edges->Close().ok());
+    }
+    Result<RoadNetwork> loaded = ReadRoadNetworkCsv(prefix);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(prefix + "_nodes.csv: row 3"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+  // The bound itself is a valid coordinate.
+  std::string prefix = TempPath("net_at_bound");
+  {
+    auto nodes = CsvWriter::Open(prefix + "_nodes.csv");
+    ASSERT_TRUE(nodes.ok());
+    ASSERT_TRUE(nodes->WriteRow({"node_id", "x", "y"}).ok());
+    ASSERT_TRUE(nodes->WriteRow({"0", "-1e7", "1e7"}).ok());
+    ASSERT_TRUE(nodes->Close().ok());
+    auto edges = CsvWriter::Open(prefix + "_edges.csv");
+    ASSERT_TRUE(edges.ok());
+    ASSERT_TRUE(edges
+                    ->WriteRow({"edge_id", "from", "to", "grade", "width",
+                                "direction", "name", "bias"})
+                    .ok());
+    ASSERT_TRUE(edges->Close().ok());
+  }
+  EXPECT_TRUE(ReadRoadNetworkCsv(prefix).ok());
+}
+
 // --------------------------------------------------------------------------
 // POI CSV
 // --------------------------------------------------------------------------
+
+TEST(PoiIoTest, RejectsUnboundedCoordinates) {
+  for (const char* bad : {"inf", "-inf", "nan", "2e7", "-2e7", "1e300"}) {
+    SCOPED_TRACE(bad);
+    std::string path = TempPath("pois_unbounded.csv");
+    {
+      auto writer = CsvWriter::Open(path);
+      ASSERT_TRUE(writer.ok());
+      ASSERT_TRUE(writer->WriteRow({"x", "y", "name"}).ok());
+      ASSERT_TRUE(writer->WriteRow({"1", "2", "Fine"}).ok());
+      ASSERT_TRUE(writer->WriteRow({"3", bad, "Far"}).ok());
+      ASSERT_TRUE(writer->Close().ok());
+    }
+    Result<std::vector<RawPoi>> loaded = ReadPoisCsv(path);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(path + ": row 3"),
+              std::string::npos)
+        << loaded.status().ToString();
+  }
+}
 
 TEST(PoiIoTest, RoundTripWithQuotedNames) {
   std::vector<RawPoi> pois = {{{1, 2}, "Plain Park"},

@@ -147,5 +147,37 @@ TEST(PopularRouteTest, EmptyMinerHasNoRoutes) {
   EXPECT_FALSE(miner.PopularRoute(1, 2).ok());
 }
 
+TEST(PopularRouteTest, NumTransitionsCountsDistinctPairs) {
+  PopularRouteMiner miner;
+  miner.AddTransitionCount(1, 2, 1.0);
+  miner.AddTransitionCount(1, 2, 4.0);  // same pair: count grows, not size
+  miner.AddTransitionCount(2, 1, 1.0);  // the reverse is its own pair
+  miner.AddTransitionCount(3, 3, 5.0);  // self-loop: ignored
+  miner.AddTransitionCount(3, 4, 0.0);  // non-positive count: ignored
+  EXPECT_EQ(miner.NumTransitions(), 2u);
+  EXPECT_EQ(miner.NumTransitions(), miner.Transitions().size());
+  EXPECT_DOUBLE_EQ(miner.TransitionCount(1, 2), 5.0);
+
+  // Merge adds only the pairs this miner lacks.
+  PopularRouteMiner other;
+  other.AddTransitionCount(1, 2, 2.0);
+  other.AddTransitionCount(2, 3, 1.0);
+  other.AddTransitionCount(4, 1, 1.0);
+  miner.Merge(other);
+  EXPECT_EQ(miner.NumTransitions(), 4u);
+  EXPECT_EQ(miner.NumTransitions(), miner.Transitions().size());
+  EXPECT_EQ(other.NumTransitions(), 3u);
+
+  // Move-assignment carries the count over and replaces the target's.
+  PopularRouteMiner target;
+  target.AddTransitionCount(7, 8, 1.0);
+  target = std::move(miner);
+  EXPECT_EQ(target.NumTransitions(), 4u);
+  EXPECT_EQ(target.NumTransitions(), target.Transitions().size());
+  PopularRouteMiner constructed(std::move(target));
+  EXPECT_EQ(constructed.NumTransitions(), 4u);
+  EXPECT_EQ(constructed.NumTransitions(), constructed.Transitions().size());
+}
+
 }  // namespace
 }  // namespace stmaker

@@ -300,6 +300,86 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ScenarioPropertyTest,
                          ::testing::Values(7u, 17u, 27u, 37u));
 
 // --------------------------------------------------------------------------
+// Random networks built to stress the segment-cell index: diagonal edges,
+// edges spanning dozens of cells, edges lying on cell boundaries, and
+// zero-length edges, probed at radius 0, 60 and beyond the whole map.
+// --------------------------------------------------------------------------
+
+class RandomNetworkSpatialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(RandomNetworkSpatialTest, SpatialQueriesMatchBruteForce) {
+  Random rng(GetParam());
+  constexpr double kCell = RoadNetwork::kSpatialCellM;
+  RoadNetwork net;
+  auto add_edge = [&net](const Vec2& a, const Vec2& b) {
+    const NodeId from = net.AddNode(a);
+    const NodeId to = net.AddNode(b);
+    ASSERT_TRUE(net.AddEdge(from, to, RoadGrade::kCountryRoad, 10,
+                            TrafficDirection::kTwoWay, "e")
+                    .ok());
+  };
+  auto random_point = [&rng] {
+    return Vec2{rng.Uniform(-2000, 2000), rng.Uniform(-2000, 2000)};
+  };
+  auto on_boundary = [](double v) { return std::round(v / kCell) * kCell; };
+  std::vector<Vec2> probes;
+  for (int i = 0; i < 40; ++i) {
+    const Vec2 a = random_point();
+    add_edge(a, a + Vec2{rng.Uniform(-150, 150), rng.Uniform(-150, 150)});
+    add_edge(random_point(), random_point());  // spans many cells
+    Vec2 v = random_point();
+    v.x = on_boundary(v.x);
+    const double len = rng.Uniform(-600, 600);
+    add_edge(v, {v.x, v.y + len});
+    probes.push_back({v.x, v.y + len * rng.Uniform(0, 1)});
+    Vec2 h = random_point();
+    h.y = on_boundary(h.y);
+    add_edge(h, {h.x + rng.Uniform(-600, 600), h.y});
+    Vec2 z = random_point();
+    if (i % 2 == 0) z = {on_boundary(z.x), on_boundary(z.y)};
+    add_edge(z, z);  // zero length, half of them on a cell corner
+    probes.push_back(z);
+  }
+  net.BuildSpatialIndex();
+  for (int q = 0; q < 60; ++q) {
+    probes.push_back({rng.Uniform(-2500, 2500), rng.Uniform(-2500, 2500)});
+    probes.push_back(
+        net.node(static_cast<NodeId>(rng.Uniform(0, 1) *
+                                     (net.NumNodes() - 1)))
+            .pos);
+  }
+
+  for (const Vec2& p : probes) {
+    for (double radius : {0.0, 60.0, 1e5}) {
+      SCOPED_TRACE(::testing::Message() << "p=(" << p.x << "," << p.y
+                                        << ") r=" << radius);
+      std::vector<std::pair<double, EdgeId>> oracle;
+      for (const RoadEdge& e : net.edges()) {
+        const double d = net.DistanceToEdge(p, e.id);
+        if (d <= radius) oracle.emplace_back(d, e.id);
+      }
+      std::sort(oracle.begin(), oracle.end());
+      std::vector<EdgeId> ids;
+      for (const auto& [d, id] : oracle) ids.push_back(id);
+      std::sort(ids.begin(), ids.end());
+      EXPECT_EQ(net.EdgesNear(p, radius), ids);
+      for (size_t k : {size_t{1}, size_t{6}}) {
+        std::vector<std::pair<double, EdgeId>> got;
+        net.ClosestEdges(p, radius, k, &got);
+        std::vector<std::pair<double, EdgeId>> expected(
+            oracle.begin(), oracle.begin() + std::min(oracle.size(), k));
+        EXPECT_EQ(got, expected) << "k=" << k;
+      }
+      EXPECT_EQ(net.NearestEdge(p, radius),
+                oracle.empty() ? EdgeId{-1} : oracle.front().second);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sweep, RandomNetworkSpatialTest,
+                         ::testing::Values(3u, 13u, 23u, 33u));
+
+// --------------------------------------------------------------------------
 // End-to-end determinism across the whole pipeline.
 // --------------------------------------------------------------------------
 

@@ -150,12 +150,66 @@ TEST(RoadNetworkTest, NearestEdgeAndEdgesNear) {
   auto e2 = net.AddEdge(c, d, RoadGrade::kCountryRoad, 10,
                         TrafficDirection::kTwoWay, "North");
   ASSERT_TRUE(e1.ok() && e2.ok());
+  // Before the index is built every spatial query comes back empty.
+  EXPECT_EQ(net.NearestEdge({500, 100}, 300), -1);
+  EXPECT_TRUE(net.EdgesNear({500, 100}, 300).empty());
+  std::vector<std::pair<double, EdgeId>> unindexed;
+  net.ClosestEdges({500, 100}, 300, 3, &unindexed);
+  EXPECT_TRUE(unindexed.empty());
   net.BuildSpatialIndex();
   EXPECT_EQ(net.NearestEdge({500, 100}, 300), *e1);
   EXPECT_EQ(net.NearestEdge({500, 400}, 300), *e2);
   EXPECT_EQ(net.NearestEdge({500, 5000}, 300), -1);
   std::vector<EdgeId> near = net.EdgesNear({500, 250}, 260);
   EXPECT_EQ(near.size(), 2u);
+}
+
+TEST(RoadNetworkTest, NearestEdgeFindsEveryEdgeWithinMaxRadius) {
+  // The closest point of the edge is (25, 0), 100 m from the query, but
+  // every point of the edge a 50 m sampling would keep is over 103 m away:
+  // only an index over the segment itself finds it at max_radius 101.
+  RoadNetwork net;
+  NodeId a = net.AddNode({0, 0});
+  NodeId b = net.AddNode({100, 0});
+  auto e = net.AddEdge(a, b, RoadGrade::kCountryRoad, 10,
+                       TrafficDirection::kTwoWay, "Short");
+  ASSERT_TRUE(e.ok());
+  net.BuildSpatialIndex();
+  const Vec2 q{25, 100};
+  EXPECT_DOUBLE_EQ(net.DistanceToEdge(q, *e), 100.0);
+  EXPECT_EQ(net.EdgesNear(q, 101), std::vector<EdgeId>{*e});
+  EXPECT_EQ(net.NearestEdge(q, 101), *e);
+  EXPECT_EQ(net.NearestEdge(q, 100), *e);  // the bound is inclusive
+  EXPECT_EQ(net.NearestEdge(q, 99.9), -1);
+}
+
+TEST(RoadNetworkTest, NearestEdgeBreaksDistanceTiesByLowestId) {
+  // Three edges 100 m from the query, which a row-by-row cell scan meets
+  // in descending id order.
+  RoadNetwork net;
+  NodeId n0 = net.AddNode({0, 300});
+  NodeId n1 = net.AddNode({100, 300});
+  NodeId n2 = net.AddNode({200, 100});
+  NodeId n3 = net.AddNode({200, 300});
+  NodeId n4 = net.AddNode({0, 100});
+  NodeId n5 = net.AddNode({100, 100});
+  auto top = net.AddEdge(n0, n1, RoadGrade::kCountryRoad, 10,
+                         TrafficDirection::kTwoWay, "Top");
+  auto right = net.AddEdge(n2, n3, RoadGrade::kCountryRoad, 10,
+                           TrafficDirection::kTwoWay, "Right");
+  auto bottom = net.AddEdge(n4, n5, RoadGrade::kCountryRoad, 10,
+                            TrafficDirection::kTwoWay, "Bottom");
+  ASSERT_TRUE(top.ok() && right.ok() && bottom.ok());
+  net.BuildSpatialIndex();
+  const Vec2 q{100, 200};
+  for (EdgeId id : {*top, *right, *bottom}) {
+    EXPECT_DOUBLE_EQ(net.DistanceToEdge(q, id), 100.0) << id;
+  }
+  EXPECT_EQ(net.NearestEdge(q, 150), *top);
+  std::vector<std::pair<double, EdgeId>> closest;
+  net.ClosestEdges(q, 150, 2, &closest);
+  EXPECT_EQ(closest, (std::vector<std::pair<double, EdgeId>>{
+                         {100.0, *top}, {100.0, *right}}));
 }
 
 // --------------------------------------------------------------------------

@@ -98,7 +98,7 @@ Scenario BuildScenario(
   }
 
   s.network.AnnotateTurningPoints();
-  s.network.BuildSpatialIndex(options.spatial_index_step_m);
+  s.network.BuildSpatialIndex();
   if (options.build_landmarks) {
     s.landmarks = std::make_unique<LandmarkIndex>(
         LandmarkIndex::Build(s.network, /*pois=*/{}));
@@ -150,8 +150,6 @@ RawTrajectory ScenarioTrip(const Scenario& s, std::string_view route,
 Scenario NamedScenario::Build() const {
   ScenarioOptions options;
   options.grid_m = grid_m;
-  // Index pitch scales with the map so dense cores keep meaningful cells.
-  options.spatial_index_step_m = std::min(50.0, grid_m);
   return BuildScenario(art, ways, options);
 }
 

@@ -57,8 +57,6 @@ struct EdgeSpec {
 struct ScenarioOptions {
   /// Meters per ASCII character cell (both axes).
   double grid_m = 100.0;
-  /// Sampling step for the network spatial index.
-  double spatial_index_step_m = 50.0;
   /// Build the turning-point landmark index (needed for calibration and
   /// full-pipeline runs; skip for pure-roadnet tests).
   bool build_landmarks = true;

@@ -40,17 +40,20 @@ std::vector<EdgeId> BruteEdgesNear(const RoadNetwork& net, const Vec2& p,
   return out;
 }
 
-/// Smallest point-to-edge distance within `max_radius`, or -1 when no edge
-/// qualifies. NearestEdge's tie-break among equidistant edges depends on
-/// index probe order, so the oracle pins the distance, not the id.
-double BruteNearestDistance(const RoadNetwork& net, const Vec2& p,
-                            double max_radius) {
-  double best_d = -1;
+/// The edge nearest to `p` within `max_radius`, the lowest id among
+/// equidistant ones, or -1 when no edge qualifies.
+EdgeId BruteNearest(const RoadNetwork& net, const Vec2& p,
+                    double max_radius) {
+  EdgeId best = -1;
+  double best_d = 0;
   for (const RoadEdge& e : net.edges()) {
     double d = net.DistanceToEdge(p, e.id);
-    if (d <= max_radius && (best_d < 0 || d < best_d)) best_d = d;
+    if (d <= max_radius && (best < 0 || d < best_d)) {
+      best_d = d;
+      best = e.id;
+    }
   }
-  return best_d;
+  return best;
 }
 
 /// The pre-optimization matcher, kept verbatim as an oracle: candidates
@@ -176,14 +179,9 @@ TEST(ScenarioSuite, SpatialQueriesMatchBruteForceOnEveryScenario) {
         EXPECT_EQ(s.network.EdgesNear(p, radius), expected)
             << "p=(" << p.x << "," << p.y << ") r=" << radius;
       }
-      EdgeId nearest = s.network.NearestEdge(p, 120.0);
-      double want_d = BruteNearestDistance(s.network, p, 120.0);
-      if (want_d < 0) {
-        EXPECT_EQ(nearest, -1) << "p=(" << p.x << "," << p.y << ")";
-      } else {
-        ASSERT_GE(nearest, 0) << "p=(" << p.x << "," << p.y << ")";
-        EXPECT_DOUBLE_EQ(s.network.DistanceToEdge(p, nearest), want_d);
-      }
+      EXPECT_EQ(s.network.NearestEdge(p, 120.0),
+                BruteNearest(s.network, p, 120.0))
+          << "p=(" << p.x << "," << p.y << ")";
     }
   }
 }
