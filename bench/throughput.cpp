@@ -16,7 +16,6 @@
 //   {"name", "threads", "items_per_sec", "p50_ms", "p99_ms"}
 // plus special records: "ch_routing" (map size, build cost, measured
 // CH-over-Dijkstra speedup), "index_retrieval" (indexed-vs-scan speedups),
-// "model_coldstart" (CSV-vs-container load latency and RSS growth),
 // "slo"/"slo_knee" (closed-loop load points, excluded from --compare),
 // "machine" (hardware concurrency plus CPU model and ISA flags, so
 // scaling and SIMD-sensitive numbers can be read against the silicon that
@@ -81,25 +80,6 @@ double NowMs() {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-/// Resident set size (VmRSS) in kB from /proc/self/status; 0 if unreadable.
-/// Coarse (the allocator rarely returns freed pages to the kernel), which
-/// is exactly why the cold-start loops sample the delta on the first rep
-/// only — later reps reuse arena pages and would report near-zero growth.
-long CurrentRssKb() {
-  std::FILE* f = std::fopen("/proc/self/status", "r");
-  if (f == nullptr) return 0;
-  char line[256];
-  long kb = 0;
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    if (std::strncmp(line, "VmRSS:", 6) == 0) {
-      kb = std::strtol(line + 6, nullptr, 10);
-      break;
-    }
-  }
-  std::fclose(f);
-  return kb;
 }
 
 /// Nearest-rank percentile over per-item (or per-rep) latencies.
@@ -672,20 +652,17 @@ int Run(const char* out_path) {
                 knee_qps, knee_p99_ms, capacity_qps);
   }
 
-  // --- Model lifecycle: reload latency and post-swap first-request cost.
-  // A dedicated small world (the reload path re-reads the whole dataset
-  // from disk, so the bench world's 3000-trip corpus would time dataset
-  // parsing, not the swap) staged the way `stmaker_cli gen`+`train` lay it
-  // out. ModelReload is the wall time of a full Reload() — world read,
-  // manifest-verified model parse, commit; PostSwapFirstRequest is the
+  // --- Model lifecycle: cold start, reload latency, and post-swap
+  // first-request cost over a dedicated small world (a reload re-maps and
+  // re-validates the whole container, so the bench world's 3000-trip
+  // corpus would mostly time the corpus copy, not the swap), staged the way
+  // `stmaker_cli gen`+`train` lay it out. ModelColdStart_container is the
+  // time from nothing-in-memory to a maker ready to answer;
+  // ModelReload_container is the wall time of a full Reload() — map,
+  // section CRCs, model replay, commit; PostSwapFirstRequest is the
   // latency of the first summarize answered by the freshly swapped
   // snapshot (its caches are stone cold — that cost is the price of the
-  // zero-downtime design and deserves its own row). The same staged world
-  // also carries the cold-start comparison (CSV prefix vs binary
-  // container) and the container-reload row; the aggregate numbers are
-  // hoisted here for the "model_coldstart" record in the emit section.
-  double coldstart_csv_p50_ms = 0, coldstart_container_p50_ms = 0;
-  long coldstart_csv_rss_kb = 0, coldstart_container_rss_kb = 0;
+  // zero-downtime design and deserves its own row).
   {
     char dir_template[] = "/tmp/stmaker_bench_reload_XXXXXX";
     char* dir_c = mkdtemp(dir_template);
@@ -715,57 +692,31 @@ int Run(const char* out_path) {
     }
     STMAKER_CHECK(
         WriteTrajectoriesCsv(dir + "/trajectories.csv", small_raws).ok());
-    // Train on the world as read back from CSV (exactly what `train`
-    // does): the saved hierarchy must validate against the quantized
-    // coordinates the manager will load, not the in-memory originals.
+    // Train on the world and corpus as read back from CSV, exactly what
+    // `train` does.
+    const std::string container_path = dir + "/model.stm";
     {
       Result<RoadNetwork> network = ReadRoadNetworkCsv(dir + "/network");
       STMAKER_CHECK(network.ok());
       Result<std::vector<RawPoi>> loaded_pois = ReadPoisCsv(dir + "/pois.csv");
       STMAKER_CHECK(loaded_pois.ok());
-      LandmarkIndex index = LandmarkIndex::Build(*network, *loaded_pois);
-      STMaker trainer(&*network, &index, FeatureRegistry::BuiltIn());
-      STMAKER_CHECK(trainer.Train(small_raws).ok());
-      STMAKER_CHECK(trainer.BuildRoadHierarchy().ok());
-      STMAKER_CHECK(trainer.SaveModel(dir + "/model").ok());
-      // The serving corpus as `pack` embeds it: read back from the CSV.
       Result<std::vector<RawTrajectory>> corpus =
           ReadTrajectoriesCsv(dir + "/trajectories.csv");
       STMAKER_CHECK(corpus.ok());
-      STMAKER_CHECK(
-          trainer.SaveModelContainer(dir + "/model.stm", *corpus).ok());
+      LandmarkIndex index = LandmarkIndex::Build(*network, *loaded_pois);
+      STMaker trainer(&*network, &index, FeatureRegistry::BuiltIn());
+      STMAKER_CHECK(trainer.Train(*corpus).ok());
+      STMAKER_CHECK(trainer.BuildRoadHierarchy().ok());
+      STMAKER_CHECK(trainer.SaveModelContainer(container_path, *corpus).ok());
     }
 
-    // Cold start, CSV prefix vs binary container (docs/FORMAT.md): time
-    // from nothing-in-memory to a maker ready to answer, measured with
-    // direct loads rather than the ModelManager so the serving-corpus load
-    // (trajectories.csv on one path, container sections on the other)
-    // does not mask the difference. The container path is mmap +
-    // header/CRC walk — no per-row text parse — so its row should sit well
-    // under the CSV one.
-    // RSS is sampled on the first rep only (see CurrentRssKb).
-    const std::string container_path = dir + "/model.stm";
+    // Cold start, measured with direct loads rather than the ModelManager
+    // so the row isolates the container path: mmap + header/CRC walk, no
+    // per-row text parse.
     const int kColdReps = 5;
-    std::vector<double> cold_csv_ms, cold_container_ms;
-    double cold_csv_total = 0, cold_container_total = 0;
+    std::vector<double> cold_ms;
+    double cold_total = 0;
     for (int rep = 0; rep < kColdReps; ++rep) {
-      long rss_before = CurrentRssKb();
-      double t0 = NowMs();
-      Result<RoadNetwork> network = ReadRoadNetworkCsv(dir + "/network");
-      STMAKER_CHECK(network.ok());
-      Result<std::vector<RawPoi>> cold_pois = ReadPoisCsv(dir + "/pois.csv");
-      STMAKER_CHECK(cold_pois.ok());
-      LandmarkIndex index = LandmarkIndex::Build(*network, *cold_pois);
-      STMaker maker(&*network, &index, FeatureRegistry::BuiltIn());
-      STMAKER_CHECK(maker.LoadModel(dir + "/model").ok());
-      double dt = NowMs() - t0;
-      cold_csv_ms.push_back(dt);
-      cold_csv_total += dt;
-      // Sampled while the loaded model is still alive.
-      if (rep == 0) coldstart_csv_rss_kb = CurrentRssKb() - rss_before;
-    }
-    for (int rep = 0; rep < kColdReps; ++rep) {
-      long rss_before = CurrentRssKb();
       double t0 = NowMs();
       Result<std::shared_ptr<MappedContainer>> container =
           MappedContainer::Open(container_path);
@@ -778,25 +729,14 @@ int Run(const char* out_path) {
       STMaker maker(&*network, &*index, FeatureRegistry::BuiltIn());
       STMAKER_CHECK(maker.LoadModelContainer(**container).ok());
       double dt = NowMs() - t0;
-      cold_container_ms.push_back(dt);
-      cold_container_total += dt;
-      if (rep == 0) coldstart_container_rss_kb = CurrentRssKb() - rss_before;
+      cold_ms.push_back(dt);
+      cold_total += dt;
     }
-    results.push_back(Summarize("ModelColdStart_csv", 1, cold_csv_ms,
-                                kColdReps, cold_csv_total));
-    results.push_back(Summarize("ModelColdStart_container", 1,
-                                cold_container_ms, kColdReps,
-                                cold_container_total));
-    coldstart_csv_p50_ms = Percentile(cold_csv_ms, 50);
-    coldstart_container_p50_ms = Percentile(cold_container_ms, 50);
-    std::printf("# cold start: csv p50 %.2f ms (+%ld kB RSS), container "
-                "p50 %.2f ms (+%ld kB RSS)\n",
-                coldstart_csv_p50_ms, coldstart_csv_rss_kb,
-                coldstart_container_p50_ms, coldstart_container_rss_kb);
+    results.push_back(Summarize("ModelColdStart_container", 1, cold_ms,
+                                kColdReps, cold_total));
 
     ModelManagerOptions mopts;
-    mopts.data_dir = dir;
-    mopts.model_prefix = dir + "/model";
+    mopts.model_prefix = container_path;
     ModelManager manager(mopts);
     STMAKER_CHECK(manager.Initialize().ok());
     net::NdjsonServiceOptions sopts;
@@ -836,34 +776,10 @@ int Run(const char* out_path) {
     }
     service.Drain();
     manager.WaitIdle();
-    results.push_back(Summarize("ModelReload", 1, reload_ms, kReloadReps,
-                                reload_total));
+    results.push_back(Summarize("ModelReload_container", 1, reload_ms,
+                                kReloadReps, reload_total));
     results.push_back(Summarize("PostSwapFirstRequest", 1, first_request_ms,
                                 kReloadReps, first_total));
-
-    // Same swap discipline, container-backed snapshot: each Reload() maps
-    // the file fresh, revalidates, and pins the new mapping in the
-    // published snapshot (DESIGN.md §15 semantics are format-agnostic).
-    // The delta against the ModelReload row above is the reload-time win
-    // of skipping the CSV world + model parse.
-    {
-      ModelManagerOptions copts = mopts;
-      copts.model_prefix = container_path;
-      ModelManager cmanager(copts);
-      STMAKER_CHECK(cmanager.Initialize().ok());
-      std::vector<double> creload_ms;
-      double creload_total = 0;
-      for (int rep = 0; rep < kReloadReps; ++rep) {
-        double t0 = NowMs();
-        STMAKER_CHECK(cmanager.Reload().ok());
-        double dt = NowMs() - t0;
-        creload_ms.push_back(dt);
-        creload_total += dt;
-      }
-      cmanager.WaitIdle();
-      results.push_back(Summarize("ModelReload_container", 1, creload_ms,
-                                  kReloadReps, creload_total));
-    }
   }
 
   // --- Trajectory-index retrieval: similarity top-K and region/time-window
@@ -1054,16 +970,6 @@ int Run(const char* out_path) {
                "\"region_speedup_vs_scan\": %.1f},\n",
                raws.size(), index_postings, index_similar_speedup,
                index_region_speedup);
-  // Cold-start comparison between the CSV model prefix and the binary
-  // container (docs/FORMAT.md): p50 wall time to a ready maker plus the
-  // first-rep RSS growth of each load path. The per-rep latencies also
-  // flow through the regular ModelColdStart_{csv,container} rows above.
-  std::fprintf(out,
-               "  {\"name\": \"model_coldstart\", \"csv_p50_ms\": %.4f, "
-               "\"container_p50_ms\": %.4f, \"csv_rss_delta_kb\": %ld, "
-               "\"container_rss_delta_kb\": %ld},\n",
-               coldstart_csv_p50_ms, coldstart_container_p50_ms,
-               coldstart_csv_rss_kb, coldstart_container_rss_kb);
   // SLO rows are load-dependent (offered rate scales with the build's own
   // capacity estimate), so bench_report.py excludes them from --compare.
   for (const SloPoint& p : slo_points) {

@@ -49,10 +49,10 @@ struct CacheStats {
 /// Keys need operator== and a Hash functor (std::hash by default).
 ///
 /// Not internally synchronized: callers that share a cache across threads
-/// must hold their own mutex around every call (see CachingRouter and the
-/// PopularRouteMiner query cache for the locking idiom). Since caches only
-/// memoize deterministic computations, their presence never changes
-/// results — only latency.
+/// must hold their own mutex around every call (see the PopularRouteMiner
+/// query cache and the Calibrator's cache for the locking idiom). Since
+/// caches only memoize deterministic computations, their presence never
+/// changes results — only latency.
 template <typename Key, typename Value, typename Hash = std::hash<Key>>
 class LruCache {
  public:

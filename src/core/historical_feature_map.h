@@ -78,13 +78,12 @@ class HistoricalFeatureMap {
 
   /// Folds every edge accumulator of `other` (which must have the same
   /// feature dimensionality) into this map, replaying them in `other`'s
-  /// first-annotated order. Merging the per-shard maps of a corpus split
-  /// into contiguous index blocks, shard 0 first, reproduces the serial
-  /// map's edge set, edge order, and counts exactly; per-feature sums are
-  /// accumulated in index order but regrouped per shard, so they can
-  /// differ from a serial pass in the last floating-point ulp (see
-  /// DESIGN.md "Parallel execution & determinism"). Associative up to that
-  /// regrouping.
+  /// first-annotated order. Edge set, edge order, and counts compose
+  /// exactly; per-feature sums are regrouped (a + (b + c) instead of
+  /// (a + b) + c), so merging partial maps can differ from one serial pass
+  /// in the last floating-point ulp. Training therefore builds one map per
+  /// ingested batch in corpus order and merges it once (see DESIGN.md
+  /// "Parallel execution & determinism").
   void Merge(const HistoricalFeatureMap& other);
 
  private:

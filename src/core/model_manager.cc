@@ -100,14 +100,15 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
   snapshot->data_dir = options_.data_dir;
   snapshot->model_prefix = model_prefix;
 
-  const bool from_container =
-      !model_prefix.empty() && IsContainerFile(model_prefix);
+  const bool from_container = !model_prefix.empty();
   if (from_container) {
-    // Binary container: one mmap carries the world, the serving corpus,
-    // and the model; data_dir is never read. The snapshot pins the
-    // mapping (see ModelSnapshot::container) and the network's hot arrays
-    // alias it zero-copy; everything else is validated and copied out
-    // before publish, so corruption rolls back exactly like a bad CSV.
+    // Model container: one mmap carries the world, the serving corpus, and
+    // the model; data_dir is never read. The snapshot pins the mapping
+    // (see ModelSnapshot::container) and the network's hot arrays alias it
+    // zero-copy; everything else is validated and copied out before
+    // publish (parse-then-commit), so any error — corruption, a
+    // failpoint-injected fault mid-load — surfaces here with the candidate
+    // snapshot still unpublished.
     STMAKER_ASSIGN_OR_RETURN(snapshot->container,
                              MappedContainer::Open(model_prefix));
     STMAKER_ASSIGN_OR_RETURN(snapshot->network,
@@ -121,10 +122,10 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
         snapshot->trajectories,
         LoadTrajectoriesFromContainer(*snapshot->container));
   } else {
-    // World: road network, landmarks, serving corpus. Loaded fresh per
-    // snapshot — sharing a mutable landmark index across model versions is
-    // exactly the torn state this class exists to prevent (LoadModel writes
-    // significances into the index it is given).
+    // Trained in-process from the dataset directory. The world is loaded
+    // fresh per snapshot — sharing a mutable landmark index across model
+    // versions is exactly the torn state this class exists to prevent
+    // (Train writes significances into the index it is given).
     STMAKER_ASSIGN_OR_RETURN(
         snapshot->network, ReadRoadNetworkCsv(options_.data_dir + "/network"));
     STMAKER_ASSIGN_OR_RETURN(std::vector<RawPoi> pois,
@@ -139,19 +140,10 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
   snapshot->maker = std::make_unique<STMaker>(
       &snapshot->network, snapshot->landmarks.get(),
       FeatureRegistry::BuiltIn(), options_.maker);
-  if (from_container) {
-    // Same parse-then-commit discipline as LoadModel, against the mapped
-    // sections instead of CSV rows.
-    STMAKER_RETURN_IF_ERROR(
-        snapshot->maker->LoadModelContainer(*snapshot->container));
-  } else if (!model_prefix.empty()) {
-    // Parse-then-commit with CRC32-manifest verification; any error —
-    // including failpoint-injected I/O faults mid-load — surfaces here
-    // with the candidate snapshot still unpublished.
-    STMAKER_RETURN_IF_ERROR(snapshot->maker->LoadModel(model_prefix));
-  } else {
-    STMAKER_RETURN_IF_ERROR(snapshot->maker->Train(snapshot->trajectories));
-  }
+  STMAKER_RETURN_IF_ERROR(
+      from_container
+          ? snapshot->maker->LoadModelContainer(*snapshot->container)
+          : snapshot->maker->Train(snapshot->trajectories));
 
   if (options_.use_hierarchy && !snapshot->maker->has_road_hierarchy()) {
     if (!for_reload && options_.build_hierarchy_if_missing) {
@@ -162,8 +154,8 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
       // and re-contracting would blow the bounded-I/O reload budget.
       return Status::FailedPrecondition(
           "reload rejected: model '" + model_prefix +
-          "' has no usable routing hierarchy (truncated or missing _ch.csv /"
-          " damaged container section); keeping the current snapshot");
+          "' has no usable routing hierarchy (ch-rank/ch-arcs sections "
+          "missing or damaged); keeping the current snapshot");
     }
   } else if (!options_.use_hierarchy) {
     snapshot->maker->DropRoadHierarchy();

@@ -10,8 +10,8 @@
 /// corpus, and a trained STMaker (which carries the CH hierarchy, feature
 /// map, and calibration/popular-route caches). Snapshots are built off to
 /// the side on a background thread — parse-then-commit, reusing the
-/// CRC32-manifest validation of LoadModel — and published with one
-/// shared_ptr swap. Every in-flight request pins the snapshot it started
+/// per-section CRC validation of LoadModelContainer — and published with
+/// one shared_ptr swap. Every in-flight request pins the snapshot it started
 /// on, so a response is never served from a half-loaded or mixed-version
 /// model and a swap frees the old snapshot only after its last request
 /// finishes. When nothing pins it, the reloader frees it after the swap's
@@ -27,7 +27,7 @@
 ///     never interleave and the final state is the last request's.
 ///
 /// Rollback state machine (DESIGN.md §15): a reload that fails for any
-/// reason — missing files, CRC mismatch, a failpoint-injected fault
+/// reason — a missing file, a CRC mismatch, a failpoint-injected fault
 /// mid-load, or a hierarchy regression — leaves the current snapshot
 /// serving untouched, increments `model.reload_failures`, and reports the
 /// error to the caller. There is no intermediate state visible to
@@ -66,10 +66,10 @@ struct ModelSnapshot {
   /// Monotonically increasing per manager, starting at 1.
   uint64_t version = 0;
   /// Dataset directory of the manager. The world (network/POIs) and the
-  /// serving corpus are read from it only for CSV-model and trained
-  /// snapshots; a container snapshot carries both and never reads it.
+  /// serving corpus are read from it only for trained snapshots; a
+  /// container snapshot carries both and never reads it.
   std::string data_dir;
-  /// Model file prefix; empty when the snapshot was trained in-process.
+  /// Model container path; empty when the snapshot was trained in-process.
   std::string model_prefix;
   /// Wall-clock publish time (ms since the Unix epoch).
   int64_t loaded_unix_ms = 0;
@@ -77,7 +77,7 @@ struct ModelSnapshot {
   double load_ms = 0;
 
   /// The mapped model container when the snapshot was loaded from one
-  /// (null for CSV/trained snapshots). The network's hot arrays alias this
+  /// (null for trained snapshots). The network's hot arrays alias this
   /// mapping zero-copy, so it is declared *before* `network`: members
   /// destroy in reverse declaration order, guaranteeing the network (and
   /// every request pinning this snapshot) dies before the mapping is
@@ -87,7 +87,8 @@ struct ModelSnapshot {
   RoadNetwork network;
   std::unique_ptr<LandmarkIndex> landmarks;
   /// The serving corpus backing the protocol's "trip" field (copied out
-  /// of the container's corpus sections, or read from trajectories.csv).
+  /// of the container's corpus sections, or read from trajectories.csv
+  /// for a trained snapshot).
   std::vector<RawTrajectory> trajectories;
   std::unique_ptr<STMaker> maker;
 };
@@ -95,9 +96,10 @@ struct ModelSnapshot {
 /// Configuration for the manager's snapshot loads.
 struct ModelManagerOptions {
   /// Dataset directory (network CSVs, pois.csv, trajectories.csv); read
-  /// only when the model is a CSV prefix or trained in-process.
+  /// only when the model is trained in-process.
   std::string data_dir;
-  /// Model prefix for LoadModel; empty trains in-process from the corpus.
+  /// Model container path (a `.stm` written by `stmaker_cli train`); empty
+  /// trains in-process from the corpus.
   std::string model_prefix;
   /// Forwarded to every snapshot's STMaker.
   STMakerOptions maker;

@@ -125,10 +125,10 @@ namespace {
 
 /// Private accumulators of one ingestion worker. Shard s sees only the
 /// trajectories of index block s; the blocks are merged left to right.
-/// Trip descriptors are not sharded: workers fill disjoint slots of one
-/// pre-sized vector, so descriptor i is trip i at every thread count.
+/// Trip descriptors and segment features are not sharded: workers fill
+/// disjoint slots of pre-sized vectors, so slot i is trip i at every
+/// thread count.
 struct IngestShard {
-  std::unique_ptr<HistoricalFeatureMap> features;
   VisitCorpus visits;
   IngestReport report;
 };
@@ -139,15 +139,17 @@ Result<IngestReport> STMaker::IngestCorpus(
     const std::vector<RawTrajectory>& history, int num_threads) {
   const int threads = ResolveThreadCount(num_threads);
   std::vector<IngestShard> shards(static_cast<size_t>(threads));
-  for (IngestShard& shard : shards) {
-    shard.features = std::make_unique<HistoricalFeatureMap>(registry_.size());
-  }
   // One descriptor slot per offered trajectory — quarantined trips keep an
   // empty slot so descriptor index always equals corpus position. The trip
   // ids continue from any previously indexed corpus (TrainIncremental).
   const uint32_t trip_base = static_cast<uint32_t>(
       trip_index_ != nullptr ? trip_index_->descriptors().size() : 0);
   std::vector<TripDescriptor> descriptors(history.size());
+  // Each trip's segment features, folded into the feature map in corpus
+  // order after the parallel pass: floating-point sums depend on the
+  // order of their terms, so per-shard partial sums would differ from the
+  // serial ones in the last ulp.
+  std::vector<std::vector<SegmentFeatures>> segments(history.size());
 
   // The shard body is exactly the serial per-trajectory ingest, writing to
   // the shard's private accumulators. The calibrator and extractor are
@@ -208,22 +210,13 @@ Result<IngestReport> STMaker::IngestCorpus(
                   TrajectoryIndex::FinishDescriptor(
                       symbolic, NormalizeSegmentFeatures(*features),
                       registry_.size(), &descriptors[i]);
-                  std::vector<LandmarkId> visited;
-                  visited.reserve(symbolic.samples.size());
-                  for (size_t s = 0; s < symbolic.samples.size(); ++s) {
-                    if (s + 1 < symbolic.samples.size()) {
-                      shard.features->AddSegment(
-                          symbolic.samples[s].landmark,
-                          symbolic.samples[s + 1].landmark,
-                          (*features)[s].values);
-                    }
-                    visited.push_back(symbolic.samples[s].landmark);
-                  }
+                  segments[i] = std::move(*features);
                   // Record visits for HITS significance. Anonymous
                   // trajectories get a fresh traveller record so they still
                   // contribute hub mass without conflating distinct
                   // vehicles.
-                  shard.visits.AddTrajectory(raw.traveler, visited);
+                  shard.visits.AddTrajectory(raw.traveler,
+                                             descriptors[i].sequence);
                   ++report.ingested;
                 }
               });
@@ -246,10 +239,17 @@ Result<IngestReport> STMaker::IngestCorpus(
 
   // Merge in block order: shard 0 holds the leftmost trajectories, so this
   // replays the corpus left to right exactly as the serial loop would.
-  for (const IngestShard& shard : shards) {
-    feature_map_->Merge(*shard.features);
-    visit_corpus_.Merge(shard.visits);
+  for (const IngestShard& shard : shards) visit_corpus_.Merge(shard.visits);
+  // The batch's feature map, built in corpus order and merged once — the
+  // same AddSegment sequence and single Merge at every thread count.
+  HistoricalFeatureMap batch(registry_.size());
+  for (size_t i = 0; i < history.size(); ++i) {
+    const std::vector<LandmarkId>& sequence = descriptors[i].sequence;
+    for (size_t s = 0; s + 1 < sequence.size(); ++s) {
+      batch.AddSegment(sequence[s], sequence[s + 1], segments[i][s].values);
+    }
   }
+  feature_map_->Merge(batch);
   // Popular-route mining consumes the index descriptors instead of
   // rescanning the corpus: replaying each trip's symbolic sequence in
   // corpus order performs exactly the AddTrajectory() calls of a serial
@@ -357,9 +357,7 @@ Result<IngestReport> STMaker::TrainIncrementalWithReport(
     const std::vector<RawTrajectory>& history) {
   if (analyzer_ == nullptr || visit_corpus_.empty()) {
     return Status::FailedPrecondition(
-        "TrainIncremental requires a prior Train(), or a LoadModel() of a "
-        "model saved with its visit corpus (legacy models without "
-        "_visits.csv cannot accumulate)");
+        "TrainIncremental requires a prior Train() or LoadModelContainer()");
   }
   // IngestCorpus rejects an over-quarantined batch before merging, so the
   // served model is untouched on failure.

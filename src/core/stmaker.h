@@ -4,7 +4,8 @@
 /// \file
 /// STMaker: the façade wiring sanitize, calibration, feature extraction,
 /// partitioning, selection, and text generation into train/serve entry
-/// points, plus model persistence and the road-routing seam.
+/// points, plus model persistence (the `.stm` container) and the
+/// road-routing seam.
 
 #include <cstdint>
 #include <memory>
@@ -15,7 +16,6 @@
 #include <vector>
 
 #include "common/context.h"
-#include "common/retry.h"
 #include "common/status.h"
 #include "core/feature.h"
 #include "core/feature_extractor.h"
@@ -75,10 +75,6 @@ struct STMakerOptions {
   /// garbage signals an upstream fault, not a few bad trips. 1.0 (default)
   /// never converts quarantine into a hard error.
   double max_quarantine_fraction = 1.0;
-  /// Backoff policy for model-file reads in LoadModel(): transient I/O
-  /// errors (kIoError) are retried with jittered exponential backoff.
-  /// Deterministic parse errors and checksum mismatches are not retried.
-  RetryOptions io_retry;
   /// Geometry of the spatio-temporal trajectory index built during
   /// Train() (grid cell edge, coarse time bucket). Persisted with the
   /// index so a restored model queries under the geometry it was built
@@ -174,12 +170,10 @@ class STMaker {
   /// Folds additional trajectories into an already-trained model: popular
   /// routes and the historical feature map accumulate, and landmark
   /// significance is recomputed over the combined visit corpus. Requires a
-  /// prior successful Train() or a LoadModel() of a model that carries its
-  /// visit corpus (models saved by this version do; legacy three-file
-  /// models restore with an empty corpus and fail here with
-  /// FailedPrecondition). Quarantine semantics match Train(); when the
-  /// quarantine threshold converts to a hard error the existing model is
-  /// left untouched.
+  /// prior successful Train() or LoadModelContainer() (FailedPrecondition
+  /// otherwise). Quarantine semantics match Train(); when the quarantine
+  /// threshold converts to a hard error the existing model is left
+  /// untouched.
   Status TrainIncremental(const std::vector<RawTrajectory>& history);
 
   /// TrainIncremental(), returning the batch's IngestReport on success.
@@ -198,7 +192,7 @@ class STMaker {
   /// against concurrent Summarize/SummarizeBatch calls — the const serving
   /// path only reads the trained model, and the internal caches
   /// (calibration, popular-route queries) are mutex-guarded. Must not
-  /// overlap Train/TrainIncremental/LoadModel.
+  /// overlap Train/TrainIncremental/LoadModelContainer.
   ///
   /// `ctx` (optional) bounds the request: the pipeline checks the deadline
   /// and cancellation token at every stage boundary and inside every hot
@@ -229,29 +223,13 @@ class STMaker {
       std::span<const RawTrajectory> raws, const SummaryOptions& options,
       const BatchOptions& batch) const;
 
-  /// Persists the trained knowledge — popular-route transitions, the
-  /// historical feature map, landmark significances, and the landmark
-  /// visit corpus — as CSV files under `prefix` (train once, serve many).
-  /// Requires Train() first.
-  Status SaveModel(const std::string& prefix) const;
-
-  /// Restores a model written by SaveModel against the same landmark index
-  /// and a registry with the same feature set, leaving the STMaker ready to
-  /// Summarize without re-training. Fails (and leaves the maker untrained)
-  /// on feature-set mismatch or malformed files. Restoring the visit
-  /// corpus ("<prefix>_visits.csv") re-arms TrainIncremental; the file is
-  /// optional for backward compatibility with models saved before it
-  /// existed.
-  Status LoadModel(const std::string& prefix);
-
   /// Persists the trained model *and its serving world* — road-network
   /// CSR + geometry, CH hierarchy, landmarks with significances,
   /// popular-route transitions, the historical feature map, the visit
   /// corpus, trajectory-index descriptors, calibration stats, and the
   /// serving trajectory corpus — as one binary container file
   /// (docs/FORMAT.md) that the server mmaps and serves from without
-  /// reading any CSV. The CSV SaveModel files remain the import/export
-  /// form; the container is the deploy form (`stmaker_cli pack`).
+  /// reading any CSV (train once, serve many; `stmaker_cli train`).
   /// Requires Train() first.
   ///
   /// \param path Destination file, written atomically.
@@ -264,10 +242,11 @@ class STMaker {
   /// Restores the trained knowledge from an opened model container. The
   /// maker must have been constructed over the world restored from the
   /// *same* container (LoadNetworkFromContainer /
-  /// LoadLandmarksFromContainer). Mirrors LoadModel exactly: feature-set
-  /// mismatch or damage to a required section fails (leaving the maker
-  /// untrained); a damaged hierarchy or trajectory-index section only
-  /// degrades — warning + metric, Dijkstra/scan fallback. All model state
+  /// LoadLandmarksFromContainer). Feature-set mismatch or damage to a
+  /// required section fails (leaving the maker untrained); a damaged
+  /// hierarchy or trajectory-index section only degrades — warning +
+  /// metric, Dijkstra/scan fallback. Restoring the visit corpus re-arms
+  /// TrainIncremental. All model state
   /// this method restores is copied out of the mapping; only the road
   /// network itself stays zero-copy.
   ///
@@ -280,19 +259,21 @@ class STMaker {
       const RawTrajectory& raw, const RequestContext* ctx = nullptr) const;
 
   /// Contracts the road network into a hierarchy and installs it as the
-  /// routing backend for RoadRoute/RoadDistanceTable. SaveModel then
-  /// persists it ("<prefix>_ch.csv") so a later LoadModel serves without
-  /// re-contracting. Preprocessing work, not serving work — run it next to
-  /// Train(), never concurrently with queries.
+  /// routing backend for RoadRoute/RoadDistanceTable. SaveModelContainer
+  /// then persists it (sections ch-rank/ch-arcs) so a later
+  /// LoadModelContainer serves without re-contracting. Preprocessing work,
+  /// not serving work — run it next to Train(), never concurrently with
+  /// queries.
   ///
   /// \return OK, or the ContractionHierarchy::Build error.
   Status BuildRoadHierarchy();
 
   /// Detaches and discards the hierarchy; road queries return to Dijkstra
-  /// and SaveModel stops persisting a "_ch.csv".
+  /// and SaveModelContainer stops writing the hierarchy sections.
   void DropRoadHierarchy();
 
-  /// True when a hierarchy is installed (built or restored by LoadModel).
+  /// True when a hierarchy is installed (built or restored by
+  /// LoadModelContainer).
   bool has_road_hierarchy() const { return road_hierarchy_ != nullptr; }
 
   /// Point-to-point road route under the geometric-length metric —
@@ -361,8 +342,9 @@ class STMaker {
   bool has_trajectory_index() const { return trip_index_ != nullptr; }
 
   /// Discards the index; similarity/region queries fall back to the full
-  /// corpus scan and SaveModel stops persisting an "_index.csv". The
-  /// scan-vs-index differential tests and the speedup benchmark use this.
+  /// corpus scan and SaveModelContainer stops writing the trip-index
+  /// sections. The scan-vs-index differential tests and the speedup
+  /// benchmark use this.
   void DropTrajectoryIndex() { trip_index_.reset(); }
 
   /// Hit/miss/eviction counters of the serving-path caches (serve mode
@@ -389,14 +371,16 @@ class STMaker {
 
   /// Sanitizes, calibrates, and mines every trajectory of `history` into
   /// the current accumulators (miner, feature map, visit corpus) using
-  /// `num_threads` workers. Each worker ingests a contiguous block of
-  /// `history` into private shard accumulators; the shards are then merged
-  /// in block order, which reproduces the serial left-to-right ingest
-  /// exactly (insertion orders, traveller numbering, integral counts — see
-  /// the Merge() docs on PopularRouteMiner / HistoricalFeatureMap /
-  /// VisitCorpus). Unusable trajectories are quarantined into the report.
-  /// When the quarantine fraction exceeds options().max_quarantine_fraction
-  /// the error is returned *before* the shard merge, leaving the member
+  /// `num_threads` workers. Each worker handles a contiguous block of
+  /// `history`: the visit corpus goes into private shard accumulators
+  /// merged in block order (integral counts, so the merge is exact — see
+  /// VisitCorpus::Merge), while each trip's descriptor and segment
+  /// features land in its own slot and are folded into the miner and the
+  /// feature map in corpus order afterwards. Either way the result is the
+  /// serial left-to-right ingest, bit for bit, at every thread count.
+  /// Unusable trajectories are quarantined into the report. When the
+  /// quarantine fraction exceeds options().max_quarantine_fraction the
+  /// error is returned *before* anything is merged, leaving the member
   /// accumulators untouched.
   Result<IngestReport> IngestCorpus(const std::vector<RawTrajectory>& history,
                                     int num_threads);
@@ -431,13 +415,13 @@ class STMaker {
   std::unique_ptr<HistoricalFeatureMap> feature_map_;
   std::unique_ptr<IrregularityAnalyzer> analyzer_;
   /// Durable training state behind landmark significance: persisted by
-  /// SaveModel, accumulated by TrainIncremental, sharded during parallel
-  /// ingestion.
+  /// SaveModelContainer, accumulated by TrainIncremental, sharded during
+  /// parallel ingestion.
   VisitCorpus visit_corpus_;
   size_t num_trained_ = 0;
   /// The spatio-temporal trajectory index over the ingested corpus (null =
   /// scan fallback). Built by Train/TrainIncremental, restored by
-  /// LoadModel, dropped with the rest of the model on retrain.
+  /// LoadModelContainer, dropped with the rest of the model on retrain.
   std::unique_ptr<TrajectoryIndex> trip_index_;
   /// Set when an "index/build" injection (or any build error) discarded
   /// the descriptors: incremental ingests then stay on the scan path

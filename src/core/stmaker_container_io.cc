@@ -1,10 +1,9 @@
 // Binary model-container persistence for STMaker
 // (SaveModelContainer/LoadModelContainer) plus the world loaders
 // (LoadNetworkFromContainer/LoadLandmarksFromContainer/
-// LoadTrajectoriesFromContainer). The container replaces the loose CSV
-// model files — and, for serving, trajectories.csv — with one mmap-served
-// file; the CSV path (stmaker_model_io.cc) remains the import/export form
-// and this file mirrors its policy decisions exactly:
+// LoadTrajectoriesFromContainer). The container is the only saved form of
+// a model: one mmap-served file carrying the model, its world, and the
+// serving corpus. The load policy:
 //
 //   - required sections (meta, feature names, transitions, feature map,
 //     stats, visits, the serving corpus, and the whole world) fail the
@@ -15,9 +14,9 @@
 //     never the model.
 //
 // Determinism: sections are written in SectionType order, records in the
-// accumulators' deterministic iteration order (the same order the CSV
-// files use), and every struct field — including explicit padding — is
-// assigned, so identical model state produces a byte-identical container.
+// accumulators' deterministic iteration order, and every struct field —
+// including explicit padding — is assigned, so identical model state
+// produces a byte-identical container.
 // The calibration-stats section is recomputed on load from the replayed
 // feature map in the same order it was computed at save time and compared
 // bitwise, catching writer/reader disagreements that per-section CRCs
@@ -232,7 +231,8 @@ Status STMaker::SaveModelContainer(
     writer.AddSection(SectionType::kMeta, kSectionVersion,
                       sizeof(ContainerMetaRecord), std::move(payload));
   }
-  {  // kFeatureNames: the same ";"-joined id list the CSV meta file pins.
+  {  // kFeatureNames: the ";"-joined feature id list the model was mined
+     // with.
     std::vector<std::string> feature_ids;
     for (const FeatureDef& def : registry_.defs()) {
       feature_ids.push_back(def.id);
@@ -366,8 +366,8 @@ Status STMaker::SaveModelContainer(
     writer.AddSection(SectionType::kFeatureEdges, kSectionVersion, width,
                       std::move(payload));
   }
-  {  // kVisits, record order then first-visited pair order — the same
-     // order the CSV file writes, so the replay composes identically.
+  {  // kVisits, record order then first-visited pair order, so the replay
+     // composes identically.
     std::string payload;
     payload.reserve(num_visits * sizeof(VisitRecord));
     for (const VisitCorpus::Record& record : visit_corpus_.records()) {
@@ -709,8 +709,8 @@ Result<std::vector<RawTrajectory>> LoadTrajectoriesFromContainer(
 // ---------------------------------------------------------------------------
 
 Status STMaker::LoadModelContainer(const MappedContainer& c) {
-  // Reset trained state; on any failure the maker stays untrained, exactly
-  // like LoadModel.
+  // Reset trained state; on any failure the maker stays untrained. The
+  // routing hierarchy goes too — it belongs to the model being replaced.
   analyzer_.reset();
   feature_map_.reset();
   miner_ = PopularRouteMiner();
@@ -723,8 +723,7 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
   STMAKER_ASSIGN_OR_RETURN(ContainerMetaRecord meta, ReadMeta(c));
   const size_t F = registry_.size();
 
-  // Feature-set compatibility, pinned by the same ";"-joined id list the
-  // CSV meta file uses.
+  // Feature-set compatibility, pinned by the ";"-joined feature id list.
   {
     STMAKER_ASSIGN_OR_RETURN(const SectionEntry* entry,
                              RequiredSection(c, SectionType::kFeatureNames));

@@ -80,9 +80,9 @@ Result<std::vector<TrajectoryIndex::Match>> STMaker::SimilarTrips(
   const std::vector<double> weights = registry_.Weights();
 
   // An index whose descriptor count disagrees with the serving corpus was
-  // built over different trajectories (a stale <model>_index.csv beside a
-  // new corpus); its trip ids would name the wrong trips. Treat it as
-  // absent — the scan keeps the identical-results contract.
+  // built over different trajectories (a caller passing another corpus
+  // than the model's); its trip ids would name the wrong trips. Treat it
+  // as absent — the scan keeps the identical-results contract.
   if (trip_index_ != nullptr &&
       trip_index_->descriptors().size() == corpus.size()) {
     const std::vector<TripDescriptor>& descriptors =

@@ -2,51 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/check.h"
-#include "common/csv.h"
 #include "common/failpoint.h"
-#include "common/strings.h"
 #include "core/similarity.h"
 
 namespace stmaker {
 
 namespace {
-
-/// Full-precision double formatting: %.17g round-trips IEEE doubles
-/// exactly, so a restored fingerprint scores bit-identically to a freshly
-/// computed one (the oracle suite compares the two paths byte for byte).
-std::string FmtDouble(double v) { return StrFormat("%.17g", v); }
-
-Result<double> ParseDouble(const std::string& field, const std::string& path) {
-  char* end = nullptr;
-  double v = std::strtod(field.c_str(), &end);
-  if (end == field.c_str() || *end != '\0') {
-    return Status::InvalidArgument(path + ": not a number: '" + field + "'");
-  }
-  return v;
-}
-
-Result<int64_t> ParseInt(const std::string& field, const std::string& path) {
-  char* end = nullptr;
-  long long v = std::strtoll(field.c_str(), &end, 10);
-  if (end == field.c_str() || *end != '\0') {
-    return Status::InvalidArgument(path + ": not an integer: '" + field + "'");
-  }
-  return static_cast<int64_t>(v);
-}
-
-Result<uint64_t> ParseUint(const std::string& field, const std::string& path) {
-  char* end = nullptr;
-  unsigned long long v = std::strtoull(field.c_str(), &end, 10);
-  if (end == field.c_str() || *end != '\0' || field.empty() ||
-      field[0] == '-') {
-    return Status::InvalidArgument(path + ": not an unsigned integer: '" +
-                                   field + "'");
-  }
-  return static_cast<uint64_t>(v);
-}
 
 /// Floor of value/width as a grid index. Coordinates reach this off the
 /// wire (bbox corners, window endpoints), so the double→int64 cast
@@ -316,141 +279,6 @@ Result<std::vector<uint32_t>> TrajectoryIndex::RegionCandidates(
     if (marked[t]) out.push_back(static_cast<uint32_t>(t));
   }
   return out;
-}
-
-std::string TrajectoryIndex::SaveToString() const {
-  CsvBuilder csv;
-  csv.Row({"record", "id", "a", "b", "c", "d"});
-  csv.Row({"options", "0", FmtDouble(options_.cell_m),
-           FmtDouble(options_.bucket_s), "", ""});
-  for (const TripDescriptor& d : descriptors_) {
-    const std::string id = std::to_string(d.trip);
-    const int flags = (d.spatial ? 1 : 0) | (d.scored ? 2 : 0);
-    csv.Row({"trip", id, std::to_string(flags), FmtDouble(d.t_begin),
-             FmtDouble(d.t_end), ""});
-    if (!d.spatial) continue;
-    csv.Row({"bbox", id, FmtDouble(d.bbox.min.x), FmtDouble(d.bbox.min.y),
-             FmtDouble(d.bbox.max.x), FmtDouble(d.bbox.max.y)});
-    std::vector<std::string> cells;
-    cells.reserve(d.cell_buckets.size());
-    for (const auto& [cell, bucket] : d.cell_buckets) {
-      cells.push_back(StrFormat("%llu:%lld",
-                                static_cast<unsigned long long>(cell),
-                                static_cast<long long>(bucket)));
-    }
-    csv.Row({"cells", id, Join(cells, ";"), "", "", ""});
-    if (!d.scored) continue;
-    std::vector<std::string> labels;
-    labels.reserve(d.labels.size());
-    for (LandmarkId label : d.labels) {
-      labels.push_back(std::to_string(label));
-    }
-    csv.Row({"labels", id, Join(labels, ";"), "", "", ""});
-    std::vector<std::string> fp;
-    fp.reserve(d.fingerprint.size());
-    for (double v : d.fingerprint) fp.push_back(FmtDouble(v));
-    csv.Row({"fp", id, Join(fp, ";"), "", "", ""});
-  }
-  return csv.str();
-}
-
-Result<TrajectoryIndex> TrajectoryIndex::LoadFromString(
-    const std::string& content, size_t num_features, const std::string& path) {
-  STMAKER_ASSIGN_OR_RETURN(
-      auto rows,
-      ParseCsvTable(content, {"record", "id", "a", "b", "c", "d"}, path));
-  TrajectoryIndexOptions options;
-  bool have_options = false;
-  std::vector<TripDescriptor> descriptors;
-  for (const std::vector<std::string>& row : rows) {
-    const std::string& record = row[0];
-    if (record == "options") {
-      STMAKER_ASSIGN_OR_RETURN(options.cell_m, ParseDouble(row[2], path));
-      STMAKER_ASSIGN_OR_RETURN(options.bucket_s, ParseDouble(row[3], path));
-      if (options.cell_m <= 0 || options.bucket_s <= 0) {
-        return Status::InvalidArgument(path + ": non-positive index geometry");
-      }
-      have_options = true;
-      continue;
-    }
-    STMAKER_ASSIGN_OR_RETURN(int64_t id, ParseInt(row[1], path));
-    if (record == "trip") {
-      if (id != static_cast<int64_t>(descriptors.size())) {
-        return Status::InvalidArgument(
-            path + ": trip records out of order at id " + row[1]);
-      }
-      TripDescriptor d;
-      d.trip = static_cast<uint32_t>(id);
-      STMAKER_ASSIGN_OR_RETURN(int64_t flags, ParseInt(row[2], path));
-      d.spatial = (flags & 1) != 0;
-      d.scored = (flags & 2) != 0;
-      STMAKER_ASSIGN_OR_RETURN(d.t_begin, ParseDouble(row[3], path));
-      STMAKER_ASSIGN_OR_RETURN(d.t_end, ParseDouble(row[4], path));
-      descriptors.push_back(std::move(d));
-      continue;
-    }
-    if (descriptors.empty() ||
-        id != static_cast<int64_t>(descriptors.size()) - 1) {
-      return Status::InvalidArgument(path + ": '" + record +
-                                     "' record without its trip record");
-    }
-    TripDescriptor& d = descriptors.back();
-    if (record == "bbox") {
-      STMAKER_ASSIGN_OR_RETURN(d.bbox.min.x, ParseDouble(row[2], path));
-      STMAKER_ASSIGN_OR_RETURN(d.bbox.min.y, ParseDouble(row[3], path));
-      STMAKER_ASSIGN_OR_RETURN(d.bbox.max.x, ParseDouble(row[4], path));
-      STMAKER_ASSIGN_OR_RETURN(d.bbox.max.y, ParseDouble(row[5], path));
-    } else if (record == "cells") {
-      for (const std::string& pair : Split(row[2], ';')) {
-        if (pair.empty()) continue;
-        const size_t colon = pair.find(':');
-        if (colon == std::string::npos) {
-          return Status::InvalidArgument(path + ": bad cell entry '" + pair +
-                                         "'");
-        }
-        STMAKER_ASSIGN_OR_RETURN(uint64_t cell,
-                                 ParseUint(pair.substr(0, colon), path));
-        STMAKER_ASSIGN_OR_RETURN(int64_t bucket,
-                                 ParseInt(pair.substr(colon + 1), path));
-        d.cell_buckets.emplace_back(cell, bucket);
-      }
-      if (!std::is_sorted(d.cell_buckets.begin(), d.cell_buckets.end())) {
-        return Status::InvalidArgument(path + ": unsorted cell postings");
-      }
-    } else if (record == "labels") {
-      for (const std::string& label : Split(row[2], ';')) {
-        if (label.empty()) continue;
-        STMAKER_ASSIGN_OR_RETURN(int64_t value, ParseInt(label, path));
-        d.labels.push_back(value);
-      }
-    } else if (record == "fp") {
-      for (const std::string& value : Split(row[2], ';')) {
-        if (value.empty()) continue;
-        STMAKER_ASSIGN_OR_RETURN(double v, ParseDouble(value, path));
-        d.fingerprint.push_back(v);
-      }
-      if (d.fingerprint.size() != num_features) {
-        return Status::FailedPrecondition(StrFormat(
-            "%s: trip %lld fingerprint has %zu dimensions, registry has %zu",
-            path.c_str(), static_cast<long long>(id), d.fingerprint.size(),
-            num_features));
-      }
-    } else {
-      return Status::InvalidArgument(path + ": unknown record '" + record +
-                                     "'");
-    }
-  }
-  if (!have_options) {
-    return Status::InvalidArgument(path + ": missing options record");
-  }
-  for (const TripDescriptor& d : descriptors) {
-    if (d.scored && d.fingerprint.size() != num_features) {
-      return Status::InvalidArgument(
-          path + ": scored trip " + std::to_string(d.trip) +
-          " is missing its fingerprint record");
-    }
-  }
-  return Build(options, std::move(descriptors));
 }
 
 }  // namespace stmaker

@@ -80,8 +80,8 @@ struct TripDescriptor {
   /// Sorted, unique landmark labels of the symbolic sequence.
   std::vector<LandmarkId> labels;
   /// The ordered symbolic landmark sequence. Train-time only (popular-route
-  /// mining replays transitions from it); not persisted, empty after a
-  /// LoadModel restore.
+  /// mining and the feature map replay it); not persisted, empty after a
+  /// LoadModelContainer restore.
   std::vector<LandmarkId> sequence;
   /// Mean of the normalized per-segment feature vectors (one entry per
   /// registry feature) — the Eq. 3 scoring vector.
@@ -160,16 +160,6 @@ class TrajectoryIndex {
                                                  bool has_window, double t0,
                                                  double t1,
                                                  const RequestContext* ctx) const;
-
-  /// Serializes the options and descriptors (postings are derived state and
-  /// are rebuilt on load).
-  std::string SaveToString() const;
-
-  /// Restores an index saved by SaveToString. `num_features` pins the
-  /// fingerprint dimension to the serving registry; `path` labels errors.
-  static Result<TrajectoryIndex> LoadFromString(const std::string& content,
-                                                size_t num_features,
-                                                const std::string& path);
 
  private:
   TrajectoryIndex() = default;

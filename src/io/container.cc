@@ -266,14 +266,4 @@ std::string_view MappedContainer::Blob(const SectionEntry& entry) const {
   return AsView(data_ + entry.offset, static_cast<size_t>(entry.bytes));
 }
 
-bool IsContainerFile(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char magic[sizeof(kContainerMagic)];
-  const size_t n = std::fread(magic, 1, sizeof(magic), f);
-  std::fclose(f);
-  return n == sizeof(magic) &&
-         std::memcmp(magic, kContainerMagic, sizeof(magic)) == 0;
-}
-
 }  // namespace stmaker

@@ -5,12 +5,13 @@
 /// \brief Single-file binary model container: fixed header, section table,
 /// fixed-width little-endian records, per-section CRC32, 64-byte alignment.
 ///
-/// The container replaces the ~7 loose model CSVs with one file the server
-/// can `mmap` and serve from directly: the road network's CSR adjacency,
-/// edge geometry/endpoint arrays, the CH hierarchy, landmark table, trip
-/// descriptors, calibration stats, and the serving trajectory corpus live
-/// as fixed-width records that are valid in-memory representations — no
-/// text parse, and no heap copy of the network's big arrays. The
+/// The container is the one saved form of a trained model, a file the
+/// server can `mmap` and serve from directly: the road network's CSR
+/// adjacency, edge geometry/endpoint arrays, the CH hierarchy, landmark
+/// table, trip descriptors, calibration stats, and the serving trajectory
+/// corpus live as fixed-width records that are valid in-memory
+/// representations — no text parse, and no heap copy of the network's big
+/// arrays. The
 /// byte-level layout (every offset, width, and CRC rule) is specified in
 /// docs/FORMAT.md; this header is its executable twin.
 ///
@@ -20,7 +21,7 @@
 /// validates structure (magic, version, header CRC, section-table bounds
 /// and alignment), and exposes typed spans. Whether a damaged section is
 /// fatal or advisory is the caller's decision (src/core/
-/// stmaker_container_io.cc), mirroring the CSV manifest policy.
+/// stmaker_container_io.cc).
 
 #include <cstdint>
 #include <cstring>
@@ -384,13 +385,6 @@ class MappedContainer {
   ContainerHeader header_{};
   std::vector<SectionEntry> sections_;
 };
-
-/// Sniffs whether `path` is a container file (exists, regular, and starts
-/// with the 8 magic bytes). Lets `--model` accept either a CSV prefix or a
-/// container path.
-/// \param path Candidate file path.
-/// \return True when the magic matches.
-bool IsContainerFile(const std::string& path);
 
 }  // namespace stmaker
 

@@ -58,8 +58,9 @@ class SignificanceModel {
 /// visit counts across that traveller's trajectories.
 ///
 /// STMaker keeps a VisitCorpus as the durable training state (it is what
-/// SaveModel persists), shards it during parallel ingestion, and rebuilds
-/// a SignificanceModel from it whenever significances must be recomputed.
+/// SaveModelContainer persists), shards it during parallel ingestion, and
+/// rebuilds a SignificanceModel from it whenever significances must be
+/// recomputed.
 /// Records carry the original traveller key; trajectories with no
 /// traveller id get a fresh synthetic negative key (-1, -2, ...) so they
 /// still contribute hub mass without conflating distinct vehicles.

@@ -19,7 +19,7 @@
 ///    "max_expansions": 10000}           -> summarize (async, via the pool)
 ///   {"id": 5, "route": 1, "src": 12, "dst": 977}  -> road route (sync)
 ///   {"id": 7, "stats": 1}                         -> metrics snapshot (sync)
-///   {"id": 9, "reload": 1, "model_dir": "path/prefix"}  -> model reload
+///   {"id": 9, "reload": 1, "model_dir": "path/model.stm"}  -> model reload
 ///       (async; the response fires when the reload actually ran)
 ///   {"id": 11, "similar": 1, "trip": 3, "k": 5, "deadline_ms": 250}
 ///       -> top-k similar historical trips (async, via the pool): index

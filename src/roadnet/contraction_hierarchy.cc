@@ -1,19 +1,12 @@
 #include "roadnet/contraction_hierarchy.h"
 
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <queue>
-#include <string_view>
 #include <utility>
 
 #include "common/check.h"
-#include "common/crc32.h"
-#include "common/csv.h"
-#include "common/fileutil.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 
@@ -357,40 +350,8 @@ class Contractor {
   WitnessSpace ws_;
 };
 
-std::string FormatDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-bool ParseI64(const std::string& s, int64_t* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  long long v = std::strtoll(s.c_str(), &end, 10);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-bool ParseF64(const std::string& s, double* out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || end != s.c_str() + s.size()) return false;
-  *out = v;
-  return true;
-}
-
-const std::vector<std::string>& ChCsvHeader() {
-  static const std::vector<std::string> kHeader = {
-      "record", "f1", "f2", "f3", "f4", "f5", "f6"};
-  return kHeader;
-}
-
 Status Corrupt(const std::string& context, const std::string& detail) {
-  return Status::FailedPrecondition("hierarchy file " + context +
+  return Status::FailedPrecondition("hierarchy " + context +
                                     " is corrupt: " + detail);
 }
 
@@ -661,120 +622,6 @@ Result<std::vector<std::vector<double>>> ContractionHierarchy::BatchRoutes(
   return table;
 }
 
-std::string ContractionHierarchy::SaveToString() const {
-  CsvBuilder csv;
-  csv.Row(ChCsvHeader());
-  csv.Row({"meta", std::to_string(rank_.size()), std::to_string(num_edges_),
-           std::to_string(arcs_.size()), std::to_string(num_shortcuts_), "0",
-           "0"});
-  for (size_t v = 0; v < rank_.size(); ++v) {
-    csv.Row({"rank", std::to_string(v), std::to_string(rank_[v]), "0", "0",
-             "0", "0"});
-  }
-  for (const Arc& a : arcs_) {
-    csv.Row({"arc", std::to_string(a.from), std::to_string(a.to),
-             FormatDouble(a.weight), std::to_string(a.edge),
-             std::to_string(a.left), std::to_string(a.right)});
-  }
-  std::string body = csv.TakeString();
-  uint32_t crc = Crc32(body);
-  body += FormatCsvRow({"crc", std::to_string(crc), "0", "0", "0", "0", "0"});
-  return body;
-}
-
-Status ContractionHierarchy::SaveToFile(const std::string& path) const {
-  return WriteFileAtomic(path, SaveToString());
-}
-
-Result<ContractionHierarchy> ContractionHierarchy::LoadFromString(
-    const std::string& content, const RoadNetwork& network,
-    const std::string& context) {
-  STMAKER_ASSIGN_OR_RETURN(auto rows,
-                           ParseCsvTable(content, ChCsvHeader(), context));
-  if (rows.size() < 2) return Corrupt(context, "missing meta or crc record");
-  // The CRC record must be the last row and must cover every byte before
-  // its own line.
-  const auto& crc_row = rows.back();
-  if (crc_row[0] != "crc") return Corrupt(context, "missing trailing crc");
-  int64_t stored_crc = 0;
-  if (!ParseI64(crc_row[1], &stored_crc) || stored_crc < 0 ||
-      stored_crc > 0xFFFFFFFFLL) {
-    return Corrupt(context, "unparseable crc");
-  }
-  size_t crc_pos = content.rfind("\ncrc,");
-  if (crc_pos == std::string::npos) {
-    return Corrupt(context, "crc record not at line start");
-  }
-  std::string_view body(content.data(), crc_pos + 1);
-  if (Crc32(body) != static_cast<uint32_t>(stored_crc)) {
-    return Corrupt(context, "crc mismatch (truncated or edited file)");
-  }
-
-  const auto& meta = rows.front();
-  if (meta[0] != "meta") return Corrupt(context, "first record is not meta");
-  int64_t nodes = 0, edges = 0, arc_count = 0, shortcut_count = 0;
-  if (!ParseI64(meta[1], &nodes) || !ParseI64(meta[2], &edges) ||
-      !ParseI64(meta[3], &arc_count) || !ParseI64(meta[4], &shortcut_count) ||
-      nodes < 0 || edges < 0 || arc_count < 0 || shortcut_count < 0) {
-    return Corrupt(context, "unparseable meta record");
-  }
-  if (static_cast<size_t>(nodes) != network.NumNodes() ||
-      static_cast<size_t>(edges) != network.NumEdges()) {
-    return Corrupt(context,
-                   "hierarchy was built for a different network (" +
-                       std::to_string(nodes) + " nodes/" +
-                       std::to_string(edges) + " edges vs " +
-                       std::to_string(network.NumNodes()) + "/" +
-                       std::to_string(network.NumEdges()) + ")");
-  }
-  size_t expected_rows = 1 + static_cast<size_t>(nodes) +
-                         static_cast<size_t>(arc_count) + 1;
-  if (rows.size() != expected_rows) {
-    return Corrupt(context, "record count mismatch");
-  }
-
-  std::vector<uint32_t> rank(static_cast<size_t>(nodes), 0);
-  size_t row_i = 1;
-  for (int64_t k = 0; k < nodes; ++k, ++row_i) {
-    const auto& r = rows[row_i];
-    int64_t node = 0, rank_v = 0;
-    if (r[0] != "rank" || !ParseI64(r[1], &node) ||
-        !ParseI64(r[2], &rank_v) || node != k || rank_v < 0 ||
-        rank_v >= nodes) {
-      return Corrupt(context, "bad rank record at row " + std::to_string(k));
-    }
-    rank[static_cast<size_t>(node)] = static_cast<uint32_t>(rank_v);
-  }
-
-  std::vector<Arc> arcs;
-  arcs.reserve(static_cast<size_t>(arc_count));
-  for (int64_t k = 0; k < arc_count; ++k, ++row_i) {
-    const auto& r = rows[row_i];
-    Arc a;
-    int64_t from = 0, to = 0, edge = 0, left = 0, right = 0;
-    double weight = 0;
-    if (r[0] != "arc" || !ParseI64(r[1], &from) || !ParseI64(r[2], &to) ||
-        !ParseF64(r[3], &weight) || !ParseI64(r[4], &edge) ||
-        !ParseI64(r[5], &left) || !ParseI64(r[6], &right)) {
-      return Corrupt(context, "bad arc record at row " + std::to_string(k));
-    }
-    constexpr int64_t kI32Max = std::numeric_limits<int32_t>::max();
-    if (left < -1 || left > kI32Max || right < -1 || right > kI32Max) {
-      return Corrupt(context, "shortcut " + std::to_string(k) + " malformed");
-    }
-    a.from = from;
-    a.to = to;
-    a.weight = weight;
-    a.edge = edge;
-    a.left = static_cast<int32_t>(left);
-    a.right = static_cast<int32_t>(right);
-    arcs.push_back(a);
-  }
-  // Semantic validation (shared with the binary-container load path).
-  return FromParts(std::move(rank), std::move(arcs),
-                   static_cast<size_t>(shortcut_count), network, context);
-}
-
 Result<ContractionHierarchy> ContractionHierarchy::FromRaw(
     std::span<const uint32_t> rank, std::span<const Arc> arcs,
     size_t declared_num_edges, size_t declared_shortcuts,
@@ -788,20 +635,8 @@ Result<ContractionHierarchy> ContractionHierarchy::FromRaw(
                        std::to_string(network.NumNodes()) + "/" +
                        std::to_string(network.NumEdges()) + ")");
   }
-  return FromParts(std::vector<uint32_t>(rank.begin(), rank.end()),
-                   std::vector<Arc>(arcs.begin(), arcs.end()),
-                   declared_shortcuts, network, context);
-}
-
-Result<ContractionHierarchy> ContractionHierarchy::FromParts(
-    std::vector<uint32_t> rank, std::vector<Arc> arcs,
-    size_t declared_shortcuts, const RoadNetwork& network,
-    const std::string& context) {
   const int64_t nodes = static_cast<int64_t>(network.NumNodes());
   const int64_t edges = static_cast<int64_t>(network.NumEdges());
-  if (rank.size() != static_cast<size_t>(nodes)) {
-    return Corrupt(context, "rank table size mismatch");
-  }
   std::vector<bool> rank_seen(static_cast<size_t>(nodes), false);
   for (int64_t v = 0; v < nodes; ++v) {
     const uint32_t rk = rank[static_cast<size_t>(v)];
@@ -868,18 +703,12 @@ Result<ContractionHierarchy> ContractionHierarchy::FromParts(
   }
 
   ContractionHierarchy ch;
-  ch.rank_ = std::move(rank);
-  ch.arcs_ = std::move(arcs);
+  ch.rank_.assign(rank.begin(), rank.end());
+  ch.arcs_.assign(arcs.begin(), arcs.end());
   ch.num_edges_ = static_cast<size_t>(edges);
   ch.num_shortcuts_ = shortcuts;
   ch.BuildSearchGraphs();
   return ch;
-}
-
-Result<ContractionHierarchy> ContractionHierarchy::LoadFromFile(
-    const std::string& path, const RoadNetwork& network) {
-  STMAKER_ASSIGN_OR_RETURN(std::string content, ReadFileToString(path));
-  return LoadFromString(content, network, path);
 }
 
 }  // namespace stmaker

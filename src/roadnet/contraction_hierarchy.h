@@ -42,11 +42,11 @@ struct ContractionHierarchyOptions {
 /// \brief A preprocessed routing hierarchy over one RoadNetwork under the
 /// geometric-length metric.
 ///
-/// Immutable once built (or loaded); all query methods are const and
+/// Immutable once built (or restored); all query methods are const and
 /// thread-safe (per-thread search workspaces). The network the hierarchy
-/// was built over must outlive it and must not change — Load validates
-/// node/edge counts and edge endpoints to catch a stale hierarchy, and
-/// model manifests add a CRC32 on top (stmaker_model_io).
+/// was built over must outlive it and must not change — FromRaw validates
+/// node/edge counts and edge endpoints to catch a stale hierarchy, and the
+/// model container adds a per-section CRC32 on top.
 class ContractionHierarchy {
  public:
   /// One arc of the search graph: either an original road edge
@@ -141,42 +141,11 @@ class ContractionHierarchy {
   /// the serialization surface FromRaw() restores from.
   std::span<const Arc> arcs() const { return arcs_; }
 
-  /// Serializes the hierarchy as a CSV table with a trailing CRC32 record,
-  /// suitable for WriteFileAtomic and model manifests.
-  /// \return The file content.
-  std::string SaveToString() const;
-
-  /// SaveToString() written atomically to `path`.
-  /// \param path Destination file path.
-  /// \return OK, or the I/O error.
-  Status SaveToFile(const std::string& path) const;
-
-  /// Parses a hierarchy saved by SaveToString and validates it against
-  /// `network` (node/edge counts, edge endpoints, arc structure, CRC).
-  ///
-  /// \param content The serialized hierarchy.
-  /// \param network The network the hierarchy must describe; must outlive
-  ///   the result.
-  /// \param context Label used in error messages (typically the path).
-  /// \return The hierarchy, or FailedPrecondition/InvalidArgument naming
-  ///   what is corrupt or stale.
-  static Result<ContractionHierarchy> LoadFromString(
-      const std::string& content, const RoadNetwork& network,
-      const std::string& context);
-
-  /// Reads `path` and parses it with LoadFromString (context = path).
-  /// \param path The file to read.
-  /// \param network The network the hierarchy must describe.
-  /// \return The hierarchy, kIoError when unreadable, or the
-  ///   LoadFromString errors.
-  static Result<ContractionHierarchy> LoadFromFile(
-      const std::string& path, const RoadNetwork& network);
-
   /// Restores a hierarchy from raw rank/arc arrays (the binary model
-  /// container path). Runs exactly the semantic validation LoadFromString
-  /// runs after parsing — rank permutation, arcs matched against the
-  /// network's edges, shortcut chains and counts — so a corrupt or stale
-  /// container section is rejected identically to a corrupt CSV.
+  /// container path) and validates it against `network`: node/edge
+  /// counts, rank permutation, arcs matched against the network's edges,
+  /// shortcut chains and counts — so a corrupt or stale container section
+  /// is rejected instead of routing wrong.
   ///
   /// \param rank Contraction rank per node (NumNodes() entries).
   /// \param arcs The search-graph arcs, originals and shortcuts.
@@ -200,17 +169,8 @@ class ContractionHierarchy {
     int32_t arc = -1;   ///< Index into arcs_ (for unpacking).
   };
 
-  /// Builds up_/rev_up_ from arcs_ + rank_ (called by Build and Load).
+  /// Builds up_/rev_up_ from arcs_ + rank_ (called by Build and FromRaw).
   void BuildSearchGraphs();
-
-  /// Shared tail of LoadFromString and FromRaw: validates the rank
-  /// permutation and every arc against `network`, then assembles the
-  /// hierarchy and builds the search graphs.
-  static Result<ContractionHierarchy> FromParts(std::vector<uint32_t> rank,
-                                                std::vector<Arc> arcs,
-                                                size_t declared_shortcuts,
-                                                const RoadNetwork& network,
-                                                const std::string& context);
 
   /// Bidirectional upward search; on success fills *meet with the apex
   /// node and *dist with the distance, leaving the per-thread workspace

@@ -1,13 +1,12 @@
 #!/usr/bin/env bash
 # End-to-end smoke test for stmaker_cli: generate a dataset, train and
-# persist a model, summarize with and without the model, and run the
-# corpus-level commands. Registered with ctest; $1 is the path to the
-# stmaker_cli binary.
+# save the model container, pack (check + copy) it, summarize with and
+# without the model, and run the corpus-level commands. Registered with
+# ctest; $1 is the path to the stmaker_cli binary.
 set -euo pipefail
 
 CLI="$1"
-DIR="$(mktemp -d)"
-trap 'rm -rf "$DIR"' EXIT
+source "$(dirname "$0")/serve_lib.sh"
 
 echo "== gen =="
 "$CLI" gen --dir "$DIR" --seed 5 --blocks 10 --trips 150 --pois 120
@@ -16,23 +15,35 @@ for f in network_nodes.csv network_edges.csv pois.csv trajectories.csv; do
   [[ -s "$DIR/$f" ]] || { echo "missing $f"; exit 1; }
 done
 
-echo "== train =="
-"$CLI" train --dir "$DIR" --model "$DIR/model"
-for f in model_meta.csv model_transitions.csv model_feature_map.csv \
-         model_significance.csv model_visits.csv model_ch.csv; do
-  [[ -s "$DIR/$f" ]] || { echo "missing $f"; exit 1; }
-done
+echo "== train writes one model container =="
+"$CLI" train --dir "$DIR" --model "$DIR/model.stm"
+[[ "$(head -c 8 "$DIR/model.stm")" == "STMKCTR1" ]] || {
+  echo "model.stm does not start with the container magic"; exit 1; }
+if compgen -G "$DIR/model*.csv" > /dev/null; then
+  echo "train wrote CSV model files"; exit 1
+fi
 
 echo "== train --threads 4 writes an identical model =="
-"$CLI" train --dir "$DIR" --model "$DIR/model_mt" --threads 4
-for f in meta transitions feature_map significance visits ch; do
-  cmp "$DIR/model_${f}.csv" "$DIR/model_mt_${f}.csv" || {
-    echo "model_${f}.csv differs between 1 and 4 threads"; exit 1; }
-done
+"$CLI" train --dir "$DIR" --model "$DIR/model_mt.stm" --threads 4
+cmp "$DIR/model.stm" "$DIR/model_mt.stm" || {
+  echo "model.stm differs between 1 and 4 threads"; exit 1; }
+
+echo "== pack checks a container and copies it byte for byte =="
+PACKED="$("$CLI" pack --model "$DIR/model.stm" --out "$DIR/copy.stm")"
+echo "$PACKED"
+cmp "$DIR/model.stm" "$DIR/copy.stm" || {
+  echo "pack changed the bytes"; exit 1; }
+[[ "$PACKED" == *"routing hierarchy, trajectory index"* ]] || {
+  echo "pack lost the hierarchy or the trip index"; exit 1; }
+rc=0; "$CLI" unpack --model "$DIR/model.stm" --out "$DIR/x" 2>/dev/null || rc=$?
+[[ $rc -eq 2 ]] || {
+  echo "unpack: want exit 2 (no such command), got $rc"; exit 1; }
 
 echo "== train --router dijkstra skips the routing hierarchy =="
-"$CLI" train --dir "$DIR" --model "$DIR/model_plain" --router dijkstra
-[[ ! -e "$DIR/model_plain_ch.csv" ]] || {
+"$CLI" train --dir "$DIR" --model "$DIR/model_plain.stm" --router dijkstra
+PLAIN="$("$CLI" pack --model "$DIR/model_plain.stm" \
+  --out "$DIR/plain_copy.stm")"
+[[ "$PLAIN" != *"routing hierarchy"* ]] || {
   echo "--router dijkstra still wrote a hierarchy"; exit 1; }
 rc=0; "$CLI" train --dir "$DIR" --model "$DIR/x" --router hc 2>/dev/null || rc=$?
 [[ $rc -eq 3 ]] || { echo "--router hc: want exit 3, got $rc"; exit 1; }
@@ -42,8 +53,9 @@ OUT1="$("$CLI" summarize --dir "$DIR" --trip 3)"
 echo "$OUT1"
 [[ "$OUT1" == "The car started from"* ]] || { echo "bad summary"; exit 1; }
 
-echo "== summarize (from model) =="
-OUT2="$("$CLI" summarize --dir "$DIR" --trip 3 --model "$DIR/model" --k 2)"
+echo "== summarize (from model: no CSV read) =="
+OUT2="$("$CLI" summarize --dir "$DIR/nonexistent" --trip 3 \
+  --model "$DIR/model.stm" --k 2)"
 echo "$OUT2"
 [[ "$OUT2" == "The car started from"* ]] || { echo "bad summary"; exit 1; }
 
@@ -52,7 +64,7 @@ OUT3="$("$CLI" summarize --dir "$DIR" --trip 3 --threads 4)"
 [[ "$OUT3" == "$OUT1" ]] || { echo "--threads changed the summary"; exit 1; }
 
 echo "== summarize --json =="
-JSON="$("$CLI" summarize --dir "$DIR" --trip 3 --model "$DIR/model" --json)"
+JSON="$("$CLI" summarize --trip 3 --model "$DIR/model.stm" --json)"
 [[ "$JSON" == "{"* && "$JSON" == *"\"partitions\""* ]] || {
   echo "bad json"; exit 1; }
 
@@ -94,11 +106,29 @@ grep -q "trajectories.csv" "$BROKEN/stderr.txt" || {
   echo "stderr does not name the bad file"; exit 1; }
 rm -rf "$BROKEN"
 
-# Corrupted model checksum -> 6 (failed precondition).
-printf 'x' >> "$DIR/model_transitions.csv"
+# A model path with no container (an old CSV model prefix) -> 8.
+rc=0; "$CLI" summarize --trip 3 --model "$DIR/model" 2>/dev/null || rc=$?
+[[ $rc -eq 8 ]] || { echo "no container: want exit 8, got $rc"; exit 1; }
+
+# A file that is not a container -> 3.
 rc=0
-"$CLI" summarize --dir "$DIR" --trip 3 --model "$DIR/model" 2>/dev/null \
-  || rc=$?
-[[ $rc -eq 6 ]] || { echo "corrupted model: want exit 6, got $rc"; exit 1; }
+"$CLI" summarize --trip 3 --model "$DIR/pois.csv" 2>/dev/null || rc=$?
+[[ $rc -eq 3 ]] || { echo "not a container: want exit 3, got $rc"; exit 1; }
+
+# Corrupted model section (CRC mismatch) -> 6 (failed precondition), from
+# summarize and pack alike.
+flip_section_byte "$DIR/model.stm" 12 "$DIR/badtransitions.stm"  # transitions
+for cmd in "summarize --trip 3" "pack --out $DIR/bad_copy.stm"; do
+  rc=0
+  # shellcheck disable=SC2086  # word-split the subcommand on purpose
+  "$CLI" $cmd --model "$DIR/badtransitions.stm" 2>"$DIR/bad.err" || rc=$?
+  [[ $rc -eq 6 ]] || {
+    echo "$cmd on a corrupted model: want exit 6, got $rc"; exit 1; }
+  grep -q "section 'transitions' CRC32 mismatch" "$DIR/bad.err" || {
+    echo "$cmd: error does not name the damaged section"
+    cat "$DIR/bad.err"; exit 1; }
+done
+[[ ! -e "$DIR/bad_copy.stm" ]] || {
+  echo "pack wrote a corrupted model"; exit 1; }
 
 echo "cli_test OK"

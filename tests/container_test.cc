@@ -1,8 +1,9 @@
 // Binary model container (src/io/container.h, docs/FORMAT.md): structural
 // validation on Open, CRC-gated section loads, the required-vs-advisory
-// damage policy, the mmap-failure heap fallback, byte-exact round trips,
-// and the ModelManager rollback guarantee when a reload candidate is a
-// damaged container.
+// damage policy for every section type, truncation anywhere, the
+// mmap-failure heap fallback, byte-exact round trips, and the
+// ModelManager rollback guarantee when a reload candidate is a damaged
+// container.
 //
 // The corruption tests all work the same way: take the known-good file
 // image, flip or patch specific bytes (re-sealing the header CRC when the
@@ -38,7 +39,12 @@ namespace stmaker {
 namespace {
 
 using ::stmaker::testing::ExpectSameCorpus;
+using ::stmaker::testing::FlipPayloadByte;
 using ::stmaker::testing::GetTestWorld;
+using ::stmaker::testing::HeaderOf;
+using ::stmaker::testing::LoadedModel;
+using ::stmaker::testing::LoadModelFile;
+using ::stmaker::testing::TableOf;
 using ::stmaker::testing::TestWorld;
 
 std::string TempPrefix(const std::string& name) {
@@ -46,20 +52,6 @@ std::string TempPrefix(const std::string& name) {
 }
 
 // --- byte-surgery helpers ---------------------------------------------------
-
-ContainerHeader HeaderOf(const std::string& bytes) {
-  ContainerHeader header{};
-  std::memcpy(&header, bytes.data(), sizeof(header));
-  return header;
-}
-
-std::vector<SectionEntry> TableOf(const std::string& bytes) {
-  const ContainerHeader header = HeaderOf(bytes);
-  std::vector<SectionEntry> table(header.section_count);
-  std::memcpy(table.data(), bytes.data() + sizeof(ContainerHeader),
-              table.size() * sizeof(SectionEntry));
-  return table;
-}
 
 /// Re-seals the header CRC after a deliberate header/table patch, so the
 /// mutation under test (and only it) is what the reader trips over.
@@ -75,20 +67,6 @@ void ResealHeaderCrc(std::string* bytes) {
               crc);
   std::memcpy(bytes->data() + offsetof(ContainerHeader, header_crc32), &crc,
               sizeof(crc));
-}
-
-/// Flips one payload byte of the first section of `type`. The section CRC
-/// in the table is left as-is: that is the torn-write / bit-rot scenario
-/// the per-section CRCs exist to catch.
-void FlipPayloadByte(std::string* bytes, SectionType type) {
-  for (const SectionEntry& entry : TableOf(*bytes)) {
-    if (entry.type == static_cast<uint32_t>(type)) {
-      ASSERT_GT(entry.bytes, 0u);
-      (*bytes)[entry.offset + entry.bytes / 2] ^= 0x40;
-      return;
-    }
-  }
-  FAIL() << "container has no section of type " << static_cast<int>(type);
 }
 
 /// The table entry of the first section of `type` (the caller asserts one
@@ -148,21 +126,18 @@ std::string MutatedCopy(const std::string& good_path, const std::string& name,
 
 // --- shared fixture world ---------------------------------------------------
 
-/// One CSV data dir + a trained model in both formats, built once per test
-/// binary. The model is trained on the world read *back from CSV* (the CSV
-/// round trip quantizes coordinates) so the ModelManager tests can load
-/// the same world the hierarchy was contracted on; the container itself
-/// stores raw doubles and has no such quantization.
+/// One CSV data dir + a trained model container, built once per test
+/// binary the way `stmaker_cli gen` + `train` build them: the model is
+/// trained on the world and corpus read *back from CSV*.
 struct ContainerWorld {
   std::string dir;             ///< gen-style data dir (world CSVs).
   RoadNetwork* network;        ///< CSV-roundtripped network (lives forever).
   LandmarkIndex* landmarks;    ///< With trained significances.
   std::vector<RawTrajectory> raws;
-  /// trajectories.csv as ReadTrajectoriesCsv returns it: the corpus `pack`
-  /// embeds, and what a CSV-model snapshot serves.
+  /// trajectories.csv as ReadTrajectoriesCsv returns it: the corpus the
+  /// container embeds.
   std::vector<RawTrajectory> corpus;
   STMaker* maker;              ///< Trained, with hierarchy + trip index.
-  std::string csv_prefix;      ///< SaveModel output.
   std::string container_path;  ///< SaveModelContainer output.
 };
 
@@ -199,46 +174,12 @@ const ContainerWorld& GetContainerWorld() {
         new STMaker(c->network, c->landmarks, FeatureRegistry::BuiltIn());
     STMAKER_CHECK(c->maker->Train(c->raws).ok());
     STMAKER_CHECK(c->maker->BuildRoadHierarchy().ok());
-    c->csv_prefix = c->dir + "/model";
     c->container_path = c->dir + "/model.stm";
-    STMAKER_CHECK(c->maker->SaveModel(c->csv_prefix).ok());
     STMAKER_CHECK(
         c->maker->SaveModelContainer(c->container_path, c->corpus).ok());
     return c;
   }();
   return cw;
-}
-
-/// Everything a container-served model needs, with the mapping pinned
-/// first so it outlives the network views (same order as ModelSnapshot).
-/// Heap-allocated because the maker holds raw pointers into the struct —
-/// the bundle's address must never change once the maker exists.
-struct LoadedContainerModel {
-  std::shared_ptr<MappedContainer> container;
-  RoadNetwork network;
-  std::unique_ptr<LandmarkIndex> landmarks;
-  std::vector<RawTrajectory> corpus;
-  std::unique_ptr<STMaker> maker;
-};
-
-Result<std::unique_ptr<LoadedContainerModel>> LoadContainerModel(
-    const std::string& path, int threads = 1) {
-  auto m = std::make_unique<LoadedContainerModel>();
-  STMAKER_ASSIGN_OR_RETURN(m->container, MappedContainer::Open(path));
-  STMAKER_ASSIGN_OR_RETURN(m->network,
-                           LoadNetworkFromContainer(*m->container));
-  STMAKER_ASSIGN_OR_RETURN(
-      LandmarkIndex landmarks,
-      LoadLandmarksFromContainer(*m->container, m->network));
-  m->landmarks = std::make_unique<LandmarkIndex>(std::move(landmarks));
-  STMAKER_ASSIGN_OR_RETURN(m->corpus,
-                           LoadTrajectoriesFromContainer(*m->container));
-  STMakerOptions options;
-  options.num_threads = threads;
-  m->maker = std::make_unique<STMaker>(&m->network, m->landmarks.get(),
-                                       FeatureRegistry::BuiltIn(), options);
-  STMAKER_RETURN_IF_ERROR(m->maker->LoadModelContainer(*m->container));
-  return m;
 }
 
 class ContainerTest : public ::testing::Test {
@@ -253,7 +194,7 @@ TEST_F(ContainerTest, SaveIsDeterministicAndLoadSaveIsIdentity) {
   // Identical model state -> byte-identical file, twice over: a second
   // save of the same maker, and a save of a container-loaded maker, must
   // both reproduce the original image exactly (the CLI pins the same
-  // property end-to-end through pack -> unpack -> pack).
+  // property end-to-end: `pack` of a `train` output is a byte copy).
   Result<std::string> original = ReadFileToString(cw_.container_path);
   ASSERT_TRUE(original.ok());
 
@@ -263,8 +204,8 @@ TEST_F(ContainerTest, SaveIsDeterministicAndLoadSaveIsIdentity) {
   ASSERT_TRUE(again_bytes.ok());
   EXPECT_TRUE(*original == *again_bytes) << "re-save is not deterministic";
 
-  Result<std::unique_ptr<LoadedContainerModel>> loaded =
-      LoadContainerModel(cw_.container_path);
+  Result<std::unique_ptr<LoadedModel>> loaded =
+      LoadModelFile(cw_.container_path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const std::string resaved = TempPrefix("container_resaved.stm");
   ASSERT_TRUE((*loaded)->maker->SaveModelContainer(resaved, (*loaded)->corpus)
@@ -275,16 +216,15 @@ TEST_F(ContainerTest, SaveIsDeterministicAndLoadSaveIsIdentity) {
       << "load -> save did not reproduce the container";
 }
 
-TEST_F(ContainerTest, CsvAndContainerLoadedModelsSummarizeIdentically) {
-  // Golden parity across formats *and* thread counts: the CSV-loaded
-  // model at 1 thread and the container-loaded model at 1 and 4 threads
-  // must produce byte-identical summaries over the corpus.
-  STMaker csv_maker(cw_.network, cw_.landmarks, FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(csv_maker.LoadModel(cw_.csv_prefix).ok());
-
-  Result<std::unique_ptr<LoadedContainerModel>> ctr1 = LoadContainerModel(cw_.container_path, 1);
+TEST_F(ContainerTest, TrainedAndContainerLoadedModelsSummarizeIdentically) {
+  // Golden parity across a save/load *and* thread counts: the trained
+  // model and the container-loaded model at 1 and 4 threads must produce
+  // byte-identical summaries over the corpus.
+  Result<std::unique_ptr<LoadedModel>> ctr1 =
+      LoadModelFile(cw_.container_path, 1);
   ASSERT_TRUE(ctr1.ok()) << ctr1.status().ToString();
-  Result<std::unique_ptr<LoadedContainerModel>> ctr4 = LoadContainerModel(cw_.container_path, 4);
+  Result<std::unique_ptr<LoadedModel>> ctr4 =
+      LoadModelFile(cw_.container_path, 4);
   ASSERT_TRUE(ctr4.ok()) << ctr4.status().ToString();
   EXPECT_TRUE((*ctr1)->maker->has_road_hierarchy());
   EXPECT_TRUE((*ctr1)->maker->has_trajectory_index());
@@ -292,7 +232,7 @@ TEST_F(ContainerTest, CsvAndContainerLoadedModelsSummarizeIdentically) {
 
   std::span<const RawTrajectory> batch(cw_.raws.data(),
                                        std::min<size_t>(cw_.raws.size(), 40));
-  std::vector<Result<Summary>> expect = csv_maker.SummarizeBatch(batch);
+  std::vector<Result<Summary>> expect = cw_.maker->SummarizeBatch(batch);
   std::vector<Result<Summary>> got1 = (*ctr1)->maker->SummarizeBatch(batch);
   std::vector<Result<Summary>> got4 = (*ctr4)->maker->SummarizeBatch(batch);
   ASSERT_EQ(expect.size(), got1.size());
@@ -315,7 +255,6 @@ TEST_F(ContainerTest, OpenRejectsBadMagic) {
   Result<std::shared_ptr<MappedContainer>> opened = MappedContainer::Open(path);
   ASSERT_FALSE(opened.ok());
   EXPECT_EQ(opened.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_FALSE(IsContainerFile(path));
 }
 
 TEST_F(ContainerTest, OpenRejectsNewerFormatVersion) {
@@ -380,28 +319,133 @@ TEST_F(ContainerTest, OpenRejectsMisalignedSection) {
 
 // --- required-vs-advisory damage policy -------------------------------------
 
-TEST_F(ContainerTest, BitFlipInRequiredSectionFailsTheLoad) {
-  // Open() succeeds — it validates structure only, never payloads — and
-  // the per-section CRC check fails the *load* with kFailedPrecondition,
-  // exactly like a CSV model with a bad manifest checksum. The corpus
-  // sections are required too: a damaged corpus is never served.
+TEST_F(ContainerTest, EveryDamagedSectionFollowsTheLoadPolicy) {
+  // One flipped payload byte per section type with the section CRC left
+  // stale (bit rot), then truncations anywhere in the file. Open()
+  // accepts every flip — it validates structure only — and the section
+  // CRC decides: a required section fails the load with
+  // kFailedPrecondition naming it, leaves a maker untrained, and rolls a
+  // reload back; the hierarchy and trip-index sections are advisory — the
+  // load warns, counts, and falls back to Dijkstra or the corpus scan.
+  enum class Policy { kRequired, kHierarchy, kTripIndex };
+  struct Case {
+    SectionType type;
+    const char* name;
+    Policy policy;
+  };
+  const std::vector<Case> cases = {
+      {SectionType::kMeta, "meta", Policy::kRequired},
+      {SectionType::kFeatureNames, "feature-names", Policy::kRequired},
+      {SectionType::kNodes, "nodes", Policy::kRequired},
+      {SectionType::kEdges, "edges", Policy::kRequired},
+      {SectionType::kEdgeNames, "edge-names", Policy::kRequired},
+      {SectionType::kCsrOffsets, "csr-offsets", Policy::kRequired},
+      {SectionType::kCsrEntries, "csr-entries", Policy::kRequired},
+      {SectionType::kEdgeGeom, "edge-geom", Policy::kRequired},
+      {SectionType::kEdgeEnds, "edge-ends", Policy::kRequired},
+      {SectionType::kLandmarks, "landmarks", Policy::kRequired},
+      {SectionType::kLandmarkNames, "landmark-names", Policy::kRequired},
+      {SectionType::kTransitions, "transitions", Policy::kRequired},
+      {SectionType::kFeatureEdges, "feature-edges", Policy::kRequired},
+      {SectionType::kVisits, "visits", Policy::kRequired},
+      {SectionType::kTripDescriptors, "trip-descriptors", Policy::kTripIndex},
+      {SectionType::kTripCells, "trip-cells", Policy::kTripIndex},
+      {SectionType::kTripLabels, "trip-labels", Policy::kTripIndex},
+      {SectionType::kTripFingerprints, "trip-fingerprints",
+       Policy::kTripIndex},
+      {SectionType::kChRank, "ch-rank", Policy::kHierarchy},
+      {SectionType::kChArcs, "ch-arcs", Policy::kHierarchy},
+      {SectionType::kStats, "stats", Policy::kRequired},
+      {SectionType::kCorpusTrips, "corpus-trips", Policy::kRequired},
+      {SectionType::kCorpusSamples, "corpus-samples", Policy::kRequired},
+  };
   Result<std::string> good = ReadFileToString(cw_.container_path);
   ASSERT_TRUE(good.ok());
-  for (SectionType type :
-       {SectionType::kFeatureEdges, SectionType::kCorpusTrips,
-        SectionType::kCorpusSamples}) {
-    SCOPED_TRACE(static_cast<int>(type));
+  ASSERT_EQ(TableOf(*good).size(), cases.size())
+      << "every section of the saved model must have a case";
+
+  Result<std::unique_ptr<LoadedModel>> intact =
+      LoadModelFile(cw_.container_path);
+  ASSERT_TRUE(intact.ok()) << intact.status().ToString();
+  ModelManagerOptions opts;
+  opts.model_prefix = cw_.container_path;
+  ModelManager manager(opts);
+  ASSERT_TRUE(manager.Initialize().ok());
+  std::shared_ptr<const ModelSnapshot> serving = manager.Current();
+  Counter& ch_failures =
+      MetricsRegistry::Global().counter("router.ch.load_failures");
+  Counter& index_failures =
+      MetricsRegistry::Global().counter("index.load_failures");
+
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
     std::string bytes = *good;
-    FlipPayloadByte(&bytes, type);
-    const std::string path = TempPrefix(
-        "container_badsection_" + std::to_string(static_cast<int>(type)) +
-        ".stm");
+    FlipPayloadByte(&bytes, c.type);
+    const std::string path =
+        TempPrefix(std::string("container_flip_") + c.name + ".stm");
     ASSERT_TRUE(WriteFileToPath(path, bytes).ok());
-    Result<std::unique_ptr<LoadedContainerModel>> loaded =
-        LoadContainerModel(path);
+
+    const uint64_t ch_before = ch_failures.value();
+    const uint64_t index_before = index_failures.value();
+    Result<std::unique_ptr<LoadedModel>> loaded = LoadModelFile(path);
+    switch (c.policy) {
+      case Policy::kRequired: {
+        ASSERT_FALSE(loaded.ok());
+        EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition);
+        EXPECT_NE(loaded.status().message().find(
+                      "section '" + std::string(c.name) + "' CRC32 mismatch"),
+                  std::string::npos)
+            << loaded.status().ToString();
+        Status reload = manager.Reload(path);
+        EXPECT_EQ(reload.code(), StatusCode::kFailedPrecondition)
+            << reload.ToString();
+        EXPECT_EQ(manager.Current().get(), serving.get());
+        break;
+      }
+      case Policy::kHierarchy:
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        EXPECT_FALSE((*loaded)->maker->has_road_hierarchy());
+        EXPECT_TRUE((*loaded)->maker->has_trajectory_index());
+        EXPECT_EQ(ch_failures.value(), ch_before + 1);
+        EXPECT_EQ(index_failures.value(), index_before);
+        break;
+      case Policy::kTripIndex:
+        ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+        EXPECT_TRUE((*loaded)->maker->has_road_hierarchy());
+        EXPECT_FALSE((*loaded)->maker->has_trajectory_index());
+        EXPECT_EQ(index_failures.value(), index_before + 1);
+        EXPECT_EQ(ch_failures.value(), ch_before);
+        break;
+    }
+
+    // Whatever the section, a model load into a maker over the intact
+    // world either restores the whole model or leaves it untrained.
+    Result<std::shared_ptr<MappedContainer>> opened =
+        MappedContainer::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    STMaker maker(&(*intact)->network, (*intact)->landmarks.get(),
+                  FeatureRegistry::BuiltIn());
+    const Status model_load = maker.LoadModelContainer(**opened);
+    EXPECT_EQ(maker.trained(), model_load.ok()) << model_load.ToString();
+  }
+
+  // Truncation inside the header, the section table, or any payload is
+  // structural damage: Open refuses the file and a reload rolls back.
+  std::vector<size_t> cuts = {0, 1, sizeof(ContainerHeader) - 1,
+                              sizeof(ContainerHeader),
+                              sizeof(ContainerHeader) + sizeof(SectionEntry),
+                              good->size() - 1};
+  for (size_t i = 1; i < 16; ++i) cuts.push_back(good->size() * i / 16);
+  for (size_t cut : cuts) {
+    SCOPED_TRACE("truncated to " + std::to_string(cut) + " bytes");
+    const std::string path = TempPrefix("container_truncated_sweep.stm");
+    ASSERT_TRUE(WriteFileToPath(path, good->substr(0, cut)).ok());
+    Result<std::unique_ptr<LoadedModel>> loaded = LoadModelFile(path);
     ASSERT_FALSE(loaded.ok());
-    EXPECT_EQ(loaded.status().code(), StatusCode::kFailedPrecondition)
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
         << loaded.status().ToString();
+    EXPECT_FALSE(manager.Reload(path).ok());
+    EXPECT_EQ(manager.Current().get(), serving.get());
   }
 }
 
@@ -532,8 +576,8 @@ TEST_F(ContainerTest, HostileRecordsFailTheLoadAndRollBackAReload) {
     const SectionEntry* entry = (*opened)->Find(c.section);
     ASSERT_NE(entry, nullptr);
     ASSERT_TRUE((*opened)->VerifyCrc(*entry)) << "CRC was not re-sealed";
-    Result<std::unique_ptr<LoadedContainerModel>> loaded =
-        LoadContainerModel(path);
+    Result<std::unique_ptr<LoadedModel>> loaded =
+        LoadModelFile(path);
     ASSERT_FALSE(loaded.ok());
     EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
         << loaded.status().ToString();
@@ -590,23 +634,9 @@ TEST_F(ContainerTest, ContainerWithoutCorpusSectionsIsRejected) {
   EXPECT_EQ(manager.Current().get(), before.get());
 }
 
-TEST_F(ContainerTest, BitFlipInNetworkSectionFailsTheNetworkLoad) {
-  const std::string path =
-      MutatedCopy(cw_.container_path, "container_badnodes.stm",
-                  [](std::string* bytes) {
-                    FlipPayloadByte(bytes, SectionType::kNodes);
-                  });
-  Result<std::shared_ptr<MappedContainer>> opened = MappedContainer::Open(path);
-  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
-  Result<RoadNetwork> network = LoadNetworkFromContainer(**opened);
-  ASSERT_FALSE(network.ok());
-  EXPECT_EQ(network.status().code(), StatusCode::kFailedPrecondition);
-}
-
 TEST_F(ContainerTest, DamagedHierarchySectionIsAdvisory) {
-  // CH damage degrades to Dijkstra with a warning and a counter — the
-  // same advisory policy as a damaged _ch.csv — and everything else in
-  // the container still serves.
+  // CH damage degrades to Dijkstra with a warning and a counter, and
+  // everything else in the container still serves.
   const std::string path =
       MutatedCopy(cw_.container_path, "container_badch.stm",
                   [](std::string* bytes) {
@@ -615,7 +645,7 @@ TEST_F(ContainerTest, DamagedHierarchySectionIsAdvisory) {
   Counter& failures = MetricsRegistry::Global().counter(
       "router.ch.load_failures");
   const uint64_t base = failures.value();
-  Result<std::unique_ptr<LoadedContainerModel>> loaded = LoadContainerModel(path);
+  Result<std::unique_ptr<LoadedModel>> loaded = LoadModelFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_FALSE((*loaded)->maker->has_road_hierarchy());
   EXPECT_TRUE((*loaded)->maker->has_trajectory_index());
@@ -636,7 +666,7 @@ TEST_F(ContainerTest, DamagedTripIndexSectionIsAdvisory) {
   Counter& failures =
       MetricsRegistry::Global().counter("index.load_failures");
   const uint64_t base = failures.value();
-  Result<std::unique_ptr<LoadedContainerModel>> loaded = LoadContainerModel(path);
+  Result<std::unique_ptr<LoadedModel>> loaded = LoadModelFile(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_FALSE((*loaded)->maker->has_trajectory_index());
   EXPECT_TRUE((*loaded)->maker->has_road_hierarchy());
@@ -653,7 +683,8 @@ TEST_F(ContainerTest, MapFailureFallsBackToHeapRead) {
       MetricsRegistry::Global().counter("container.map_fallbacks");
   const uint64_t base = fallbacks.value();
   ArmFailpoint("container/map");
-  Result<std::unique_ptr<LoadedContainerModel>> loaded = LoadContainerModel(cw_.container_path);
+  Result<std::unique_ptr<LoadedModel>> loaded =
+      LoadModelFile(cw_.container_path);
   DisarmAllFailpoints();
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE((*loaded)->container->heap_backed());
@@ -669,9 +700,8 @@ TEST_F(ContainerTest, MapFailureFallsBackToHeapRead) {
 // --- model-manager lifecycle ------------------------------------------------
 
 TEST_F(ContainerTest, ManagerServesContainerAndRollsBackOnCorruptReload) {
-  // The --model flag is polymorphic: the manager loads a container just
-  // like a CSV prefix. A reload pointed at a damaged container must roll
-  // back — same snapshot object serving, old mapping still alive (the
+  // A reload pointed at a damaged container must roll back — same
+  // snapshot object serving, old mapping still alive (the
   // summarize-after-rollback below walks the mapped CSR arrays).
   const std::string bad =
       MutatedCopy(cw_.container_path, "container_reload_bad.stm",
@@ -717,24 +747,22 @@ TEST_F(ContainerTest, ManagerServesContainerAndRollsBackOnCorruptReload) {
   ASSERT_TRUE(after.ok()) << after.status().ToString();
   EXPECT_EQ(first->text, after->text);
 
-  // And a good reload (container -> CSV prefix this time) still swaps.
-  ASSERT_TRUE(manager.Reload(cw_.csv_prefix).ok());
+  // And a good reload still swaps in a fresh mapping.
+  ASSERT_TRUE(manager.Reload(cw_.container_path).ok());
   std::shared_ptr<const ModelSnapshot> swapped = manager.Current();
   EXPECT_EQ(swapped->version, before->version + 3);
-  EXPECT_EQ(swapped->container, nullptr);
-  Result<Summary> csv_served =
-      swapped->maker->Summarize(swapped->trajectories[0]);
-  ASSERT_TRUE(csv_served.ok());
-  EXPECT_EQ(first->text, csv_served->text);
-  // Both formats serve the same corpus, bit for bit.
+  EXPECT_NE(swapped->container, before->container);
+  Result<Summary> served = swapped->maker->Summarize(swapped->trajectories[0]);
+  ASSERT_TRUE(served.ok());
+  EXPECT_EQ(first->text, served->text);
   ExpectSameCorpus(swapped->trajectories, before->trajectories);
 }
 
 TEST_F(ContainerTest, ManagerServesAndReloadsContainerWithoutTrajectoriesCsv) {
   // A container snapshot carries its corpus: once the manager serves one,
   // <data_dir>/trajectories.csv can go away and in-place reloads still
-  // succeed. The CSV-model path is unchanged — it still needs the file,
-  // so a reload to the CSV prefix fails and rolls back.
+  // succeed. A reload to an old CSV model prefix (no container at that
+  // path) fails with kIoError and rolls back.
   const std::string dir = ::testing::TempDir() + "/container_no_csv";
   ::mkdir(dir.c_str(), 0755);  // EEXIST from a previous run is fine
   for (const char* file : {"network_nodes.csv", "network_edges.csv",
@@ -762,7 +790,7 @@ TEST_F(ContainerTest, ManagerServesAndReloadsContainerWithoutTrajectoriesCsv) {
   ASSERT_TRUE(got.ok()) << got.status().ToString();
   EXPECT_EQ(expect->text, got->text);
 
-  Status csv_reload = manager.Reload(cw_.csv_prefix);
+  Status csv_reload = manager.Reload(dir + "/model");
   EXPECT_EQ(csv_reload.code(), StatusCode::kIoError) << csv_reload.ToString();
   EXPECT_EQ(manager.Current().get(), reloaded.get());
 }

@@ -1,23 +1,19 @@
 // Unit tests for the request-context subsystem: deadlines, cooperative
-// cancellation, CancelCheck amortization, cache counters, bounded
-// thread-pool admission, and the jittered retry helper. Everything here is
-// deterministic — deadlines in the past, captured sleeps, seeded jitter —
-// so no test depends on scheduler timing.
+// cancellation, CancelCheck amortization, cache counters, and bounded
+// thread-pool admission. Everything here is deterministic — deadlines in
+// the past, explicit admission limits — so no test depends on scheduler
+// timing.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/context.h"
-#include "common/failpoint.h"
-#include "common/fileutil.h"
 #include "common/lru_cache.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
-#include "common/retry.h"
 
 namespace stmaker {
 namespace {
@@ -235,168 +231,6 @@ TEST(TrySubmitTest, RejectsBeyondTheInflightLimit) {
   EXPECT_EQ(after.counter("threadpool.admitted") -
                 before.counter("threadpool.admitted"),
             3u);
-}
-
-// --------------------------------------------------------------------------
-// RetryWithBackoff
-// --------------------------------------------------------------------------
-
-RetryOptions CapturedSleepOptions(std::vector<double>* sleeps) {
-  RetryOptions options;
-  options.sleep_ms = [sleeps](double ms) { sleeps->push_back(ms); };
-  return options;
-}
-
-TEST(RetryTest, SuccessOnFirstAttemptNeverSleeps) {
-  std::vector<double> sleeps;
-  RetryOptions options = CapturedSleepOptions(&sleeps);
-  int calls = 0;
-  Status status = RetryWithBackoff(options, [&] {
-    ++calls;
-    return Status::OK();
-  });
-  EXPECT_TRUE(status.ok());
-  EXPECT_EQ(calls, 1);
-  EXPECT_TRUE(sleeps.empty());
-}
-
-TEST(RetryTest, TransientIoErrorRetriesUntilSuccess) {
-  std::vector<double> sleeps;
-  RetryOptions options = CapturedSleepOptions(&sleeps);
-  int calls = 0;
-  Status status = RetryWithBackoff(options, [&]() -> Status {
-    if (++calls < 3) return Status::IoError("flaky");
-    return Status::OK();
-  });
-  EXPECT_TRUE(status.ok());
-  EXPECT_EQ(calls, 3);
-  ASSERT_EQ(sleeps.size(), 2u);
-  // Delays follow the documented formula with the seeded jitter stream —
-  // bit-for-bit reproducible.
-  EXPECT_DOUBLE_EQ(
-      sleeps[0],
-      retry_internal::BackoffDelayMs(options, 1,
-                                     retry_internal::JitterDraw(options.seed,
-                                                                1)));
-  EXPECT_DOUBLE_EQ(
-      sleeps[1],
-      retry_internal::BackoffDelayMs(options, 2,
-                                     retry_internal::JitterDraw(options.seed,
-                                                                2)));
-  // Nominal backoffs are 5 ms then 10 ms; jitter scales into [0.5, 1].
-  EXPECT_GE(sleeps[0], 2.5);
-  EXPECT_LE(sleeps[0], 5.0);
-  EXPECT_GE(sleeps[1], 5.0);
-  EXPECT_LE(sleeps[1], 10.0);
-}
-
-TEST(RetryTest, SameSeedSameDelays) {
-  auto run = [](uint64_t seed) {
-    std::vector<double> sleeps;
-    RetryOptions options;
-    options.seed = seed;
-    options.sleep_ms = [&sleeps](double ms) { sleeps.push_back(ms); };
-    (void)RetryWithBackoff(options,
-                           [] { return Status::IoError("always"); });
-    return sleeps;
-  };
-  EXPECT_EQ(run(123), run(123));
-  EXPECT_NE(run(123), run(456));  // different stream, different jitter
-}
-
-TEST(RetryTest, NonRetryableErrorReturnsImmediately) {
-  std::vector<double> sleeps;
-  RetryOptions options = CapturedSleepOptions(&sleeps);
-  int calls = 0;
-  Status status = RetryWithBackoff(options, [&] {
-    ++calls;
-    return Status::InvalidArgument("deterministic");
-  });
-  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
-  EXPECT_EQ(calls, 1);
-  EXPECT_TRUE(sleeps.empty());
-}
-
-TEST(RetryTest, ExhaustedAttemptsReturnTheLastError) {
-  std::vector<double> sleeps;
-  RetryOptions options = CapturedSleepOptions(&sleeps);
-  options.max_attempts = 4;
-  int calls = 0;
-  Status status = RetryWithBackoff(options, [&] {
-    ++calls;
-    return Status::IoError("never heals");
-  });
-  EXPECT_EQ(status.code(), StatusCode::kIoError);
-  EXPECT_EQ(calls, 4);
-  EXPECT_EQ(sleeps.size(), 3u);  // no sleep after the final attempt
-}
-
-TEST(RetryTest, WorksWithResultReturningFunctions) {
-  RetryOptions options;
-  options.sleep_ms = [](double) {};
-  int calls = 0;
-  Result<int> result = RetryWithBackoff(options, [&]() -> Result<int> {
-    if (++calls < 2) return Status::IoError("flaky");
-    return 42;
-  });
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*result, 42);
-  EXPECT_EQ(calls, 2);
-}
-
-TEST(RetryTest, ExpiredContextAbandonsTheRetryBudget) {
-  RequestContext ctx = RequestContext::WithDeadline(milliseconds(-1));
-  std::vector<double> sleeps;
-  RetryOptions options = CapturedSleepOptions(&sleeps);
-  options.context = &ctx;
-  int calls = 0;
-  Status status = RetryWithBackoff(options, [&] {
-    ++calls;
-    return Status::IoError("flaky");
-  });
-  // One attempt, then the context error surfaces instead of a retry.
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(calls, 1);
-  EXPECT_TRUE(sleeps.empty());
-}
-
-TEST(RetryTest, BackoffDelayIsCappedAtMaxBackoff) {
-  RetryOptions options;
-  options.initial_backoff_ms = 50.0;
-  options.multiplier = 10.0;
-  options.max_backoff_ms = 80.0;
-  options.jitter = 0.0;
-  EXPECT_DOUBLE_EQ(retry_internal::BackoffDelayMs(options, 1, 0.5), 50.0);
-  EXPECT_DOUBLE_EQ(retry_internal::BackoffDelayMs(options, 2, 0.5), 80.0);
-  EXPECT_DOUBLE_EQ(retry_internal::BackoffDelayMs(options, 3, 0.5), 80.0);
-}
-
-TEST(RetryTest, ReadFileToStringWithRetryReadsExistingFile) {
-  const std::string path = ::testing::TempDir() + "/retry_read.txt";
-  ASSERT_TRUE(WriteFileToPath(path, "payload").ok());
-  RetryOptions options;
-  options.sleep_ms = [](double) {};
-  Result<std::string> content = ReadFileToStringWithRetry(path, options);
-  ASSERT_TRUE(content.ok()) << content.status().ToString();
-  EXPECT_EQ(*content, "payload");
-}
-
-TEST(RetryTest, ReadRetryRecoversFromInjectedTransientError) {
-  if (!FailpointsCompiledIn()) {
-    GTEST_SKIP() << "build without -DSTMAKER_FAILPOINTS=ON";
-  }
-  const std::string path = ::testing::TempDir() + "/retry_transient.txt";
-  ASSERT_TRUE(WriteFileToPath(path, "heals").ok());
-  // First read fails, subsequent reads succeed — exactly the transient
-  // fault the retry wrapper exists for.
-  ArmFailpoint("io/open-read", /*skip=*/0, /*count=*/1);
-  std::vector<double> sleeps;
-  RetryOptions options = CapturedSleepOptions(&sleeps);
-  Result<std::string> content = ReadFileToStringWithRetry(path, options);
-  DisarmAllFailpoints();
-  ASSERT_TRUE(content.ok()) << content.status().ToString();
-  EXPECT_EQ(*content, "heals");
-  EXPECT_EQ(sleeps.size(), 1u);  // exactly one backoff between attempts
 }
 
 }  // namespace

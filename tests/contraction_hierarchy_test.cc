@@ -4,11 +4,11 @@
 
 #include <chrono>
 #include <cmath>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/context.h"
-#include "common/fileutil.h"
 #include "roadnet/map_generator.h"
 #include "roadnet/shortest_path.h"
 
@@ -217,13 +217,23 @@ TEST(ContractionHierarchyTest, ExpansionBudgetCapsQuery) {
   EXPECT_EQ(table.status().code(), StatusCode::kResourceExhausted);
 }
 
+/// Restores `ch` over `net` from its raw arrays, as the model container
+/// loader does.
+Result<ContractionHierarchy> Restore(const ContractionHierarchy& ch,
+                                     std::span<const uint32_t> rank,
+                                     std::span<const ContractionHierarchy::Arc>
+                                         arcs,
+                                     const RoadNetwork& net) {
+  return ContractionHierarchy::FromRaw(rank, arcs, net.NumEdges(),
+                                       ch.NumShortcuts(), net, "test");
+}
+
 TEST(ContractionHierarchyTest, SaveLoadRoundTripPreservesQueries) {
   GeneratedMap city = SmallCity(5, 11, 0.3, 0.08);
   const RoadNetwork& net = city.network;
   auto built = ContractionHierarchy::Build(net);
   ASSERT_TRUE(built.ok());
-  std::string blob = built->SaveToString();
-  auto loaded = ContractionHierarchy::LoadFromString(blob, net, "test blob");
+  auto loaded = Restore(*built, built->ranks(), built->arcs(), net);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_EQ(loaded->NumNodes(), built->NumNodes());
   EXPECT_EQ(loaded->NumArcs(), built->NumArcs());
@@ -240,45 +250,50 @@ TEST(ContractionHierarchyTest, SaveLoadRoundTripPreservesQueries) {
       }
     }
   }
-  // Round trip through a file as well.
-  std::string path = ::testing::TempDir() + "/ch_roundtrip.csv";
-  ASSERT_TRUE(built->SaveToFile(path).ok());
-  auto from_file = ContractionHierarchy::LoadFromFile(path, net);
-  ASSERT_TRUE(from_file.ok()) << from_file.status().ToString();
-  EXPECT_EQ(from_file->NumArcs(), built->NumArcs());
 }
 
-TEST(ContractionHierarchyTest, CorruptedFilesAreRejectedNotCrashed) {
+TEST(ContractionHierarchyTest, CorruptedArraysAreRejectedNotCrashed) {
   GeneratedMap city = SmallCity(4, 12, 0.2, 0.0);
   const RoadNetwork& net = city.network;
   auto built = ContractionHierarchy::Build(net);
   ASSERT_TRUE(built.ok());
-  const std::string blob = built->SaveToString();
+  ASSERT_GT(built->NumShortcuts(), 0u);
+  const std::vector<uint32_t> rank(built->ranks().begin(),
+                                   built->ranks().end());
+  const std::vector<ContractionHierarchy::Arc> arcs(built->arcs().begin(),
+                                                    built->arcs().end());
+  auto expect_rejected = [&](std::span<const uint32_t> r,
+                             std::span<const ContractionHierarchy::Arc> a,
+                             const std::string& message) {
+    auto restored = Restore(*built, r, a, net);
+    ASSERT_FALSE(restored.ok()) << message;
+    EXPECT_EQ(restored.status().code(), StatusCode::kFailedPrecondition);
+    EXPECT_NE(restored.status().message().find(message), std::string::npos)
+        << restored.status().ToString();
+  };
 
-  // Truncation (CRC record gone entirely, or mid-file cut).
-  EXPECT_FALSE(ContractionHierarchy::LoadFromString(
-                   blob.substr(0, blob.size() / 2), net, "t")
-                   .ok());
-  // One flipped digit inside an arc weight: caught by the CRC.
-  std::string flipped = blob;
-  size_t pos = flipped.find("arc,");
-  ASSERT_NE(pos, std::string::npos);
-  for (size_t k = pos; k < flipped.size(); ++k) {
-    if (flipped[k] >= '1' && flipped[k] <= '8') {
-      flipped[k] = static_cast<char>(flipped[k] + 1);
-      break;
-    }
-  }
-  auto corrupt = ContractionHierarchy::LoadFromString(flipped, net, "t");
-  ASSERT_FALSE(corrupt.ok());
-  EXPECT_EQ(corrupt.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(corrupt.status().message().find("crc"), std::string::npos);
-  // Garbage.
-  EXPECT_FALSE(
-      ContractionHierarchy::LoadFromString("not a csv", net, "t").ok());
-  // A valid file for a *different* network must be refused (stale model).
+  // Truncation: half the arcs (the shortcuts come last) or a short rank
+  // table.
+  expect_rejected(rank, std::span(arcs).first(arcs.size() / 2),
+                  "shortcut count mismatch");
+  expect_rejected(std::span(rank).first(rank.size() - 1), arcs,
+                  "different network");
+  // A flipped arc weight: an original no longer matches its road edge, a
+  // shortcut no longer matches its constituents.
+  std::vector<ContractionHierarchy::Arc> bad = arcs;
+  bad.front().weight += 1.0;
+  expect_rejected(rank, bad, "weight disagrees with edge length");
+  bad = arcs;
+  bad.back().weight += 1.0;
+  expect_rejected(rank, bad, "weight disagrees with constituents");
+  // A rank table that is not a permutation.
+  std::vector<uint32_t> dup = rank;
+  dup[1] = dup[0];
+  expect_rejected(dup, arcs, "duplicate rank");
+  // A valid hierarchy for a *different* network must be refused (stale
+  // model).
   GeneratedMap other = SmallCity(5, 13, 0.2, 0.0);
-  auto stale = ContractionHierarchy::LoadFromString(blob, other.network, "t");
+  auto stale = Restore(*built, rank, arcs, other.network);
   ASSERT_FALSE(stale.ok());
   EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
   EXPECT_NE(stale.status().message().find("different network"),

@@ -40,10 +40,14 @@
 namespace stmaker {
 namespace {
 
+using ::stmaker::testing::FlipPayloadByte;
 using ::stmaker::testing::GetTestWorld;
+using ::stmaker::testing::LoadedModel;
+using ::stmaker::testing::LoadModelFile;
 using ::stmaker::testing::NamedScenario;
 using ::stmaker::testing::Scenario;
 using ::stmaker::testing::ScenarioCorpus;
+using ::stmaker::testing::SaveAndLoad;
 using ::stmaker::testing::ScenarioTrip;
 using ::stmaker::testing::TestWorld;
 
@@ -356,16 +360,36 @@ INSTANTIATE_TEST_SUITE_P(Sweep, IndexFuzzTest,
 // byte-identity of the index itself.
 // --------------------------------------------------------------------------
 
-std::vector<RawTrajectory> WorldRaws(const TestWorld& world) {
-  std::vector<RawTrajectory> raws;
-  raws.reserve(world.history.size());
-  for (const auto& t : world.history) raws.push_back(t.raw);
-  return raws;
+/// Asserts two indexes hold the same geometry and descriptors, field for
+/// field and bit for bit — everything the container persists (the
+/// train-time symbolic sequence is not).
+void ExpectSameIndex(const TrajectoryIndex& got, const TrajectoryIndex& want,
+                     const std::string& context) {
+  EXPECT_EQ(got.options().cell_m, want.options().cell_m) << context;
+  EXPECT_EQ(got.options().bucket_s, want.options().bucket_s) << context;
+  ASSERT_EQ(got.descriptors().size(), want.descriptors().size()) << context;
+  for (size_t i = 0; i < want.descriptors().size(); ++i) {
+    const TripDescriptor& a = got.descriptors()[i];
+    const TripDescriptor& b = want.descriptors()[i];
+    SCOPED_TRACE(context + ", trip " + std::to_string(i));
+    EXPECT_EQ(a.trip, b.trip);
+    EXPECT_EQ(a.spatial, b.spatial);
+    EXPECT_EQ(a.scored, b.scored);
+    EXPECT_EQ(a.bbox.min.x, b.bbox.min.x);
+    EXPECT_EQ(a.bbox.min.y, b.bbox.min.y);
+    EXPECT_EQ(a.bbox.max.x, b.bbox.max.x);
+    EXPECT_EQ(a.bbox.max.y, b.bbox.max.y);
+    EXPECT_EQ(a.t_begin, b.t_begin);
+    EXPECT_EQ(a.t_end, b.t_end);
+    EXPECT_EQ(a.cell_buckets, b.cell_buckets);
+    EXPECT_EQ(a.labels, b.labels);
+    EXPECT_EQ(a.fingerprint, b.fingerprint);
+  }
 }
 
 TEST(IndexWorldTest, SimilarTopKMatchesScanAndOracle) {
   const TestWorld& world = GetTestWorld();
-  std::vector<RawTrajectory> raws = WorldRaws(world);
+  const std::vector<RawTrajectory>& raws = world.raws;
   ASSERT_TRUE(world.maker->has_trajectory_index());
 
   // A second maker trained identically, then stripped of its index, serves
@@ -396,7 +420,7 @@ TEST(IndexWorldTest, SimilarTopKMatchesScanAndOracle) {
 
 TEST(IndexWorldTest, RegionQueriesMatchScanAndOracle) {
   const TestWorld& world = GetTestWorld();
-  std::vector<RawTrajectory> raws = WorldRaws(world);
+  const std::vector<RawTrajectory>& raws = world.raws;
   Random rng(515);
   for (int probe = 0; probe < 10; ++probe) {
     BoundingBox box;
@@ -421,7 +445,7 @@ TEST(IndexWorldTest, PlanetSpanningRangesTakeThePostingsWalkNotTheProbeLoop) {
   // each axis alone, so these queries answer promptly and agree with the
   // oracle.
   const TestWorld& world = GetTestWorld();
-  std::vector<RawTrajectory> raws = WorldRaws(world);
+  const std::vector<RawTrajectory>& raws = world.raws;
   ASSERT_TRUE(world.maker->has_trajectory_index());
 
   BoundingBox planet;
@@ -521,9 +545,8 @@ TEST(IndexWorldTest, CorpusSizeMismatchFallsBackToScanForBothVerbs) {
 
 TEST(IndexWorldTest, IndexIsByteIdenticalAcrossThreadCounts) {
   const TestWorld& world = GetTestWorld();
-  std::vector<RawTrajectory> raws = WorldRaws(world);
+  const std::vector<RawTrajectory>& raws = world.raws;
   ASSERT_TRUE(world.maker->has_trajectory_index());
-  const std::string serial = world.maker->trip_index()->SaveToString();
 
   LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
   STMakerOptions options;
@@ -532,8 +555,8 @@ TEST(IndexWorldTest, IndexIsByteIdenticalAcrossThreadCounts) {
                    options);
   ASSERT_TRUE(parallel.Train(raws).ok());
   ASSERT_TRUE(parallel.has_trajectory_index());
-  EXPECT_EQ(parallel.trip_index()->SaveToString(), serial)
-      << "index must be byte-identical at 1 vs 4 training threads";
+  ExpectSameIndex(*parallel.trip_index(), *world.maker->trip_index(),
+                  "1 vs 4 training threads");
 
   // And the responses themselves: same queries, byte-equal renderings.
   Random rng(99);
@@ -548,7 +571,7 @@ TEST(IndexWorldTest, IndexIsByteIdenticalAcrossThreadCounts) {
 
 TEST(IndexWorldTest, IncrementalTrainingRebuildsTheSameIndex) {
   const TestWorld& world = GetTestWorld();
-  std::vector<RawTrajectory> raws = WorldRaws(world);
+  const std::vector<RawTrajectory>& raws = world.raws;
   LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
 
   STMaker staged(&world.city.network, &landmarks, FeatureRegistry::BuiltIn());
@@ -557,9 +580,8 @@ TEST(IndexWorldTest, IncrementalTrainingRebuildsTheSameIndex) {
   ASSERT_TRUE(staged.Train(first).ok());
   ASSERT_TRUE(staged.TrainIncremental(rest).ok());
   ASSERT_TRUE(staged.has_trajectory_index());
-  EXPECT_EQ(staged.trip_index()->SaveToString(),
-            world.maker->trip_index()->SaveToString())
-      << "Train(a)+TrainIncremental(b) must index exactly like Train(a+b)";
+  ExpectSameIndex(*staged.trip_index(), *world.maker->trip_index(),
+                  "Train(a)+TrainIncremental(b) vs Train(a+b)");
 }
 
 // --------------------------------------------------------------------------
@@ -603,68 +625,62 @@ TEST(IndexTieBreakTest, EqualScoresRankByAscendingTripId) {
 }
 
 // --------------------------------------------------------------------------
-// Persistence: the index round-trips bit-exactly through the model files
-// and restored fingerprints score identically to fresh ones.
+// Persistence: the index round-trips bit-exactly through the model
+// container and restored fingerprints score identically to fresh ones.
 // --------------------------------------------------------------------------
 
 TEST(IndexPersistenceTest, SaveLoadRoundTripsByteIdentical) {
   const TestWorld& world = GetTestWorld();
-  std::vector<RawTrajectory> raws = WorldRaws(world);
-  std::string prefix = ::testing::TempDir() + "/index_roundtrip";
-  ASSERT_TRUE(world.maker->SaveModel(prefix).ok());
-
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
-  STMaker restored(&world.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(restored.LoadModel(prefix).ok());
+  const std::vector<RawTrajectory>& raws = world.raws;
+  std::unique_ptr<LoadedModel> loaded =
+      SaveAndLoad(*world.maker, "index_roundtrip.stm");
+  const STMaker& restored = *loaded->maker;
   ASSERT_TRUE(restored.has_trajectory_index())
-      << "LoadModel must restore the trajectory index";
-  EXPECT_EQ(restored.trip_index()->SaveToString(),
-            world.maker->trip_index()->SaveToString());
+      << "LoadModelContainer must restore the trajectory index";
+  ExpectSameIndex(*restored.trip_index(), *world.maker->trip_index(),
+                  "saved vs restored");
 
-  // Restored fingerprints are %.17g round-tripped doubles: the similarity
-  // scores must be bit-identical, not merely close.
+  // Restored fingerprints are the saved doubles: the similarity scores
+  // must be bit-identical, not merely close.
   Random rng(808);
   for (int probe = 0; probe < 8; ++probe) {
     size_t trip = rng.UniformInt(raws.size());
     auto fresh = world.maker->SimilarTrips(raws, trip, 10);
-    auto loaded = restored.SimilarTrips(raws, trip, 10);
-    ASSERT_EQ(fresh.ok(), loaded.ok());
+    auto restored_matches = restored.SimilarTrips(raws, trip, 10);
+    ASSERT_EQ(fresh.ok(), restored_matches.ok());
     if (fresh.ok()) {
-      EXPECT_EQ(MatchesToString(*fresh), MatchesToString(*loaded));
+      EXPECT_EQ(MatchesToString(*fresh), MatchesToString(*restored_matches));
     }
   }
 }
 
 // --------------------------------------------------------------------------
-// Robustness: corrupt/truncated index files degrade to the scan path with
-// a warning and a metric — the model itself still loads (advisory policy,
+// Robustness: damaged index sections degrade to the scan path with a
+// warning and a metric — the model itself still loads (advisory policy,
 // mirroring the contraction hierarchy's).
 // --------------------------------------------------------------------------
 
-TEST(IndexRobustnessTest, CorruptIndexFileFallsBackToScan) {
+TEST(IndexRobustnessTest, CorruptIndexSectionFallsBackToScan) {
   const TestWorld& world = GetTestWorld();
-  std::vector<RawTrajectory> raws = WorldRaws(world);
-  std::string prefix = ::testing::TempDir() + "/index_corrupt";
-  ASSERT_TRUE(world.maker->SaveModel(prefix).ok());
+  const std::vector<RawTrajectory>& raws = world.raws;
+  const std::string path = ::testing::TempDir() + "/index_corrupt.stm";
+  ASSERT_TRUE(world.maker->SaveModelContainer(path, raws).ok());
 
-  // Flip bytes in the middle of the index file: the manifest CRC catches
+  // Flip a byte in the middle of the fingerprints: the section CRC catches
   // it, the load warns, and similarity queries still work — via the scan.
-  std::string path = prefix + "_index.csv";
   Result<std::string> content = ReadFileToString(path);
   ASSERT_TRUE(content.ok());
   std::string damaged = *content;
-  damaged[damaged.size() / 2] ^= 0x5a;
+  FlipPayloadByte(&damaged, SectionType::kTripFingerprints);
   ASSERT_TRUE(WriteFileToPath(path, damaged).ok());
 
   MetricsRegistry& registry = MetricsRegistry::Global();
   uint64_t failures_before = registry.counter("index.load_failures").value();
 
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
-  STMaker restored(&world.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(restored.LoadModel(prefix).ok())
-      << "a damaged index must not fail the model load";
+  Result<std::unique_ptr<LoadedModel>> loaded = LoadModelFile(path);
+  ASSERT_TRUE(loaded.ok()) << "a damaged index must not fail the model load: "
+                           << loaded.status().ToString();
+  const STMaker& restored = *(*loaded)->maker;
   EXPECT_FALSE(restored.has_trajectory_index());
   EXPECT_EQ(registry.counter("index.load_failures").value(),
             failures_before + 1);
@@ -678,33 +694,12 @@ TEST(IndexRobustnessTest, CorruptIndexFileFallsBackToScan) {
   }
 }
 
-TEST(IndexRobustnessTest, TruncatedIndexFileFallsBackToScan) {
-  const TestWorld& world = GetTestWorld();
-  std::string prefix = ::testing::TempDir() + "/index_truncated";
-  ASSERT_TRUE(world.maker->SaveModel(prefix).ok());
-  std::string path = prefix + "_index.csv";
-  Result<std::string> content = ReadFileToString(path);
-  ASSERT_TRUE(content.ok());
-  ASSERT_TRUE(
-      WriteFileToPath(path, content->substr(0, content->size() / 3)).ok());
-
-  MetricsRegistry& registry = MetricsRegistry::Global();
-  uint64_t failures_before = registry.counter("index.load_failures").value();
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
-  STMaker restored(&world.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(restored.LoadModel(prefix).ok());
-  EXPECT_FALSE(restored.has_trajectory_index());
-  EXPECT_EQ(registry.counter("index.load_failures").value(),
-            failures_before + 1);
-}
-
 TEST(IndexRobustnessTest, BuildFailpointDegradesTrainingToScanPath) {
   if (!FailpointsCompiledIn()) {
     GTEST_SKIP() << "build without -DSTMAKER_FAILPOINTS=ON";
   }
   const TestWorld& world = GetTestWorld();
-  std::vector<RawTrajectory> raws = WorldRaws(world);
+  const std::vector<RawTrajectory>& raws = world.raws;
   LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
   MetricsRegistry& registry = MetricsRegistry::Global();
   uint64_t failures_before = registry.counter("index.build_failures").value();
@@ -737,7 +732,7 @@ TEST(IndexRobustnessTest, BuildFailpointDegradesTrainingToScanPath) {
 
 TEST(IndexContextTest, ExpiredDeadlineFailsBothVerbsDeterministically) {
   const TestWorld& world = GetTestWorld();
-  std::vector<RawTrajectory> raws = WorldRaws(world);
+  const std::vector<RawTrajectory>& raws = world.raws;
   RequestContext expired =
       RequestContext::WithDeadline(std::chrono::milliseconds(-1));
 
@@ -755,7 +750,7 @@ TEST(IndexContextTest, ExpiredDeadlineFailsBothVerbsDeterministically) {
 
 TEST(IndexContextTest, PreCancelledContextFailsBothVerbs) {
   const TestWorld& world = GetTestWorld();
-  std::vector<RawTrajectory> raws = WorldRaws(world);
+  const std::vector<RawTrajectory>& raws = world.raws;
   CancelSource source;
   source.Cancel();
   RequestContext cancelled;
@@ -775,7 +770,7 @@ TEST(IndexContextTest, PreCancelledContextFailsBothVerbs) {
 
 TEST(IndexContextTest, OutOfRangeTripIsAnError) {
   const TestWorld& world = GetTestWorld();
-  std::vector<RawTrajectory> raws = WorldRaws(world);
+  const std::vector<RawTrajectory>& raws = world.raws;
   auto result = world.maker->SimilarTrips(raws, raws.size(), 5);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kOutOfRange);

@@ -30,10 +30,10 @@ rc=0
 
 echo "== gen + train =="
 "$CLI" gen --dir "$DIR" --seed 5 --blocks 10 --trips 80 --pois 100
-"$CLI" train --dir "$DIR" --model "$DIR/model"
+"$CLI" train --dir "$DIR" --model "$DIR/model.stm"
 
 echo "== start TCP server =="
-"$CLI" serve --dir "$DIR" --model "$DIR/model" --threads 2 --port 0 \
+"$CLI" serve --dir "$DIR" --model "$DIR/model.stm" --threads 2 --port 0 \
   --max_inflight 64 2> "$DIR/serve.stderr" &
 SERVE_PID=$!
 PORT=""
@@ -92,7 +92,7 @@ echo "== overload shedding burst (max_inflight 1) =="
 # requests at admission; every rejection must still produce a
 # resource_exhausted answer (this is the regression test for answering
 # the client after the pool turned the request away).
-"$CLI" serve --dir "$DIR" --model "$DIR/model" --threads 1 --port 0 \
+"$CLI" serve --dir "$DIR" --model "$DIR/model.stm" --threads 1 --port 0 \
   --max_inflight 1 2> "$DIR/serve2.stderr" &
 SERVE_PID=$!
 PORT=""

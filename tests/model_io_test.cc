@@ -5,13 +5,9 @@
 #include <utility>
 #include <vector>
 
-#include "common/fileutil.h"
 #include "core/model_manager.h"
 #include "core/stmaker.h"
-#include "io/poi_io.h"
-#include "io/road_network_io.h"
-#include "io/trajectory_io.h"
-#include "landmark/poi_generator.h"
+#include "io/container.h"
 #include "roadnet/shortest_path.h"
 #include "test_world.h"
 
@@ -19,9 +15,12 @@ namespace stmaker {
 namespace {
 
 using ::stmaker::testing::GetTestWorld;
+using ::stmaker::testing::LoadedModel;
+using ::stmaker::testing::LoadModelFile;
+using ::stmaker::testing::SaveAndLoad;
 using ::stmaker::testing::TestWorld;
 
-std::string TempPrefix(const std::string& name) {
+std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
 }
 
@@ -36,20 +35,15 @@ TEST_F(ModelIoTest, SaveRequiresTraining) {
   LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world_.landmarks);
   STMaker fresh(&world_.city.network, &landmarks,
                 FeatureRegistry::BuiltIn());
-  EXPECT_EQ(fresh.SaveModel(TempPrefix("untrained")).code(),
-            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(
+      fresh.SaveModelContainer(TempPath("untrained.stm"), world_.raws).code(),
+      StatusCode::kFailedPrecondition);
 }
 
 TEST_F(ModelIoTest, RoundTripReproducesSummariesExactly) {
-  std::string prefix = TempPrefix("model_roundtrip");
-  ASSERT_TRUE(world_.maker->SaveModel(prefix).ok());
-
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world_.landmarks);
-  STMaker restored(&world_.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  ASSERT_FALSE(restored.trained());
-  Status loaded = restored.LoadModel(prefix);
-  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  std::unique_ptr<LoadedModel> loaded =
+      SaveAndLoad(*world_.maker, "model_roundtrip.stm");
+  const STMaker& restored = *loaded->maker;
   EXPECT_TRUE(restored.trained());
   EXPECT_EQ(restored.num_trained(), world_.maker->num_trained());
   EXPECT_EQ(restored.popular_routes().NumTransitions(),
@@ -84,32 +78,27 @@ TEST_F(ModelIoTest, RoundTripReproducesSummariesExactly) {
 
 TEST_F(ModelIoTest, VisitCorpusRoundTripsAndSignificanceRecomputes) {
   // Save -> load -> TrainIncremental({}) recomputes significance from the
-  // restored corpus; the scores must match what training installed, which
-  // pins down that _visits.csv round-trips the corpus faithfully.
-  std::string prefix = TempPrefix("model_visits");
-  ASSERT_TRUE(world_.maker->SaveModel(prefix).ok());
-
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world_.landmarks);
-  std::vector<double> trained_scores;
-  for (const Landmark& lm : landmarks.landmarks()) {
-    trained_scores.push_back(lm.significance);
-  }
-
-  STMaker restored(&world_.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(restored.LoadModel(prefix).ok());
-  ASSERT_TRUE(restored.TrainIncremental({}).ok());
-  // The baseline may itself have passed through a %.9g save/load in an
-  // earlier test (the index is shared), so compare at that precision.
-  for (size_t i = 0; i < trained_scores.size(); ++i) {
-    EXPECT_NEAR(landmarks.landmark(static_cast<LandmarkId>(i)).significance,
-                trained_scores[i], 1e-8);
+  // restored visit corpus; the scores must match what training installed,
+  // which pins down that the visits section round-trips the corpus.
+  std::unique_ptr<LoadedModel> loaded =
+      SaveAndLoad(*world_.maker, "model_visits.stm");
+  const LandmarkIndex& trained = *world_.landmarks;
+  ASSERT_EQ(loaded->landmarks->size(), trained.size());
+  ASSERT_TRUE(loaded->maker->TrainIncremental({}).ok());
+  for (size_t i = 0; i < trained.size(); ++i) {
+    const LandmarkId id = static_cast<LandmarkId>(i);
+    EXPECT_EQ(loaded->landmarks->landmark(id).significance,
+              trained.landmark(id).significance)
+        << "landmark " << i;
   }
 }
 
 TEST_F(ModelIoTest, LoadRejectsDifferentFeatureSet) {
-  std::string prefix = TempPrefix("model_featmismatch");
-  ASSERT_TRUE(world_.maker->SaveModel(prefix).ok());
+  const std::string path = TempPath("model_featmismatch.stm");
+  ASSERT_TRUE(world_.maker->SaveModelContainer(path, world_.raws).ok());
+  Result<std::shared_ptr<MappedContainer>> container =
+      MappedContainer::Open(path);
+  ASSERT_TRUE(container.ok()) << container.status().ToString();
 
   FeatureRegistry registry = FeatureRegistry::BuiltIn();
   FeatureDef extra;
@@ -120,37 +109,27 @@ TEST_F(ModelIoTest, LoadRejectsDifferentFeatureSet) {
 
   LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world_.landmarks);
   STMaker mismatched(&world_.city.network, &landmarks, std::move(registry));
-  Status loaded = mismatched.LoadModel(prefix);
+  Status loaded = mismatched.LoadModelContainer(**container);
   EXPECT_EQ(loaded.code(), StatusCode::kFailedPrecondition);
   EXPECT_FALSE(mismatched.trained());
 }
 
-TEST_F(ModelIoTest, LoadFromMissingFilesFails) {
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world_.landmarks);
-  STMaker fresh(&world_.city.network, &landmarks,
-                FeatureRegistry::BuiltIn());
-  Status loaded = fresh.LoadModel("/nonexistent_zz/model");
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_FALSE(fresh.trained());
+TEST_F(ModelIoTest, LoadFromMissingFileIsIoError) {
+  Result<std::unique_ptr<LoadedModel>> loaded =
+      LoadModelFile("/nonexistent_zz/model.stm");
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kIoError);
 }
 
 TEST_F(ModelIoTest, HierarchyRoundTripsThroughModel) {
-  // SaveModel with a built hierarchy ships it as model_ch.csv; LoadModel
-  // restores it so a served model cold-starts on the fast backend without
-  // re-contracting. Restored CH routes must equal plain Dijkstra.
-  std::string prefix = TempPrefix("model_with_ch");
+  // A saved model with a built hierarchy carries it (ch-rank/ch-arcs), so
+  // a served model cold-starts on the fast backend without re-contracting.
+  // Restored CH routes must equal plain Dijkstra.
   ASSERT_TRUE(world_.maker->BuildRoadHierarchy().ok());
-  ASSERT_TRUE(world_.maker->SaveModel(prefix).ok());
+  std::unique_ptr<LoadedModel> loaded =
+      SaveAndLoad(*world_.maker, "model_with_ch.stm");
   world_.maker->DropRoadHierarchy();  // the world is shared; leave it as found
-
-  Result<std::string> saved = ReadFileToString(prefix + "_ch.csv");
-  ASSERT_TRUE(saved.ok()) << "model save did not write the hierarchy file";
-
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world_.landmarks);
-  STMaker restored(&world_.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  Status loaded = restored.LoadModel(prefix);
-  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
+  const STMaker& restored = *loaded->maker;
   EXPECT_TRUE(restored.has_road_hierarchy());
 
   ShortestPathRouter reference(&world_.city.network);
@@ -168,51 +147,17 @@ TEST_F(ModelIoTest, HierarchyRoundTripsThroughModel) {
   }
 }
 
-TEST_F(ModelIoTest, CorruptedHierarchyFallsBackToDijkstraNotFailure) {
-  // The hierarchy file is an optional accelerator: damage to it must not
-  // take the model down. LoadModel succeeds, serves summaries, and routes
-  // via Dijkstra — has_road_hierarchy() just reports false.
-  std::string prefix = TempPrefix("model_bad_ch");
-  ASSERT_TRUE(world_.maker->BuildRoadHierarchy().ok());
-  ASSERT_TRUE(world_.maker->SaveModel(prefix).ok());
-  world_.maker->DropRoadHierarchy();
-
-  Result<std::string> content = ReadFileToString(prefix + "_ch.csv");
-  ASSERT_TRUE(content.ok());
-  ASSERT_TRUE(WriteFileToPath(prefix + "_ch.csv", *content + "x").ok());
-
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world_.landmarks);
-  STMaker restored(&world_.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  Status loaded = restored.LoadModel(prefix);
-  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  EXPECT_FALSE(restored.has_road_hierarchy());
-  EXPECT_TRUE(restored.trained());
-
-  // Routing still answers (slow path), and summaries still serve.
-  Result<Path> route = restored.RoadRoute(0, 1);
-  ShortestPathRouter reference(&world_.city.network);
-  Result<Path> expected = reference.Route(0, 1);
-  ASSERT_EQ(route.ok(), expected.ok());
-  if (route.ok()) {
-    EXPECT_DOUBLE_EQ(route->cost, expected->cost);
-  }
-  Result<Summary> summary = restored.Summarize(world_.history[0].raw);
-  EXPECT_TRUE(summary.ok()) << summary.status().ToString();
-}
-
-TEST_F(ModelIoTest, MissingHierarchyFileIsNotAnError) {
-  // A model written by an older build (or with --router dijkstra) simply
-  // has no _ch.csv; loading it yields a working, Dijkstra-backed maker.
-  std::string prefix = TempPrefix("model_no_ch");
+TEST_F(ModelIoTest, ModelWithoutHierarchyLoadsOnDijkstra) {
+  // A model trained with --router dijkstra has no hierarchy sections;
+  // loading it yields a working, Dijkstra-backed maker.
   ASSERT_FALSE(world_.maker->has_road_hierarchy());
-  ASSERT_TRUE(world_.maker->SaveModel(prefix).ok());
-  EXPECT_FALSE(FileExists(prefix + "_ch.csv"));
-
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world_.landmarks);
-  STMaker restored(&world_.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(restored.LoadModel(prefix).ok());
+  const std::string path = TempPath("model_no_ch.stm");
+  ASSERT_TRUE(world_.maker->SaveModelContainer(path, world_.raws).ok());
+  Result<std::unique_ptr<LoadedModel>> loaded = LoadModelFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ((*loaded)->container->Find(SectionType::kChRank), nullptr);
+  EXPECT_EQ((*loaded)->container->Find(SectionType::kChArcs), nullptr);
+  const STMaker& restored = *(*loaded)->maker;
   EXPECT_FALSE(restored.has_road_hierarchy());
   EXPECT_TRUE(restored.RoadRoute(0, 1).ok() ||
               restored.RoadRoute(0, 1).status().code() ==
@@ -259,64 +204,37 @@ TEST_F(ModelIoTest, FeatureMapSerializationHooks) {
   EXPECT_DOUBLE_EQ(rebuilt.GlobalAverage(0), map.GlobalAverage(0));
 }
 
-/// Builds (once) a ModelManager data_dir — the same network/POIs/corpus
-/// layout `stmaker_cli gen` produces — plus models trained the way
-/// `stmaker_cli train` does: on the world read *back from CSV*, so the
-/// saved hierarchy agrees with the network the manager will load (the CSV
-/// round trip quantizes coordinates; a hierarchy built on the in-memory
-/// originals fails weight validation against the reloaded network).
-/// Contains: <dir>/model and <dir>/second (good, with hierarchy) and
-/// <dir>/noch (valid manifest, _ch.csv truncated in half).
-const std::string& GetManagerWorldDir() {
+/// Model containers for the ModelManager cases, saved once from the shared
+/// trained maker: <dir>/model.stm and <dir>/second.stm (with a routing
+/// hierarchy) and <dir>/noch.stm (the same model without one).
+const std::string& GetManagerModelDir() {
   static const std::string& dir = *[] {
     const TestWorld& world = GetTestWorld();
-    auto* d = new std::string(::testing::TempDir() + "/manager_world");
+    auto* d = new std::string(::testing::TempDir() + "/manager_models");
     ::mkdir(d->c_str(), 0755);  // EEXIST from a previous run is fine
-    STMAKER_CHECK(WriteRoadNetworkCsv(*d + "/network", world.city.network).ok());
-    PoiGeneratorOptions poi_options;
-    poi_options.num_sites = 250;
-    std::vector<RawPoi> pois =
-        PoiGenerator(poi_options).Generate(world.city.network);
-    STMAKER_CHECK(WritePoisCsv(*d + "/pois.csv", pois).ok());
-    std::vector<RawTrajectory> raws;
-    raws.reserve(world.history.size());
-    for (const auto& trip : world.history) raws.push_back(trip.raw);
-    STMAKER_CHECK(WriteTrajectoriesCsv(*d + "/trajectories.csv", raws).ok());
-
-    Result<RoadNetwork> network = ReadRoadNetworkCsv(*d + "/network");
-    STMAKER_CHECK(network.ok());
-    Result<std::vector<RawPoi>> loaded_pois = ReadPoisCsv(*d + "/pois.csv");
-    STMAKER_CHECK(loaded_pois.ok());
-    auto* loaded_network = new RoadNetwork(std::move(*network));
-    auto* index = new LandmarkIndex(
-        LandmarkIndex::Build(*loaded_network, *loaded_pois));
-    STMaker maker(loaded_network, index, FeatureRegistry::BuiltIn());
-    STMAKER_CHECK(maker.Train(raws).ok());
+    STMaker& maker = *world.maker;
+    maker.DropRoadHierarchy();
+    STMAKER_CHECK(maker.SaveModelContainer(*d + "/noch.stm", world.raws).ok());
     STMAKER_CHECK(maker.BuildRoadHierarchy().ok());
-    STMAKER_CHECK(maker.SaveModel(*d + "/model").ok());
-    STMAKER_CHECK(maker.SaveModel(*d + "/second").ok());
-    STMAKER_CHECK(maker.SaveModel(*d + "/noch").ok());
-    Result<std::string> ch = ReadFileToString(*d + "/noch_ch.csv");
-    STMAKER_CHECK(ch.ok());
+    STMAKER_CHECK(maker.SaveModelContainer(*d + "/model.stm", world.raws).ok());
     STMAKER_CHECK(
-        WriteFileToPath(*d + "/noch_ch.csv", ch->substr(0, ch->size() / 2))
-            .ok());
+        maker.SaveModelContainer(*d + "/second.stm", world.raws).ok());
+    maker.DropRoadHierarchy();  // the world is shared; leave it as found
     return d;
   }();
   return dir;
 }
 
 TEST_F(ModelIoTest, ManagerReloadRollsBackWhenCandidateLosesHierarchy) {
-  // A reload candidate with a valid manifest but a truncated _ch.csv loads
-  // fine as a *model* (the hierarchy is advisory) — but the manager's
+  // A reload candidate without a routing hierarchy loads fine as a
+  // *model* (the hierarchy is advisory) — but the manager's
   // hierarchy-regression policy must refuse to swap it in: the serving
   // snapshot still routes via CH, and silently downgrading to Dijkstra is
   // exactly the kind of half-upgrade the snapshot design exists to prevent.
-  const std::string& dir = GetManagerWorldDir();
+  const std::string& dir = GetManagerModelDir();
 
   ModelManagerOptions opts;
-  opts.data_dir = dir;
-  opts.model_prefix = dir + "/model";
+  opts.model_prefix = dir + "/model.stm";
   ModelManager manager(opts);
   ASSERT_TRUE(manager.Initialize().ok());
   // The metrics registry is process-global, so read deltas, not absolutes.
@@ -326,21 +244,21 @@ TEST_F(ModelIoTest, ManagerReloadRollsBackWhenCandidateLosesHierarchy) {
   ASSERT_NE(before, nullptr);
   EXPECT_TRUE(before->maker->has_road_hierarchy());
 
-  Status reload = manager.Reload(dir + "/noch");
+  Status reload = manager.Reload(dir + "/noch.stm");
   EXPECT_EQ(reload.code(), StatusCode::kFailedPrecondition)
       << reload.ToString();
   EXPECT_EQ(manager.reload_failures(), base_failures + 1);
   EXPECT_EQ(manager.reloads_ok(), base_ok);
 
   // Rollback means the *same* snapshot object keeps serving — not a
-  // re-load of the old prefix — so pinned requests and Current() agree.
+  // re-load of the old path — so pinned requests and Current() agree.
   std::shared_ptr<const ModelSnapshot> after = manager.Current();
   EXPECT_EQ(after.get(), before.get());
   EXPECT_TRUE(after->maker->has_road_hierarchy());
 
   // The failed attempt consumed a version number but never published it;
   // the next good reload publishes a strictly newer version.
-  ASSERT_TRUE(manager.Reload(dir + "/model").ok());
+  ASSERT_TRUE(manager.Reload(dir + "/model.stm").ok());
   EXPECT_EQ(manager.Current()->version, before->version + 2);
   EXPECT_EQ(manager.reloads_ok(), base_ok + 1);
 }
@@ -350,23 +268,22 @@ TEST_F(ModelIoTest, ManagerBackToBackReloadsAreSerializedFifo) {
   // single reloader thread drains the queue FIFO, callbacks fire in
   // submission order with strictly increasing published versions, and the
   // final serving state is the *last* request's model.
-  const std::string& dir = GetManagerWorldDir();
+  const std::string& dir = GetManagerModelDir();
 
   ModelManagerOptions opts;
-  opts.data_dir = dir;
-  opts.model_prefix = dir + "/model";
+  opts.model_prefix = dir + "/model.stm";
   ModelManager manager(opts);
   ASSERT_TRUE(manager.Initialize().ok());
   const uint64_t v0 = manager.Current()->version;
 
   std::mutex mu;
   std::vector<std::pair<int, uint64_t>> done;  // (submission tag, version)
-  manager.RequestReload(dir + "/second", [&](const Status& s, uint64_t v) {
+  manager.RequestReload(dir + "/second.stm", [&](const Status& s, uint64_t v) {
     EXPECT_TRUE(s.ok()) << s.ToString();
     std::lock_guard<std::mutex> lock(mu);
     done.emplace_back(1, v);
   });
-  manager.RequestReload(dir + "/model", [&](const Status& s, uint64_t v) {
+  manager.RequestReload(dir + "/model.stm", [&](const Status& s, uint64_t v) {
     EXPECT_TRUE(s.ok()) << s.ToString();
     std::lock_guard<std::mutex> lock(mu);
     done.emplace_back(2, v);
@@ -381,7 +298,7 @@ TEST_F(ModelIoTest, ManagerBackToBackReloadsAreSerializedFifo) {
   EXPECT_EQ(done[1].second, v0 + 2);
   std::shared_ptr<const ModelSnapshot> final_snapshot = manager.Current();
   EXPECT_EQ(final_snapshot->version, v0 + 2);
-  EXPECT_EQ(final_snapshot->model_prefix, dir + "/model");
+  EXPECT_EQ(final_snapshot->model_prefix, dir + "/model.stm");
   EXPECT_TRUE(final_snapshot->maker->has_road_hierarchy());
 }
 
@@ -390,18 +307,17 @@ TEST_F(ModelIoTest, ReloadCallbackRunsBeforeTheDisplacedSnapshotIsFreed) {
   // holding its last reference. Its teardown must happen after the reply
   // (and outside the lock Current() takes), so the callback still sees it
   // alive — and once the reloader is idle it is gone.
-  const std::string& dir = GetManagerWorldDir();
+  const std::string& dir = GetManagerModelDir();
 
   ModelManagerOptions opts;
-  opts.data_dir = dir;
-  opts.model_prefix = dir + "/model";
+  opts.model_prefix = dir + "/model.stm";
   ModelManager manager(opts);
   ASSERT_TRUE(manager.Initialize().ok());
   const std::weak_ptr<const ModelSnapshot> displaced = manager.Current();
 
   Status outcome = Status::Internal("callback never ran");
   bool alive_in_callback = false;
-  manager.RequestReload(dir + "/second", [&](const Status& s, uint64_t) {
+  manager.RequestReload(dir + "/second.stm", [&](const Status& s, uint64_t) {
     outcome = s;
     alive_in_callback = !displaced.expired();
   });

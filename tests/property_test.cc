@@ -23,6 +23,8 @@ namespace stmaker {
 namespace {
 
 using ::stmaker::testing::GetTestWorld;
+using ::stmaker::testing::LoadedModel;
+using ::stmaker::testing::SaveAndLoad;
 using ::stmaker::testing::TestWorld;
 
 // --------------------------------------------------------------------------
@@ -488,16 +490,13 @@ TEST_P(ContextTransparencyTest, DeadlineFailureLeavesNoPartialState) {
   // (a truncated cache entry, a half-updated structure), the follow-up
   // summary would differ from the never-failed maker's.
   const TestWorld& world = GetTestWorld();
-  std::string prefix = ::testing::TempDir() + "/ctx_purity_" +
-                       std::to_string(GetParam());
-  ASSERT_TRUE(world.maker->SaveModel(prefix).ok());
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
-
-  STMaker tainted(&world.city.network, &landmarks, FeatureRegistry::BuiltIn());
-  STMaker pristine(&world.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(tainted.LoadModel(prefix).ok());
-  ASSERT_TRUE(pristine.LoadModel(prefix).ok());
+  const std::string name = "ctx_purity_" + std::to_string(GetParam());
+  std::unique_ptr<LoadedModel> tainted_model =
+      SaveAndLoad(*world.maker, name + "_a.stm");
+  std::unique_ptr<LoadedModel> pristine_model =
+      SaveAndLoad(*world.maker, name + "_b.stm");
+  const STMaker& tainted = *tainted_model->maker;
+  const STMaker& pristine = *pristine_model->maker;
 
   Random rng(GetParam() + 500);
   auto trip = world.generator->GenerateTrip(15 * 3600.0, &rng);

@@ -4,11 +4,11 @@
 #     `similar`/`query` retrieval verbs) loses not a single request, and
 #     responses span both model versions (each echoes the snapshot it was
 #     pinned to) — the trajectory-index swap rides the same snapshot pin;
-#   - a reload from a corrupt model directory is a typed error that rolls
-#     back — the old snapshot keeps serving and model.reload_failures
-#     increments;
+#   - a reload from a corrupt (truncated) model container is a typed error
+#     that rolls back — the old snapshot keeps serving and
+#     model.reload_failures increments;
 #   - SIGHUP triggers the same in-place reload, asynchronously;
-#   - an in-place reload of the same model directory leaves response
+#   - an in-place reload of the same model container leaves response
 #     bytes identical (modulo the model_version echo).
 # Registered with ctest; $1 is the path to the stmaker_cli binary.
 set -euo pipefail
@@ -19,14 +19,11 @@ source "$(dirname "$0")/serve_lib.sh"
 echo "== gen + train =="
 serve_world
 
-echo "== make a corrupt model copy (damaged manifest entry) =="
-BAD="$DIR/badmodel"
-for f in "$DIR"/model_*.csv; do
-  cp "$f" "$DIR/badmodel${f#"$DIR"/model}"
-done
-# Truncating a manifest-covered section makes parse-then-commit reject the
-# whole load: the CRC no longer matches, so the reload must roll back.
-head -c 64 "$DIR/model_feature_map.csv" > "$BAD"_feature_map.csv
+echo "== make a corrupt model copy (truncated container) =="
+BAD="$DIR/badmodel.stm"
+# A truncated container no longer matches its header's file_bytes, so
+# MappedContainer::Open rejects it and the reload must roll back.
+head -c 3000 "$DIR/model.stm" > "$BAD"
 
 echo "== start server =="
 serve_start "$DIR/serve.stderr" --threads 2
@@ -123,7 +120,7 @@ echo "== corrupt reload: typed error, rollback, old snapshot serves on =="
 probe '{"id": 1, "stats": 1}' "$DIR/before.ndjson"
 V_BEFORE="$(sed -n 's/.*"model_version": \([0-9]*\)}$/\1/p' "$DIR/before.ndjson")"
 probe "{\"id\": 2, \"reload\": 1, \"model_dir\": \"$BAD\"}" "$DIR/bad.ndjson"
-grep -q '"id": 2, "status": "failed_precondition"' "$DIR/bad.ndjson" || {
+grep -q '"id": 2, "status": "invalid_argument"' "$DIR/bad.ndjson" || {
   echo "corrupt reload not reported as a typed error"
   cat "$DIR/bad.ndjson"; exit 1; }
 probe '{"id": 3, "stats": 1}' "$DIR/after.ndjson"

@@ -1,6 +1,7 @@
 // Robustness suite: input sanitization, quarantine training, degraded
-// serving, checksummed model durability, fault injection, and a
-// deterministic corruption/fuzz driver. Everything here pins one promise:
+// serving, atomic model saves, fault injection, and a deterministic fuzz
+// driver (the model container's corruption sweep lives in
+// container_test.cc). Everything here pins one promise:
 // defective input — corrupt files, poisoned corpora, injected I/O faults —
 // surfaces as a clean non-OK Status, never a crash, and never silently
 // wrong output.
@@ -15,14 +16,10 @@
 #include <vector>
 
 #include "common/context.h"
-#include "common/crc32.h"
-#include "common/csv.h"
 #include "common/failpoint.h"
 #include "common/fileutil.h"
 #include "common/metrics.h"
 #include "common/random.h"
-#include "common/retry.h"
-#include "common/strings.h"
 #include "core/stmaker.h"
 #include "io/summary_json.h"
 #include "io/trajectory_io.h"
@@ -34,6 +31,9 @@ namespace stmaker {
 namespace {
 
 using ::stmaker::testing::GetTestWorld;
+using ::stmaker::testing::LoadedModel;
+using ::stmaker::testing::LoadModelFile;
+using ::stmaker::testing::SaveAndLoad;
 using ::stmaker::testing::TestWorld;
 
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
@@ -278,19 +278,15 @@ TEST_F(QuarantineTest, ModelAndReportIdenticalAtAnyThreadCount) {
   EXPECT_EQ(report1->quarantined, report4->quarantined);
   EXPECT_EQ(report1->sanitize_rejected, report4->sanitize_rejected);
 
-  std::string prefix1 = TempPrefix("quarantine_t1");
-  std::string prefix4 = TempPrefix("quarantine_t4");
-  ASSERT_TRUE(maker1.SaveModel(prefix1).ok());
-  ASSERT_TRUE(maker4.SaveModel(prefix4).ok());
-  for (const char* suffix :
-       {"_meta.csv", "_transitions.csv", "_feature_map.csv",
-        "_significance.csv", "_visits.csv", "_MANIFEST.csv"}) {
-    auto a = ReadFileToString(prefix1 + suffix);
-    auto b = ReadFileToString(prefix4 + suffix);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(b.ok());
-    EXPECT_EQ(*a, *b) << suffix << " differs across thread counts";
-  }
+  const std::string path1 = TempPrefix("quarantine_t1.stm");
+  const std::string path4 = TempPrefix("quarantine_t4.stm");
+  ASSERT_TRUE(maker1.SaveModelContainer(path1, raws_).ok());
+  ASSERT_TRUE(maker4.SaveModelContainer(path4, raws_).ok());
+  auto a = ReadFileToString(path1);
+  auto b = ReadFileToString(path4);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  EXPECT_TRUE(*a == *b) << "the saved model differs across thread counts";
 }
 
 TEST_F(QuarantineTest, QuarantineFractionOverLimitIsHardError) {
@@ -409,158 +405,6 @@ TEST(DegradedServingTest, JsonMarksNoBaselineFeatures) {
 }
 
 // --------------------------------------------------------------------------
-// Durable models: manifest + corruption driver
-// --------------------------------------------------------------------------
-
-class ModelCorruptionTest : public ::testing::Test {
- protected:
-  ModelCorruptionTest() : world_(GetTestWorld()) {}
-
-  STMaker FreshMaker() const {
-    LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world_.landmarks);
-    return STMaker(&world_.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  }
-
-  const TestWorld& world_;
-};
-
-const char* const kModelFiles[] = {"_meta.csv", "_transitions.csv",
-                                   "_feature_map.csv", "_significance.csv",
-                                   "_visits.csv", "_MANIFEST.csv"};
-
-TEST_F(ModelCorruptionTest, ManifestListsEveryFileWithMatchingCrc) {
-  std::string prefix = TempPrefix("manifest_model");
-  ASSERT_TRUE(world_.maker->SaveModel(prefix).ok());
-  auto manifest = ReadCsvTable(prefix + "_MANIFEST.csv",
-                               {"file", "bytes", "crc32"});
-  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
-  ASSERT_EQ(manifest->size(), 6u);
-  bool lists_index = false;
-  for (const std::vector<std::string>& row : *manifest) {
-    if (row[0] == "_index.csv") lists_index = true;
-    auto content = ReadFileToString(prefix + row[0]);
-    ASSERT_TRUE(content.ok()) << row[0];
-    EXPECT_EQ(std::to_string(content->size()), row[1]) << row[0];
-    EXPECT_EQ(StrFormat("%08x", Crc32(*content)), row[2]) << row[0];
-  }
-  // The advisory trajectory index is manifest-covered like everything else.
-  EXPECT_TRUE(lists_index);
-  // No temp droppings after a successful save.
-  for (const char* suffix : kModelFiles) {
-    EXPECT_FALSE(FileExists(prefix + suffix + ".tmp"));
-  }
-  EXPECT_FALSE(FileExists(prefix + "_index.csv.tmp"));
-}
-
-TEST_F(ModelCorruptionTest, TruncationOfAnyFileFailsLoadCleanly) {
-  std::string prefix = TempPrefix("truncate_model");
-  ASSERT_TRUE(world_.maker->SaveModel(prefix).ok());
-  for (const char* suffix : kModelFiles) {
-    const std::string path = prefix + suffix;
-    auto original = ReadFileToString(path);
-    ASSERT_TRUE(original.ok());
-    ASSERT_TRUE(
-        WriteFileToPath(path, original->substr(0, original->size() / 2))
-            .ok());
-
-    STMaker maker = FreshMaker();
-    Status loaded = maker.LoadModel(prefix);
-    EXPECT_FALSE(loaded.ok()) << "truncated " << suffix << " loaded OK";
-    EXPECT_FALSE(maker.trained());
-
-    ASSERT_TRUE(WriteFileToPath(path, *original).ok());
-  }
-  // Intact again: the model loads.
-  STMaker maker = FreshMaker();
-  EXPECT_TRUE(maker.LoadModel(prefix).ok());
-}
-
-TEST_F(ModelCorruptionTest, BitFlipsInAnyFileFailLoadCleanly) {
-  std::string prefix = TempPrefix("bitflip_model");
-  ASSERT_TRUE(world_.maker->SaveModel(prefix).ok());
-  Random rng(20260806);
-  for (const char* suffix : kModelFiles) {
-    const std::string path = prefix + suffix;
-    auto original = ReadFileToString(path);
-    ASSERT_TRUE(original.ok());
-    ASSERT_FALSE(original->empty());
-    for (int round = 0; round < 8; ++round) {
-      std::string corrupted = *original;
-      size_t pos = rng.UniformInt(static_cast<uint64_t>(corrupted.size()));
-      corrupted[pos] = static_cast<char>(
-          corrupted[pos] ^ (1u << rng.UniformInt(static_cast<uint64_t>(8))));
-      ASSERT_TRUE(WriteFileToPath(path, corrupted).ok());
-
-      STMaker maker = FreshMaker();
-      Status loaded = maker.LoadModel(prefix);
-      if (std::string(suffix) == "_MANIFEST.csv" && loaded.ok()) {
-        // A flip confined to the manifest's "_index.csv" row damages only
-        // the advisory accelerator's integrity record: the load may
-        // succeed, but only with the index dropped (similarity/region
-        // queries fall back to the corpus scan) — never with an index
-        // whose record it could not verify.
-        EXPECT_FALSE(maker.has_trajectory_index())
-            << "manifest flip at byte " << pos << " kept the index";
-        EXPECT_TRUE(maker.trained());
-      } else {
-        EXPECT_FALSE(loaded.ok())
-            << "bit flip in " << suffix << " at byte " << pos << " loaded OK";
-        EXPECT_FALSE(maker.trained());
-      }
-    }
-    ASSERT_TRUE(WriteFileToPath(path, *original).ok());
-  }
-  STMaker maker = FreshMaker();
-  EXPECT_TRUE(maker.LoadModel(prefix).ok());
-}
-
-TEST_F(ModelCorruptionTest, DataCorruptionIsAPreciseFailedPrecondition) {
-  std::string prefix = TempPrefix("crc_model");
-  ASSERT_TRUE(world_.maker->SaveModel(prefix).ok());
-  const std::string path = prefix + "_transitions.csv";
-  auto original = ReadFileToString(path);
-  ASSERT_TRUE(original.ok());
-  std::string corrupted = *original;
-  corrupted[corrupted.size() / 2] ^= 0x01;
-  ASSERT_TRUE(WriteFileToPath(path, corrupted).ok());
-
-  STMaker maker = FreshMaker();
-  Status loaded = maker.LoadModel(prefix);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(loaded.message().find("CRC32 mismatch"), std::string::npos);
-  EXPECT_NE(loaded.message().find("_transitions.csv"), std::string::npos);
-}
-
-TEST_F(ModelCorruptionTest, MissingManifestListedFileIsIoError) {
-  std::string prefix = TempPrefix("missing_model");
-  ASSERT_TRUE(world_.maker->SaveModel(prefix).ok());
-  const std::string path = prefix + "_significance.csv";
-  auto original = ReadFileToString(path);
-  ASSERT_TRUE(original.ok());
-  RemoveFileIfExists(path);
-
-  STMaker maker = FreshMaker();
-  Status loaded = maker.LoadModel(prefix);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.code(), StatusCode::kIoError);
-  EXPECT_NE(loaded.message().find("_significance.csv"), std::string::npos);
-
-  ASSERT_TRUE(WriteFileToPath(path, *original).ok());
-  EXPECT_TRUE(maker.LoadModel(prefix).ok());
-}
-
-TEST_F(ModelCorruptionTest, LegacyModelWithoutManifestStillLoads) {
-  std::string prefix = TempPrefix("legacy_model");
-  ASSERT_TRUE(world_.maker->SaveModel(prefix).ok());
-  RemoveFileIfExists(prefix + "_MANIFEST.csv");
-  STMaker maker = FreshMaker();
-  EXPECT_TRUE(maker.LoadModel(prefix).ok());
-  EXPECT_TRUE(maker.trained());
-}
-
-// --------------------------------------------------------------------------
 // Fuzzed CSV inputs
 // --------------------------------------------------------------------------
 
@@ -602,43 +446,38 @@ class FailpointTest : public ::testing::Test {
 
 TEST_F(FailpointTest, ArmedReadFailpointSurfacesIoError) {
   const TestWorld& world = GetTestWorld();
-  std::string prefix = TempPrefix("failpoint_read_model");
-  ASSERT_TRUE(world.maker->SaveModel(prefix).ok());
+  const std::string path = TempPrefix("failpoint_read_trajectories.csv");
+  ASSERT_TRUE(WriteTrajectoriesCsv(path, world.raws).ok());
 
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
-  STMaker maker(&world.city.network, &landmarks, FeatureRegistry::BuiltIn());
   ArmFailpoint("io/open-read");
-  Status loaded = maker.LoadModel(prefix);
-  EXPECT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.code(), StatusCode::kIoError);
-  EXPECT_FALSE(maker.trained());
+  auto read = ReadTrajectoriesCsv(path);
+  EXPECT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kIoError);
   EXPECT_GT(FailpointHitCount("io/open-read"), 0u);
 
   DisarmAllFailpoints();
-  EXPECT_TRUE(maker.LoadModel(prefix).ok());
+  EXPECT_TRUE(ReadTrajectoriesCsv(path).ok());
 }
 
-TEST_F(FailpointTest, RenameFailureNeverPublishesAPartialModel) {
+TEST_F(FailpointTest, FailedSaveNeverPublishesAPartialModel) {
+  // The container is written to a ".tmp" sibling and renamed into place:
+  // a failed write or rename leaves neither the file nor the temp behind,
+  // so a later load refuses the path instead of reading a torn model.
   const TestWorld& world = GetTestWorld();
-  std::string prefix = TempPrefix("failpoint_rename_model");
-  for (const char* suffix : kModelFiles) {  // fresh prefix across reruns
-    RemoveFileIfExists(prefix + suffix);
-  }
-  ArmFailpoint("io/rename");
-  Status saved = world.maker->SaveModel(prefix);
-  EXPECT_FALSE(saved.ok());
-  // The commit record never appeared, so a later load refuses the prefix
-  // instead of picking up whatever fragments exist.
-  EXPECT_FALSE(FileExists(prefix + "_MANIFEST.csv"));
-  for (const char* suffix : kModelFiles) {
-    EXPECT_FALSE(FileExists(prefix + std::string(suffix) + ".tmp"));
+  const std::string path = TempPrefix("failpoint_save_model.stm");
+  for (const char* failpoint : {"io/write", "io/rename"}) {
+    SCOPED_TRACE(failpoint);
+    RemoveFileIfExists(path);  // fresh path across reruns
+    ArmFailpoint(failpoint);
+    Status saved = world.maker->SaveModelContainer(path, world.raws);
+    DisarmAllFailpoints();
+    EXPECT_EQ(saved.code(), StatusCode::kIoError) << saved.ToString();
+    EXPECT_FALSE(FileExists(path));
+    EXPECT_FALSE(FileExists(path + ".tmp"));
   }
 
-  DisarmAllFailpoints();
-  EXPECT_TRUE(world.maker->SaveModel(prefix).ok());
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
-  STMaker maker(&world.city.network, &landmarks, FeatureRegistry::BuiltIn());
-  EXPECT_TRUE(maker.LoadModel(prefix).ok());
+  ASSERT_TRUE(world.maker->SaveModelContainer(path, world.raws).ok());
+  EXPECT_TRUE(LoadModelFile(path).ok());
 }
 
 TEST_F(FailpointTest, WriteFailureCleansUpAndReturnsError) {
@@ -892,11 +731,9 @@ TEST_F(FailpointTest, StalledRouteSearchHonorsTheDeadline) {
   // A fresh maker restored from disk starts with cold route caches, so the
   // popular-route Dijkstra genuinely runs (and stalls) instead of serving
   // a result another test already cached.
-  std::string prefix = TempPrefix("stall_model");
-  ASSERT_TRUE(world.maker->SaveModel(prefix).ok());
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
-  STMaker maker(&world.city.network, &landmarks, FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(maker.LoadModel(prefix).ok());
+  std::unique_ptr<LoadedModel> loaded =
+      SaveAndLoad(*world.maker, "stall_model.stm");
+  const STMaker& maker = *loaded->maker;
 
   // "route/stall" sleeps 1 ms per node expansion: a summarize that would
   // normally finish in a few ms now wants seconds. The 50 ms deadline must
@@ -925,33 +762,6 @@ TEST_F(FailpointTest, StalledRouteSearchHonorsTheDeadline) {
   Result<Summary> retry =
       maker.Summarize(world.history[0].raw, SummaryOptions());
   ASSERT_TRUE(retry.ok()) << retry.status().ToString();
-}
-
-TEST_F(FailpointTest, LoadModelRetriesThroughATransientReadError) {
-  const TestWorld& world = GetTestWorld();
-  std::string prefix = TempPrefix("retry_model");
-  ASSERT_TRUE(world.maker->SaveModel(prefix).ok());
-
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
-  STMaker maker(&world.city.network, &landmarks, FeatureRegistry::BuiltIn());
-  // Exactly one injected open failure: the first read attempt fails, the
-  // retry wrapper backs off (a few ms) and succeeds. No flakiness — the
-  // failure window is deterministic.
-  ArmFailpoint("io/open-read", /*skip=*/0, /*count=*/1);
-  Status loaded = maker.LoadModel(prefix);
-  DisarmAllFailpoints();
-  ASSERT_TRUE(loaded.ok()) << loaded.ToString();
-  EXPECT_TRUE(maker.trained());
-
-  // And with a fault that outlasts the retry budget, the error still
-  // surfaces cleanly (no infinite retry loop).
-  ArmFailpoint("io/open-read");  // every hit
-  STMaker maker2(&world.city.network, &landmarks, FeatureRegistry::BuiltIn());
-  Status failed = maker2.LoadModel(prefix);
-  DisarmAllFailpoints();
-  EXPECT_FALSE(failed.ok());
-  EXPECT_EQ(failed.code(), StatusCode::kIoError);
-  EXPECT_FALSE(maker2.trained());
 }
 
 }  // namespace

@@ -16,7 +16,7 @@ DIR="$(mktemp -d)"
 trap 'rm -rf "$DIR"' EXIT
 
 "$CLI" gen --dir "$DIR" --seed 5 --blocks 10 --trips 60 --pois 100
-"$CLI" train --dir "$DIR" --model "$DIR/model"
+"$CLI" train --dir "$DIR" --model "$DIR/model.stm"
 
 NUM_REQUESTS=120
 REQUESTS="$DIR/requests.ndjson"
@@ -35,7 +35,7 @@ ERR="$DIR/serve.stderr"
 # admission (exercising resource_exhausted), while the 64 admitted ones
 # all stall and race the deadline checks and the watchdog.
 STMAKER_FAILPOINTS="route/stall" \
-  "$CLI" serve --dir "$DIR" --model "$DIR/model" \
+  "$CLI" serve --dir "$DIR" --model "$DIR/model.stm" \
   --threads 4 --deadline_ms 200 --max_inflight 64 \
   < "$REQUESTS" > "$OUT" 2> "$ERR"
 

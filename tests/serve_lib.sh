@@ -7,6 +7,7 @@
 # Provides a fresh scratch $DIR (removed on exit), and:
 #
 #   serve_world            gen + train the standard 80-trip test world
+#                          into $DIR/model.stm
 #   serve_start ERR [ARGS] start `serve --port 0 ARGS` with stderr to ERR;
 #                          sets SERVE_PID and PORT (parsed from the
 #                          startup line — never a hardcoded port, so
@@ -14,6 +15,9 @@
 #   serve_stop             SIGTERM + wait; fails the test on nonzero exit
 #   tcp_client P REQ OUT   one connection to port P: send file REQ
 #                          pipelined, half-close, read replies to EOF
+#   flip_section_byte C T OUT
+#                          copy model container C to OUT with one payload
+#                          byte of its section type T flipped
 #
 # Environment intended for a server (e.g. STMAKER_FAILPOINTS) can be set
 # per call: `STMAKER_FAILPOINTS=... serve_start ...` works as usual.
@@ -21,21 +25,22 @@
 DIR="$(mktemp -d)"
 SERVE_PID=""
 serve_lib_cleanup() {
-  [[ -n "$SERVE_PID" ]] && kill -9 "$SERVE_PID" 2>/dev/null
+  # A server the test already reaped is no error (set -e is still on).
+  if [[ -n "$SERVE_PID" ]]; then kill -9 "$SERVE_PID" 2>/dev/null || true; fi
   rm -rf "$DIR"
 }
 trap serve_lib_cleanup EXIT
 
 serve_world() {
   "$CLI" gen --dir "$DIR" --seed 5 --blocks 10 --trips 80 --pois 100
-  "$CLI" train --dir "$DIR" --model "$DIR/model"
+  "$CLI" train --dir "$DIR" --model "$DIR/model.stm"
 }
 
 serve_start() {  # serve_start <stderr-file> [serve-args...]
   local err="$1"
   shift
   : > "$err"
-  "$CLI" serve --dir "$DIR" --model "$DIR/model" --port 0 "$@" 2> "$err" &
+  "$CLI" serve --dir "$DIR" --model "$DIR/model.stm" --port 0 "$@" 2> "$err" &
   SERVE_PID=$!
   PORT=""
   for _ in $(seq 1 400); do
@@ -87,4 +92,29 @@ s.close()
 with open(out_path, "wb") as f:
     f.write(data)
 PYEOF
+}
+
+# Copies container $1 to $3 with one byte flipped in the middle of the
+# payload of the first section of type $2 (docs/FORMAT.md §3: the table
+# starts at byte 64, 64 bytes per entry: type at +0, offset at +16, bytes
+# at +24). Header and table stay intact, so only the section CRC catches
+# the damage.
+flip_section_byte() {
+  local count i type offset bytes at old
+  count=$(od -An -t u4 -j 16 -N 4 "$1" | tr -d ' ')
+  for ((i = 0; i < count; i++)); do
+    type=$(od -An -t u4 -j $((64 + 64 * i)) -N 4 "$1" | tr -d ' ')
+    [[ "$type" == "$2" ]] || continue
+    offset=$(od -An -t u8 -j $((64 + 64 * i + 16)) -N 8 "$1" | tr -d ' ')
+    bytes=$(od -An -t u8 -j $((64 + 64 * i + 24)) -N 8 "$1" | tr -d ' ')
+    at=$((offset + bytes / 2))
+    old=$(od -An -t u1 -j "$at" -N 1 "$1" | tr -d ' ')
+    cp "$1" "$3"
+    # shellcheck disable=SC2059  # the format is the escaped byte
+    printf "$(printf '\\%03o' $((old ^ 0x40)))" |
+      dd of="$3" bs=1 seek="$at" conv=notrunc status=none
+    return 0
+  done
+  echo "no section of type $2 in $1" >&2
+  return 1
 }

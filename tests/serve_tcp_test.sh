@@ -34,7 +34,7 @@ EOF
 for threads in 1 4; do
   echo "== parity at --threads $threads =="
   STDIN_OUT="$DIR/stdin.$threads.ndjson"
-  "$CLI" serve --dir "$DIR" --model "$DIR/model" --threads "$threads" \
+  "$CLI" serve --dir "$DIR" --model "$DIR/model.stm" --threads "$threads" \
     < "$REQUESTS" > "$STDIN_OUT" 2>/dev/null
 
   serve_start "$DIR/serve.stderr" --threads "$threads"
@@ -73,12 +73,12 @@ echo "== TCP flag validation =="
 for flag in --port --listen_threads --max_connections --idle_timeout_ms \
             --loris_timeout_ms --drain_deadline_ms --max_line_bytes; do
   rc=0
-  "$CLI" serve --dir "$DIR" --model "$DIR/model" "$flag" garbage \
+  "$CLI" serve --dir "$DIR" --model "$DIR/model.stm" "$flag" garbage \
     < /dev/null > /dev/null 2>&1 || rc=$?
   [[ $rc -eq 3 ]] || { echo "$flag garbage: want exit 3, got $rc"; exit 1; }
 done
 rc=0
-"$CLI" serve --dir "$DIR" --model "$DIR/model" --port 70000 \
+"$CLI" serve --dir "$DIR" --model "$DIR/model.stm" --port 70000 \
   < /dev/null > /dev/null 2>&1 || rc=$?
 [[ $rc -eq 3 ]] || { echo "--port 70000: want exit 3, got $rc"; exit 1; }
 

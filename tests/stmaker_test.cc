@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 
 #include "core/stmaker.h"
 #include "test_world.h"
@@ -10,6 +9,8 @@ namespace stmaker {
 namespace {
 
 using ::stmaker::testing::GetTestWorld;
+using ::stmaker::testing::LoadedModel;
+using ::stmaker::testing::SaveAndLoad;
 using ::stmaker::testing::TestWorld;
 
 class STMakerTest : public ::testing::Test {
@@ -295,16 +296,13 @@ TEST_F(STMakerTest, TrainIncrementalRequiresPriorTraining) {
             StatusCode::kFailedPrecondition);
 }
 
-TEST_F(STMakerTest, TrainIncrementalComposesWithLoadModel) {
-  // SaveModel persists the visit corpus, so a restored model keeps
-  // accumulating: LoadModel then TrainIncremental must behave like the
-  // original maker doing the same TrainIncremental.
-  std::string prefix = ::testing::TempDir() + "/incr_after_load";
-  ASSERT_TRUE(world_.maker->SaveModel(prefix).ok());
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world_.landmarks);
-  STMaker restored(&world_.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(restored.LoadModel(prefix).ok());
+TEST_F(STMakerTest, TrainIncrementalComposesWithAContainerLoad) {
+  // The container carries the visit corpus, so a restored model keeps
+  // accumulating: LoadModelContainer then TrainIncremental must behave like
+  // the original maker doing the same TrainIncremental.
+  std::unique_ptr<LoadedModel> loaded =
+      SaveAndLoad(*world_.maker, "incr_after_load.stm");
+  STMaker& restored = *loaded->maker;
   size_t trained_before = restored.num_trained();
   std::vector<RawTrajectory> more;
   for (size_t i = 0; i < 50; ++i) more.push_back(world_.history[i].raw);
@@ -313,25 +311,6 @@ TEST_F(STMakerTest, TrainIncrementalComposesWithLoadModel) {
   auto trip = FreshTrip(9 * 3600, 70);
   ASSERT_TRUE(trip.ok());
   EXPECT_TRUE(restored.Summarize(trip->raw).ok());
-}
-
-TEST_F(STMakerTest, TrainIncrementalRejectedForLegacyModelWithoutVisits) {
-  // Models saved before the visit corpus existed (no _visits.csv, and no
-  // checksum manifest either) still load and serve, but cannot accumulate.
-  std::string prefix = ::testing::TempDir() + "/legacy_model";
-  ASSERT_TRUE(world_.maker->SaveModel(prefix).ok());
-  ASSERT_EQ(std::remove((prefix + "_visits.csv").c_str()), 0);
-  ASSERT_EQ(std::remove((prefix + "_MANIFEST.csv").c_str()), 0);
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world_.landmarks);
-  STMaker restored(&world_.city.network, &landmarks,
-                   FeatureRegistry::BuiltIn());
-  ASSERT_TRUE(restored.LoadModel(prefix).ok());
-  auto trip = FreshTrip(9 * 3600, 70);
-  ASSERT_TRUE(trip.ok());
-  EXPECT_TRUE(restored.Summarize(trip->raw).ok());
-  std::vector<RawTrajectory> some = {world_.history[0].raw};
-  EXPECT_EQ(restored.TrainIncremental(some).code(),
-            StatusCode::kFailedPrecondition);
 }
 
 TEST_F(STMakerTest, FeatureWeightShiftsSelection) {

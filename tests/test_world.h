@@ -5,12 +5,14 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/check.h"
 #include "core/stmaker.h"
+#include "io/container.h"
 #include "landmark/poi_generator.h"
 #include "roadnet/map_generator.h"
 #include "traj/generator.h"
@@ -26,6 +28,7 @@ struct TestWorld {
   std::unique_ptr<LandmarkIndex> landmarks;
   std::unique_ptr<TrajectoryGenerator> generator;
   std::vector<GeneratedTrip> history;
+  std::vector<RawTrajectory> raws;  ///< history[i].raw: the training corpus.
   std::unique_ptr<STMaker> maker;
 };
 
@@ -53,14 +56,87 @@ inline const TestWorld& GetTestWorld() {
 
     w->maker = std::make_unique<STMaker>(&w->city.network, w->landmarks.get(),
                                          FeatureRegistry::BuiltIn());
-    std::vector<RawTrajectory> raws;
-    raws.reserve(w->history.size());
-    for (const GeneratedTrip& t : w->history) raws.push_back(t.raw);
-    Status trained = w->maker->Train(raws);
+    w->raws.reserve(w->history.size());
+    for (const GeneratedTrip& t : w->history) w->raws.push_back(t.raw);
+    Status trained = w->maker->Train(w->raws);
     STMAKER_CHECK(trained.ok());
     return w;
   }();
   return world;
+}
+
+/// A model restored from a container the way a serving snapshot holds
+/// one: the mapping first, so it outlives the network views that alias it.
+/// Heap-allocated because the maker keeps raw pointers into the bundle.
+struct LoadedModel {
+  std::shared_ptr<MappedContainer> container;
+  RoadNetwork network;
+  std::unique_ptr<LandmarkIndex> landmarks;
+  std::vector<RawTrajectory> corpus;
+  std::unique_ptr<STMaker> maker;
+};
+
+/// Opens the container at `path` and restores its world, serving corpus,
+/// and model — the load sequence of a ModelManager snapshot.
+inline Result<std::unique_ptr<LoadedModel>> LoadModelFile(
+    const std::string& path, int threads = 1) {
+  auto m = std::make_unique<LoadedModel>();
+  STMAKER_ASSIGN_OR_RETURN(m->container, MappedContainer::Open(path));
+  STMAKER_ASSIGN_OR_RETURN(m->network,
+                           LoadNetworkFromContainer(*m->container));
+  STMAKER_ASSIGN_OR_RETURN(
+      LandmarkIndex landmarks,
+      LoadLandmarksFromContainer(*m->container, m->network));
+  m->landmarks = std::make_unique<LandmarkIndex>(std::move(landmarks));
+  STMAKER_ASSIGN_OR_RETURN(m->corpus,
+                           LoadTrajectoriesFromContainer(*m->container));
+  STMakerOptions options;
+  options.num_threads = threads;
+  m->maker = std::make_unique<STMaker>(&m->network, m->landmarks.get(),
+                                       FeatureRegistry::BuiltIn(), options);
+  STMAKER_RETURN_IF_ERROR(m->maker->LoadModelContainer(*m->container));
+  return m;
+}
+
+/// Saves `maker` with the shared world's corpus to `<TempDir>/<name>` and
+/// loads it back: the same trained state with stone-cold caches.
+inline std::unique_ptr<LoadedModel> SaveAndLoad(const STMaker& maker,
+                                                const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  STMAKER_CHECK(maker.SaveModelContainer(path, GetTestWorld().raws).ok());
+  Result<std::unique_ptr<LoadedModel>> loaded = LoadModelFile(path);
+  STMAKER_CHECK(loaded.ok());
+  return std::move(loaded).value();
+}
+
+/// The header of a container file image.
+inline ContainerHeader HeaderOf(const std::string& bytes) {
+  ContainerHeader header{};
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  return header;
+}
+
+/// The section table of a container file image.
+inline std::vector<SectionEntry> TableOf(const std::string& bytes) {
+  const ContainerHeader header = HeaderOf(bytes);
+  std::vector<SectionEntry> table(header.section_count);
+  std::memcpy(table.data(), bytes.data() + sizeof(ContainerHeader),
+              table.size() * sizeof(SectionEntry));
+  return table;
+}
+
+/// Flips one payload byte of the first section of `type`. The section CRC
+/// in the table is left as-is: that is the torn-write / bit-rot scenario
+/// the per-section CRCs exist to catch.
+inline void FlipPayloadByte(std::string* bytes, SectionType type) {
+  for (const SectionEntry& entry : TableOf(*bytes)) {
+    if (entry.type == static_cast<uint32_t>(type)) {
+      ASSERT_GT(entry.bytes, 0u);
+      (*bytes)[entry.offset + entry.bytes / 2] ^= 0x40;
+      return;
+    }
+  }
+  FAIL() << "container has no section of type " << static_cast<int>(type);
 }
 
 /// Asserts two corpora are equal bit for bit (NaN payloads and signed

@@ -53,8 +53,6 @@ def render(records):
     idx = next((r for r in records if r.get("name") == "index_retrieval"),
                None)
     machine = next((r for r in records if r.get("name") == "machine"), None)
-    cold = next((r for r in records if r.get("name") == "model_coldstart"),
-                None)
     slo = [r for r in records if r.get("name") == "slo"]
     knee = next((r for r in records if r.get("name") == "slo_knee"), None)
 
@@ -122,30 +120,22 @@ def render(records):
         out.append("map shape surfaces as its own row instead of averaging "
                    "away city-wide.")
         out.append("")
-    if any(r["name"] in ("ModelReload", "PostSwapFirstRequest")
+    if any(r["name"].startswith("Model") or r["name"] == "PostSwapFirstRequest"
            for r in throughput):
-        out.append("`ModelReload` is the wall time of one full zero-downtime "
-                   "model swap")
-        out.append("(DESIGN.md §15): world re-read, manifest-verified model "
-                   "parse, atomic commit —")
+        out.append("`ModelColdStart_container` is the time from "
+                   "nothing-in-memory to a maker ready")
+        out.append("to answer: mmap the model container (docs/FORMAT.md), "
+                   "walk its header, section")
+        out.append("table, and CRCs. `ModelReload_container` is the wall "
+                   "time of one full")
+        out.append("zero-downtime model swap (DESIGN.md §15): the same "
+                   "load, then an atomic commit —")
         out.append("the old snapshot serves throughout. "
                    "`PostSwapFirstRequest` is the first")
         out.append("summarize answered by the freshly published snapshot, "
                    "with every cache cold:")
         out.append("the steady-state cost of a reload as a request actually "
                    "feels it.")
-        out.append("")
-    if any(r["name"].startswith("ModelColdStart") for r in throughput):
-        out.append("`ModelColdStart_csv` vs `ModelColdStart_container` time "
-                   "the two deploy formats")
-        out.append("from nothing-in-memory to a maker ready to answer: the "
-                   "CSV prefix re-parses")
-        out.append("every row, the binary container (docs/FORMAT.md) mmaps "
-                   "one file and walks its")
-        out.append("header, section table, and CRCs. `ModelReload_container` "
-                   "is the container-backed")
-        out.append("counterpart of `ModelReload` — same swap/rollback "
-                   "semantics, no text parse.")
         out.append("")
 
     if ch is not None:
@@ -199,42 +189,6 @@ def render(records):
                    f"**{fmt(idx['similar_speedup_vs_scan'], 1)}×** |")
         out.append("| RegionQuery speedup vs scan | "
                    f"**{fmt(idx['region_speedup_vs_scan'], 1)}×** |")
-        out.append("")
-
-    if cold is not None:
-        out.append("## Model cold start: CSV vs binary container")
-        out.append("")
-        out.append("Wall time and first-load RSS growth from "
-                   "nothing-in-memory to a serving-ready")
-        out.append("maker, for the CSV model prefix (the train/import "
-                   "format) and the single-file")
-        out.append("binary container (the deploy format; byte layout in "
-                   "docs/FORMAT.md). The")
-        out.append("container load does no per-row text parse — open, "
-                   "mmap, validate the header")
-        out.append("and section table, CRC the sections it materializes — "
-                   "and the road network's")
-        out.append("hot arrays alias the mapping zero-copy, which is where "
-                   "both the latency and")
-        out.append("the RSS gap come from.")
-        out.append("")
-        out.append("| load path | p50 (ms) | first-load RSS growth (kB) |")
-        out.append("|---|---:|---:|")
-        out.append(f"| CSV prefix | {fmt(cold['csv_p50_ms'], 2)} "
-                   f"| {cold['csv_rss_delta_kb']} |")
-        out.append(f"| binary container | "
-                   f"{fmt(cold['container_p50_ms'], 2)} "
-                   f"| {cold['container_rss_delta_kb']} |")
-        out.append("")
-        out.append("Read the RSS column with care: it is sampled after the "
-                   "rest of the bench has")
-        out.append("warmed the allocator, so a heap-backed load that fits "
-                   "in already-resident free")
-        out.append("pages can report near zero, and the container figure "
-                   "is dominated by the")
-        out.append("mapped file's pages — which are shared and evictable "
-                   "page cache, not private")
-        out.append("heap. The latency column is the robust comparison.")
         out.append("")
 
     if slo:
@@ -329,10 +283,7 @@ def p99_rows(records):
     sweep widths compares independently; registry histograms key by their
     metric name. SLO sweep rows ("slo", "slo_knee") are deliberately not
     comparable: the knee depends on machine load during the run, so gating
-    on it would make the regression check flaky. The "model_coldstart"
-    summary record is likewise skipped here — its per-rep latencies already
-    gate through the ModelColdStart_{csv,container} throughput rows, and
-    RSS deltas are too allocator-dependent to diff across machines.
+    on it would make the regression check flaky.
     """
     rows = {}
     for r in records:

@@ -23,7 +23,7 @@
 //   5. after the storm, SIGTERM drains cleanly: exit code 0.
 //
 // usage:
-//   chaos --cli PATH --dir DATADIR --model PREFIX [--bad_model PREFIX]
+//   chaos --cli PATH --dir DATADIR --model C [--bad_model C2]
 //         [--seed N] [--duration_s S] [--qps R] [--trips T]
 //         [--no-failpoints]
 //
@@ -67,8 +67,8 @@ int Usage() {
   std::fprintf(
       stderr,
       "usage:\n"
-      "  chaos --cli PATH --dir DATADIR --model PREFIX\n"
-      "        [--bad_model PREFIX] [--seed N] [--duration_s S] [--qps R]\n"
+      "  chaos --cli PATH --dir DATADIR --model C\n"
+      "        [--bad_model C2] [--seed N] [--duration_s S] [--qps R]\n"
       "        [--trips T] [--no-failpoints]\n"
       "(seeded chaos run against `stmaker_cli serve`; see the file comment\n"
       " for the invariants. A failing run prints its repro command.)\n");
@@ -151,11 +151,11 @@ Schedule MakeSchedule(uint64_t seed, bool with_failpoints) {
   Schedule schedule;
 
   if (with_failpoints) {
-    // Candidate faults and the phase they land in. Skip counts keep the
-    // server's *startup* load (a few dozen file reads) clean so every run
-    // reaches "listening" — the faults then land on reloads and traffic.
-    // Fail counts are finite so the final stats probe and the SIGTERM
-    // drain run fault-free: the run must end deterministically clean.
+    // Candidate faults and the phase they land in. Skip counts let the
+    // server's startup traffic through so every run reaches "listening" —
+    // the faults then land on reloads and traffic. Fail counts are finite
+    // so the final stats probe and the SIGTERM drain run fault-free: the
+    // run must end deterministically clean.
     struct Candidate {
       const char* name;
       int min_skip;
@@ -163,12 +163,9 @@ Schedule MakeSchedule(uint64_t seed, bool with_failpoints) {
     };
     const Candidate kCandidates[] = {
         {"model/reload", 0, false},  // fail a whole reload attempt outright
-        {"io/open-read", 60, false},  // corrupt a reload mid-load
-        {"io/read", 60, false},
         {"route/stall", 10, false},
         // mmap refusal on a container (re)load: must degrade to the heap
         // fallback (container.map_fallbacks), never to a torn snapshot.
-        // A no-op schedule entry when --model is a CSV prefix.
         {"container/map", 0, false},
         {"net/read", 0, true},
         {"net/write", 0, true},

@@ -9,22 +9,17 @@
 //   stmaker_cli summarize --dir /tmp/city --trip 3 [--k 2] [--eta 0.2]
 //                         [--json]
 //
-//   # Train once and persist the mined model (multi-threaded ingestion;
-//   # --threads 0 = all cores, output identical at any thread count):
-//   stmaker_cli train --dir /tmp/city --model /tmp/city/model --threads 4
+//   # Train once and save the model, its world, and the trajectories.csv
+//   # serving corpus as the single-file binary container the server mmaps
+//   # (docs/FORMAT.md; multi-threaded ingestion, --threads 0 = all cores,
+//   # output identical at any thread count):
+//   stmaker_cli train --dir /tmp/city --model /tmp/city/model.stm --threads 4
 //
-//   # Summarize using a persisted model (no re-training):
-//   stmaker_cli summarize --dir /tmp/city --trip 3 --model /tmp/city/model
+//   # Summarize using a saved model (no re-training, no CSV read):
+//   stmaker_cli summarize --trip 3 --model /tmp/city/model.stm
 //
-//   # Pack a trained CSV model, its world, and the trajectories.csv
-//   # serving corpus into the single-file binary container the server
-//   # mmaps (docs/FORMAT.md); serve/reload accept it via --model:
-//   stmaker_cli pack --dir /tmp/city --model /tmp/city/model
-//                    --out /tmp/city/model.stm
-//
-//   # Export a container back to the CSV model schema (byte-exact
-//   # round-trip with the same --dir: pack(unpack(c)) == c):
-//   stmaker_cli unpack --model /tmp/city/model.stm --out /tmp/city/model2
+//   # Check a container end to end and copy it (same bytes):
+//   stmaker_cli pack --model /tmp/city/model.stm --out /tmp/city/copy.stm
 //
 //   # Corpus-level feature-frequency statistics:
 //   stmaker_cli stats --dir /tmp/city [--trips 200]
@@ -34,11 +29,12 @@
 //
 //   # Serve summarization requests over stdin/stdout NDJSON (one JSON
 //   # object per line; see README "Serving"):
-//   stmaker_cli serve --dir /tmp/city --model /tmp/city/model
+//   stmaker_cli serve --dir /tmp/city --model /tmp/city/model.stm
 //                     --deadline_ms 500 --max_inflight 64 --threads 4
 //
 // The dataset directory holds plain CSV files (see src/io/), so real map
-// and trajectory data can be dropped in using the same schema.
+// and trajectory data can be dropped in using the same schema. CSV is an
+// input only; the saved model is always the container.
 
 #include <algorithm>
 #include <atomic>
@@ -70,7 +66,6 @@
 #include "core/group_summarizer.h"
 #include "core/model_manager.h"
 #include "core/stmaker.h"
-#include "io/container.h"
 #include "io/poi_io.h"
 #include "io/road_network_io.h"
 #include "geo/projection.h"
@@ -158,15 +153,15 @@ int Usage() {
                "usage:\n"
                "  stmaker_cli gen --dir D [--seed N] [--blocks B] "
                "[--trips T] [--pois P]\n"
-               "  stmaker_cli train --dir D --model P [--threads N]\n"
+               "  stmaker_cli train --dir D --model C [--threads N]\n"
                "              [--router dijkstra|ch]\n"
-               "  stmaker_cli summarize --dir D --trip I [--k K] "
-               "[--eta E] [--json|--geojson] [--model P] [--threads N]\n"
-               "  stmaker_cli pack --dir D --model P --out C\n"
-               "  stmaker_cli unpack --model C --out P\n"
+               "  stmaker_cli summarize (--dir D | --model C) --trip I "
+               "[--k K] [--eta E]\n"
+               "              [--json|--geojson] [--threads N]\n"
+               "  stmaker_cli pack --model C --out C2\n"
                "  stmaker_cli stats --dir D [--trips T] [--threads N]\n"
                "  stmaker_cli group --dir D [--from-hour H] [--to-hour H]\n"
-               "  stmaker_cli serve --dir D [--model P] [--threads N]\n"
+               "  stmaker_cli serve --dir D [--model C] [--threads N]\n"
                "              [--deadline_ms MS] [--max_inflight N]\n"
                "              [--max_expansions N] [--trace_log PATH]\n"
                "              [--router dijkstra|ch] [--max_line_bytes B]\n"
@@ -180,12 +175,13 @@ int Usage() {
                "(--router: backend for road-network `route` requests; ch — "
                "the default — builds/loads a contraction hierarchy, dijkstra "
                "disables it; summaries are byte-identical either way)\n"
-               "(pack/unpack: convert between the CSV model schema (prefix "
-               "P, the train/import format) and the single-file binary "
-               "container (path C, the deploy format the server mmaps — see "
-               "docs/FORMAT.md); pack also embeds D/trajectories.csv as the "
-               "serving corpus, so serving a container reads no CSV; "
-               "serve/reload --model accepts either)\n"
+               "(--model C: the single-file binary model container — see "
+               "docs/FORMAT.md — that train writes from the CSVs in D, with "
+               "D/trajectories.csv embedded as the serving corpus; summarize, "
+               "serve and reload read the world, the corpus and the model "
+               "from it and no CSV. pack loads C as serve does and writes it "
+               "back out: a checked copy with the same bytes. Without "
+               "--model, summarize and serve train in-process from D)\n"
                "(--port: serve NDJSON over TCP instead of stdin; 0 picks a "
                "free port, reported as `listening on ADDR:PORT` on stderr. "
                "SIGTERM/SIGINT drain gracefully: stop accepting, finish "
@@ -370,137 +366,64 @@ int RunTrain(const Args& args) {
     st = maker.BuildRoadHierarchy();
     if (!st.ok()) return Fail(st);
   }
-  st = maker.SaveModel(args.Get("model", "model"));
+  st = maker.SaveModelContainer(args.Get("model", "model.stm"),
+                                world.trajectories);
   if (!st.ok()) return Fail(st);
-  std::printf("trained on %zu trajectories; model saved under %s_*%s\n",
-              maker.num_trained(), args.Get("model", "model").c_str(),
+  std::printf("trained on %zu trajectories; model saved to %s%s\n",
+              maker.num_trained(), args.Get("model", "model.stm").c_str(),
               maker.has_road_hierarchy() ? " (with routing hierarchy)" : "");
   return 0;
 }
 
-// pack: CSV model prefix -> single-file binary container (the deploy
-// artifact the server mmaps; see docs/FORMAT.md). The world CSVs and
-// trajectories.csv are needed because the container carries the road
-// network, the landmark geometry, and the serving corpus alongside the
-// mined model — one file ships everything `serve` reads.
+/// Loads a model container exactly as `serve` does: a one-snapshot
+/// ModelManager that neither builds a missing hierarchy nor drops one.
+Result<std::unique_ptr<ModelManager>> OpenModel(const std::string& path,
+                                                int threads) {
+  ModelManagerOptions options;
+  options.model_prefix = path;
+  options.maker = MakerOptions(threads);
+  options.build_hierarchy_if_missing = false;
+  auto manager = std::make_unique<ModelManager>(options);
+  STMAKER_RETURN_IF_ERROR(manager->Initialize());
+  return manager;
+}
+
+// pack: loads a container through every check `serve` runs and writes it
+// back out. A model that loads cleanly comes out byte-identical.
 int RunPack(const Args& args) {
-  if (!args.Has("dir") || !args.Has("model") || !args.Has("out")) {
-    return Usage();
-  }
-  const std::string dir = args.Get("dir", ".");
-  Result<RoadNetwork> network = ReadRoadNetworkCsv(dir + "/network");
-  if (!network.ok()) return Fail(network.status());
-  Result<std::vector<RawPoi>> pois = ReadPoisCsv(dir + "/pois.csv");
-  if (!pois.ok()) return Fail(pois.status());
-  LandmarkIndex landmarks = LandmarkIndex::Build(*network, *pois);
-  Result<std::vector<RawTrajectory>> corpus =
-      ReadTrajectoriesCsv(dir + "/trajectories.csv");
-  if (!corpus.ok()) return Fail(corpus.status());
-  STMaker maker(&*network, &landmarks, FeatureRegistry::BuiltIn());
-  Status st = maker.LoadModel(args.Get("model", "model"));
-  if (!st.ok()) return Fail(st);
-  const std::string out = args.Get("out", "model.stm");
-  st = maker.SaveModelContainer(out, *corpus);
-  if (!st.ok()) return Fail(st);
-  std::printf("packed %s_* (%zu nodes, %zu edges, %zu landmarks, %zu "
-              "trips%s%s) into %s\n",
-              args.Get("model", "model").c_str(), network->NumNodes(),
-              network->NumEdges(), landmarks.size(), corpus->size(),
-              maker.has_road_hierarchy() ? ", routing hierarchy" : "",
-              maker.has_trajectory_index() ? ", trajectory index" : "",
-              out.c_str());
-  return 0;
-}
-
-// unpack: container -> CSV model prefix. Self-contained (the container
-// carries the world), so no --dir; the serving corpus is not exported, so
-// pack(unpack(c)) reproduces c byte-for-byte given the --dir c was packed
-// from — pinned by tests/container_test.cc.
-int RunUnpack(const Args& args) {
   if (!args.Has("model") || !args.Has("out")) return Usage();
-  Result<std::shared_ptr<MappedContainer>> container =
-      MappedContainer::Open(args.Get("model", "model.stm"));
-  if (!container.ok()) return Fail(container.status());
-  Result<RoadNetwork> network = LoadNetworkFromContainer(**container);
-  if (!network.ok()) return Fail(network.status());
-  Result<LandmarkIndex> landmarks =
-      LoadLandmarksFromContainer(**container, *network);
-  if (!landmarks.ok()) return Fail(landmarks.status());
-  STMaker maker(&*network, &*landmarks, FeatureRegistry::BuiltIn());
-  Status st = maker.LoadModelContainer(**container);
+  Result<std::unique_ptr<ModelManager>> manager =
+      OpenModel(args.Get("model", "model.stm"), 1);
+  if (!manager.ok()) return Fail(manager.status());
+  std::shared_ptr<const ModelSnapshot> model = (*manager)->Current();
+  const std::string out = args.Get("out", "copy.stm");
+  Status st = model->maker->SaveModelContainer(out, model->trajectories);
   if (!st.ok()) return Fail(st);
-  const std::string out = args.Get("out", "model");
-  st = maker.SaveModel(out);
-  if (!st.ok()) return Fail(st);
-  std::printf("unpacked %s (%zu trajectories mined%s%s) into %s_*\n",
-              args.Get("model", "model.stm").c_str(), maker.num_trained(),
-              maker.has_road_hierarchy() ? ", routing hierarchy" : "",
-              maker.has_trajectory_index() ? ", trajectory index" : "",
+  std::printf("packed %s (%zu nodes, %zu edges, %zu landmarks, %zu "
+              "trips%s%s) into %s\n",
+              args.Get("model", "model.stm").c_str(), model->network.NumNodes(),
+              model->network.NumEdges(), model->landmarks->size(),
+              model->trajectories.size(),
+              model->maker->has_road_hierarchy() ? ", routing hierarchy" : "",
+              model->maker->has_trajectory_index() ? ", trajectory index" : "",
               out.c_str());
   return 0;
 }
 
-int RunSummarize(const Args& args) {
-  if (!args.Has("dir") || !args.Has("trip")) return Usage();
-  Result<int> threads = ThreadsFlag(args);
-  if (!threads.ok()) return Fail(threads.status());
-  // Declared before the world so it is destroyed after it: with a binary
-  // container model the network's hot arrays alias this mapping.
-  std::shared_ptr<MappedContainer> container;
-  Result<LoadedWorld> loaded = LoadWorld(args.Get("dir", "."));
-  if (!loaded.ok()) return Fail(loaded.status());
-  LoadedWorld& world = *loaded;
+/// OutOfRange for a --trip beyond a corpus of `size` trips.
+Status TripOutOfRange(size_t trip, size_t size) {
+  return Status::OutOfRange("trip " + std::to_string(trip) +
+                            " out of range (corpus has " +
+                            std::to_string(size) + ")");
+}
 
-  size_t trip = static_cast<size_t>(args.GetInt("trip", 0));
-  if (trip >= world.trajectories.size()) {
-    return Fail(Status::OutOfRange(
-        "trip " + std::to_string(trip) + " out of range (corpus has " +
-        std::to_string(world.trajectories.size()) + ")"));
-  }
-
-  const bool from_container =
-      args.Has("model") && IsContainerFile(args.Get("model", "model"));
-  if (from_container) {
-    // A container carries its own world (network + landmarks with mined
-    // significances); the --dir CSVs only supply the trajectory corpus.
-    Result<std::shared_ptr<MappedContainer>> opened =
-        MappedContainer::Open(args.Get("model", "model"));
-    if (!opened.ok()) return Fail(opened.status());
-    container = std::move(*opened);
-    Result<RoadNetwork> network = LoadNetworkFromContainer(*container);
-    if (!network.ok()) return Fail(network.status());
-    world.network = std::move(*network);
-    Result<LandmarkIndex> landmarks =
-        LoadLandmarksFromContainer(*container, world.network);
-    if (!landmarks.ok()) return Fail(landmarks.status());
-    world.landmarks =
-        std::make_unique<LandmarkIndex>(std::move(*landmarks));
-  }
-
-  STMaker maker(&world.network, world.landmarks.get(),
-                FeatureRegistry::BuiltIn(), MakerOptions(*threads));
-  if (from_container) {
-    Status st = maker.LoadModelContainer(*container);
-    if (!st.ok()) return Fail(st);
-  } else if (args.Has("model")) {
-    Status st = maker.LoadModel(args.Get("model", "model"));
-    if (!st.ok()) return Fail(st);
-  } else {
-    // Train on everything except the queried trip.
-    std::vector<RawTrajectory> history;
-    history.reserve(world.trajectories.size() - 1);
-    for (size_t i = 0; i < world.trajectories.size(); ++i) {
-      if (i != trip) history.push_back(world.trajectories[i]);
-    }
-    Status st = maker.Train(history);
-    if (!st.ok()) return Fail(st);
-  }
-
+/// Summarizes `raw` and prints it as text, --json, or --geojson.
+int PrintSummary(const Args& args, const STMaker& maker,
+                 const LandmarkIndex& landmarks, const RawTrajectory& raw) {
   SummaryOptions options;
   options.k = static_cast<int>(args.GetInt("k", 0));
   options.eta = args.GetDouble("eta", 0.2);
-  Result<Summary> summary =
-      maker.Summarize(world.trajectories[trip], options);
+  Result<Summary> summary = maker.Summarize(raw, options);
   if (!summary.ok()) return Fail(summary.status());
 
   if (args.Has("json")) {
@@ -508,12 +431,51 @@ int RunSummarize(const Args& args) {
   } else if (args.Has("geojson")) {
     LocalProjection projection(LatLon{39.9, 116.4});
     std::printf("%s\n",
-                SummaryToGeoJson(*summary, *world.landmarks, projection)
-                    .c_str());
+                SummaryToGeoJson(*summary, landmarks, projection).c_str());
   } else {
     std::printf("%s\n", summary->text.c_str());
   }
   return 0;
+}
+
+int RunSummarize(const Args& args) {
+  if (!args.Has("trip") || (!args.Has("dir") && !args.Has("model"))) {
+    return Usage();
+  }
+  Result<int> threads = ThreadsFlag(args);
+  if (!threads.ok()) return Fail(threads.status());
+  const size_t trip = static_cast<size_t>(args.GetInt("trip", 0));
+
+  if (args.Has("model")) {
+    // The container supplies the world, the corpus, and the model.
+    Result<std::unique_ptr<ModelManager>> manager =
+        OpenModel(args.Get("model", "model.stm"), *threads);
+    if (!manager.ok()) return Fail(manager.status());
+    std::shared_ptr<const ModelSnapshot> model = (*manager)->Current();
+    if (trip >= model->trajectories.size()) {
+      return Fail(TripOutOfRange(trip, model->trajectories.size()));
+    }
+    return PrintSummary(args, *model->maker, *model->landmarks,
+                        model->trajectories[trip]);
+  }
+
+  Result<LoadedWorld> loaded = LoadWorld(args.Get("dir", "."));
+  if (!loaded.ok()) return Fail(loaded.status());
+  LoadedWorld& world = *loaded;
+  if (trip >= world.trajectories.size()) {
+    return Fail(TripOutOfRange(trip, world.trajectories.size()));
+  }
+  // Train on everything except the queried trip.
+  STMaker maker(&world.network, world.landmarks.get(),
+                FeatureRegistry::BuiltIn(), MakerOptions(*threads));
+  std::vector<RawTrajectory> history;
+  history.reserve(world.trajectories.size() - 1);
+  for (size_t i = 0; i < world.trajectories.size(); ++i) {
+    if (i != trip) history.push_back(world.trajectories[i]);
+  }
+  Status st = maker.Train(history);
+  if (!st.ok()) return Fail(st);
+  return PrintSummary(args, maker, *world.landmarks, world.trajectories[trip]);
 }
 
 int RunStats(const Args& args) {
@@ -609,7 +571,7 @@ int RunGroup(const Args& args) {
 //
 // Model lifecycle (both transports): the model is held by a ModelManager
 // as an immutable versioned snapshot; SIGHUP or a
-// {"reload": 1, "model_dir": "prefix"} request swaps in a freshly loaded
+// {"reload": 1, "model_dir": "path.stm"} request swaps in a freshly loaded
 // one with zero downtime (in-flight requests finish on the snapshot they
 // started with), and a failed load rolls back to the serving snapshot —
 // see core/model_manager.h and DESIGN.md §15.
@@ -692,7 +654,7 @@ int RunServe(const Args& args) {
   // zero downtime and rollback on failure (DESIGN.md §15).
   ModelManagerOptions mopts;
   mopts.data_dir = args.Get("dir", ".");
-  if (args.Has("model")) mopts.model_prefix = args.Get("model", "model");
+  if (args.Has("model")) mopts.model_prefix = args.Get("model", "model.stm");
   mopts.maker = MakerOptions(*threads);
   mopts.use_hierarchy = (*router == "ch");
   ModelManager manager(mopts);
@@ -854,7 +816,6 @@ int main(int argc, char** argv) {
   if (args.command == "gen") return RunGen(args);
   if (args.command == "train") return RunTrain(args);
   if (args.command == "pack") return RunPack(args);
-  if (args.command == "unpack") return RunUnpack(args);
   if (args.command == "summarize") return RunSummarize(args);
   if (args.command == "stats") return RunStats(args);
   if (args.command == "group") return RunGroup(args);
