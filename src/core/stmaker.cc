@@ -317,6 +317,10 @@ void STMaker::RebuildTrajectoryIndex(std::vector<TripDescriptor> fresh) {
 void STMaker::RecomputeSignificance() {
   visit_corpus_.BuildModel(landmarks_->size())
       .Apply(landmarks_, options_.significance_iterations);
+  // Thinning breaks exact distance ties by significance, so calibrations
+  // memoized under the old scores (the ingest just ran through the cache)
+  // may keep the other anchor: start from an empty cache.
+  calibrator_ = Calibrator(landmarks_, options_.calibration);
 }
 
 Result<IngestReport> STMaker::TrainWithReport(

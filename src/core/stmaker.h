@@ -385,8 +385,8 @@ class STMaker {
   Result<IngestReport> IngestCorpus(const std::vector<RawTrajectory>& history,
                                     int num_threads);
 
-  /// Rebuilds HITS significance from the visit corpus and installs the
-  /// scores into the landmark index.
+  /// Rebuilds HITS significance from the visit corpus, installs the
+  /// scores into the landmark index, and empties the calibration cache.
   void RecomputeSignificance();
 
   /// Rebuilds the trajectory index over the previous descriptors (if any)

@@ -3,13 +3,32 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "common/check.h"
 
 namespace stmaker {
 
-GridIndex::GridIndex(double cell_size) : cell_size_(cell_size) {
+GridIndex::GridIndex(double cell_size, std::vector<Item> items)
+    : cell_size_(cell_size) {
   STMAKER_CHECK(cell_size > 0);
+  // Group the items by cell, in key order, keeping insertion order within
+  // a cell: a sort on (cell, index in `items`).
+  std::vector<std::pair<CellKey, size_t>> order;
+  order.reserve(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    order.push_back({CellOf(items[i].pos), i});
+  }
+  std::sort(order.begin(), order.end());
+  items_.reserve(items.size());
+  for (const auto& [cell, i] : order) {
+    if (cells_.empty() || !(cells_.back() == cell)) {
+      cells_.push_back(cell);
+      cell_starts_.push_back(items_.size());
+    }
+    items_.push_back(items[i]);
+  }
+  cell_starts_.push_back(items_.size());
 }
 
 int64_t GridIndex::CellCoord(double v) const {
@@ -26,19 +45,6 @@ GridIndex::CellKey GridIndex::CellOf(const Vec2& p) const {
   return {CellCoord(p.x), CellCoord(p.y)};
 }
 
-void GridIndex::Insert(int64_t id, const Vec2& pos) {
-  size_t idx = items_.size();
-  items_.push_back({id, pos});
-  const CellKey cell = CellOf(pos);
-  cells_[cell].push_back(idx);
-  if (idx == 0) {
-    lo_ = hi_ = cell;
-  } else {
-    lo_ = {std::min(lo_.cx, cell.cx), std::min(lo_.cy, cell.cy)};
-    hi_ = {std::max(hi_.cx, cell.cx), std::max(hi_.cy, cell.cy)};
-  }
-}
-
 std::vector<int64_t> GridIndex::WithinRadius(const Vec2& center,
                                              double radius) const {
   std::vector<int64_t> out;
@@ -46,31 +52,54 @@ std::vector<int64_t> GridIndex::WithinRadius(const Vec2& center,
   return out;
 }
 
-void GridIndex::AppendWithinRadius(const Vec2& center, double radius,
-                                   std::vector<int64_t>* out) const {
-  if (!(radius >= 0) || items_.empty()) return;
-  // Visit only the cells that overlap the disc's bounding square, clipped
-  // to the occupied cells, by cell x, then cell y, then insertion order.
-  // Every item the distance filter accepts lies within `radius` of the
-  // centre on each axis, so its cell is among them.
-  const double reach =
-      radius + CellRoundingPad(std::max(
-                   {std::fabs(center.x), std::fabs(center.y), radius}));
-  const int64_t x0 = std::max(CellCoord(center.x - reach), lo_.cx);
-  const int64_t x1 = std::min(CellCoord(center.x + reach), hi_.cx);
-  const int64_t y0 = std::max(CellCoord(center.y - reach), lo_.cy);
-  const int64_t y1 = std::min(CellCoord(center.y + reach), hi_.cy);
-  for (int64_t cx = x0; cx <= x1; ++cx) {
-    for (int64_t cy = y0; cy <= y1; ++cy) {
-      auto it = cells_.find({cx, cy});
-      if (it == cells_.end()) continue;
-      for (size_t idx : it->second) {
-        if (Distance(items_[idx].pos, center) <= radius) {
-          out->push_back(items_[idx].id);
-        }
+template <typename Fn>
+void GridIndex::ForEachInCells(const Vec2& lo, const Vec2& hi,
+                               Fn&& fn) const {
+  // CellCoord is monotone, so every item inside [lo, hi] lies in a cell
+  // between those of the corners. The cells of one column are one run of
+  // the sorted keys; a binary search finds its start, and an empty column
+  // jumps straight to the next occupied one.
+  const int64_t x1 = CellCoord(hi.x);
+  const int64_t y0 = CellCoord(lo.y);
+  const int64_t y1 = CellCoord(hi.y);
+  auto it = cells_.begin();
+  for (int64_t cx = CellCoord(lo.x); cx <= x1; ++cx) {
+    it = std::lower_bound(it, cells_.end(), CellKey{cx, y0});
+    if (it == cells_.end() || it->cx > x1) return;
+    if (it->cx > cx) {
+      cx = it->cx - 1;  // the loop step lands on the next occupied column
+      continue;
+    }
+    for (; it != cells_.end() && it->cx == cx && it->cy <= y1; ++it) {
+      const size_t cell = static_cast<size_t>(it - cells_.begin());
+      for (size_t i = cell_starts_[cell]; i < cell_starts_[cell + 1]; ++i) {
+        fn(items_[i]);
       }
     }
   }
+}
+
+void GridIndex::AppendWithinRadius(const Vec2& center, double radius,
+                                   std::vector<int64_t>* out) const {
+  if (!(radius >= 0)) return;
+  // Every item the distance filter accepts lies within `radius` of the
+  // centre on each axis, so it is inside the disc's padded bounding square.
+  const double reach =
+      radius + CellRoundingPad(std::max(
+                   {std::fabs(center.x), std::fabs(center.y), radius}));
+  ForEachInCells({center.x - reach, center.y - reach},
+                 {center.x + reach, center.y + reach}, [&](const Item& item) {
+                   if (Distance(item.pos, center) <= radius) {
+                     out->push_back(item.id);
+                   }
+                 });
+}
+
+void GridIndex::AppendWithinBox(const BoundingBox& box,
+                                std::vector<int64_t>* out) const {
+  ForEachInCells(box.min, box.max, [&](const Item& item) {
+    if (box.Contains(item.pos)) out->push_back(item.id);
+  });
 }
 
 int64_t GridIndex::Nearest(const Vec2& p, double max_radius) const {
@@ -93,13 +122,15 @@ int64_t GridIndex::Nearest(const Vec2& p, double max_radius) const {
     for (int64_t dx = -ring; dx <= ring; ++dx) {
       for (int64_t dy = -ring; dy <= ring; ++dy) {
         if (std::max(std::llabs(dx), std::llabs(dy)) != ring) continue;
-        auto it = cells_.find({c.cx + dx, c.cy + dy});
-        if (it == cells_.end()) continue;
-        for (size_t idx : it->second) {
-          double d = Distance(items_[idx].pos, p);
+        const CellKey key{c.cx + dx, c.cy + dy};
+        auto it = std::lower_bound(cells_.begin(), cells_.end(), key);
+        if (it == cells_.end() || !(*it == key)) continue;
+        const size_t cell = static_cast<size_t>(it - cells_.begin());
+        for (size_t i = cell_starts_[cell]; i < cell_starts_[cell + 1]; ++i) {
+          double d = Distance(items_[i].pos, p);
           if (d < best_d) {
             best_d = d;
-            best_id = items_[idx].id;
+            best_id = items_[i].id;
           }
         }
       }
@@ -107,7 +138,7 @@ int64_t GridIndex::Nearest(const Vec2& p, double max_radius) const {
   }
   if (best_id < 0 && capped) {
     // Ring budget exhausted without a hit (extremely sparse index far from
-    // the query); fall back to an exact linear scan.
+    // the query); fall back to an exact linear scan, in cell order.
     for (const Item& item : items_) {
       double d = Distance(item.pos, p);
       if (d < best_d) {

@@ -2,13 +2,13 @@
 #define STMAKER_GEO_GRID_INDEX_H_
 
 /// \file
-/// Uniform spatial hash grid for radius queries over (id, position)
+/// Uniform spatial grid for radius and box queries over (id, position)
 /// pairs.
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "geo/bounding_box.h"
 #include "geo/vec2.h"
 
 namespace stmaker {
@@ -23,20 +23,30 @@ inline double CellRoundingPad(double magnitude) {
   return 1e-9 * (1.0 + magnitude);
 }
 
-/// \brief Uniform spatial hash grid over (id, position) pairs.
+/// \brief Uniform spatial grid over (id, position) pairs.
 ///
-/// The workhorse index for nearest-landmark and radius queries during
-/// calibration and POI clustering. Cell size should be on the order of the
-/// typical query radius; a radius query inspects only the cells that
-/// overlap the query's bounding square, so correctness does not depend on
-/// the choice, only performance.
+/// The workhorse index for landmark box queries during calibration and
+/// radius queries during POI clustering. Cell size should be on the order
+/// of the typical query radius; a query inspects only the occupied cells
+/// that overlap the query's bounding box, so correctness does not depend
+/// on the choice, only performance.
+///
+/// Immutable once built. The occupied cells are kept as sorted (cell x,
+/// cell y) keys with the items of each cell stored contiguously (DESIGN.md
+/// §13): the cells of one query column are one run of keys, found by one
+/// binary search, so memory and query work grow with the occupied cells,
+/// never with the area the items span.
 class GridIndex {
  public:
-  /// `cell_size` is the grid pitch in meters (> 0).
-  explicit GridIndex(double cell_size);
+  /// One indexed item. Ids need not be unique or dense.
+  struct Item {
+    int64_t id;
+    Vec2 pos;
+  };
 
-  /// Inserts an item. Ids need not be unique or dense.
-  void Insert(int64_t id, const Vec2& pos);
+  /// Indexes `items` on a grid of `cell_size`-meter cells (> 0). Their
+  /// order in `items` is the "insertion order" that breaks ties below.
+  GridIndex(double cell_size, std::vector<Item> items);
 
   size_t size() const { return items_.size(); }
 
@@ -51,33 +61,26 @@ class GridIndex {
   void AppendWithinRadius(const Vec2& center, double radius,
                           std::vector<int64_t>* out) const;
 
+  /// Appends the ids of all items inside `box` (edges inclusive) to
+  /// `*out`, ordered by cell x, then cell y, then insertion order. Visits
+  /// only the occupied cells that overlap the box; an empty box appends
+  /// nothing.
+  void AppendWithinBox(const BoundingBox& box,
+                       std::vector<int64_t>* out) const;
+
   /// Id of the item nearest to `p`, or -1 when the index is empty.
   /// If `max_radius` >= 0, items farther than it are ignored.
   int64_t Nearest(const Vec2& p, double max_radius = -1) const;
 
-  /// Position stored for item index `i` in insertion order.
-  const Vec2& position(size_t i) const { return items_[i].pos; }
-
  private:
-  struct Item {
-    int64_t id;
-    Vec2 pos;
-  };
-
   struct CellKey {
     int64_t cx;
     int64_t cy;
     bool operator==(const CellKey& o) const {
       return cx == o.cx && cy == o.cy;
     }
-  };
-
-  struct CellKeyHash {
-    size_t operator()(const CellKey& k) const {
-      uint64_t h = static_cast<uint64_t>(k.cx) * 0x9e3779b97f4a7c15ULL;
-      h ^= static_cast<uint64_t>(k.cy) + 0x9e3779b97f4a7c15ULL + (h << 6) +
-           (h >> 2);
-      return static_cast<size_t>(h);
+    bool operator<(const CellKey& o) const {
+      return cx != o.cx ? cx < o.cx : cy < o.cy;
     }
   };
 
@@ -85,12 +88,18 @@ class GridIndex {
   int64_t CellCoord(double v) const;
   CellKey CellOf(const Vec2& p) const;
 
+  /// Calls `fn(item)` for every item in the occupied cells that overlap
+  /// [lo, hi], by cell x, then cell y, then insertion order.
+  template <typename Fn>
+  void ForEachInCells(const Vec2& lo, const Vec2& hi, Fn&& fn) const;
+
   double cell_size_;
+  /// Occupied cells, ascending; cell i holds items_[cell_starts_[i],
+  /// cell_starts_[i + 1]).
+  std::vector<CellKey> cells_;
+  std::vector<size_t> cell_starts_;
+  /// Grouped by cell, in cells_ order; insertion order within a cell.
   std::vector<Item> items_;
-  std::unordered_map<CellKey, std::vector<size_t>, CellKeyHash> cells_;
-  /// Lowest and highest occupied cell on each axis (valid when non-empty).
-  CellKey lo_{0, 0};
-  CellKey hi_{0, 0};
 };
 
 }  // namespace stmaker

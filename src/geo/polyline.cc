@@ -46,17 +46,22 @@ PolylineProjection Polyline::Project(const Vec2& p) const {
   }
   best.distance = -1;
   for (size_t i = 0; i + 1 < points_.size(); ++i) {
-    double t = 0;
-    double d = PointSegmentDistance(p, points_[i], points_[i + 1], &t);
-    if (best.distance < 0 || d < best.distance) {
-      best.distance = d;
-      best.segment = i;
-      double seg_len = Distance(points_[i], points_[i + 1]);
-      best.arc_length = cum_[i] + t * seg_len;
-      best.point = points_[i] + (points_[i + 1] - points_[i]) * t;
-    }
+    PolylineProjection proj = ProjectOntoSegment(p, i);
+    if (best.distance < 0 || proj.distance < best.distance) best = proj;
   }
   return best;
+}
+
+PolylineProjection Polyline::ProjectOntoSegment(const Vec2& p,
+                                                size_t i) const {
+  STMAKER_CHECK(i + 1 < points_.size());
+  PolylineProjection proj;
+  double t = 0;
+  proj.distance = PointSegmentDistance(p, points_[i], points_[i + 1], &t);
+  proj.segment = i;
+  proj.arc_length = cum_[i] + t * Distance(points_[i], points_[i + 1]);
+  proj.point = points_[i] + (points_[i + 1] - points_[i]) * t;
+  return proj;
 }
 
 Vec2 Polyline::Interpolate(double s) const {
@@ -67,9 +72,16 @@ Vec2 Polyline::Interpolate(double s) const {
   auto it = std::upper_bound(cum_.begin(), cum_.end(), s);
   size_t i = static_cast<size_t>(it - cum_.begin());
   STMAKER_CHECK(i > 0 && i < points_.size());
-  double seg_len = cum_[i] - cum_[i - 1];
-  double t = seg_len > 0 ? (s - cum_[i - 1]) / seg_len : 0.0;
-  return points_[i - 1] + (points_[i] - points_[i - 1]) * t;
+  return InterpolateOnSegment(i - 1, s);
+}
+
+Vec2 Polyline::InterpolateOnSegment(size_t i, double s) const {
+  STMAKER_CHECK(i + 1 < points_.size());
+  if (s <= 0) return points_.front();
+  if (s >= Length()) return points_.back();
+  double seg_len = cum_[i + 1] - cum_[i];
+  double t = seg_len > 0 ? (s - cum_[i]) / seg_len : 0.0;
+  return points_[i] + (points_[i + 1] - points_[i]) * t;
 }
 
 double Polyline::HeadingAt(double s) const {

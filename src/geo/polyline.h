@@ -45,13 +45,25 @@ class Polyline {
   /// Cumulative arc length at vertex i (0 at the first vertex).
   double CumulativeLength(size_t i) const;
 
-  /// Projects `p` onto the polyline (closest point over all segments).
-  /// Requires at least one vertex; a single-vertex polyline projects
-  /// everything onto that vertex.
+  /// Projects `p` onto the polyline (closest point over all segments;
+  /// among equally close segments the lowest index wins). Requires at
+  /// least one vertex; a single-vertex polyline projects everything onto
+  /// that vertex.
   PolylineProjection Project(const Vec2& p) const;
+
+  /// Projects `p` onto segment i alone (vertices i and i + 1): Project's
+  /// per-segment step, for callers that scan only some segments. Keeping
+  /// the first strict minimum over ascending i reproduces Project.
+  PolylineProjection ProjectOntoSegment(const Vec2& p, size_t i) const;
 
   /// Point at arc-length `s`, clamped to [0, Length()].
   Vec2 Interpolate(double s) const;
+
+  /// Interpolate(s) for an `s` known to fall on segment i, without the
+  /// search: i + 1 is the first vertex with CumulativeLength(i + 1) > s.
+  /// As in Interpolate, `s` <= 0 gives the first vertex and `s` >=
+  /// Length() the last, whatever i is.
+  Vec2 InterpolateOnSegment(size_t i, double s) const;
 
   /// Heading (degrees from north) of the segment at arc-length `s`.
   /// Returns 0 for degenerate polylines.

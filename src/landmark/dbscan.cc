@@ -1,6 +1,8 @@
 #include "landmark/dbscan.h"
 
 #include <deque>
+#include <utility>
+#include <vector>
 
 #include "common/check.h"
 #include "geo/grid_index.h"
@@ -16,10 +18,12 @@ DbscanResult Dbscan(const std::vector<Vec2>& points,
   out.labels.assign(n, kDbscanNoise);
   if (n == 0) return out;
 
-  GridIndex index(options.eps_m);
+  std::vector<GridIndex::Item> items;
+  items.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    index.Insert(static_cast<int64_t>(i), points[i]);
+    items.push_back({static_cast<int64_t>(i), points[i]});
   }
+  const GridIndex index(options.eps_m, std::move(items));
 
   constexpr int kUnvisited = -2;
   std::vector<int> label(n, kUnvisited);

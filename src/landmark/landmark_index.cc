@@ -3,6 +3,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "common/check.h"
 #include "common/strings.h"
@@ -88,10 +89,7 @@ LandmarkIndex LandmarkIndex::Build(const RoadNetwork& network,
 
   // --- Spatial index. ---------------------------------------------------------
   out.index_cell_m_ = options.index_cell_m;
-  out.index_ = std::make_unique<GridIndex>(options.index_cell_m);
-  for (const Landmark& lm : out.landmarks_) {
-    out.index_->Insert(lm.id, lm.pos);
-  }
+  out.BuildSpatialIndex();
   return out;
 }
 
@@ -128,11 +126,15 @@ Result<LandmarkIndex> LandmarkIndex::FromParts(
   out.landmarks_ = std::move(landmarks);
   out.network_node_ = std::move(network_node);
   out.index_cell_m_ = index_cell_m;
-  out.index_ = std::make_unique<GridIndex>(index_cell_m);
-  for (const Landmark& lm : out.landmarks_) {
-    out.index_->Insert(lm.id, lm.pos);
-  }
+  out.BuildSpatialIndex();
   return out;
+}
+
+void LandmarkIndex::BuildSpatialIndex() {
+  std::vector<GridIndex::Item> items;
+  items.reserve(landmarks_.size());
+  for (const Landmark& lm : landmarks_) items.push_back({lm.id, lm.pos});
+  index_ = std::make_unique<GridIndex>(index_cell_m_, std::move(items));
 }
 
 const Landmark& LandmarkIndex::landmark(LandmarkId id) const {
@@ -140,14 +142,9 @@ const Landmark& LandmarkIndex::landmark(LandmarkId id) const {
   return landmarks_[id];
 }
 
-std::vector<LandmarkId> LandmarkIndex::WithinRadius(const Vec2& p,
-                                                    double radius) const {
-  return index_->WithinRadius(p, radius);
-}
-
-void LandmarkIndex::AppendWithinRadius(const Vec2& p, double radius,
-                                       std::vector<LandmarkId>* out) const {
-  index_->AppendWithinRadius(p, radius, out);
+void LandmarkIndex::AppendWithinBox(const BoundingBox& box,
+                                    std::vector<LandmarkId>* out) const {
+  index_->AppendWithinBox(box, out);
 }
 
 LandmarkId LandmarkIndex::Nearest(const Vec2& p, double max_radius) const {

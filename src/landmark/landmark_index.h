@@ -2,7 +2,7 @@
 #define STMAKER_LANDMARK_LANDMARK_INDEX_H_
 
 /// \file
-/// The landmark dataset with spatial radius queries (Sec. VII-A).
+/// The landmark dataset with spatial box and nearest queries (Sec. VII-A).
 
 #include <memory>
 #include <vector>
@@ -65,13 +65,10 @@ class LandmarkIndex {
   const std::vector<Landmark>& landmarks() const { return landmarks_; }
   const Landmark& landmark(LandmarkId id) const;
 
-  /// Landmarks within `radius` meters of `p`.
-  std::vector<LandmarkId> WithinRadius(const Vec2& p, double radius) const;
-
-  /// Appends the landmarks within `radius` of `p` to `*out` (same result
-  /// set as WithinRadius); lets scan loops reuse one buffer.
-  void AppendWithinRadius(const Vec2& p, double radius,
-                          std::vector<LandmarkId>* out) const;
+  /// Appends the landmarks inside `box` (edges inclusive) to `*out`, in
+  /// GridIndex::AppendWithinBox order; lets scan loops reuse one buffer.
+  void AppendWithinBox(const BoundingBox& box,
+                       std::vector<LandmarkId>* out) const;
 
   /// Nearest landmark id, or -1 (respecting `max_radius` if >= 0).
   LandmarkId Nearest(const Vec2& p, double max_radius = -1) const;
@@ -93,6 +90,9 @@ class LandmarkIndex {
 
  private:
   LandmarkIndex() = default;
+
+  /// (Re)builds the grid over landmarks_ at index_cell_m_.
+  void BuildSpatialIndex();
 
   std::vector<Landmark> landmarks_;
   std::vector<NodeId> network_node_;   // parallel to landmarks_.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <deque>
 #include <mutex>
@@ -10,6 +11,8 @@
 #include "common/check.h"
 #include "common/lru_cache.h"
 #include "common/metrics.h"
+#include "geo/bounding_box.h"
+#include "geo/grid_index.h"
 
 namespace stmaker {
 
@@ -88,8 +91,10 @@ double CalibratedTrajectory::SegmentLength(size_t i) const {
 }
 
 /// Memoization table behind Calibrate(). Keys copy the full trajectory and
-/// compare content exactly (bit-equal doubles), so a hit can only ever
-/// replay a result the uncached path would recompute identically.
+/// compare content exactly (equal bit hashes and equal doubles), so a hit
+/// can only ever replay a result the uncached path would recompute
+/// identically. A key carries its content hash, computed once per call:
+/// the table's lookups, inserts and evictions rehash no samples.
 ///
 /// The table is sharded by key hash: corpus ingestion calibrates distinct
 /// trajectories from many worker threads at once (all misses, by
@@ -100,12 +105,16 @@ double CalibratedTrajectory::SegmentLength(size_t i) const {
 /// results are unchanged because memoization is exact-key either way.
 struct Calibrator::Cache {
   struct Key {
+    explicit Key(const RawTrajectory& raw) : traj(raw), hash(Hash(raw)) {}
+
     RawTrajectory traj;
+    size_t hash;
 
     bool operator==(const Key& other) const {
       const auto& a = traj.samples;
       const auto& b = other.traj.samples;
-      if (traj.traveler != other.traj.traveler || a.size() != b.size()) {
+      if (hash != other.hash || traj.traveler != other.traj.traveler ||
+          a.size() != b.size()) {
         return false;
       }
       for (size_t i = 0; i < a.size(); ++i) {
@@ -118,18 +127,21 @@ struct Calibrator::Cache {
     }
   };
 
-  struct KeyHash {
-    size_t operator()(const Key& key) const {
-      uint64_t h = MixBits(0x51ed270b9f2f4c34ULL,
-                           static_cast<uint64_t>(key.traj.traveler));
-      h = MixBits(h, key.traj.samples.size());
-      for (const RawSample& s : key.traj.samples) {
-        h = MixBits(h, std::bit_cast<uint64_t>(s.pos.x));
-        h = MixBits(h, std::bit_cast<uint64_t>(s.pos.y));
-        h = MixBits(h, std::bit_cast<uint64_t>(s.time));
-      }
-      return static_cast<size_t>(h);
+  /// Content hash over the traveler and the bit patterns of every fix.
+  static size_t Hash(const RawTrajectory& traj) {
+    uint64_t h = MixBits(0x51ed270b9f2f4c34ULL,
+                         static_cast<uint64_t>(traj.traveler));
+    h = MixBits(h, traj.samples.size());
+    for (const RawSample& s : traj.samples) {
+      h = MixBits(h, std::bit_cast<uint64_t>(s.pos.x));
+      h = MixBits(h, std::bit_cast<uint64_t>(s.pos.y));
+      h = MixBits(h, std::bit_cast<uint64_t>(s.time));
     }
+    return static_cast<size_t>(h);
+  }
+
+  struct KeyHash {
+    size_t operator()(const Key& key) const { return key.hash; }
   };
 
   /// Enough shards that an 8-way ingest rarely collides, few enough that a
@@ -178,10 +190,10 @@ Result<CalibratedTrajectory> Calibrator::Calibrate(
   static Counter& cache_misses =
       MetricsRegistry::Global().counter("calibration.cache.misses");
   if (cache_ == nullptr) return CalibrateUncached(raw, ctx);
-  Cache::Key key{raw};
   // The content hash is O(samples); computing it once out here keeps the
   // per-shard critical sections down to the map probe itself.
-  Cache::Shard& shard = cache_->ShardFor(Cache::KeyHash{}(key));
+  const Cache::Key key(raw);
+  Cache::Shard& shard = cache_->ShardFor(key.hash);
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     if (const Result<CalibratedTrajectory>* hit = shard.lru.Get(key)) {
@@ -237,31 +249,91 @@ Result<CalibratedTrajectory> Calibrator::CalibrateUncached(
     return Status::NotFound("trajectory has no spatial extent");
   }
 
-  // --- Collect candidate anchors by walking the polyline. -------------------
-  // Scan steps overlap heavily (adjacent probes share most landmarks), so
-  // dedup via accumulate + sort + unique instead of a per-trajectory hash
-  // set; the WithinRadius results land in one arena-backed buffer reused
-  // across the whole scan. The downstream anchor order is unaffected:
-  // anchors are re-sorted by (arc, dist, id) below regardless of the
-  // candidate iteration order.
-  ArenaScope scope(Arena::ThreadLocal());
-  ArenaVector<LandmarkId> candidates{
-      ArenaAllocator<LandmarkId>(&scope.arena())};
-  std::vector<LandmarkId> probe;
+  // --- Collect anchors in one pass over the segments. ------------------------
+  // A landmark is a candidate when it lies within r of a probe point of the
+  // scan_step_m walk; that is what makes calibration sampling-invariant.
+  // Its anchor position is its projection onto the whole polyline. Both
+  // are decided from the segments whose r-padded boxes contain it: every
+  // probe within r of a landmark, and every segment within r of it, lies on
+  // such a segment (DESIGN.md §13), so the result is the walk's, bit for
+  // bit, without probing the landmark grid at every step.
+  const std::vector<Vec2>& vertices = out.geometry.points();
+  const size_t num_segments = vertices.size() - 1;
   const double length = out.geometry.Length();
+  const double radius = options_.anchor_radius_m;
+  const double step = options_.scan_step_m;
+  // Landmark and segment indices are packed into one sortable key.
+  STMAKER_CHECK(landmarks_->size() <= (uint64_t{1} << 32) &&
+                num_segments <= (uint64_t{1} << 32));
+  ArenaScope scope(Arena::ThreadLocal());
   CancelCheck check(ctx);
-  for (double s = 0;; s += options_.scan_step_m) {
+
+  // The walk records only which segment each probe falls on: i − 1 for the
+  // first vertex i past it, the last segment for the final probe (a forward
+  // cursor finds the same i as Interpolate's search). One segment's probes
+  // are consecutive steps, so its first arc position and count rebuild
+  // them; the points are computed only where a landmark needs them.
+  struct SegmentScan {
+    double first_s = 0;
+    size_t probes = 0;
+    double reach = 0;  // r plus the rounding pad of the segment's box
+  };
+  ArenaVector<SegmentScan> segments(
+      num_segments, SegmentScan{},
+      ArenaAllocator<SegmentScan>(&scope.arena()));
+  size_t k = 0;
+  for (double s = 0;; s += step) {
     STMAKER_RETURN_IF_ERROR(check.Tick());
-    bool last = s >= length;
-    Vec2 p = out.geometry.Interpolate(std::min(s, length));
-    probe.clear();
-    landmarks_->AppendWithinRadius(p, options_.anchor_radius_m, &probe);
-    candidates.insert(candidates.end(), probe.begin(), probe.end());
+    const bool last = s >= length;
+    if (last) {
+      k = num_segments - 1;
+    } else {
+      while (out.geometry.CumulativeLength(k + 1) <= s) ++k;
+    }
+    if (segments[k].probes++ == 0) segments[k].first_s = s;
     if (last) break;
   }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
+
+  // One landmark box query per segment: [min(a, b) − reach, max(a, b) +
+  // reach] on each axis, where reach pads r the way GridIndex pads a radius
+  // query. The pad absorbs the rounding of the probe, Distance and
+  // PointSegmentDistance arithmetic, so a landmark within r of a probe on
+  // the segment, or of any point of it, is inside the box.
+  ArenaVector<uint64_t> pairs{ArenaAllocator<uint64_t>(&scope.arena())};
+  std::vector<LandmarkId> hits;
+  for (size_t seg = 0; seg < num_segments; ++seg) {
+    STMAKER_RETURN_IF_ERROR(check.Tick());
+    const Vec2& a = vertices[seg];
+    const Vec2& b = vertices[seg + 1];
+    const double reach =
+        radius + CellRoundingPad(std::max({std::fabs(a.x), std::fabs(a.y),
+                                           std::fabs(b.x), std::fabs(b.y),
+                                           radius}));
+    segments[seg].reach = reach;
+    BoundingBox box;
+    box.min = {std::min(a.x, b.x) - reach, std::min(a.y, b.y) - reach};
+    box.max = {std::max(a.x, b.x) + reach, std::max(a.y, b.y) + reach};
+    hits.clear();
+    landmarks_->AppendWithinBox(box, &hits);
+    for (LandmarkId id : hits) {
+      pairs.push_back((static_cast<uint64_t>(id) << 32) | seg);
+    }
+  }
+  // By landmark, then ascending segment.
+  std::sort(pairs.begin(), pairs.end());
+
+  // The walk's membership test, `Distance(landmark, probe) <= r`, over the
+  // probes of one segment.
+  auto near_probe = [&](const Vec2& pos, size_t seg) {
+    double s = segments[seg].first_s;
+    for (size_t j = 0; j < segments[seg].probes; ++j, s += step) {
+      if (Distance(pos, out.geometry.InterpolateOnSegment(seg, s)) <=
+          radius) {
+        return true;
+      }
+    }
+    return false;
+  };
 
   struct Anchor {
     LandmarkId id;
@@ -270,12 +342,28 @@ Result<CalibratedTrajectory> Calibrator::CalibrateUncached(
     double significance;
   };
   std::vector<Anchor> anchors;
-  for (LandmarkId id : candidates) {
+  for (size_t i = 0; i < pairs.size();) {
     STMAKER_RETURN_IF_ERROR(check.Tick());
-    const Landmark& lm = landmarks_->landmark(id);
-    PolylineProjection proj = out.geometry.Project(lm.pos);
-    if (proj.distance <= options_.anchor_radius_m) {
-      anchors.push_back({id, proj.arc_length, proj.distance,
+    const uint64_t id = pairs[i] >> 32;
+    const Landmark& lm = landmarks_->landmark(static_cast<LandmarkId>(id));
+    // Polyline::Project over the landmark's segments only: every segment
+    // within r of it is among them, so an anchor (distance <= r) gets
+    // Project's result. A probe within r of it puts its segment within
+    // reach, so segments farther than that hold none.
+    PolylineProjection best;
+    best.distance = -1;
+    bool candidate = false;
+    for (; i < pairs.size() && (pairs[i] >> 32) == id; ++i) {
+      const size_t seg = static_cast<size_t>(pairs[i] & 0xffffffffu);
+      const PolylineProjection proj =
+          out.geometry.ProjectOntoSegment(lm.pos, seg);
+      if (best.distance < 0 || proj.distance < best.distance) best = proj;
+      if (!candidate && proj.distance <= segments[seg].reach) {
+        candidate = near_probe(lm.pos, seg);
+      }
+    }
+    if (candidate && best.distance <= radius) {
+      anchors.push_back({lm.id, best.arc_length, best.distance,
                          lm.significance});
     }
   }

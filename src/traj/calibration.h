@@ -33,9 +33,11 @@ struct CalibrationOptions {
   /// what makes calibration sampling-invariant.
   double scan_step_m = 50.0;
   /// Entries of the bounded LRU memoizing whole calibrations (anchor
-  /// collection dominates the cost), keyed by exact trajectory content; 0
-  /// disables caching. Train-then-summarize workloads calibrate the same
-  /// trajectories twice, and repeated Summarize of popular trips hits too.
+  /// collection — the per-segment landmark box queries and the
+  /// landmark/segment join — is most of the cost), keyed by exact
+  /// trajectory content; 0 disables caching. Train-then-summarize
+  /// workloads calibrate the same trajectories twice, and repeated
+  /// Summarize of popular trips hits too.
   /// The cache never changes results — exact key, exact replay — and is
   /// safe under concurrent Calibrate calls. Internally it is sharded by
   /// key hash (capacity split across shards) so that parallel ingestion of
@@ -74,11 +76,13 @@ struct CalibratedTrajectory {
 
 /// \brief Anchor-based trajectory calibrator (Def. 2/3 pipeline).
 ///
-/// Rewrites a raw trajectory into a landmark sequence by walking the raw
-/// polyline, collecting landmarks within the anchor radius, ordering them by
-/// arc length, thinning crowded anchors, and interpolating visit timestamps
-/// from the raw fix times. Different samplings of the same route produce the
-/// same symbolic trajectory (the paper's motivating requirement, Fig. 2).
+/// Rewrites a raw trajectory into a landmark sequence: the landmarks within
+/// the anchor radius of a fixed-step walk along the raw polyline, ordered by
+/// their projections' arc length, with crowded anchors thinned and visit
+/// timestamps interpolated from the raw fix times. The anchors are found in
+/// one pass, one landmark box query per polyline segment (DESIGN.md §13).
+/// Different samplings of the same route produce the same symbolic
+/// trajectory (the paper's motivating requirement, Fig. 2).
 class Calibrator {
  public:
   /// `landmarks` must outlive the calibrator.
@@ -95,11 +99,12 @@ class Calibrator {
   /// describe). Thread-safe: concurrent calls share the (mutex-guarded)
   /// calibration cache.
   ///
-  /// NOTE: results are memoized against the landmark set as-is; landmark
-  /// *positions* must not change under a live calibrator (significance
-  /// updates are fine — anchor thinning consults significance only to
-  /// break exact distance ties, and STMaker's cache is warmed after
-  /// training).
+  /// NOTE: results are memoized against the landmark set as-is, positions
+  /// and significance both: anchor thinning breaks exact distance ties by
+  /// significance, so a memoized result can go stale when significance
+  /// changes. Whoever changes either must drop the calibrator (and with it
+  /// the cache); STMaker builds a fresh one after every significance
+  /// recompute.
   ///
   /// With a context, the polyline scan checks the deadline/cancel token
   /// periodically and aborts with kDeadlineExceeded/kCancelled; those

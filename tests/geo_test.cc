@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cmath>
 #include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/random.h"
 #include "geo/bounding_box.h"
@@ -217,6 +219,15 @@ struct GridIndexParam {
 class GridIndexPropertyTest
     : public ::testing::TestWithParam<GridIndexParam> {};
 
+/// A grid over `points` whose ids are their indices.
+GridIndex IndexOf(double cell_size, const std::vector<Vec2>& points) {
+  std::vector<GridIndex::Item> items;
+  for (size_t i = 0; i < points.size(); ++i) {
+    items.push_back({static_cast<int64_t>(i), points[i]});
+  }
+  return GridIndex(cell_size, std::move(items));
+}
+
 /// Brute-force WithinRadius in the index's documented order: by cell x,
 /// then cell y, then insertion index (ids equal insertion indices here).
 std::vector<int64_t> BruteWithinRadius(const std::vector<Vec2>& points,
@@ -239,12 +250,9 @@ std::vector<int64_t> BruteWithinRadius(const std::vector<Vec2>& points,
 TEST_P(GridIndexPropertyTest, RadiusQueriesMatchBruteForce) {
   const GridIndexParam param = GetParam();
   Random rng(param.seed);
-  GridIndex index(param.cell_size);
   std::vector<Vec2> points;
   for (int i = 0; i < param.num_points; ++i) {
-    Vec2 p{rng.Uniform(-1000, 1000), rng.Uniform(-1000, 1000)};
-    points.push_back(p);
-    index.Insert(i, p);
+    points.push_back({rng.Uniform(-1000, 1000), rng.Uniform(-1000, 1000)});
   }
   // Extra items exactly on cell edges: on a vertical edge, a horizontal
   // edge, or a corner, on both sides of the origin.
@@ -256,9 +264,9 @@ TEST_P(GridIndexPropertyTest, RadiusQueriesMatchBruteForce) {
     Vec2 p{edge_rng.Uniform(-1000, 1000), edge_rng.Uniform(-1000, 1000)};
     if (i % 3 != 1) p.x = on_edge(p.x);
     if (i % 3 != 0) p.y = on_edge(p.y);
-    index.Insert(static_cast<int64_t>(points.size()), p);
     points.push_back(p);
   }
+  const GridIndex index = IndexOf(param.cell_size, points);
   for (int q = 0; q < 40; ++q) {
     Vec2 center{rng.Uniform(-1200, 1200), rng.Uniform(-1200, 1200)};
     double radius = rng.Uniform(0, 400);
@@ -289,16 +297,93 @@ TEST_P(GridIndexPropertyTest, RadiusQueriesMatchBruteForce) {
   }
 }
 
+/// Brute-force AppendWithinBox in the index's documented order (ids equal
+/// insertion indices here).
+std::vector<int64_t> BruteWithinBox(const std::vector<Vec2>& points,
+                                    double cell_size, const BoundingBox& box) {
+  std::vector<std::tuple<double, double, int64_t>> hits;
+  for (size_t i = 0; i < points.size(); ++i) {
+    if (box.Contains(points[i])) {
+      hits.emplace_back(std::floor(points[i].x / cell_size),
+                        std::floor(points[i].y / cell_size),
+                        static_cast<int64_t>(i));
+    }
+  }
+  std::sort(hits.begin(), hits.end());
+  std::vector<int64_t> ids;
+  for (const auto& hit : hits) ids.push_back(std::get<2>(hit));
+  return ids;
+}
+
+TEST_P(GridIndexPropertyTest, BoxQueriesMatchBruteForce) {
+  const GridIndexParam param = GetParam();
+  Random rng(param.seed + 2);
+  std::vector<Vec2> points;
+  auto on_edge = [&](double v) {
+    return std::round(v / param.cell_size) * param.cell_size;
+  };
+  for (int i = 0; i < param.num_points + 30; ++i) {
+    Vec2 p{rng.Uniform(-1000, 1000), rng.Uniform(-1000, 1000)};
+    // The last 30 sit on a vertical edge, a horizontal edge, or a corner.
+    if (i >= param.num_points && i % 3 != 1) p.x = on_edge(p.x);
+    if (i >= param.num_points && i % 3 != 0) p.y = on_edge(p.y);
+    points.push_back(p);
+  }
+  const GridIndex index = IndexOf(param.cell_size, points);
+  auto check = [&](const BoundingBox& box, const std::string& what) {
+    std::vector<int64_t> got = {-7};  // appended to, never cleared
+    index.AppendWithinBox(box, &got);
+    ASSERT_FALSE(got.empty());
+    EXPECT_EQ(got.front(), -7);
+    got.erase(got.begin());
+    EXPECT_EQ(got, BruteWithinBox(points, param.cell_size, box))
+        << what << " [" << box.min.x << ", " << box.max.x << "] x ["
+        << box.min.y << ", " << box.max.y << "]";
+  };
+  for (int q = 0; q < 40; ++q) {
+    BoundingBox box;
+    box.Extend({rng.Uniform(-1200, 1200), rng.Uniform(-1200, 1200)});
+    box.Extend({rng.Uniform(-1200, 1200), rng.Uniform(-1200, 1200)});
+    check(box, "random");
+    // Edges exactly on items: both items are inside (inclusive edges).
+    const Vec2& a = points[rng.UniformInt(points.size())];
+    const Vec2& b = points[rng.UniformInt(points.size())];
+    BoundingBox on_items;
+    on_items.Extend(a);
+    on_items.Extend(b);
+    check(on_items, "edges on items");
+    // Edges exactly on cell edges.
+    BoundingBox on_cells = box;
+    on_cells.min = {on_edge(box.min.x), on_edge(box.min.y)};
+    on_cells.max = {on_edge(box.max.x), on_edge(box.max.y)};
+    check(on_cells, "edges on cell edges");
+    // A point box on an item, and one in empty space.
+    check(BoundingBox{a, a}, "point box on an item");
+    const Vec2 c{rng.Uniform(-1200, 1200), rng.Uniform(-1200, 1200)};
+    check(BoundingBox{c, c}, "point box");
+  }
+  // Empty boxes: the default one, and boxes inverted on one axis.
+  check(BoundingBox{}, "default");
+  check(BoundingBox{{10, -500}, {-10, 500}}, "inverted x");
+  check(BoundingBox{{-500, 10}, {500, -10}}, "inverted y");
+  // Beyond the occupied cells, overlapping them, and enclosing them all.
+  check(BoundingBox{{5000, 5000}, {6000, 6000}}, "beyond");
+  check(BoundingBox{{-1e7, -3000}, {-2000, 3000}}, "west of everything");
+  check(BoundingBox{{-1500, -1500}, {-900, 1500}}, "west edge");
+  check(BoundingBox{{-1e7, -1e7}, {1e7, 1e7}}, "everything");
+  std::vector<int64_t> all;
+  index.AppendWithinBox(BoundingBox{{-1e7, -1e7}, {1e7, 1e7}}, &all);
+  EXPECT_EQ(all.size(), points.size());
+}
+
 TEST_P(GridIndexPropertyTest, NearestMatchesBruteForce) {
   const GridIndexParam param = GetParam();
   Random rng(param.seed + 1);
-  GridIndex index(param.cell_size);
   std::vector<Vec2> points;
   for (int i = 0; i < param.num_points; ++i) {
-    Vec2 p{rng.Uniform(-1000, 1000), rng.Uniform(-1000, 1000)};
-    points.push_back(p);
-    index.Insert(i, p);
+    points.push_back({rng.Uniform(-1000, 1000), rng.Uniform(-1000, 1000)});
   }
+  const GridIndex index = IndexOf(param.cell_size, points);
   for (int q = 0; q < 40; ++q) {
     Vec2 center{rng.Uniform(-3000, 3000), rng.Uniform(-3000, 3000)};
     int64_t got = index.Nearest(center);
@@ -321,23 +406,20 @@ INSTANTIATE_TEST_SUITE_P(
                       GridIndexParam{37.5, 300, 6}));
 
 TEST(GridIndexTest, EmptyIndexBehaviour) {
-  GridIndex index(100);
+  const GridIndex index(100, {});
   EXPECT_EQ(index.Nearest({0, 0}), -1);
   EXPECT_TRUE(index.WithinRadius({0, 0}, 1000).empty());
 }
 
 TEST(GridIndexTest, MaxRadiusFiltersNearest) {
-  GridIndex index(100);
-  index.Insert(7, {500, 0});
+  const GridIndex index(100, {{7, {500, 0}}});
   EXPECT_EQ(index.Nearest({0, 0}, 100.0), -1);
   EXPECT_EQ(index.Nearest({0, 0}, 600.0), 7);
   EXPECT_EQ(index.Nearest({0, 0}), 7);
 }
 
 TEST(GridIndexTest, DuplicatePositionsAllReturned) {
-  GridIndex index(100);
-  index.Insert(1, {10, 10});
-  index.Insert(2, {10, 10});
+  const GridIndex index(100, {{1, {10, 10}}, {2, {10, 10}}});
   std::vector<int64_t> got = index.WithinRadius({10, 10}, 1.0);
   EXPECT_EQ(got.size(), 2u);
 }
@@ -345,20 +427,35 @@ TEST(GridIndexTest, DuplicatePositionsAllReturned) {
 TEST(GridIndexTest, QueryOverEmptyCellsFindsNothing) {
   // Items in one far corner; probes over the vast empty region between
   // must walk only vacant cells and return clean empties.
-  GridIndex index(50);
-  index.Insert(1, {100000, 100000});
+  const GridIndex index(50, {{1, {100000, 100000}}});
   EXPECT_TRUE(index.WithinRadius({0, 0}, 400).empty());
   EXPECT_TRUE(index.WithinRadius({-50000, 30000}, 400).empty());
   EXPECT_EQ(index.Nearest({0, 0}, 400), -1);
 }
 
+TEST(GridIndexTest, BoxOverSparseColumnsFindsEveryItemInCellOrder) {
+  // Occupied columns millions of cells apart: a box spanning all of them
+  // visits only the occupied ones, by cell x, then cell y, then insertion.
+  const GridIndex index(1, {{1, {1e6, 5}},
+                            {2, {-1e6, 0}},
+                            {3, {1e6, -5}},
+                            {4, {0.5, 0}},
+                            {5, {1e6, 5}}});
+  std::vector<int64_t> got;
+  index.AppendWithinBox(BoundingBox{{-2e6, -10}, {2e6, 10}}, &got);
+  EXPECT_EQ(got, (std::vector<int64_t>{2, 4, 3, 1, 5}));
+  got.clear();
+  index.AppendWithinBox(BoundingBox{{-2e6, 1}, {2e6, 10}}, &got);
+  EXPECT_EQ(got, (std::vector<int64_t>{1, 5}));
+  got.clear();
+  index.AppendWithinBox(BoundingBox{{-5e5, -10}, {5e5, 10}}, &got);
+  EXPECT_EQ(got, (std::vector<int64_t>{4}));
+}
+
 TEST(GridIndexTest, BoundaryPointsOnCellEdgesAndRadius) {
-  GridIndex index(100);
   // Points exactly on cell boundaries (multiples of the cell size) land
   // in a well-defined cell and must still be found from either side.
-  index.Insert(1, {100, 0});
-  index.Insert(2, {200, 0});
-  index.Insert(3, {0, 100});
+  const GridIndex index(100, {{1, {100, 0}}, {2, {200, 0}}, {3, {0, 100}}});
   EXPECT_EQ(index.WithinRadius({100, 0}, 0).size(), 1u);  // radius 0: self
   // Radius exactly equal to the distance is inclusive.
   std::vector<int64_t> at_exact = index.WithinRadius({0, 0}, 100.0);
@@ -372,9 +469,7 @@ TEST(GridIndexTest, BoundaryPointsOnCellEdgesAndRadius) {
 TEST(GridIndexTest, NegativeCoordinatesRoundTowardNegativeCells) {
   // floor() cell mapping: -1 and +1 are different cells; queries spanning
   // the origin see both sides.
-  GridIndex index(100);
-  index.Insert(1, {-1, -1});
-  index.Insert(2, {1, 1});
+  const GridIndex index(100, {{1, {-1, -1}}, {2, {1, 1}}});
   std::set<int64_t> got;
   for (int64_t id : index.WithinRadius({0, 0}, 5)) got.insert(id);
   EXPECT_EQ(got, (std::set<int64_t>{1, 2}));
@@ -383,8 +478,8 @@ TEST(GridIndexTest, NegativeCoordinatesRoundTowardNegativeCells) {
 TEST(GridIndexTest, DegenerateBboxAllPointsIdentical) {
   // A degenerate "bounding box": every item at one position. Whole-grid
   // queries and nearest still behave.
-  GridIndex index(25);
-  for (int64_t i = 0; i < 32; ++i) index.Insert(i, {42, -17});
+  const GridIndex index =
+      IndexOf(25, std::vector<Vec2>(32, Vec2{42, -17}));
   EXPECT_EQ(index.WithinRadius({42, -17}, 0).size(), 32u);
   EXPECT_EQ(index.WithinRadius({0, 0}, 1e4).size(), 32u);
   EXPECT_GE(index.Nearest({1000, 1000}), 0);
@@ -393,12 +488,13 @@ TEST(GridIndexTest, DegenerateBboxAllPointsIdentical) {
 TEST(GridIndexTest, WholeGridRadiusReturnsEverything) {
   // A radius covering the entire extent returns every item exactly once,
   // regardless of how many cells the scan spans.
-  GridIndex index(10);
   Random rng(99);
   const int kCount = 300;
+  std::vector<Vec2> points;
   for (int64_t i = 0; i < kCount; ++i) {
-    index.Insert(i, {rng.Uniform(-500, 500), rng.Uniform(-500, 500)});
+    points.push_back({rng.Uniform(-500, 500), rng.Uniform(-500, 500)});
   }
+  const GridIndex index = IndexOf(10, points);
   std::vector<int64_t> all = index.WithinRadius({0, 0}, 2000.0);
   std::set<int64_t> unique(all.begin(), all.end());
   EXPECT_EQ(all.size(), static_cast<size_t>(kCount));
@@ -406,10 +502,7 @@ TEST(GridIndexTest, WholeGridRadiusReturnsEverything) {
 }
 
 TEST(GridIndexTest, AppendWithinRadiusMatchesAndAccumulates) {
-  GridIndex index(100);
-  index.Insert(1, {10, 0});
-  index.Insert(2, {90, 0});
-  index.Insert(3, {500, 0});
+  const GridIndex index(100, {{1, {10, 0}}, {2, {90, 0}}, {3, {500, 0}}});
   std::vector<int64_t> buffer = {77};  // pre-existing content is kept
   index.AppendWithinRadius({0, 0}, 100, &buffer);
   ASSERT_GE(buffer.size(), 1u);

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/random.h"
+#include "geo/bounding_box.h"
 #include "landmark/dbscan.h"
 #include "landmark/landmark_index.h"
 #include "landmark/poi_generator.h"
@@ -228,9 +229,24 @@ TEST_F(PoiTest, SpatialQueriesWork) {
   LandmarkId nearest = index.Nearest(first.pos);
   ASSERT_GE(nearest, 0);
   EXPECT_LE(Distance(index.landmark(nearest).pos, first.pos), 1e-9);
-  std::vector<LandmarkId> around = index.WithinRadius(first.pos, 500);
+  BoundingBox box;
+  box.Extend({first.pos.x - 500, first.pos.y - 500});
+  box.Extend({first.pos.x + 500, first.pos.y + 500});
+  std::vector<LandmarkId> around;
+  index.AppendWithinBox(box, &around);
   EXPECT_TRUE(std::find(around.begin(), around.end(), first.id) !=
               around.end());
+  for (LandmarkId id : around) {
+    EXPECT_TRUE(box.Contains(index.landmark(id).pos));
+  }
+  // A point box on a landmark finds it; an empty box finds nothing.
+  std::vector<LandmarkId> at_point;
+  index.AppendWithinBox(BoundingBox{first.pos, first.pos}, &at_point);
+  EXPECT_TRUE(std::find(at_point.begin(), at_point.end(), first.id) !=
+              at_point.end());
+  std::vector<LandmarkId> none;
+  index.AppendWithinBox(BoundingBox{}, &none);
+  EXPECT_TRUE(none.empty());
 }
 
 TEST_F(PoiTest, JunctionNamesMentionCrossingRoads) {

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include "core/stmaker.h"
+#include "landmark/landmark_index.h"
+#include "roadnet/road_network.h"
 #include "test_world.h"
+#include "traj/calibration.h"
 
 namespace stmaker {
 namespace {
@@ -343,6 +349,113 @@ TEST_F(STMakerTest, FeatureWeightShiftsSelection) {
   double high = frequency(4.0);
   EXPECT_TRUE(maker.registry().SetWeight("speed", 1.0).ok());
   EXPECT_GE(high, low);
+}
+
+// Anchor thinning breaks exact distance ties by significance, and training
+// rewrites significance after it has calibrated the corpus through the
+// calibration cache. A 3 km street has "Tie A" at (1500, 60) and "Tie B"
+// at (1560, -60): both exactly 60 m off the street and 60 m apart in arc,
+// closer than min_spacing_m, so significance alone picks which one a
+// full-street trip keeps. Forty travellers start next to Tie B, so
+// training makes it the more significant of the two.
+class TrainedSignificanceTest : public ::testing::Test {
+ protected:
+  TrainedSignificanceTest() {
+    NodeId west = net_.AddNode({0, 0});
+    NodeId east = net_.AddNode({3000, 0});
+    EXPECT_TRUE(net_.AddEdge(west, east, RoadGrade::kNationalRoad, 20,
+                             TrafficDirection::kTwoWay, "Long Avenue")
+                    .ok());
+    net_.AnnotateTurningPoints();
+    net_.BuildSpatialIndex();
+    // Four POIs per site, symmetric, so each centroid is exact.
+    std::vector<RawPoi> pois;
+    for (double dx : {-6.0, -2.0, 2.0, 6.0}) {
+      pois.push_back({{1500 + dx, 60}, "Tie A"});
+      pois.push_back({{1560 + dx, -60}, "Tie B"});
+    }
+    landmarks_ = std::make_unique<LandmarkIndex>(
+        LandmarkIndex::Build(net_, pois));
+    for (const Landmark& lm : landmarks_->landmarks()) {
+      if (lm.name == "Tie A") tie_a_ = lm.id;
+      if (lm.name == "Tie B") tie_b_ = lm.id;
+    }
+    EXPECT_GE(tie_a_, 0);
+    EXPECT_GE(tie_b_, 0);
+    for (int64_t traveler = 0; traveler < 3; ++traveler) {
+      street_trips_.push_back(Trip(0, traveler));
+    }
+    for (int64_t traveler = 100; traveler < 140; ++traveler) {
+      tie_b_trips_.push_back(Trip(1580, traveler));
+    }
+  }
+
+  /// Eastbound at 10 m/s from x = `from` to the end of the street.
+  static RawTrajectory Trip(double from, int64_t traveler) {
+    RawTrajectory trip;
+    trip.traveler = traveler;
+    for (double x = from; x <= 3000; x += 100) {
+      trip.samples.push_back({{x, 0}, 8 * 3600 + (x - from) / 10});
+    }
+    return trip;
+  }
+
+  std::vector<LandmarkId> Anchors(const Result<CalibratedTrajectory>& c) {
+    EXPECT_TRUE(c.ok()) << c.status().ToString();
+    std::vector<LandmarkId> ids;
+    if (!c.ok()) return ids;
+    for (const SymbolicSample& s : c->symbolic.samples) {
+      ids.push_back(s.landmark);
+    }
+    return ids;
+  }
+
+  /// What a freshly built, cache-off calibrator over today's significance
+  /// makes of the first street trip — what a container-loaded model sees.
+  std::vector<LandmarkId> FreshAnchors() {
+    CalibrationOptions uncached;
+    uncached.cache_size = 0;
+    return Anchors(
+        Calibrator(landmarks_.get(), uncached).Calibrate(street_trips_[0]));
+  }
+
+  double Significance(LandmarkId id) {
+    return landmarks_->landmark(id).significance;
+  }
+
+  RoadNetwork net_;
+  std::unique_ptr<LandmarkIndex> landmarks_;
+  LandmarkId tie_a_ = -1;
+  LandmarkId tie_b_ = -1;
+  std::vector<RawTrajectory> street_trips_;
+  std::vector<RawTrajectory> tie_b_trips_;
+};
+
+TEST_F(TrainedSignificanceTest, CalibrateAfterTrainUsesTrainedSignificance) {
+  STMaker maker(&net_, landmarks_.get(), FeatureRegistry::BuiltIn());
+  std::vector<RawTrajectory> history = street_trips_;
+  history.insert(history.end(), tie_b_trips_.begin(), tie_b_trips_.end());
+  ASSERT_TRUE(maker.Train(history).ok());
+  ASSERT_GT(Significance(tie_b_), Significance(tie_a_));
+
+  std::vector<LandmarkId> want = FreshAnchors();
+  EXPECT_NE(std::find(want.begin(), want.end(), tie_b_), want.end());
+  EXPECT_EQ(std::find(want.begin(), want.end(), tie_a_), want.end());
+  EXPECT_EQ(Anchors(maker.Calibrate(street_trips_[0])), want);
+}
+
+TEST_F(TrainedSignificanceTest,
+       CalibrateAfterTrainIncrementalUsesTrainedSignificance) {
+  STMaker maker(&net_, landmarks_.get(), FeatureRegistry::BuiltIn());
+  ASSERT_TRUE(maker.Train(street_trips_).ok());
+  ASSERT_GT(Significance(tie_a_), Significance(tie_b_));
+  EXPECT_EQ(Anchors(maker.Calibrate(street_trips_[0])), FreshAnchors());
+
+  ASSERT_TRUE(maker.TrainIncremental(tie_b_trips_).ok());
+  ASSERT_GT(Significance(tie_b_), Significance(tie_a_));
+  std::vector<LandmarkId> want = FreshAnchors();
+  EXPECT_NE(std::find(want.begin(), want.end(), tie_b_), want.end());
+  EXPECT_EQ(Anchors(maker.Calibrate(street_trips_[0])), want);
 }
 
 }  // namespace
