@@ -3,8 +3,8 @@
 // ingestion (Train) and batch summarization (SummarizeBatch), per-stage
 // serving latencies (calibration cold/cached, feature extraction,
 // popular-route queries with the LRU warm), and the routing backends —
-// plain Dijkstra against the contraction hierarchy on the largest
-// generated map, point queries and many-to-many tables.
+// plain Dijkstra against the contraction hierarchy point queries on the
+// largest generated map.
 //
 // Every parallel configuration is checked against the serial one — the
 // sweep aborts with a nonzero exit if any thread count changes a single
@@ -16,7 +16,6 @@
 //   {"name", "threads", "items_per_sec", "p50_ms", "p99_ms"}
 // plus special records: "ch_routing" (map size, build cost, measured
 // CH-over-Dijkstra speedup), "index_retrieval" (indexed-vs-scan speedups),
-// "slo"/"slo_knee" (closed-loop load points, excluded from --compare),
 // "machine" (hardware concurrency plus CPU model and ISA flags, so
 // scaling and SIMD-sensitive numbers can be read against the silicon that
 // produced them), and the registry histograms accumulated over the run. The matcher is additionally benchmarked
@@ -55,9 +54,7 @@
 #include "io/poi_io.h"
 #include "io/road_network_io.h"
 #include "io/trajectory_io.h"
-#include "net/loadgen.h"
 #include "net/ndjson_service.h"
-#include "net/server.h"
 #include "roadnet/contraction_hierarchy.h"
 #include "roadnet/map_matcher.h"
 #include "roadnet/shortest_path.h"
@@ -446,7 +443,6 @@ int Run(const char* out_path) {
   // search touches a few dozen regardless of distance.
   double ch_build_ms = 0;
   double ch_speedup = 0;
-  double ch_batch_speedup = 0;
   size_t routing_nodes = 0;
   {
     MapGeneratorOptions big;
@@ -511,145 +507,6 @@ int Run(const char* out_path) {
     std::printf("# ch routes identical to dijkstra: yes "
                 "(point-query speedup %.1fx)\n",
                 ch_speedup);
-
-    // Many-to-many: one bucket-based table against the same table assembled
-    // from point queries — the distance-matrix workload of a group
-    // summarization or a k-nearest-landmark pass.
-    const size_t kTableSide = 64;
-    std::vector<NodeId> sources, targets;
-    for (size_t i = 0; i < kTableSide; ++i) {
-      sources.push_back(static_cast<NodeId>(rng() % net.NumNodes()));
-      targets.push_back(static_cast<NodeId>(rng() % net.NumNodes()));
-    }
-    t0 = NowMs();
-    Result<std::vector<std::vector<double>>> table =
-        ch->BatchRoutes(sources, targets);
-    double table_ms = NowMs() - t0;
-    STMAKER_CHECK(table.ok());
-    const size_t table_pairs = kTableSide * kTableSide;
-    std::vector<double> table_lat{table_ms};
-    results.push_back(
-        Summarize("RouteCHBatch64x64", 1, table_lat, table_pairs, table_ms));
-    // Point-query equivalent of the same table, for the speedup record.
-    t0 = NowMs();
-    for (size_t i = 0; i < kTableSide; ++i) {
-      for (size_t j = 0; j < kTableSide; ++j) {
-        Result<double> d = ch->Distance(sources[i], targets[j]);
-        double got = d.ok() ? *d : std::numeric_limits<double>::infinity();
-        STMAKER_CHECK(std::abs(got - (*table)[i][j]) <=
-                          1e-6 * (1.0 + std::abs(got)) ||
-                      got == (*table)[i][j]);
-      }
-    }
-    double pointwise_ms = NowMs() - t0;
-    ch_batch_speedup = table_ms > 0 ? pointwise_ms / table_ms : 0;
-    std::printf("# batch table identical to point queries: yes "
-                "(batch speedup %.1fx)\n",
-                ch_batch_speedup);
-  }
-
-  // --- SLO sweep: the p99-vs-QPS saturation curve over the real TCP
-  // front-end. An in-process epoll server (src/net) serves the trained
-  // maker on loopback while the open-loop Poisson loadgen offers rising
-  // fractions of the estimated single-node capacity; each point records
-  // achieved throughput, tail latency, shed load, and wire bytes. The knee
-  // is the highest offered rate the server absorbs while still meeting the
-  // SLO (every request answered, none shed, p99 ≤ 50 ms) — the number a
-  // capacity plan actually needs.
-  struct SloPoint {
-    double offered_qps = 0;
-    double achieved_qps = 0;
-    double p50_ms = 0;
-    double p99_ms = 0;
-    size_t ok = 0;
-    size_t shed = 0;
-    size_t unanswered = 0;
-    uint64_t bytes_in = 0;
-    uint64_t bytes_out = 0;
-  };
-  std::vector<SloPoint> slo_points;
-  double knee_qps = 0;
-  double knee_p99_ms = 0;
-  double capacity_qps = 0;
-  {
-    double unit_rate = 0;  // single-thread summaries/sec, measured above
-    for (const BenchResult& r : results) {
-      if (r.name == "Summarize_untraced") unit_rate = r.items_per_sec;
-    }
-    // Server, event loops, and the loadgen all share this machine's cores,
-    // so the capacity estimate has to be honest about how many there are —
-    // assuming four workers on a one-core box would put every sweep point
-    // past saturation and report a meaningless knee of zero.
-    unsigned hw = std::thread::hardware_concurrency();
-    const int kServeThreads =
-        static_cast<int>(std::min(4u, std::max(1u, hw)));
-    capacity_qps = unit_rate * kServeThreads;
-
-    net::NdjsonServiceOptions sopts;
-    sopts.threads = kServeThreads;
-    sopts.max_inflight = 256;
-    net::NdjsonService service(world.maker.get(), &raws, sopts);
-    net::TcpServerOptions topts;
-    topts.num_loops = 2;
-    net::TcpServer server(
-        topts, [&service](std::string line,
-                          const net::TcpServer::ResponseFn& respond) {
-          service.HandleLine(line, respond);
-        });
-    Status started = server.Start();
-    STMAKER_CHECK(started.ok());
-
-    Counter& bytes_in = MetricsRegistry::Global().counter("net.bytes_in");
-    Counter& bytes_out = MetricsRegistry::Global().counter("net.bytes_out");
-    // The low end must sit comfortably inside capacity even with the
-    // loadgen stealing cycles from the server (in-process, same cores);
-    // the high end must clearly overload, so the knee lands in between.
-    const double kLoadFractions[] = {0.1, 0.25, 0.5, 0.75, 1.0, 1.4};
-    for (double fraction : kLoadFractions) {
-      net::LoadgenOptions lopts;
-      lopts.port = server.port();
-      lopts.connections = 8;
-      lopts.rate_qps = std::max(20.0, capacity_qps * fraction);
-      lopts.duration_s = 1.5;
-      lopts.num_trips = std::min<size_t>(raws.size(), 200);
-      lopts.seed = 42 + static_cast<uint64_t>(fraction * 10);
-      uint64_t in0 = bytes_in.value(), out0 = bytes_out.value();
-      Result<net::LoadgenReport> report = net::RunOpenLoopLoad(lopts);
-      STMAKER_CHECK(report.ok());
-      SloPoint point;
-      point.offered_qps = report->offered_qps;
-      point.achieved_qps = report->achieved_qps;
-      point.p50_ms = report->p50_ms;
-      point.p99_ms = report->p99_ms;
-      point.ok = report->ok;
-      auto shed_it = report->by_status.find("resource_exhausted");
-      point.shed = shed_it == report->by_status.end() ? 0 : shed_it->second;
-      point.unanswered = report->unanswered;
-      point.bytes_in = bytes_in.value() - in0;
-      point.bytes_out = bytes_out.value() - out0;
-      slo_points.push_back(point);
-      // Absorbed = every request answered and none shed. Comparing
-      // achieved/offered rates instead would flag healthy low-rate points:
-      // a 1.5 s Poisson draw at a few hundred qps is ±2% on count alone.
-      bool meets_slo = point.p99_ms <= 50.0 && point.unanswered == 0 &&
-                       point.shed == 0;
-      if (meets_slo && point.offered_qps > knee_qps) {
-        knee_qps = point.offered_qps;
-        knee_p99_ms = point.p99_ms;
-      }
-      std::printf("SLO %8.1f qps offered -> %8.1f achieved  p50 %7.3f ms  "
-                  "p99 %7.3f ms  ok %zu shed %zu unanswered %zu%s\n",
-                  point.offered_qps, point.achieved_qps, point.p50_ms,
-                  point.p99_ms, point.ok, point.shed, point.unanswered,
-                  meets_slo ? "" : "  [over SLO]");
-    }
-    server.SignalShutdown();
-    Status drained = server.Wait();
-    STMAKER_CHECK(drained.ok());
-    service.Drain();
-    std::printf("# slo knee: %.1f qps at p99 %.3f ms "
-                "(capacity estimate %.1f qps)\n",
-                knee_qps, knee_p99_ms, capacity_qps);
   }
 
   // --- Model lifecycle: cold start, reload latency, and post-swap
@@ -961,33 +818,14 @@ int Run(const char* out_path) {
   }
   std::fprintf(out,
                "  {\"name\": \"ch_routing\", \"map_nodes\": %zu, "
-               "\"build_ms\": %.1f, \"speedup_vs_dijkstra\": %.2f, "
-               "\"batch_speedup_vs_point\": %.2f},\n",
-               routing_nodes, ch_build_ms, ch_speedup, ch_batch_speedup);
+               "\"build_ms\": %.1f, \"speedup_vs_dijkstra\": %.2f},\n",
+               routing_nodes, ch_build_ms, ch_speedup);
   std::fprintf(out,
                "  {\"name\": \"index_retrieval\", \"corpus_trips\": %zu, "
                "\"postings\": %zu, \"similar_speedup_vs_scan\": %.1f, "
                "\"region_speedup_vs_scan\": %.1f},\n",
                raws.size(), index_postings, index_similar_speedup,
                index_region_speedup);
-  // SLO rows are load-dependent (offered rate scales with the build's own
-  // capacity estimate), so bench_report.py excludes them from --compare.
-  for (const SloPoint& p : slo_points) {
-    std::fprintf(out,
-                 "  {\"name\": \"slo\", \"offered_qps\": %.1f, "
-                 "\"achieved_qps\": %.1f, \"p50_ms\": %.4f, "
-                 "\"p99_ms\": %.4f, \"ok\": %zu, \"shed\": %zu, "
-                 "\"unanswered\": %zu, \"bytes_in\": %llu, "
-                 "\"bytes_out\": %llu},\n",
-                 p.offered_qps, p.achieved_qps, p.p50_ms, p.p99_ms, p.ok,
-                 p.shed, p.unanswered,
-                 static_cast<unsigned long long>(p.bytes_in),
-                 static_cast<unsigned long long>(p.bytes_out));
-  }
-  std::fprintf(out,
-               "  {\"name\": \"slo_knee\", \"knee_qps\": %.1f, "
-               "\"knee_p99_ms\": %.4f, \"capacity_estimate_qps\": %.1f},\n",
-               knee_qps, knee_p99_ms, capacity_qps);
   CpuInfo cpu = ReadCpuInfo();
   std::fprintf(out,
                "  {\"name\": \"machine\", \"hardware_concurrency\": %u, "

@@ -92,7 +92,7 @@ struct RequestContext {
   /// Cooperative cancellation flag (default: never cancels).
   CancelToken cancel;
 
-  /// Per-Route()-call cap on Dijkstra/A* node expansions; 0 = unlimited.
+  /// Per-Route()-call cap on Dijkstra/CH node expansions; 0 = unlimited.
   /// Applies to roadnet shortest-path searches only (see DESIGN.md §10).
   size_t max_node_expansions = 0;
 

@@ -82,12 +82,6 @@ Result<std::vector<std::vector<std::string>>> ParseCsv(
   return std::move(sink.rows);
 }
 
-Result<std::vector<std::vector<std::string>>> ReadCsvFile(
-    const std::string& path) {
-  STMAKER_ASSIGN_OR_RETURN(std::string text, ReadFileToString(path));
-  return ParseCsv(text);
-}
-
 Result<std::vector<std::vector<std::string>>> ParseCsvTable(
     const std::string& text, const std::vector<std::string>& expected_header,
     const std::string& context) {

@@ -153,11 +153,6 @@ Status TokenizeCsv(std::string_view text, Sink& sink) {
 Result<std::vector<std::vector<std::string>>> ParseCsv(
     const std::string& text);
 
-/// Reads and parses an entire CSV file (failpoints: the ReadFileToString
-/// ones).
-Result<std::vector<std::vector<std::string>>> ReadCsvFile(
-    const std::string& path);
-
 /// \brief Parses CSV `text` as a rectangular table: the first row must
 /// equal `expected_header`, and every data row must have exactly the header
 /// width — short, long, or ragged rows fail with kInvalidArgument carrying

@@ -26,8 +26,8 @@ int ResolveThreadCount(int requested);
 /// Tasks submitted with Submit() run on the workers in FIFO submission
 /// order (each worker pulls the oldest pending task); Wait() blocks the
 /// caller until every submitted task has finished. The pool is the
-/// substrate for ParallelFor/ParallelMap below — most code should use
-/// those helpers rather than the pool directly.
+/// substrate for ParallelFor below — most code should use that helper
+/// rather than the pool directly.
 ///
 /// Thread-safety: Submit() and Wait() may be called from any thread, but
 /// tasks must not Submit() to the pool they run on while the owner is in
@@ -110,21 +110,6 @@ void ParallelFor(size_t n, int threads,
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t begin, size_t end,
                                           int shard)>& fn);
-
-/// \brief Deterministic parallel map: out[i] = fn(i) for i in [0, n).
-///
-/// Results land in index order regardless of which worker computed them,
-/// so the output equals the serial `for` loop element-for-element. T must
-/// be default-constructible and move-assignable; fn must be safe to call
-/// concurrently for distinct indices.
-template <typename T, typename Fn>
-std::vector<T> ParallelMap(size_t n, int threads, Fn&& fn) {
-  std::vector<T> out(n);
-  ParallelFor(n, threads, [&](size_t begin, size_t end, int /*shard*/) {
-    for (size_t i = begin; i < end; ++i) out[i] = fn(i);
-  });
-  return out;
-}
 
 }  // namespace stmaker
 

@@ -18,8 +18,8 @@
 /// from lexical nesting on the recording thread (a thread-local current
 /// span), so `ScopedSpan a(...); { ScopedSpan b(...); }` yields b as a
 /// child of a without any plumbing. Spans recorded by different threads of
-/// the same request (a SummarizeBatch sharing one context) become
-/// additional roots — correct, if flat, rather than a fabricated order.
+/// the same request become additional roots — correct, if flat, rather
+/// than a fabricated order.
 ///
 /// Overhead contract (DESIGN.md §11): tracing is off unless a request
 /// carries a Trace, and a disabled ScopedSpan compiles down to one null

@@ -104,20 +104,6 @@ IrregularityAnalyzer::PopularRouteFeatureValues(
   return values;
 }
 
-Result<std::vector<double>> IrregularityAnalyzer::PopularRouteFeatureMeans(
-    const SymbolicTrajectory& symbolic, size_t seg_begin, size_t seg_end,
-    const RequestContext* ctx) const {
-  STMAKER_ASSIGN_OR_RETURN(
-      std::vector<std::vector<double>> values,
-      PopularRouteFeatureValues(symbolic, seg_begin, seg_end, ctx));
-  std::vector<double> means(feature_map_->num_features(), 0.0);
-  for (const std::vector<double>& v : values) {
-    for (size_t f = 0; f < means.size(); ++f) means[f] += v[f];
-  }
-  for (double& m : means) m /= static_cast<double>(values.size());
-  return means;
-}
-
 std::vector<double> IrregularityAnalyzer::IrregularRates(
     const SymbolicTrajectory& symbolic,
     const std::vector<SegmentFeatures>& segments, size_t seg_begin,

@@ -70,14 +70,6 @@ class IrregularityAnalyzer {
       size_t seg_end, std::vector<BaselineStatus>* baselines = nullptr,
       const RequestContext* ctx = nullptr) const;
 
-  /// Mean feature vector along the popular route between the partition's
-  /// endpoints — the "most drivers" baseline used by routing-feature phrases
-  /// ("while most drivers choose ..."). NotFound when no popular route
-  /// exists.
-  Result<std::vector<double>> PopularRouteFeatureMeans(
-      const SymbolicTrajectory& symbolic, size_t seg_begin, size_t seg_end,
-      const RequestContext* ctx = nullptr) const;
-
   /// Per-edge regular feature vectors along the popular route between the
   /// partition's endpoints ([edge][feature]); lets callers compute modal
   /// categorical values where a mean would be meaningless.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <limits>
 #include <map>
 #include <optional>
 #include <utility>
@@ -51,31 +50,6 @@ void STMaker::DropRoadHierarchy() {
 Result<Path> STMaker::RoadRoute(NodeId src, NodeId dst,
                                 const RequestContext* ctx) const {
   return road_router_.Route(src, dst, nullptr, ctx);
-}
-
-Result<std::vector<std::vector<double>>> STMaker::RoadDistanceTable(
-    std::span<const NodeId> sources, std::span<const NodeId> targets,
-    const RequestContext* ctx) const {
-  if (road_hierarchy_ != nullptr) {
-    return road_hierarchy_->BatchRoutes(sources, targets, ctx);
-  }
-  // Dijkstra fallback: one sweep per source. Same table, no preprocessing
-  // required.
-  constexpr double kInfinity = std::numeric_limits<double>::infinity();
-  std::vector<std::vector<double>> table(
-      sources.size(), std::vector<double>(targets.size(), kInfinity));
-  for (size_t i = 0; i < sources.size(); ++i) {
-    for (size_t j = 0; j < targets.size(); ++j) {
-      Result<Path> path = road_router_.Route(sources[i], targets[j], nullptr,
-                                             ctx);
-      if (path.ok()) {
-        table[i][j] = path->cost;
-      } else if (path.status().code() != StatusCode::kNotFound) {
-        return path.status();
-      }
-    }
-  }
-  return table;
 }
 
 Result<CalibratedTrajectory> STMaker::Calibrate(
@@ -739,51 +713,20 @@ Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
 std::vector<Result<Summary>> STMaker::SummarizeBatch(
     std::span<const RawTrajectory> raws, const SummaryOptions& options,
     int num_threads) const {
-  BatchOptions batch;
-  batch.num_threads = num_threads;
-  return SummarizeBatch(raws, options, batch);
-}
-
-std::vector<Result<Summary>> STMaker::SummarizeBatch(
-    std::span<const RawTrajectory> raws, const SummaryOptions& options,
-    const BatchOptions& batch) const {
-  const int threads =
-      ResolveThreadCount(batch.num_threads > 0 ? batch.num_threads
-                                               : options_.num_threads);
-  // Overload shedding is by item index, not arrival order: items past
-  // `max_items` are rejected before any worker runs, so the shed set is
-  // the same at every thread count (and trivially reproducible).
-  const size_t admitted = batch.max_items == 0
-                              ? raws.size()
-                              : std::min(raws.size(), batch.max_items);
+  const int threads = ResolveThreadCount(
+      num_threads > 0 ? num_threads : options_.num_threads);
   // Result<Summary> has no default state, so workers fill optionals by
   // index and the unwrap below restores the plain vector. Each item is
   // summarized independently through the const (thread-safe) serving path,
   // so element i is bit-identical to a lone Summarize(raws[i], options)
   // call at any thread count.
   std::vector<std::optional<Result<Summary>>> slots(raws.size());
-  {
-    static Counter& batch_items =
-        MetricsRegistry::Global().counter("stmaker.batch.items");
-    static Counter& batch_shed =
-        MetricsRegistry::Global().counter("stmaker.batch.shed");
-    batch_items.Increment(raws.size());
-    // Shed items are invisible to callers beyond their per-slot status;
-    // the counter makes overload visible to operators (and assertable in
-    // tests) without changing the deterministic shed set.
-    batch_shed.Increment(raws.size() - admitted);
-  }
-  ParallelFor(admitted, threads,
+  ParallelFor(raws.size(), threads,
               [&](size_t begin, size_t end, int /*shard*/) {
                 for (size_t i = begin; i < end; ++i) {
-                  slots[i].emplace(Summarize(raws[i], options, batch.context));
+                  slots[i].emplace(Summarize(raws[i], options));
                 }
               });
-  for (size_t i = admitted; i < raws.size(); ++i) {
-    slots[i].emplace(Status::ResourceExhausted(StrFormat(
-        "batch item %zu shed: over the admission limit of %zu items", i,
-        batch.max_items)));
-  }
   std::vector<Result<Summary>> out;
   out.reserve(raws.size());
   for (std::optional<Result<Summary>>& slot : slots) {

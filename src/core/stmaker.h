@@ -82,22 +82,6 @@ struct STMakerOptions {
   TrajectoryIndexOptions index;
 };
 
-/// \brief Admission and limit knobs for SummarizeBatch.
-struct BatchOptions {
-  /// Worker threads; 0 = STMakerOptions::num_threads resolved against
-  /// hardware concurrency.
-  int num_threads = 0;
-  /// Optional shared request context (deadline / cancellation) applied to
-  /// every item of the batch.
-  const RequestContext* context = nullptr;
-  /// Admission limit: items with index >= max_items are shed — never run,
-  /// their slot reports kResourceExhausted. 0 admits everything. Shedding
-  /// is by item index, so the shed set is identical at every thread count
-  /// (a racy "first come, first served" policy would make batch results
-  /// scheduling-dependent).
-  size_t max_items = 0;
-};
-
 /// \brief Outcome of one corpus ingestion (Train / TrainIncremental):
 /// how many trajectories made it into the model and why the rest were
 /// quarantined. Per-shard reports are merged deterministically (counts are
@@ -214,15 +198,6 @@ class STMaker {
       const SummaryOptions& options = SummaryOptions(),
       int num_threads = 0) const;
 
-  /// SummarizeBatch with overload control: `batch.max_items` sheds excess
-  /// items deterministically by index (kResourceExhausted), and
-  /// `batch.context` applies one shared deadline/cancel context to every
-  /// admitted item. Results stay per-item: one slow, shed, or cancelled
-  /// trajectory never poisons the rest of its batch.
-  std::vector<Result<Summary>> SummarizeBatch(
-      std::span<const RawTrajectory> raws, const SummaryOptions& options,
-      const BatchOptions& batch) const;
-
   /// Persists the trained model *and its serving world* — road-network
   /// CSR + geometry, CH hierarchy, landmarks with significances,
   /// popular-route transitions, the historical feature map, the visit
@@ -259,7 +234,7 @@ class STMaker {
       const RawTrajectory& raw, const RequestContext* ctx = nullptr) const;
 
   /// Contracts the road network into a hierarchy and installs it as the
-  /// routing backend for RoadRoute/RoadDistanceTable. SaveModelContainer
+  /// routing backend for RoadRoute. SaveModelContainer
   /// then persists it (sections ch-rank/ch-arcs) so a later
   /// LoadModelContainer serves without re-contracting. Preprocessing work,
   /// not serving work — run it next to Train(), never concurrently with
@@ -287,20 +262,6 @@ class STMaker {
   /// \return The path, or the ShortestPathRouter::Route errors.
   Result<Path> RoadRoute(NodeId src, NodeId dst,
                          const RequestContext* ctx = nullptr) const;
-
-  /// Many-to-many length-metric distance table; result[i][j] is the
-  /// distance sources[i] -> targets[j] in meters (+infinity when
-  /// unreachable). With a hierarchy installed this is the bucket-based
-  /// batch query (|S|+|T| small searches); without one it degrades to
-  /// |S| Dijkstra sweeps.
-  ///
-  /// \param sources Source node ids.
-  /// \param targets Target node ids.
-  /// \param ctx Optional request limits (may be null).
-  /// \return The |S|×|T| table, or the query errors.
-  Result<std::vector<std::vector<double>>> RoadDistanceTable(
-      std::span<const NodeId> sources, std::span<const NodeId> targets,
-      const RequestContext* ctx = nullptr) const;
 
   /// Reduces one raw trajectory to its index descriptor (sanitize →
   /// calibrate → extract → fingerprint), exactly as Train() describes the

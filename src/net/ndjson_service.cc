@@ -58,13 +58,49 @@ long long ClampLL(double v, long long lo, long long hi) {
 /// deadline.
 constexpr long long kMaxDeadlineMs = 1'000'000'000;
 
+/// The serve protocol's fields and the JSON type each one wants. HandleLine
+/// checks every request against this table before dispatch, so a known
+/// field sent with the wrong type is rejected, never read as absent.
+/// Fields not listed here are ignored.
+enum class FieldType { kNumber, kString };
+struct ProtocolField {
+  const char* name;
+  FieldType type;
+};
+constexpr ProtocolField kProtocolFields[] = {
+    {"id", FieldType::kNumber},          {"trip", FieldType::kNumber},
+    {"k", FieldType::kNumber},           {"eta", FieldType::kNumber},
+    {"deadline_ms", FieldType::kNumber}, {"max_expansions", FieldType::kNumber},
+    {"src", FieldType::kNumber},         {"dst", FieldType::kNumber},
+    {"stats", FieldType::kNumber},       {"route", FieldType::kNumber},
+    {"reload", FieldType::kNumber},      {"similar", FieldType::kNumber},
+    {"query", FieldType::kNumber},       {"model_dir", FieldType::kString},
+    {"bbox", FieldType::kString},        {"window", FieldType::kString},
+};
+
+/// InvalidArgument naming the first table field (in table order) that the
+/// request sent with the other JSON type.
+Status CheckFieldTypes(const NdjsonService::FlatJson& fields) {
+  for (const ProtocolField& field : kProtocolFields) {
+    if (field.type == FieldType::kNumber &&
+        fields.strings.count(field.name) != 0) {
+      return Status::InvalidArgument(
+          StrFormat("field '%s' wants a numeric value", field.name));
+    }
+    if (field.type == FieldType::kString &&
+        fields.numbers.count(field.name) != 0) {
+      return Status::InvalidArgument(
+          StrFormat("field '%s' wants a string", field.name));
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
-NdjsonService::NdjsonService(STMaker* maker,
-                             const std::vector<RawTrajectory>* corpus,
+NdjsonService::NdjsonService(ModelManager* manager,
                              const NdjsonServiceOptions& options)
-    : maker_(maker),
-      corpus_(corpus),
+    : manager_(manager),
       options_(options),
       registry_(MetricsRegistry::Global()),
       c_requests_(registry_.counter("serve.requests")),
@@ -80,34 +116,6 @@ NdjsonService::NdjsonService(STMaker* maker,
   // and logs the overrun. The library's own deadline checks normally fire
   // first; the watchdog is the backstop for code between check points.
   watchdog_ = std::thread([this] { WatchdogMain(); });
-}
-
-NdjsonService::NdjsonService(ModelManager* manager,
-                             const NdjsonServiceOptions& options)
-    : manager_(manager),
-      maker_(nullptr),
-      corpus_(nullptr),
-      options_(options),
-      registry_(MetricsRegistry::Global()),
-      c_requests_(registry_.counter("serve.requests")),
-      c_malformed_(registry_.counter("serve.malformed")),
-      c_stats_requests_(registry_.counter("serve.stats_requests")),
-      c_route_requests_(registry_.counter("serve.route_requests")),
-      c_reload_requests_(registry_.counter("serve.reload_requests")),
-      c_similar_requests_(registry_.counter("serve.similar_requests")),
-      c_query_requests_(registry_.counter("serve.query_requests")),
-      c_watchdog_cancelled_(registry_.counter("serve.watchdog_cancelled")),
-      pool_(options.threads) {
-  watchdog_ = std::thread([this] { WatchdogMain(); });
-}
-
-NdjsonService::PinnedModel NdjsonService::Pin() const {
-  if (manager_ == nullptr) {
-    return PinnedModel{maker_, corpus_, 0, nullptr};
-  }
-  std::shared_ptr<const ModelSnapshot> snapshot = manager_->Current();
-  return PinnedModel{snapshot->maker.get(), &snapshot->trajectories,
-                     snapshot->version, std::move(snapshot)};
 }
 
 NdjsonService::~NdjsonService() {
@@ -143,9 +151,9 @@ void NdjsonService::WatchdogMain() {
 
 // Mirrors the maker's LRU cache stats into gauges so a `stats` snapshot
 // carries them alongside the registry-native counters.
-void NdjsonService::MirrorCacheGauges(STMaker* maker) {
-  CacheStats cal = maker->CalibrationCacheStats();
-  CacheStats route = maker->RouteCacheStats();
+void NdjsonService::MirrorCacheGauges(const STMaker& maker) {
+  CacheStats cal = maker.CalibrationCacheStats();
+  CacheStats route = maker.RouteCacheStats();
   registry_.gauge("calibration.cache.evictions")
       .Set(static_cast<int64_t>(cal.evictions));
   registry_.gauge("popular_route.cache.evictions")
@@ -294,56 +302,34 @@ Result<NdjsonService::FlatJson> NdjsonService::ParseFlatJson(
   return fields;
 }
 
-Result<std::map<std::string, double>> NdjsonService::ParseFlatJsonNumbers(
-    const std::string& line) {
-  Result<FlatJson> parsed = ParseFlatJson(line);
-  if (!parsed.ok()) return parsed.status();
-  if (!parsed->strings.empty()) {
-    return Status::InvalidArgument("field '" + parsed->strings.begin()->first +
-                                   "' wants a numeric value");
-  }
-  return std::move(parsed->numbers);
-}
-
 std::string NdjsonService::ErrorResponse(long id, const Status& status) {
   return StrFormat("{\"id\": %ld, \"status\": \"%s\", \"error\": \"%s\"}", id,
                    WireStatusName(status.code()).c_str(),
                    JsonEscape(status.message()).c_str());
 }
 
-void NdjsonService::HandleStats(long id, const PinnedModel& model,
+void NdjsonService::HandleStats(long id, const ModelSnapshot& model,
                                 const ResponseFn& respond) {
   // Answered synchronously on the transport thread: a stats probe must
   // succeed even when the pool is saturated (it doubles as the
   // readiness/health check in the serve tests).
   c_stats_requests_.Increment();
-  MirrorCacheGauges(model.maker);
+  MirrorCacheGauges(*model.maker);
   registry_.gauge("process.uptime_ms")
       .Set(static_cast<int64_t>(
           std::chrono::duration_cast<std::chrono::milliseconds>(
               std::chrono::steady_clock::now() - g_process_start)
               .count()));
   std::string snapshot = registry_.Snapshot().ToJson();
-  if (model.snapshot != nullptr) {
-    respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"stats\": %s, "
-                      "\"model_version\": %llu}",
-                      id, snapshot.c_str(),
-                      static_cast<unsigned long long>(model.version)));
-  } else {
-    respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"stats\": %s}", id,
-                      snapshot.c_str()));
-  }
+  respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"stats\": %s, "
+                    "\"model_version\": %llu}",
+                    id, snapshot.c_str(),
+                    static_cast<unsigned long long>(model.version)));
 }
 
 void NdjsonService::HandleReload(long id, const FlatJson& fields,
                                  ResponseFn respond) {
   c_reload_requests_.Increment();
-  if (manager_ == nullptr) {
-    respond(ErrorResponse(
-        id, Status::FailedPrecondition(
-                "reload unavailable: this server runs a fixed model")));
-    return;
-  }
   std::string prefix;
   auto it = fields.strings.find("model_dir");
   if (it != fields.strings.end()) prefix = it->second;
@@ -367,7 +353,7 @@ void NdjsonService::HandleReload(long id, const FlatJson& fields,
       });
 }
 
-void NdjsonService::HandleRoute(long id, const PinnedModel& model,
+void NdjsonService::HandleRoute(long id, const ModelSnapshot& model,
                                 const std::map<std::string, double>& fields,
                                 const ResponseFn& respond) {
   // Answered synchronously on the transport thread: a point query on the
@@ -409,19 +395,13 @@ void NdjsonService::HandleRoute(long id, const PinnedModel& model,
     respond(ErrorResponse(id, path.status()));
     return;
   }
-  if (model.snapshot != nullptr) {
-    respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"cost\": %.3f, "
-                      "\"hops\": %zu, \"model_version\": %llu}",
-                      id, path->cost, path->edges.size(),
-                      static_cast<unsigned long long>(model.version)));
-  } else {
-    respond(StrFormat(
-        "{\"id\": %ld, \"status\": \"ok\", \"cost\": %.3f, \"hops\": %zu}", id,
-        path->cost, path->edges.size()));
-  }
+  respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"cost\": %.3f, "
+                    "\"hops\": %zu, \"model_version\": %llu}",
+                    id, path->cost, path->edges.size(),
+                    static_cast<unsigned long long>(model.version)));
 }
 
-void NdjsonService::HandleSummarize(long id, PinnedModel model,
+void NdjsonService::HandleSummarize(long id, Snapshot model,
                                     const std::map<std::string, double>& fields,
                                     ResponseFn respond) {
   auto field = [&](const std::string& key, double fallback) {
@@ -429,11 +409,12 @@ void NdjsonService::HandleSummarize(long id, PinnedModel model,
     return it == fields.end() ? fallback : it->second;
   };
   double trip_value = field("trip", 0);
-  if (trip_value < 0 || trip_value >= model.corpus->size()) {
+  if (trip_value < 0 || trip_value >= model->trajectories.size()) {
     respond(ErrorResponse(
         id, Status::OutOfRange(StrFormat("trip %.0f out of range (corpus has "
                                          "%zu)",
-                                         trip_value, model.corpus->size()))));
+                                         trip_value,
+                                         model->trajectories.size()))));
     return;
   }
   size_t trip = static_cast<size_t>(trip_value);
@@ -444,6 +425,48 @@ void NdjsonService::HandleSummarize(long id, PinnedModel model,
                                        std::numeric_limits<int>::max()));
   options.eta = field("eta", 0.2);
 
+  // When a trace log is attached every admitted request carries its own
+  // Trace; the span tree is appended (one NDJSON line, under trace_mu_ so
+  // lines never interleave) after the response is sent. Tracing only
+  // observes — the response bytes are identical either way.
+  std::shared_ptr<Trace> trace;
+  if (trace_log_ != nullptr) trace = std::make_shared<Trace>();
+  // `model` rides into the task by value: the pinned snapshot stays alive
+  // until this request responds, no matter how many swaps land meanwhile.
+  SubmitPooled(
+      id, fields, respond, trace.get(),
+      [this, id, trip, options, trace, respond,
+       model = std::move(model)](const RequestContext& ctx) {
+        Result<Summary> summary =
+            model->maker->Summarize(model->trajectories[trip], options, &ctx);
+        if (summary.ok()) {
+          respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", "
+                            "\"partitions\": %zu, \"text\": \"%s\", "
+                            "\"model_version\": %llu}",
+                            id, summary->partitions.size(),
+                            JsonEscape(summary->text).c_str(),
+                            static_cast<unsigned long long>(model->version)));
+        } else {
+          respond(ErrorResponse(id, summary.status()));
+        }
+        if (trace != nullptr) {
+          std::string json = trace->ToJson();
+          std::lock_guard<std::mutex> lock(trace_mu_);
+          std::fprintf(trace_log_, "{\"id\": %ld, \"trace\": %s}\n", id,
+                       json.c_str());
+          std::fflush(trace_log_);
+        }
+      });
+}
+
+void NdjsonService::SubmitPooled(
+    long id, const std::map<std::string, double>& fields,
+    const ResponseFn& respond, Trace* trace,
+    std::function<void(const RequestContext&)> body) {
+  auto field = [&](const std::string& key, double fallback) {
+    auto it = fields.find(key);
+    return it == fields.end() ? fallback : it->second;
+  };
   // The deadline starts at admission, so queueing time counts against
   // it — a request that waited out its budget in the queue fails fast
   // instead of running anyway.
@@ -456,106 +479,10 @@ void NdjsonService::HandleSummarize(long id, PinnedModel model,
                                                      -kMaxDeadlineMs,
                                                      kMaxDeadlineMs));
   }
-  ctx.max_node_expansions = static_cast<size_t>(ClampLL(
-      field("max_expansions", static_cast<double>(options_.max_expansions)), 0,
-      std::numeric_limits<long long>::max()));
-
+  ctx.trace = trace;
   // A deadline already expired at admission fails right here, before
   // the request can take a pool slot or race the watchdog — this keeps
   // non-positive deadline_ms a *deterministic* deadline_exceeded.
-  if (Status at_admission = ctx.Check(); !at_admission.ok()) {
-    respond(ErrorResponse(id, at_admission));
-    return;
-  }
-
-  uint64_t token;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    token = next_token_++;
-    InflightRequest req;
-    req.id = id;
-    req.deadline = ctx.has_deadline()
-                       ? ctx.deadline
-                       : RequestContext::Clock::time_point::max();
-    inflight_.emplace(token, req);
-    ctx.cancel = inflight_[token].cancel.token();
-  }
-  // When a trace log is attached every admitted request carries its own
-  // Trace; the span tree is appended (one NDJSON line, under trace_mu_ so
-  // lines never interleave) after the response is sent. Tracing only
-  // observes — the response bytes are identical either way.
-  std::shared_ptr<Trace> trace;
-  if (trace_log_ != nullptr) trace = std::make_shared<Trace>();
-  ctx.trace = trace.get();
-  // `respond` is captured by copy, not moved: when TrySubmit rejects, the
-  // task (and a moved-into capture with it) is destroyed before the
-  // rejection branch below still needs to answer the client.
-  // `model` rides into the task by value: the pinned snapshot stays alive
-  // until this request responds, no matter how many swaps land meanwhile.
-  bool admitted = pool_.TrySubmit(
-      [this, id, trip, options, ctx, token, trace, respond, model] {
-        Result<Summary> summary =
-            model.maker->Summarize((*model.corpus)[trip], options, &ctx);
-        if (summary.ok()) {
-          if (model.snapshot != nullptr) {
-            respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", "
-                              "\"partitions\": %zu, \"text\": \"%s\", "
-                              "\"model_version\": %llu}",
-                              id, summary->partitions.size(),
-                              JsonEscape(summary->text).c_str(),
-                              static_cast<unsigned long long>(model.version)));
-          } else {
-            respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", "
-                              "\"partitions\": %zu, \"text\": \"%s\"}",
-                              id, summary->partitions.size(),
-                              JsonEscape(summary->text).c_str()));
-          }
-        } else {
-          respond(ErrorResponse(id, summary.status()));
-        }
-        if (trace_log_ != nullptr && trace != nullptr) {
-          std::string json = trace->ToJson();
-          std::lock_guard<std::mutex> lock(trace_mu_);
-          std::fprintf(trace_log_, "{\"id\": %ld, \"trace\": %s}\n", id,
-                       json.c_str());
-          std::fflush(trace_log_);
-        }
-        std::lock_guard<std::mutex> lock(inflight_mu_);
-        inflight_.erase(token);
-      },
-      static_cast<size_t>(options_.max_inflight));
-  if (!admitted) {
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      inflight_.erase(token);
-    }
-    respond(ErrorResponse(
-        id, Status::ResourceExhausted(
-                StrFormat("server at capacity (%ld requests in flight)",
-                          options_.max_inflight))));
-  }
-}
-
-void NdjsonService::SubmitPooled(
-    long id, const std::map<std::string, double>& fields,
-    const ResponseFn& respond,
-    std::function<void(const RequestContext&)> body) {
-  auto field = [&](const std::string& key, double fallback) {
-    auto it = fields.find(key);
-    return it == fields.end() ? fallback : it->second;
-  };
-  // Same admission contract as HandleSummarize: the deadline starts here,
-  // queueing counts against it, and an already-expired deadline fails
-  // deterministically before taking a pool slot.
-  RequestContext ctx;
-  double deadline_ms =
-      field("deadline_ms", static_cast<double>(options_.default_deadline_ms));
-  if (deadline_ms != 0) {
-    ctx.deadline = RequestContext::Clock::now() +
-                   std::chrono::milliseconds(ClampLL(deadline_ms,
-                                                     -kMaxDeadlineMs,
-                                                     kMaxDeadlineMs));
-  }
   if (Status at_admission = ctx.Check(); !at_admission.ok()) {
     respond(ErrorResponse(id, at_admission));
     return;
@@ -573,7 +500,9 @@ void NdjsonService::SubmitPooled(
     ctx.cancel = inflight_[token].cancel.token();
   }
   // `body` owns its own respond copy; this function only answers the
-  // admission failures itself.
+  // admission failures itself. `respond` is not moved into the task: when
+  // TrySubmit rejects, the task is destroyed before the rejection branch
+  // below still needs to answer the client.
   bool admitted = pool_.TrySubmit(
       [this, ctx, token, body = std::move(body)] {
         body(ctx);
@@ -593,7 +522,7 @@ void NdjsonService::SubmitPooled(
   }
 }
 
-void NdjsonService::HandleSimilar(long id, PinnedModel model,
+void NdjsonService::HandleSimilar(long id, Snapshot model,
                                   const std::map<std::string, double>& fields,
                                   ResponseFn respond) {
   c_similar_requests_.Increment();
@@ -607,21 +536,23 @@ void NdjsonService::HandleSimilar(long id, PinnedModel model,
     return;
   }
   double trip_value = field("trip", 0);
-  if (trip_value < 0 || trip_value >= model.corpus->size()) {
+  if (trip_value < 0 || trip_value >= model->trajectories.size()) {
     respond(ErrorResponse(
         id, Status::OutOfRange(StrFormat("trip %.0f out of range (corpus has "
                                          "%zu)",
-                                         trip_value, model.corpus->size()))));
+                                         trip_value,
+                                         model->trajectories.size()))));
     return;
   }
   size_t trip = static_cast<size_t>(trip_value);
   size_t k = static_cast<size_t>(
       ClampLL(field("k", 5), 0, std::numeric_limits<long long>::max()));
   SubmitPooled(
-      id, fields, respond,
-      [id, trip, k, respond, model](const RequestContext& ctx) {
+      id, fields, respond, /*trace=*/nullptr,
+      [id, trip, k, respond, model = std::move(model)](
+          const RequestContext& ctx) {
         Result<std::vector<TrajectoryIndex::Match>> matches =
-            model.maker->SimilarTrips(*model.corpus, trip, k, &ctx);
+            model->maker->SimilarTrips(model->trajectories, trip, k, &ctx);
         if (!matches.ok()) {
           respond(ErrorResponse(id, matches.status()));
           return;
@@ -632,20 +563,14 @@ void NdjsonService::HandleSimilar(long id, PinnedModel model,
           items += StrFormat("{\"trip\": %u, \"score\": %.6f}", m.trip,
                              m.score);
         }
-        if (model.snapshot != nullptr) {
-          respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"trip\": %zu, "
-                            "\"results\": [%s], \"model_version\": %llu}",
-                            id, trip, items.c_str(),
-                            static_cast<unsigned long long>(model.version)));
-        } else {
-          respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"trip\": %zu, "
-                            "\"results\": [%s]}",
-                            id, trip, items.c_str()));
-        }
+        respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"trip\": %zu, "
+                          "\"results\": [%s], \"model_version\": %llu}",
+                          id, trip, items.c_str(),
+                          static_cast<unsigned long long>(model->version)));
       });
 }
 
-void NdjsonService::HandleQuery(long id, PinnedModel model,
+void NdjsonService::HandleQuery(long id, Snapshot model,
                                 const FlatJson& fields, ResponseFn respond) {
   c_query_requests_.Increment();
   auto bbox_it = fields.strings.find("bbox");
@@ -679,10 +604,11 @@ void NdjsonService::HandleQuery(long id, PinnedModel model,
     window = std::make_pair(t[0], t[1]);
   }
   SubmitPooled(
-      id, fields.numbers, respond,
-      [id, box, window, respond, model](const RequestContext& ctx) {
+      id, fields.numbers, respond, /*trace=*/nullptr,
+      [id, box, window, respond, model = std::move(model)](
+          const RequestContext& ctx) {
         Result<std::vector<uint32_t>> trips =
-            model.maker->QueryRegion(*model.corpus, box, window, &ctx);
+            model->maker->QueryRegion(model->trajectories, box, window, &ctx);
         if (!trips.ok()) {
           respond(ErrorResponse(id, trips.status()));
           return;
@@ -692,16 +618,10 @@ void NdjsonService::HandleQuery(long id, PinnedModel model,
           if (!items.empty()) items += ", ";
           items += StrFormat("%u", t);
         }
-        if (model.snapshot != nullptr) {
-          respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"count\": "
-                            "%zu, \"trips\": [%s], \"model_version\": %llu}",
-                            id, trips->size(), items.c_str(),
-                            static_cast<unsigned long long>(model.version)));
-        } else {
-          respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"count\": "
-                            "%zu, \"trips\": [%s]}",
-                            id, trips->size(), items.c_str()));
-        }
+        respond(StrFormat("{\"id\": %ld, \"status\": \"ok\", \"count\": "
+                          "%zu, \"trips\": [%s], \"model_version\": %llu}",
+                          id, trips->size(), items.c_str(),
+                          static_cast<unsigned long long>(model->version)));
       });
 }
 
@@ -721,19 +641,24 @@ void NdjsonService::HandleLine(const std::string& line, ResponseFn respond) {
                 : static_cast<long>(ClampLL(it->second,
                                             std::numeric_limits<long>::min(),
                                             std::numeric_limits<long>::max()));
+  if (Status types = CheckFieldTypes(fields); !types.ok()) {
+    c_malformed_.Increment();
+    respond(ErrorResponse(id, types));
+    return;
+  }
   if (numbers.count("reload") != 0) {
     HandleReload(id, fields, std::move(respond));
     return;
   }
   // Every non-admin request pins its model exactly once, here, and keeps
   // that snapshot for its whole lifetime.
-  PinnedModel model = Pin();
+  Snapshot model = manager_->Current();
   if (numbers.count("stats") != 0) {
-    HandleStats(id, model, respond);
+    HandleStats(id, *model, respond);
     return;
   }
   if (numbers.count("route") != 0) {
-    HandleRoute(id, model, numbers, respond);
+    HandleRoute(id, *model, numbers, respond);
     return;
   }
   // The retrieval verbs also carry a 'trip' field, so they dispatch

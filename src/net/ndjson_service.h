@@ -5,19 +5,19 @@
 /// \brief Transport-independent NDJSON request processor for serve mode.
 ///
 /// NdjsonService is the protocol brain shared by every serve front-end:
-/// the stdin/stdout loop, the epoll TCP server (net/server.h), and the
-/// in-process SLO bench all feed request lines into HandleLine() and get
-/// byte-identical response lines back — the golden-over-TCP test pins
-/// this. One service instance owns the worker pool, the bounded-admission
-/// gate (`max_inflight`), per-request deadlines measured from admission,
-/// and the watchdog thread that cancels requests running past their
-/// deadline (DESIGN.md §10, §14).
+/// the stdin/stdout loop and the epoll TCP server (net/server.h) both feed
+/// request lines into HandleLine() and get byte-identical response lines
+/// back — the golden-over-TCP test pins this. One service instance owns
+/// the worker pool, the bounded-admission gate (`max_inflight`),
+/// per-request deadlines measured from admission, and the watchdog thread
+/// that cancels requests running past their deadline (DESIGN.md §10, §14).
 ///
-/// Request protocol (one flat JSON object per line; values are numbers,
-/// plus string values for admin verbs):
-///   {"id": 1, "trip": 3, "k": 2, "eta": 0.3, "deadline_ms": 250,
-///    "max_expansions": 10000}           -> summarize (async, via the pool)
-///   {"id": 5, "route": 1, "src": 12, "dst": 977}  -> road route (sync)
+/// Request protocol (one flat JSON object per line; the fields and their
+/// JSON types are one table, checked before dispatch):
+///   {"id": 1, "trip": 3, "k": 2, "eta": 0.3, "deadline_ms": 250}
+///       -> summarize (async, via the pool)
+///   {"id": 5, "route": 1, "src": 12, "dst": 977, "max_expansions": 10000}
+///       -> road route (sync)
 ///   {"id": 7, "stats": 1}                         -> metrics snapshot (sync)
 ///   {"id": 9, "reload": 1, "model_dir": "path/model.stm"}  -> model reload
 ///       (async; the response fires when the reload actually ran)
@@ -31,15 +31,16 @@
 ///
 /// Responses carry the request id and a wire status
 /// ("ok"/"deadline_exceeded"/"resource_exhausted"/...); overload is shed
-/// deterministically at admission with "resource_exhausted".
+/// deterministically at admission with "resource_exhausted". A known field
+/// sent with the wrong JSON type is "invalid_argument" naming the field;
+/// unknown fields are ignored.
 ///
-/// Model lifecycle: constructed over a ModelManager, the service pins the
-/// current ModelSnapshot once per request at admission (Pin()) and carries
-/// that shared_ptr through the request's whole lifetime — a concurrent
-/// snapshot swap can never leave a request reading a half-loaded or
-/// mixed-version model, and every "ok" response echoes the
-/// `model_version` it was served from. The legacy fixed-model constructor
-/// (bench, unit tests) skips pinning and omits `model_version`.
+/// Model lifecycle: the service serves a ModelManager. It pins the current
+/// ModelSnapshot once per request at admission and carries that shared_ptr
+/// through the request's whole lifetime — a concurrent snapshot swap can
+/// never leave a request reading a half-loaded or mixed-version model, and
+/// every "ok" response echoes the `model_version` it was served from. A
+/// fixed model is a manager with one snapshot.
 
 #include <cstdio>
 #include <functional>
@@ -48,7 +49,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "common/context.h"
 #include "common/metrics.h"
@@ -61,7 +61,7 @@ namespace stmaker::net {
 
 /// Serving knobs, mirroring the `stmaker_cli serve` flags.
 struct NdjsonServiceOptions {
-  /// Worker threads for summarize requests.
+  /// Worker threads for the pooled verbs (summarize, similar, query).
   int threads = 1;
   /// Default per-request deadline (ms) when the request carries none;
   /// 0 = none, negative = deterministically already expired.
@@ -82,19 +82,11 @@ class NdjsonService {
   /// (summaries) — transports must tolerate both.
   using ResponseFn = std::function<void(std::string line)>;
 
-  /// `maker` must be trained/loaded; `corpus` backs the "trip" field.
-  /// Neither is owned; both must outlive the service. This fixed-model
-  /// form serves one immutable model: `reload` requests are rejected with
-  /// failed_precondition and responses carry no `model_version`.
-  NdjsonService(STMaker* maker, const std::vector<RawTrajectory>* corpus,
-                const NdjsonServiceOptions& options);
-
-  /// Snapshot-serving form: every request pins `manager->Current()` at
-  /// admission and the `reload` admin verb is live. `manager` must be
-  /// Initialize()d already and must outlive the service's in-flight
-  /// requests; reload callbacks the manager may still fire after this
-  /// service is gone touch only the transport's ResponseFn (safe — see
-  /// HandleReload).
+  /// Every request pins `manager->Current()` at admission and the
+  /// `reload` admin verb is live. `manager` must be Initialize()d already
+  /// and must outlive the service's in-flight requests; reload callbacks
+  /// the manager may still fire after this service is gone touch only the
+  /// transport's ResponseFn (safe — see HandleReload).
   NdjsonService(ModelManager* manager, const NdjsonServiceOptions& options);
 
   /// Drains and stops the watchdog.
@@ -127,8 +119,8 @@ class NdjsonService {
   static std::string WireStatusName(StatusCode code);
 
   /// One parsed request line, split by value type. The serve protocol is
-  /// flat: numbers for the query fields, strings only for admin verbs
-  /// (`model_dir`).
+  /// flat: numbers for the query fields, strings for `model_dir`, `bbox`
+  /// and `window`.
   struct FlatJson {
     std::map<std::string, double> numbers;
     std::map<std::string, std::string> strings;
@@ -138,11 +130,6 @@ class NdjsonService {
   /// or strings (with the usual backslash escapes). A hand-rolled scanner
   /// keeps the serving path dependency-free.
   static Result<FlatJson> ParseFlatJson(const std::string& line);
-
-  /// ParseFlatJson restricted to all-numeric values; any string field is
-  /// an InvalidArgument. Kept for the protocol's query-path callers.
-  static Result<std::map<std::string, double>> ParseFlatJsonNumbers(
-      const std::string& line);
 
   /// Renders the uniform error/status response line.
   static std::string ErrorResponse(long id, const Status& status);
@@ -155,48 +142,39 @@ class NdjsonService {
     CancelSource cancel;
   };
 
-  /// The model one request is served from, resolved once at admission.
-  /// `snapshot` (null in fixed-model mode) keeps the whole bundle alive
-  /// for the request's lifetime — the pin that makes the swap safe.
-  struct PinnedModel {
-    STMaker* maker = nullptr;
-    const std::vector<RawTrajectory>* corpus = nullptr;
-    uint64_t version = 0;
-    std::shared_ptr<const ModelSnapshot> snapshot;
-  };
-
-  /// Resolves the serving model for one request (see PinnedModel).
-  PinnedModel Pin() const;
+  /// The snapshot one request is served from, pinned once at admission.
+  /// Holding it keeps the whole bundle alive for the request's lifetime —
+  /// the pin that makes the swap safe.
+  using Snapshot = std::shared_ptr<const ModelSnapshot>;
 
   void WatchdogMain();
-  void MirrorCacheGauges(STMaker* maker);
-  void HandleStats(long id, const PinnedModel& model,
+  void MirrorCacheGauges(const STMaker& maker);
+  void HandleStats(long id, const ModelSnapshot& model,
                    const ResponseFn& respond);
-  void HandleRoute(long id, const PinnedModel& model,
+  void HandleRoute(long id, const ModelSnapshot& model,
                    const std::map<std::string, double>& fields,
                    const ResponseFn& respond);
-  void HandleSummarize(long id, PinnedModel model,
+  void HandleSummarize(long id, Snapshot model,
                        const std::map<std::string, double>& fields,
                        ResponseFn respond);
-  void HandleSimilar(long id, PinnedModel model,
+  void HandleSimilar(long id, Snapshot model,
                      const std::map<std::string, double>& fields,
                      ResponseFn respond);
-  void HandleQuery(long id, PinnedModel model, const FlatJson& fields,
+  void HandleQuery(long id, Snapshot model, const FlatJson& fields,
                    ResponseFn respond);
   void HandleReload(long id, const FlatJson& fields, ResponseFn respond);
 
-  /// Shared admission for the async (pool-served) verbs: builds the
-  /// request context from the wire fields, registers the request with the
+  /// The one admission path for the pooled verbs (summarize, similar,
+  /// query): builds the request context from the wire fields (deadline
+  /// from admission, `trace` attached), registers the request with the
   /// watchdog, and submits `body` under the `max_inflight` gate, answering
   /// deadline_exceeded/resource_exhausted itself. `body` runs on a worker
   /// with the admitted context and must send exactly one response.
   void SubmitPooled(long id, const std::map<std::string, double>& fields,
-                    const ResponseFn& respond,
+                    const ResponseFn& respond, Trace* trace,
                     std::function<void(const RequestContext&)> body);
 
-  ModelManager* manager_ = nullptr;  ///< null in fixed-model mode
-  STMaker* maker_;
-  const std::vector<RawTrajectory>* corpus_;
+  ModelManager* manager_;
   NdjsonServiceOptions options_;
   std::FILE* trace_log_ = nullptr;
   std::mutex trace_mu_;  ///< trace-log lines never interleave

@@ -44,27 +44,9 @@ Counter& ChShortcutsBuilt() {
   return c;
 }
 
-Counter& ChBatchTables() {
-  static Counter& c =
-      MetricsRegistry::Global().counter("router.ch.batch_tables");
-  return c;
-}
-
-Counter& ChBatchPairs() {
-  static Counter& c =
-      MetricsRegistry::Global().counter("router.ch.batch_pairs");
-  return c;
-}
-
 Histogram& ChRouteLatency() {
   static Histogram& h =
       MetricsRegistry::Global().histogram("roadnet.ch.route_ms");
-  return h;
-}
-
-Histogram& ChBatchLatency() {
-  static Histogram& h =
-      MetricsRegistry::Global().histogram("roadnet.ch.batch_ms");
   return h;
 }
 
@@ -542,84 +524,6 @@ Result<Path> ContractionHierarchy::Route(NodeId src, NodeId dst,
   }
   STMAKER_DCHECK(path.nodes.back() == dst);
   return path;
-}
-
-Result<std::vector<std::vector<double>>> ContractionHierarchy::BatchRoutes(
-    std::span<const NodeId> sources, std::span<const NodeId> targets,
-    const RequestContext* ctx) const {
-  size_t n = rank_.size();
-  for (NodeId s : sources) {
-    if (s < 0 || static_cast<size_t>(s) >= n) {
-      return Status::InvalidArgument("BatchRoutes: source id out of range");
-    }
-  }
-  for (NodeId t : targets) {
-    if (t < 0 || static_cast<size_t>(t) >= n) {
-      return Status::InvalidArgument("BatchRoutes: target id out of range");
-    }
-  }
-  STMAKER_RETURN_IF_ERROR(CheckContext(ctx));
-  ScopedSpan span(TraceOf(ctx), "ch_batch", &ChBatchLatency());
-  ChBatchTables().Increment();
-  ChBatchPairs().Increment(
-      static_cast<uint64_t>(sources.size()) * targets.size());
-  ExpansionCounter expanded{ChNodesExpanded()};
-  const size_t budget = ctx == nullptr ? 0 : ctx->max_node_expansions;
-  CancelCheck check(ctx);
-  QuerySpace& qs = g_query_space;
-
-  // Bucket phase: one full backward upward search per target; every node it
-  // settles remembers (target index, distance-to-target).
-  std::vector<std::vector<std::pair<uint32_t, double>>> buckets(n);
-  auto upward = [&](int side, NodeId origin,
-                    auto&& on_settled) -> Status {
-    qs.Begin(n);
-    qs.Set(side, origin, 0.0, -1);
-    MinQueue pq;
-    pq.push({0.0, origin});
-    const auto& graph = side == 0 ? up_ : rev_up_;
-    while (!pq.empty()) {
-      auto [du, u] = pq.top();
-      pq.pop();
-      if (du > qs.Dist(side, u)) continue;
-      STMAKER_RETURN_IF_ERROR(check.Tick());
-      ++expanded.expansions;
-      if (budget > 0 && expanded.expansions > budget) {
-        return BudgetExhausted(budget);
-      }
-      on_settled(u, du);
-      for (const UpArc& ua : graph[static_cast<size_t>(u)]) {
-        double nd = du + ua.weight;
-        if (nd < qs.Dist(side, ua.to)) {
-          qs.Set(side, ua.to, nd, ua.arc);
-          pq.push({nd, ua.to});
-        }
-      }
-    }
-    return Status::OK();
-  };
-
-  for (size_t j = 0; j < targets.size(); ++j) {
-    STMAKER_RETURN_IF_ERROR(upward(1, targets[j], [&](NodeId u, double du) {
-      buckets[static_cast<size_t>(u)].push_back(
-          {static_cast<uint32_t>(j), du});
-    }));
-  }
-
-  // Scan phase: one forward upward search per source; each settled node's
-  // bucket entries close source->node->target paths.
-  std::vector<std::vector<double>> table(
-      sources.size(), std::vector<double>(targets.size(), kInf));
-  for (size_t i = 0; i < sources.size(); ++i) {
-    std::vector<double>& row = table[i];
-    STMAKER_RETURN_IF_ERROR(upward(0, sources[i], [&](NodeId u, double du) {
-      for (const auto& [j, db] : buckets[static_cast<size_t>(u)]) {
-        double cand = du + db;
-        if (cand < row[j]) row[j] = cand;
-      }
-    }));
-  }
-  return table;
 }
 
 Result<ContractionHierarchy> ContractionHierarchy::FromRaw(

@@ -104,26 +104,6 @@ class ContractionHierarchy {
   Result<Path> Route(NodeId src, NodeId dst,
                      const RequestContext* ctx = nullptr) const;
 
-  /// Many-to-many distance table: result[i][j] is the distance from
-  /// sources[i] to targets[j], or +infinity when unreachable.
-  ///
-  /// Uses the bucket algorithm (Knopp et al. 2007): one backward upward
-  /// search per target fills per-node buckets, then one forward upward
-  /// search per source scans them — |S|+|T| small searches instead of
-  /// |S|·|T| point-to-point queries. This is the API batch workloads
-  /// (landmark-pair tables, calibration anchor matrices, bench sweeps)
-  /// should use instead of looping over Route().
-  ///
-  /// \param sources Source node ids (any order, duplicates allowed).
-  /// \param targets Target node ids (any order, duplicates allowed).
-  /// \param ctx Optional request limits; the expansion budget caps the
-  ///   total settled nodes across all |S|+|T| searches.
-  /// \return The |S|×|T| table, InvalidArgument for out-of-range ids, or a
-  ///   context error.
-  Result<std::vector<std::vector<double>>> BatchRoutes(
-      std::span<const NodeId> sources, std::span<const NodeId> targets,
-      const RequestContext* ctx = nullptr) const;
-
   /// Number of nodes of the underlying network.
   size_t NumNodes() const { return rank_.size(); }
   /// Total arcs of the search graph (original edges + shortcuts).

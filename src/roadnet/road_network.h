@@ -68,7 +68,7 @@ struct Adjacency {
 ///
 /// Layout (DESIGN.md §13): adjacency lives in one CSR block — an offset
 /// array indexed by node plus a packed entry array — so graph searches
-/// (Dijkstra/A*, the CH build, the matcher's connectivity checks) stream
+/// (Dijkstra, the CH build, the matcher's connectivity checks) stream
 /// contiguous memory instead of chasing one heap vector per node. Edge
 /// geometry and endpoints are mirrored into struct-of-arrays
 /// (`edge_geometry`/`edge_endpoints`) so distance scans never touch the

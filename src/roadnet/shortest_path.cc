@@ -33,18 +33,6 @@ Counter& DijkstraNodesExpanded() {
   return c;
 }
 
-Counter& AStarSearches() {
-  static Counter& c =
-      MetricsRegistry::Global().counter("roadnet.astar.searches");
-  return c;
-}
-
-Counter& AStarNodesExpanded() {
-  static Counter& c =
-      MetricsRegistry::Global().counter("roadnet.astar.nodes_expanded");
-  return c;
-}
-
 Histogram& RouteLatency() {
   static Histogram& h = MetricsRegistry::Global().histogram("roadnet.route_ms");
   return h;
@@ -153,60 +141,6 @@ Result<Path> ShortestPathRouter::Route(NodeId src, NodeId dst,
         prev_node[adj.neighbor] = u;
         prev_edge[adj.neighbor] = adj.edge;
         pq.push({nd, adj.neighbor});
-      }
-    }
-  }
-  return Reconstruct(net, src, dst, dist, prev_node, prev_edge);
-}
-
-Result<Path> ShortestPathRouter::RouteAStar(NodeId src, NodeId dst,
-                                            const EdgeCostFn& cost,
-                                            double heuristic_scale,
-                                            const RequestContext* ctx) const {
-  const RoadNetwork& net = *network_;
-  if (src < 0 || static_cast<size_t>(src) >= net.NumNodes() || dst < 0 ||
-      static_cast<size_t>(dst) >= net.NumNodes()) {
-    return Status::InvalidArgument("RouteAStar: node id out of range");
-  }
-  if (heuristic_scale < 0) {
-    return Status::InvalidArgument("RouteAStar: negative heuristic scale");
-  }
-  STMAKER_RETURN_IF_ERROR(CheckContext(ctx));
-  AStarSearches().Increment();
-  ScopedSpan span(TraceOf(ctx), "astar", &RouteLatency());
-  ExpansionCounter expanded{AStarNodesExpanded()};
-  const size_t budget = ctx == nullptr ? 0 : ctx->max_node_expansions;
-  size_t& expansions = expanded.expansions;
-  CancelCheck check(ctx);
-  EdgeCostFn c = cost ? cost : LengthCost();
-  const Vec2 goal = net.node(dst).pos;
-  auto h = [&](NodeId n) {
-    return heuristic_scale * Distance(net.node(n).pos, goal);
-  };
-  std::vector<double> dist(net.NumNodes(), kInf);
-  std::vector<NodeId> prev_node(net.NumNodes(), -1);
-  std::vector<EdgeId> prev_edge(net.NumNodes(), -1);
-  using QItem = std::pair<double, NodeId>;  // (g + h, node)
-  std::priority_queue<QItem, std::vector<QItem>, std::greater<>> pq;
-  dist[src] = 0;
-  pq.push({h(src), src});
-  while (!pq.empty()) {
-    auto [f, u] = pq.top();
-    pq.pop();
-    if (f > dist[u] + h(u) + 1e-9) continue;  // stale entry
-    if (u == dst) break;
-    STMAKER_RETURN_IF_ERROR(check.Tick());
-    ++expansions;
-    if (budget > 0 && expansions > budget) return BudgetExhausted(budget);
-    for (const Adjacency& adj : net.OutEdges(u)) {
-      double w = c(net.edge(adj.edge), adj.forward);
-      STMAKER_DCHECK(w >= 0);
-      double nd = dist[u] + w;
-      if (nd < dist[adj.neighbor]) {
-        dist[adj.neighbor] = nd;
-        prev_node[adj.neighbor] = u;
-        prev_edge[adj.neighbor] = adj.edge;
-        pq.push({nd + h(adj.neighbor), adj.neighbor});
       }
     }
   }

@@ -454,7 +454,9 @@ TEST(CsvTest, WriteReadRoundTrip) {
     ASSERT_TRUE(writer->WriteRow({"second", "line", "multi\nline"}).ok());
     ASSERT_TRUE(writer->Close().ok());
   }
-  auto rows = ReadCsvFile(path);
+  auto text = ReadFileToString(path);
+  ASSERT_TRUE(text.ok());
+  auto rows = ParseCsv(*text);
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows->size(), 2u);
   EXPECT_EQ((*rows)[0],

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cmath>
 #include <span>
 #include <string>
 #include <vector>
@@ -105,34 +104,6 @@ TEST(ContractionHierarchyPropertyTest, MatchesDijkstraOnRandomNetworks) {
   }
 }
 
-TEST(ContractionHierarchyTest, BatchRoutesMatchesPointQueries) {
-  GeneratedMap city = SmallCity(5, 7, 0.3, 0.08);
-  const RoadNetwork& net = city.network;
-  auto ch = ContractionHierarchy::Build(net);
-  ASSERT_TRUE(ch.ok()) << ch.status().ToString();
-  std::vector<NodeId> sources, targets;
-  for (size_t v = 0; v < net.NumNodes(); v += 3) {
-    sources.push_back(static_cast<NodeId>(v));
-  }
-  for (size_t v = 1; v < net.NumNodes(); v += 4) {
-    targets.push_back(static_cast<NodeId>(v));
-  }
-  auto table = ch->BatchRoutes(sources, targets);
-  ASSERT_TRUE(table.ok()) << table.status().ToString();
-  ASSERT_EQ(table->size(), sources.size());
-  for (size_t i = 0; i < sources.size(); ++i) {
-    ASSERT_EQ((*table)[i].size(), targets.size());
-    for (size_t j = 0; j < targets.size(); ++j) {
-      Result<double> want = ch->Distance(sources[i], targets[j]);
-      if (want.ok()) {
-        EXPECT_NEAR((*table)[i][j], *want, 1e-9 * (1.0 + *want));
-      } else {
-        EXPECT_TRUE(std::isinf((*table)[i][j]));
-      }
-    }
-  }
-}
-
 TEST(ContractionHierarchyTest, EmptyNetworkIsRejected) {
   RoadNetwork net;
   auto ch = ContractionHierarchy::Build(net);
@@ -149,12 +120,6 @@ TEST(ContractionHierarchyTest, NodeIdOutOfRangeIsRejected) {
       ch->Distance(0, static_cast<NodeId>(city.network.NumNodes())).status()
           .code(),
       StatusCode::kInvalidArgument);
-  std::vector<NodeId> bad = {-5};
-  std::vector<NodeId> good = {0};
-  EXPECT_EQ(ch->BatchRoutes(bad, good).status().code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(ch->BatchRoutes(good, bad).status().code(),
-            StatusCode::kInvalidArgument);
 }
 
 TEST(ContractionHierarchyTest, ExpiredDeadlineFailsQuery) {
@@ -165,10 +130,6 @@ TEST(ContractionHierarchyTest, ExpiredDeadlineFailsQuery) {
   auto dist = ch->Distance(0, 5, &ctx);
   ASSERT_FALSE(dist.ok());
   EXPECT_EQ(dist.status().code(), StatusCode::kDeadlineExceeded);
-  auto table = ch->BatchRoutes(std::vector<NodeId>{0}, std::vector<NodeId>{5},
-                               &ctx);
-  ASSERT_FALSE(table.ok());
-  EXPECT_EQ(table.status().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(ContractionHierarchyTest, CancelledContextFailsQuery) {
@@ -208,13 +169,6 @@ TEST(ContractionHierarchyTest, ExpansionBudgetCapsQuery) {
   ASSERT_TRUE(budgeted.ok()) << budgeted.status().ToString();
   ASSERT_TRUE(plain.ok());
   EXPECT_DOUBLE_EQ(*budgeted, *plain);
-
-  RequestContext batch_tiny;
-  batch_tiny.max_node_expansions = 1;
-  auto table = ch->BatchRoutes(std::vector<NodeId>{src},
-                               std::vector<NodeId>{dst}, &batch_tiny);
-  ASSERT_FALSE(table.ok());
-  EXPECT_EQ(table.status().code(), StatusCode::kResourceExhausted);
 }
 
 /// Restores `ch` over `net` from its raw arrays, as the model container

@@ -19,12 +19,14 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/fileutil.h"
 #include "common/trace.h"
+#include "core/model_manager.h"
 #include "core/stmaker.h"
 #include "io/summary_json.h"
 #include "net/ndjson_service.h"
@@ -280,8 +282,24 @@ TEST(GoldenTest, GoldensIdenticalUnderContractionHierarchy) {
 // honest the same way the summary goldens pin the pipeline.
 // --------------------------------------------------------------------------
 
-/// Feeds one request line to a fresh fixed-model service and blocks for
-/// the single response line (retrieval verbs answer from the pool).
+/// Serves a fixed model the way every real server does: `maker` is saved
+/// with `corpus` to `<TempDir>/<name>` and loaded by a one-snapshot
+/// ModelManager. No hierarchy: the verbs these goldens pin never route.
+std::unique_ptr<ModelManager> ServeSaved(
+    const STMaker& maker, const std::vector<RawTrajectory>& corpus,
+    const std::string& name) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  STMAKER_CHECK(maker.SaveModelContainer(path, corpus).ok());
+  ModelManagerOptions options;
+  options.model_prefix = path;
+  options.use_hierarchy = false;
+  auto manager = std::make_unique<ModelManager>(options);
+  STMAKER_CHECK(manager->Initialize().ok());
+  return manager;
+}
+
+/// Feeds one request line to the service and blocks for the single
+/// response line (retrieval verbs answer from the pool).
 std::string ServeLine(net::NdjsonService& service, const std::string& line) {
   std::mutex mu;
   std::condition_variable cv;
@@ -303,11 +321,9 @@ std::string ServeLine(net::NdjsonService& service, const std::string& line) {
 
 TEST(GoldenTest, RetrievalVerbResponses) {
   const TestWorld& world = GetTestWorld();
-  std::vector<RawTrajectory> corpus;
-  corpus.reserve(world.history.size());
-  for (const GeneratedTrip& t : world.history) corpus.push_back(t.raw);
-  net::NdjsonService service(world.maker.get(), &corpus,
-                             net::NdjsonServiceOptions());
+  std::unique_ptr<ModelManager> manager =
+      ServeSaved(*world.maker, world.raws, "golden_retrieval.stm");
+  net::NdjsonService service(manager.get(), net::NdjsonServiceOptions());
 
   CheckGolden("serve_similar_top3",
               ServeLine(service,
@@ -356,6 +372,34 @@ TEST(GoldenTest, RetrievalVerbResponses) {
   service.Drain();
 }
 
+TEST(GoldenTest, WrongTypedFieldsAreRejected) {
+  // Every protocol field has one JSON type. A known field sent with the
+  // other type is invalid_argument naming the field — never silently read
+  // as absent, which would serve the default k, drop the deadline, answer
+  // under id -1, or reload the current model in place.
+  const TestWorld& world = GetTestWorld();
+  std::unique_ptr<ModelManager> manager =
+      ServeSaved(*world.maker, world.raws, "golden_types.stm");
+  net::NdjsonService service(manager.get(), net::NdjsonServiceOptions());
+  CheckGolden("serve_type_k_string",
+              ServeLine(service, R"({"id": 2, "trip": 4, "k": "3"})"));
+  CheckGolden("serve_type_deadline_string",
+              ServeLine(service,
+                        R"({"id": 5, "trip": 4, "deadline_ms": "-1"})"));
+  CheckGolden("serve_type_id_string",
+              ServeLine(service, R"({"id": "6", "trip": 4})"));
+  CheckGolden("serve_type_similar_k_string",
+              ServeLine(service,
+                        R"({"id": 8, "similar": 1, "trip": 4, "k": "1"})"));
+  const uint64_t reloads_before = manager->reloads_ok();
+  CheckGolden("serve_type_reload_model_dir_number",
+              ServeLine(service,
+                        R"({"id": 9, "reload": 1, "model_dir": 5})"));
+  service.Drain();
+  manager->WaitIdle();
+  EXPECT_EQ(manager->reloads_ok(), reloads_before);
+}
+
 TEST(GoldenTest, TracingOnMatchesEveryGolden) {
   // The observability contract: attaching a Trace must not change a byte.
   // Every default-maker case is re-run with tracing enabled and compared
@@ -391,7 +435,9 @@ TEST(GoldenTest, RetrievalVerbsOnSparseNoBaselineCorpus) {
   for (size_t i = 200; i < 204; ++i) corpus.push_back(CorpusRaw(i));
   Status trained = sparse.Train(corpus);
   ASSERT_TRUE(trained.ok()) << trained.ToString();
-  net::NdjsonService service(&sparse, &corpus, net::NdjsonServiceOptions());
+  std::unique_ptr<ModelManager> manager =
+      ServeSaved(sparse, corpus, "golden_sparse.stm");
+  net::NdjsonService service(manager.get(), net::NdjsonServiceOptions());
   CheckGolden("serve_similar_sparse",
               ServeLine(service,
                         R"({"id": 1, "similar": 1, "trip": 0, "k": 5})"));

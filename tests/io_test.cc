@@ -9,7 +9,6 @@
 #include "common/strings.h"
 #include "io/json.h"
 #include "io/geojson.h"
-#include "io/latlon_io.h"
 #include "io/poi_io.h"
 #include "io/road_network_io.h"
 #include "io/summary_json.h"
@@ -525,80 +524,6 @@ TEST(SummaryJsonTest, SerializesRealSummary) {
   EXPECT_EQ(depth, 0);
   EXPECT_EQ(brackets, 0);
   EXPECT_FALSE(in_string);
-}
-
-
-// --------------------------------------------------------------------------
-// Lat/lon (Table I format) trajectories
-// --------------------------------------------------------------------------
-
-TEST(LatLonIoTest, PaperTimestampRoundTrip) {
-  // The paper's Table I example.
-  auto t = ParsePaperTimestamp("20131102 09:17:56");
-  ASSERT_TRUE(t.ok());
-  EXPECT_EQ(FormatPaperTimestamp(*t), "20131102 09:17:56");
-  // 1970 epoch sanity.
-  auto epoch = ParsePaperTimestamp("19700101 00:00:00");
-  ASSERT_TRUE(epoch.ok());
-  EXPECT_DOUBLE_EQ(*epoch, 0.0);
-  // Successive fixes differ by the right number of seconds.
-  auto later = ParsePaperTimestamp("20131102 09:18:02");
-  ASSERT_TRUE(later.ok());
-  EXPECT_DOUBLE_EQ(*later - *t, 6.0);
-  // Leap-year day.
-  auto feb29 = ParsePaperTimestamp("20240229 12:00:00");
-  ASSERT_TRUE(feb29.ok());
-  EXPECT_EQ(FormatPaperTimestamp(*feb29), "20240229 12:00:00");
-}
-
-TEST(LatLonIoTest, ParseRejectsMalformedTimestamps) {
-  EXPECT_FALSE(ParsePaperTimestamp("2013-11-02 09:17:56").ok());
-  EXPECT_FALSE(ParsePaperTimestamp("20131102").ok());
-  EXPECT_FALSE(ParsePaperTimestamp("20131302 09:17:56").ok());  // month 13
-  EXPECT_FALSE(ParsePaperTimestamp("20131102 25:17:56").ok());  // hour 25
-  EXPECT_FALSE(ParsePaperTimestamp("").ok());
-}
-
-TEST(LatLonIoTest, TrajectoryRoundTripThroughLatLon) {
-  LocalProjection projection(LatLon{39.9, 116.4});
-  std::vector<RawTrajectory> corpus(1);
-  auto t0 = ParsePaperTimestamp("20131102 09:17:56");
-  ASSERT_TRUE(t0.ok());
-  corpus[0].samples = {{{100.0, 250.0}, *t0},
-                       {{180.0, 240.0}, *t0 + 6},
-                       {{260.0, 230.0}, *t0 + 12}};
-  std::string path = TempPath("latlon_roundtrip.csv");
-  ASSERT_TRUE(WriteLatLonTrajectoriesCsv(path, corpus, projection).ok());
-  auto loaded = ReadLatLonTrajectoriesCsv(path, projection);
-  ASSERT_TRUE(loaded.ok());
-  ASSERT_EQ(loaded->size(), 1u);
-  ASSERT_EQ((*loaded)[0].samples.size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    // Lat/lon serialization at 1e-6 degrees keeps ~0.1 m precision.
-    EXPECT_NEAR((*loaded)[0].samples[i].pos.x, corpus[0].samples[i].pos.x,
-                0.2);
-    EXPECT_NEAR((*loaded)[0].samples[i].pos.y, corpus[0].samples[i].pos.y,
-                0.2);
-    EXPECT_NEAR((*loaded)[0].samples[i].time, corpus[0].samples[i].time,
-                0.5);
-  }
-}
-
-TEST(LatLonIoTest, RejectsOutOfRangeCoordinates) {
-  std::string path = TempPath("latlon_badcoord.csv");
-  {
-    auto writer = CsvWriter::Open(path);
-    ASSERT_TRUE(writer.ok());
-    ASSERT_TRUE(writer
-                    ->WriteRow({"trajectory_id", "latitude", "longitude",
-                                "timestamp"})
-                    .ok());
-    ASSERT_TRUE(
-        writer->WriteRow({"0", "95.0", "116.4", "20131102 09:17:56"}).ok());
-    ASSERT_TRUE(writer->Close().ok());
-  }
-  LocalProjection projection(LatLon{39.9, 116.4});
-  EXPECT_FALSE(ReadLatLonTrajectoriesCsv(path, projection).ok());
 }
 
 

@@ -496,22 +496,21 @@ TEST(TcpServerFailpointTest, InjectedAcceptFaultDropsTheClientNotTheServer) {
 
 // --- NdjsonService wire helpers (no sockets). --------------------------------
 
-TEST(NdjsonServiceTest, ParseFlatJsonNumbersAcceptsTheProtocolShape) {
-  auto parsed =
-      NdjsonService::ParseFlatJsonNumbers("{\"id\": 7, \"trip\": 3, "
-                                          "\"eta\": 0.25}");
+TEST(NdjsonServiceTest, ParseFlatJsonAcceptsTheProtocolShape) {
+  auto parsed = NdjsonService::ParseFlatJson(
+      "{\"id\": 7, \"trip\": 3, \"eta\": 0.25}");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_DOUBLE_EQ((*parsed)["id"], 7);
-  EXPECT_DOUBLE_EQ((*parsed)["trip"], 3);
-  EXPECT_DOUBLE_EQ((*parsed)["eta"], 0.25);
-  EXPECT_FALSE(NdjsonService::ParseFlatJsonNumbers("not json").ok());
-  EXPECT_FALSE(NdjsonService::ParseFlatJsonNumbers("{\"id\": }").ok());
+  EXPECT_DOUBLE_EQ(parsed->numbers["id"], 7);
+  EXPECT_DOUBLE_EQ(parsed->numbers["trip"], 3);
+  EXPECT_DOUBLE_EQ(parsed->numbers["eta"], 0.25);
+  EXPECT_TRUE(parsed->strings.empty());
+  EXPECT_FALSE(NdjsonService::ParseFlatJson("not json").ok());
+  EXPECT_FALSE(NdjsonService::ParseFlatJson("{\"id\": }").ok());
 }
 
 TEST(NdjsonServiceTest, ParseFlatJsonCarriesStringFields) {
-  // The reload verb is the first consumer of string values ("model_dir");
-  // numbers and strings land in separate maps so numeric callers keep
-  // their exact old behavior.
+  // String values ("model_dir", "bbox", "window") and numbers land in
+  // separate maps; HandleLine checks each known field against its type.
   auto parsed = NdjsonService::ParseFlatJson(
       "{\"id\": 3, \"reload\": 1, \"model_dir\": \"/data/model_v2\"}");
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -549,16 +548,6 @@ TEST(NdjsonServiceTest, ParseFlatJsonRejectsNonFiniteNumbers) {
   EXPECT_TRUE(NdjsonService::ParseFlatJson("{\"k\": 1e300}").ok());
 }
 
-TEST(NdjsonServiceTest, ParseFlatJsonNumbersRejectsStringValues) {
-  // The numbers-only entry point predates string support and must stay
-  // strict: a request that smuggles a string into a numeric field is an
-  // invalid_argument, not a zero.
-  auto parsed = NdjsonService::ParseFlatJsonNumbers(
-      "{\"id\": 1, \"model_dir\": \"/data/m\"}");
-  EXPECT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-}
-
 TEST(NdjsonServiceTest, ErrorResponseCarriesWireStatusAndEscapedMessage) {
   std::string line = NdjsonService::ErrorResponse(
       42, Status::InvalidArgument("bad \"quoted\" thing"));
@@ -579,10 +568,10 @@ TEST(LoadgenTest, OpenLoopRunAnswersEveryRequest) {
   TcpServer server(
       QuickOptions(),
       [](std::string line, const TcpServer::ResponseFn& respond) {
-        auto parsed = NdjsonService::ParseFlatJsonNumbers(line);
+        auto parsed = NdjsonService::ParseFlatJson(line);
         long id = -1;
-        if (parsed.ok() && parsed->count("id") != 0) {
-          id = static_cast<long>((*parsed)["id"]);
+        if (parsed.ok() && parsed->numbers.count("id") != 0) {
+          id = static_cast<long>(parsed->numbers["id"]);
         }
         respond("{\"id\": " + std::to_string(id) + ", \"status\": \"ok\"}");
       });

@@ -85,15 +85,6 @@ TEST(ParallelForTest, ShardOfEachIndexIsDeterministic) {
   for (size_t i = 1; i < n; ++i) EXPECT_GE(first[i], first[i - 1]);
 }
 
-TEST(ParallelMapTest, MatchesSerialLoopElementwise) {
-  auto square = [](size_t i) { return static_cast<int>(i * i); };
-  std::vector<int> serial;
-  for (size_t i = 0; i < 257; ++i) serial.push_back(square(i));
-  for (int threads : {1, 2, 4}) {
-    EXPECT_EQ(ParallelMap<int>(257, threads, square), serial);
-  }
-}
-
 TEST(LruCacheTest, EvictsLeastRecentlyTouched) {
   LruCache<int, std::string> cache(2);
   cache.Put(1, "one");
@@ -122,90 +113,6 @@ TEST(LruCacheTest, PutOverwritesAndClearDropsEntries) {
 }
 
 // --- Shard merges on hand-built inputs. -------------------------------------
-
-SymbolicTrajectory MakeSymbolic(const std::vector<LandmarkId>& landmarks) {
-  SymbolicTrajectory t;
-  for (size_t i = 0; i < landmarks.size(); ++i) {
-    t.samples.push_back({landmarks[i], static_cast<double>(i)});
-  }
-  return t;
-}
-
-std::vector<PopularRouteMiner::Transition> Mined(
-    const std::vector<std::vector<LandmarkId>>& trajectories) {
-  PopularRouteMiner miner;
-  for (const auto& t : trajectories) miner.AddTrajectory(MakeSymbolic(t));
-  return miner.Transitions();
-}
-
-void ExpectSameTransitions(
-    const std::vector<PopularRouteMiner::Transition>& a,
-    const std::vector<PopularRouteMiner::Transition>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].from, b[i].from);
-    EXPECT_EQ(a[i].to, b[i].to);
-    EXPECT_EQ(a[i].count, b[i].count);
-  }
-}
-
-TEST(PopularRouteMinerMergeTest, MergeReplaysSerialOrderAndAssociates) {
-  const std::vector<std::vector<LandmarkId>> part1 = {{1, 2, 3}, {2, 3, 4}};
-  const std::vector<std::vector<LandmarkId>> part2 = {{3, 1, 2}};
-  const std::vector<std::vector<LandmarkId>> part3 = {{1, 2, 3}, {4, 5}};
-
-  std::vector<std::vector<LandmarkId>> all = part1;
-  all.insert(all.end(), part2.begin(), part2.end());
-  all.insert(all.end(), part3.begin(), part3.end());
-  const auto serial = Mined(all);
-
-  auto mine = [](const std::vector<std::vector<LandmarkId>>& ts) {
-    PopularRouteMiner m;
-    for (const auto& t : ts) m.AddTrajectory(MakeSymbolic(t));
-    return m;
-  };
-
-  // ((1 . 2) . 3)
-  PopularRouteMiner left = mine(part1);
-  left.Merge(mine(part2));
-  left.Merge(mine(part3));
-  ExpectSameTransitions(left.Transitions(), serial);
-
-  // (1 . (2 . 3))
-  PopularRouteMiner tail = mine(part2);
-  tail.Merge(mine(part3));
-  PopularRouteMiner right = mine(part1);
-  right.Merge(tail);
-  ExpectSameTransitions(right.Transitions(), serial);
-
-  // Merging an empty shard is the identity.
-  PopularRouteMiner with_empty = mine(all);
-  with_empty.Merge(PopularRouteMiner());
-  ExpectSameTransitions(with_empty.Transitions(), serial);
-}
-
-TEST(PopularRouteMinerMergeTest, MergedMinerAnswersQueriesLikeSerial) {
-  std::vector<std::vector<LandmarkId>> part1;
-  std::vector<std::vector<LandmarkId>> part2;
-  for (int i = 0; i < 8; ++i) part1.push_back({0, 1, 2, 3});
-  for (int i = 0; i < 2; ++i) part2.push_back({0, 4, 3});
-  std::vector<std::vector<LandmarkId>> all = part1;
-  all.insert(all.end(), part2.begin(), part2.end());
-
-  PopularRouteMiner serial;
-  for (const auto& t : all) serial.AddTrajectory(MakeSymbolic(t));
-  PopularRouteMiner merged;
-  for (const auto& t : part1) merged.AddTrajectory(MakeSymbolic(t));
-  PopularRouteMiner shard2;
-  for (const auto& t : part2) shard2.AddTrajectory(MakeSymbolic(t));
-  merged.Merge(shard2);
-
-  auto a = serial.PopularRoute(0, 3);
-  auto b = merged.PopularRoute(0, 3);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a.value(), b.value());
-}
 
 TEST(HistoricalFeatureMapMergeTest, MergeMatchesSerialAccumulation) {
   const std::vector<double> f1 = {1.0, 2.0};
@@ -265,6 +172,17 @@ TEST(VisitCorpusMergeTest, AnonymousRecordsStayDistinctAndOrdered) {
 }
 
 // --- Serial-vs-parallel equivalence on real corpora. ------------------------
+
+void ExpectSameTransitions(
+    const std::vector<PopularRouteMiner::Transition>& a,
+    const std::vector<PopularRouteMiner::Transition>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].from, b[i].from);
+    EXPECT_EQ(a[i].to, b[i].to);
+    EXPECT_EQ(a[i].count, b[i].count);
+  }
+}
 
 class ParallelEquivalenceTest : public ::testing::Test {
  protected:

@@ -158,15 +158,13 @@ TEST(PopularRouteTest, NumTransitionsCountsDistinctPairs) {
   EXPECT_EQ(miner.NumTransitions(), miner.Transitions().size());
   EXPECT_DOUBLE_EQ(miner.TransitionCount(1, 2), 5.0);
 
-  // Merge adds only the pairs this miner lacks.
-  PopularRouteMiner other;
-  other.AddTransitionCount(1, 2, 2.0);
-  other.AddTransitionCount(2, 3, 1.0);
-  other.AddTransitionCount(4, 1, 1.0);
-  miner.Merge(other);
+  // Further counts add only the pairs this miner lacks.
+  miner.AddTransitionCount(1, 2, 2.0);
+  miner.AddTransitionCount(2, 3, 1.0);
+  miner.AddTransitionCount(4, 1, 1.0);
   EXPECT_EQ(miner.NumTransitions(), 4u);
   EXPECT_EQ(miner.NumTransitions(), miner.Transitions().size());
-  EXPECT_EQ(other.NumTransitions(), 3u);
+  EXPECT_DOUBLE_EQ(miner.TransitionCount(1, 2), 7.0);
 
   // Move-assignment carries the count over and replaces the target's.
   PopularRouteMiner target;

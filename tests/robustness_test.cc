@@ -656,76 +656,6 @@ TEST(RequestContextServingTest, NodeExpansionBudgetCapsShortestPath) {
   EXPECT_EQ(budgeted->cost, plain->cost);
 }
 
-TEST(RequestContextServingTest, BatchShedsTheSameItemsAtEveryThreadCount) {
-  const TestWorld& world = GetTestWorld();
-  std::vector<RawTrajectory> raws;
-  for (size_t i = 0; i < 12; ++i) raws.push_back(world.history[i].raw);
-
-  // Shedding is counted in the global registry (stmaker.batch.shed);
-  // counters are monotonic, so the delta across the two runs is exact
-  // even if other tests in the binary touched the same metric.
-  MetricsSnapshot before = MetricsRegistry::Global().Snapshot();
-
-  auto run = [&](int threads) {
-    BatchOptions batch;
-    batch.num_threads = threads;
-    batch.max_items = 5;
-    return world.maker->SummarizeBatch(raws, SummaryOptions(), batch);
-  };
-  std::vector<Result<Summary>> serial = run(1);
-  std::vector<Result<Summary>> parallel = run(4);
-
-  MetricsSnapshot after = MetricsRegistry::Global().Snapshot();
-  // 12 items offered per run, 7 shed per run, two runs.
-  EXPECT_EQ(after.counter("stmaker.batch.items") -
-                before.counter("stmaker.batch.items"),
-            24u);
-  EXPECT_EQ(after.counter("stmaker.batch.shed") -
-                before.counter("stmaker.batch.shed"),
-            14u);
-
-  ASSERT_EQ(serial.size(), raws.size());
-  ASSERT_EQ(parallel.size(), raws.size());
-  for (size_t i = 0; i < raws.size(); ++i) {
-    EXPECT_EQ(serial[i].ok(), parallel[i].ok()) << "item " << i;
-    if (i < 5) {
-      // Admitted at every thread count, and bit-identical.
-      ASSERT_TRUE(serial[i].ok()) << serial[i].status().ToString();
-      EXPECT_EQ(serial[i]->text, parallel[i]->text) << "item " << i;
-    } else {
-      // Shed by index: same set, same code, message names the item.
-      ASSERT_FALSE(serial[i].ok());
-      EXPECT_EQ(serial[i].status().code(), StatusCode::kResourceExhausted);
-      EXPECT_EQ(parallel[i].status().code(), StatusCode::kResourceExhausted);
-      EXPECT_NE(serial[i].status().message().find(std::to_string(i)),
-                std::string::npos);
-    }
-  }
-}
-
-TEST(RequestContextServingTest, CancelledBatchFailsAdmittedItemsAsCancelled) {
-  const TestWorld& world = GetTestWorld();
-  std::vector<RawTrajectory> raws;
-  for (size_t i = 0; i < 4; ++i) raws.push_back(world.history[i].raw);
-
-  CancelSource source;
-  source.Cancel();
-  RequestContext ctx;
-  ctx.cancel = source.token();
-  BatchOptions batch;
-  batch.num_threads = 2;
-  batch.context = &ctx;
-  batch.max_items = 3;
-  std::vector<Result<Summary>> results =
-      world.maker->SummarizeBatch(raws, SummaryOptions(), batch);
-  ASSERT_EQ(results.size(), 4u);
-  for (size_t i = 0; i < 3; ++i) {
-    ASSERT_FALSE(results[i].ok());
-    EXPECT_EQ(results[i].status().code(), StatusCode::kCancelled);
-  }
-  EXPECT_EQ(results[3].status().code(), StatusCode::kResourceExhausted);
-}
-
 TEST_F(FailpointTest, StalledRouteSearchHonorsTheDeadline) {
   const TestWorld& world = GetTestWorld();
   // A fresh maker restored from disk starts with cold route caches, so the

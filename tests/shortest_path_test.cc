@@ -114,68 +114,6 @@ TEST(ShortestPathTest, TravelTimeCostPrefersHighway) {
   EXPECT_EQ(by_time->edges.size(), 2u);  // via the highway
 }
 
-
-TEST(AStarTest, MatchesDijkstraOnLengthCost) {
-  MapGeneratorOptions options;
-  options.blocks_x = 8;
-  options.blocks_y = 8;
-  options.seed = 21;
-  GeneratedMap map = MapGenerator(options).Generate();
-  ShortestPathRouter router(&map.network);
-  Random rng(5);
-  for (int q = 0; q < 25; ++q) {
-    NodeId src = static_cast<NodeId>(rng.UniformInt(map.network.NumNodes()));
-    NodeId dst = static_cast<NodeId>(rng.UniformInt(map.network.NumNodes()));
-    auto dijkstra = router.Route(src, dst, LengthCost());
-    auto astar = router.RouteAStar(src, dst, LengthCost(),
-                                   /*heuristic_scale=*/1.0);
-    ASSERT_EQ(dijkstra.ok(), astar.ok()) << src << "->" << dst;
-    if (dijkstra.ok()) {
-      EXPECT_NEAR(dijkstra->cost, astar->cost, 1e-6) << src << "->" << dst;
-    }
-  }
-}
-
-TEST(AStarTest, MatchesDijkstraOnTravelTimeWithAdmissibleScale) {
-  MapGeneratorOptions options;
-  options.blocks_x = 8;
-  options.blocks_y = 8;
-  options.seed = 22;
-  GeneratedMap map = MapGenerator(options).Generate();
-  ShortestPathRouter router(&map.network);
-  // Admissible scale for travel time: seconds per meter at the fastest
-  // possible speed (highway, 100 km/h).
-  const double scale = 3.6 / FreeFlowSpeedKmh(RoadGrade::kHighway);
-  Random rng(6);
-  for (int q = 0; q < 25; ++q) {
-    NodeId src = static_cast<NodeId>(rng.UniformInt(map.network.NumNodes()));
-    NodeId dst = static_cast<NodeId>(rng.UniformInt(map.network.NumNodes()));
-    auto dijkstra = router.Route(src, dst, TravelTimeCost());
-    auto astar = router.RouteAStar(src, dst, TravelTimeCost(), scale);
-    ASSERT_EQ(dijkstra.ok(), astar.ok());
-    if (dijkstra.ok()) {
-      EXPECT_NEAR(dijkstra->cost, astar->cost, 1e-6) << src << "->" << dst;
-    }
-  }
-}
-
-TEST(AStarTest, ZeroScaleDegeneratesToDijkstra) {
-  RoadNetwork net = MakeDiamond();
-  ShortestPathRouter router(&net);
-  auto a = router.RouteAStar(0, 3, LengthCost(), 0.0);
-  auto d = router.Route(0, 3, LengthCost());
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(d.ok());
-  EXPECT_DOUBLE_EQ(a->cost, d->cost);
-}
-
-TEST(AStarTest, InputValidation) {
-  RoadNetwork net = MakeDiamond();
-  ShortestPathRouter router(&net);
-  EXPECT_FALSE(router.RouteAStar(-1, 2, LengthCost(), 1.0).ok());
-  EXPECT_FALSE(router.RouteAStar(0, 2, LengthCost(), -1.0).ok());
-}
-
 // Property: Dijkstra agrees with Bellman–Ford on generated city maps.
 struct RouterParam {
   uint64_t map_seed;

@@ -53,8 +53,6 @@ def render(records):
     idx = next((r for r in records if r.get("name") == "index_retrieval"),
                None)
     machine = next((r for r in records if r.get("name") == "machine"), None)
-    slo = [r for r in records if r.get("name") == "slo"]
-    knee = next((r for r in records if r.get("name") == "slo_knee"), None)
 
     out = []
     out.append("# Benchmarks")
@@ -155,13 +153,10 @@ def render(records):
         out.append(f"| one-time build (ms) | {fmt(ch['build_ms'], 1)} |")
         out.append("| point-query speedup vs Dijkstra | "
                    f"**{fmt(ch['speedup_vs_dijkstra'])}×** |")
-        out.append("| 64×64 batch speedup vs repeated point queries | "
-                   f"**{fmt(ch['batch_speedup_vs_point'])}×** |")
         out.append("")
         out.append("Every CH cost is cross-checked against plain Dijkstra "
                    "inside the bench run")
-        out.append("(600 random OD pairs plus the full batch table); a "
-                   "mismatch aborts the binary.")
+        out.append("(600 random OD pairs); a mismatch aborts the binary.")
         out.append("")
 
     if idx is not None:
@@ -190,45 +185,6 @@ def render(records):
         out.append("| RegionQuery speedup vs scan | "
                    f"**{fmt(idx['region_speedup_vs_scan'], 1)}×** |")
         out.append("")
-
-    if slo:
-        out.append("## Serving SLO: p99 vs offered load")
-        out.append("")
-        out.append("An in-process TCP server (`src/net/`, two event loops, "
-                   "workers matched to")
-        out.append("the core count) is driven by the open-loop Poisson "
-                   "load generator")
-        out.append("(`src/net/loadgen.h`) at a sweep of offered rates. "
-                   "Latency is measured from each request's *scheduled*")
-        out.append("send time, so queueing delay under overload is charged "
-                   "to the server rather")
-        out.append("than hidden by a stalled closed-loop client "
-                   "(no coordinated omission).")
-        out.append("")
-        out.append("| offered qps | achieved qps | p50 (ms) | p99 (ms) "
-                   "| ok | shed | unanswered |")
-        out.append("|---:|---:|---:|---:|---:|---:|---:|")
-        for r in slo:
-            out.append(
-                f"| {fmt(r['offered_qps'], 1)} "
-                f"| {fmt(r['achieved_qps'], 1)} "
-                f"| {fmt(r['p50_ms'], 3)} | {fmt(r['p99_ms'], 3)} "
-                f"| {r['ok']} | {r['shed']} | {r['unanswered']} |")
-        out.append("")
-        if knee is not None:
-            out.append(f"The SLO knee — the highest offered rate at which "
-                       f"every request is answered,")
-            out.append(f"none is shed, and p99 stays ≤ 50 ms — is "
-                       f"**{fmt(knee['knee_qps'], 1)} qps**")
-            out.append(f"(p99 {fmt(knee['knee_p99_ms'], 3)} ms) against a "
-                       f"single-request capacity estimate of")
-            out.append(f"{fmt(knee['capacity_estimate_qps'], 1)} qps. "
-                       f"Rates past the knee shed load with")
-            out.append("`resource_exhausted` instead of queueing without "
-                       "bound; every shed request")
-            out.append("still gets an answer, so `unanswered` stays zero "
-                       "through overload.")
-            out.append("")
 
     if histograms:
         out.append("## Pipeline stage latencies")
@@ -281,9 +237,7 @@ def p99_rows(records):
 
     Throughput rows key as "name @Nt" so the same benchmark at different
     sweep widths compares independently; registry histograms key by their
-    metric name. SLO sweep rows ("slo", "slo_knee") are deliberately not
-    comparable: the knee depends on machine load during the run, so gating
-    on it would make the regression check flaky.
+    metric name.
     """
     rows = {}
     for r in records:

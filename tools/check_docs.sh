@@ -9,6 +9,10 @@
 #      enumerator and every size-asserted record struct must be named in
 #      the spec, with its byte size. Adding a section or widening a record
 #      without documenting it fails here, not in a reader's hexdump.
+#   4. Every header under src/ is #included by some file under src/,
+#      tools/, bench/, examples/ or perfbench/ other than its own .cc. A
+#      module that only tests include is library code no command, bench,
+#      example or benchmark workload reaches.
 #
 # Exits nonzero and names every offending file. Run from the repo root:
 #   tools/check_docs.sh
@@ -69,7 +73,23 @@ else
   done || fail=1
 fi
 
+# Headers are included by their path under src/ ("io/container.h").
+test_only=""
+for header in $(cd src && find . -name '*.h' | sed 's|^\./||' | sort); do
+  own="src/${header%.h}.cc"
+  users=$(grep -rlF "#include \"$header\"" src/ tools/ bench/ examples/ \
+    perfbench/ | grep -vxF "$own" || true)
+  if [ -z "$users" ]; then
+    test_only="$test_only $header"
+  fi
+done
+if [ -n "$test_only" ]; then
+  echo "error: headers under src/ that nothing outside tests/ includes:" >&2
+  for header in $test_only; do echo "  $header" >&2; done
+  fail=1
+fi
+
 if [ "$fail" -ne 0 ]; then
   exit 1
 fi
-echo "check_docs: OK ($(find src -name '*.h' | wc -l) headers carry \\file blocks, no TODO(doc), FORMAT.md tracks container.h)"
+echo "check_docs: OK ($(find src -name '*.h' | wc -l) headers carry \\file blocks and have a non-test includer, no TODO(doc), FORMAT.md tracks container.h)"
