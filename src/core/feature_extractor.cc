@@ -1,68 +1,12 @@
 #include "core/feature_extractor.h"
 
 #include <algorithm>
-#include <array>
+#include <utility>
 
 #include "common/check.h"
+#include "core/votes.h"
 
 namespace stmaker {
-
-namespace {
-
-/// Majority vote over a dense enum range [1, kMax]; ties go to the smallest
-/// enum value, exactly like max_element over the ordered map this replaces
-/// (strict-< keeps the first maximum, and std::map iterates keys ascending).
-template <typename E, int kMax>
-class EnumVotes {
- public:
-  void Vote(E v) { counts_[static_cast<int>(v)]++; }
-  E Best() const {
-    int best = 1;
-    for (int v = 2; v <= kMax; ++v) {
-      if (counts_[v] > counts_[best]) best = v;
-    }
-    return static_cast<E>(best);
-  }
-
- private:
-  std::array<int, kMax + 1> counts_{};
-};
-
-/// Majority vote over road names; ties go to the lexicographically smallest
-/// name (the ordered-map iteration order the dense path replaces). Segments
-/// see a handful of distinct names, so a linear scan beats any map.
-class NameVotes {
- public:
-  void Vote(const std::string* name) {
-    for (auto& [n, count] : votes_) {
-      if (n == name || *n == *name) {
-        count++;
-        return;
-      }
-    }
-    votes_.push_back({name, 1});
-  }
-  bool empty() const { return votes_.empty(); }
-  const std::string& Best() const {
-    const std::string* best_name = votes_[0].first;
-    int best_count = votes_[0].second;
-    for (size_t i = 1; i < votes_.size(); ++i) {
-      const auto& [n, count] = votes_[i];
-      if (count > best_count ||
-          (count == best_count && *n < *best_name)) {
-        best_name = n;
-        best_count = count;
-      }
-    }
-    return *best_name;
-  }
-  void clear() { votes_.clear(); }
-
- private:
-  std::vector<std::pair<const std::string*, int>> votes_;
-};
-
-}  // namespace
 
 FeatureExtractor::FeatureExtractor(const RoadNetwork* network,
                                    const LandmarkIndex* landmarks,
@@ -104,14 +48,23 @@ Result<std::vector<SegmentFeatures>> FeatureExtractor::Extract(
 
   CancelCheck check(ctx, /*stride=*/16);  // segments are coarse units
   std::vector<SegmentFeatures> out(num_segments);
-  NameVotes name_votes;
-  // Plain vector (SegmentContext's type is part of the extension API), but
-  // hoisted: assign() reuses its capacity across segments.
+  const std::vector<std::pair<size_t, size_t>> ranges =
+      trajectory.SegmentSampleRanges();
+  NameVotes<> name_votes;
+  // Only registered extractors read a SegmentContext; the built-in features
+  // never need its copies of the segment's fixes and matched edges.
+  const bool has_extractors =
+      std::any_of(registry_->defs().begin(), registry_->defs().end(),
+                  [](const FeatureDef& def) { return bool(def.extractor); });
+  // Plain vectors (SegmentContext's types are part of the extension API),
+  // but hoisted: assign() reuses their capacity across segments.
+  RawTrajectory segment_raw;
+  segment_raw.traveler = trajectory.raw.traveler;
   std::vector<EdgeId> matched_slice;
   for (size_t seg = 0; seg < num_segments; ++seg) {
     STMAKER_RETURN_IF_ERROR(check.Tick());
     SegmentFeatures& sf = out[seg];
-    auto [first, last] = trajectory.SegmentSampleRange(seg);
+    const auto [first, last] = ranges[seg];
     auto [t0, t1] = trajectory.SegmentTimeSpan(seg);
     sf.length_m = trajectory.SegmentLength(seg);
     sf.duration_s = t1 - t0;
@@ -155,16 +108,19 @@ Result<std::vector<SegmentFeatures>> FeatureExtractor::Extract(
     }
 
     // --- Assemble the feature vector in registry order. ---------------------
-    RawTrajectory segment_raw = trajectory.SegmentRaw(seg);
-    matched_slice.assign(
-        matched.begin() + std::min(first, matched.size()),
-        matched.begin() + std::min(last, matched.size()));
     SegmentContext context;
-    context.segment_raw = &segment_raw;
-    context.matched_edges = &matched_slice;
-    context.network = network_;
-    context.segment_length_m = sf.length_m;
-    context.duration_s = sf.duration_s;
+    if (has_extractors) {
+      segment_raw.samples.assign(trajectory.raw.samples.begin() + first,
+                                 trajectory.raw.samples.begin() + last);
+      matched_slice.assign(
+          matched.begin() + std::min(first, matched.size()),
+          matched.begin() + std::min(last, matched.size()));
+      context.segment_raw = &segment_raw;
+      context.matched_edges = &matched_slice;
+      context.network = network_;
+      context.segment_length_m = sf.length_m;
+      context.duration_s = sf.duration_s;
+    }
 
     sf.values.resize(registry_->size(), 0.0);
     for (size_t f = 0; f < registry_->size(); ++f) {

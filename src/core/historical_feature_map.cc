@@ -23,37 +23,14 @@ void HistoricalFeatureMap::AddSegment(
     global_sum_[f] += feature_values[f];
   }
   acc.count += 1;
-  acc.dirty = true;
   global_count_ += 1;
 }
 
-const std::vector<double>* HistoricalFeatureMap::RegularValues(
-    LandmarkId from, LandmarkId to) {
+HistoricalFeatureMap::Row HistoricalFeatureMap::Lookup(LandmarkId from,
+                                                       LandmarkId to) const {
   auto it = edges_.find({from, to});
-  if (it == edges_.end()) return nullptr;
-  Accumulator& acc = it->second;
-  if (acc.dirty) {
-    acc.average.assign(num_features_, 0.0);
-    for (size_t f = 0; f < num_features_; ++f) {
-      acc.average[f] = acc.sum[f] / acc.count;
-    }
-    acc.dirty = false;
-  }
-  return &acc.average;
-}
-
-Result<std::vector<double>> HistoricalFeatureMap::RegularValuesCopy(
-    LandmarkId from, LandmarkId to) const {
-  auto it = edges_.find({from, to});
-  if (it == edges_.end()) {
-    return Status::NotFound("no historical transition between landmarks");
-  }
-  const Accumulator& acc = it->second;
-  std::vector<double> avg(num_features_, 0.0);
-  for (size_t f = 0; f < num_features_; ++f) {
-    avg[f] = acc.sum[f] / acc.count;
-  }
-  return avg;
+  if (it == edges_.end()) return {global_sum_.data(), global_count_};
+  return {it->second.sum.data(), it->second.count};
 }
 
 std::vector<HistoricalFeatureMap::EdgeRecord> HistoricalFeatureMap::Edges()
@@ -90,7 +67,6 @@ void HistoricalFeatureMap::AddAccumulated(LandmarkId from, LandmarkId to,
     global_sum_[f] += sums[f];
   }
   acc.count += count;
-  acc.dirty = true;
   global_count_ += count;
 }
 

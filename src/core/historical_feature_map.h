@@ -9,7 +9,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
 #include "landmark/landmark.h"
 
 namespace stmaker {
@@ -21,14 +20,13 @@ namespace stmaker {
 ///
 /// Against these "regular" values the summarizer measures how unusual a
 /// given partition's moving behaviour is. Categorical features are stored as
-/// running averages too; RegularValues() reports them as-is and callers
-/// round to the nearest category when a categorical reading is needed.
+/// running averages too; a Row reports them as-is and callers round to the
+/// nearest category when a categorical reading is needed.
 ///
-/// Thread-safety: concurrent const reads (RegularValuesCopy, GlobalAverage,
-/// Edges) are safe. RegularValues() refreshes a lazy per-edge average and is
-/// NOT safe concurrently; the summarization path uses only the const
-/// lookups. Mutations (AddSegment, AddAccumulated, Merge) must be
-/// serialized against everything else.
+/// Thread-safety: the map is read-only once training (or a model load) has
+/// built it. Concurrent const reads (Lookup, GlobalAverage, Edges) are
+/// safe; the mutations (AddSegment, AddAccumulated, Merge) belong to
+/// training and must be serialized against everything else.
 class HistoricalFeatureMap {
  public:
   /// `num_features` fixes the annotation dimensionality (|F|).
@@ -39,14 +37,24 @@ class HistoricalFeatureMap {
   void AddSegment(LandmarkId from, LandmarkId to,
                   const std::vector<double>& feature_values);
 
-  /// Average feature vector of edge (from → to), or nullptr when the
-  /// history has no such transition.
-  const std::vector<double>* RegularValues(LandmarkId from,
-                                           LandmarkId to);
+  /// The regular feature values of one edge, read in place from its
+  /// accumulator: feature f is sums[f] / count, divided at the point of
+  /// use. Valid while the map is unchanged.
+  struct Row {
+    const double* sums = nullptr;
+    double count = 0;
 
-  /// Same, without mutating cache state (const lookup).
-  Result<std::vector<double>> RegularValuesCopy(LandmarkId from,
-                                                LandmarkId to) const;
+    /// The regular value of feature `f`; 0 for the global row of a map
+    /// without history (GlobalAverage's convention).
+    double operator[](size_t f) const {
+      return count > 0 ? sums[f] / count : 0.0;
+    }
+  };
+
+  /// The row of edge (from → to), or the global row — whose values are
+  /// GlobalAverage(f) — when the history has no such transition. One hash
+  /// probe; allocates nothing.
+  Row Lookup(LandmarkId from, LandmarkId to) const;
 
   /// Global average of feature `f` across every annotated edge — the
   /// fallback regular value for transitions absent from the history.
@@ -104,8 +112,6 @@ class HistoricalFeatureMap {
   struct Accumulator {
     std::vector<double> sum;
     double count = 0;
-    std::vector<double> average;  // refreshed lazily
-    bool dirty = true;
   };
 
   size_t num_features_;

@@ -51,72 +51,17 @@ IrregularityAnalyzer::IrregularityAnalyzer(
   STMAKER_CHECK(feature_map->num_features() == registry->size());
 }
 
-double IrregularityAnalyzer::RegularValueForSegment(
-    const SymbolicTrajectory& symbolic, size_t seg, size_t feature) const {
-  STMAKER_CHECK(seg + 1 < symbolic.samples.size());
-  Result<std::vector<double>> regular = feature_map_->RegularValuesCopy(
-      symbolic.samples[seg].landmark, symbolic.samples[seg + 1].landmark);
-  if (regular.ok()) return regular.value()[feature];
-  return feature_map_->GlobalAverage(feature);
-}
-
-namespace {
-
-/// Regular feature vectors along a mined route's edges, with global-average
-/// fallback for edges the feature map has not seen.
-std::vector<std::vector<double>> RouteFeatureVectors(
-    const HistoricalFeatureMap& map, const std::vector<LandmarkId>& route) {
-  const size_t num_features = map.num_features();
-  std::vector<std::vector<double>> values;
-  for (size_t i = 0; i + 1 < route.size(); ++i) {
-    Result<std::vector<double>> avg =
-        map.RegularValuesCopy(route[i], route[i + 1]);
-    if (avg.ok()) {
-      values.push_back(std::move(avg).value());
-    } else {
-      std::vector<double> fallback(num_features, 0.0);
-      for (size_t f = 0; f < num_features; ++f) {
-        fallback[f] = map.GlobalAverage(f);
-      }
-      values.push_back(std::move(fallback));
-    }
-  }
-  return values;
-}
-
-}  // namespace
-
-Result<std::vector<std::vector<double>>>
-IrregularityAnalyzer::PopularRouteFeatureValues(
-    const SymbolicTrajectory& symbolic, size_t seg_begin, size_t seg_end,
-    const RequestContext* ctx) const {
-  STMAKER_CHECK(seg_begin < seg_end);
-  STMAKER_CHECK(seg_end < symbolic.samples.size());
-  LandmarkId from = symbolic.samples[seg_begin].landmark;
-  LandmarkId to = symbolic.samples[seg_end].landmark;
-  STMAKER_ASSIGN_OR_RETURN(std::vector<LandmarkId> route,
-                           miner_->PopularRoute(from, to, ctx));
-  std::vector<std::vector<double>> values =
-      RouteFeatureVectors(*feature_map_, route);
-  if (values.empty()) {
-    return Status::NotFound("popular route has no edges");
-  }
-  return values;
-}
-
-std::vector<double> IrregularityAnalyzer::IrregularRates(
+PartitionComparison IrregularityAnalyzer::IrregularRates(
     const SymbolicTrajectory& symbolic,
     const std::vector<SegmentFeatures>& segments, size_t seg_begin,
-    size_t seg_end, std::vector<BaselineStatus>* baselines,
-    const RequestContext* ctx) const {
+    size_t seg_end, const RequestContext* ctx) const {
   STMAKER_CHECK(seg_begin < seg_end);
   STMAKER_CHECK(seg_end <= segments.size());
   STMAKER_CHECK(segments.size() + 1 == symbolic.samples.size());
   const size_t num_features = registry_->size();
-  std::vector<double> rates(num_features, 0.0);
-  if (baselines != nullptr) {
-    baselines->assign(num_features, BaselineStatus::kHistorical);
-  }
+  PartitionComparison out;
+  out.rates.assign(num_features, 0.0);
+  out.baselines.assign(num_features, BaselineStatus::kHistorical);
   // A model with no mined transitions / no feature history cannot ground
   // any comparison; those features degrade to a neutral rate instead of
   // reading as maximally irregular (routing) or deviating from fabricated
@@ -124,47 +69,51 @@ std::vector<double> IrregularityAnalyzer::IrregularRates(
   const bool no_routing_baseline = miner_->NumTransitions() == 0;
   const bool no_moving_baseline = feature_map_->empty();
 
-  // Popular route between the partition's endpoints, shared by all routing
-  // features.
-  LandmarkId from = symbolic.samples[seg_begin].landmark;
-  LandmarkId to = symbolic.samples[seg_end].landmark;
-  Result<std::vector<LandmarkId>> pr = miner_->PopularRoute(from, to, ctx);
-
-  // Regular feature vectors along the popular route edges.
-  std::vector<std::vector<double>> pr_values;  // [edge][feature]
-  if (pr.ok()) {
-    pr_values = RouteFeatureVectors(*feature_map_, pr.value());
+  // The history this partition is compared with: each segment's row, and
+  // the rows along the popular route between the partition's endpoints.
+  out.segment_rows.reserve(seg_end - seg_begin);
+  for (size_t s = seg_begin; s < seg_end; ++s) {
+    out.segment_rows.push_back(feature_map_->Lookup(
+        symbolic.samples[s].landmark, symbolic.samples[s + 1].landmark));
+  }
+  Result<std::vector<LandmarkId>> pr =
+      miner_->PopularRoute(symbolic.samples[seg_begin].landmark,
+                           symbolic.samples[seg_end].landmark, ctx);
+  if (pr.ok() && pr->size() >= 2) {
+    out.route_rows.reserve(pr->size() - 1);
+    for (size_t i = 0; i + 1 < pr->size(); ++i) {
+      out.route_rows.push_back(feature_map_->Lookup((*pr)[i], (*pr)[i + 1]));
+    }
   }
 
+  std::vector<double> f_tp;  // edit-distance inputs, reused per feature
+  std::vector<double> f_pr;
   for (size_t f = 0; f < num_features; ++f) {
     const FeatureDef& def = registry_->def(f);
     if ((def.kind == FeatureKind::kRouting && no_routing_baseline) ||
         (def.kind != FeatureKind::kRouting && no_moving_baseline)) {
-      rates[f] = 0.0;  // neutral: nothing to compare against
-      if (baselines != nullptr) {
-        (*baselines)[f] = BaselineStatus::kNoBaseline;
-      }
+      out.baselines[f] = BaselineStatus::kNoBaseline;  // rate stays 0
       continue;
     }
     if (def.kind == FeatureKind::kRouting) {
       // Γ_f = w_f · d(F_TP, F_PR) / max(|F_TP|, |F_PR|).
-      std::vector<double> f_tp;
+      f_tp.clear();
       for (size_t s = seg_begin; s < seg_end; ++s) {
         f_tp.push_back(segments[s].values[f]);
       }
-      std::vector<double> f_pr;
-      for (const std::vector<double>& v : pr_values) {
+      f_pr.clear();
+      for (const HistoricalFeatureMap::Row& row : out.route_rows) {
         // The historical map stores running averages; categorical features
         // must be snapped back to a category before the 0/1 equality cost,
         // or a stored 2.94 would never "equal" the trip's grade 3.
         f_pr.push_back(def.value_type == FeatureValueType::kCategorical
-                           ? std::round(v[f])
-                           : v[f]);
+                           ? std::round(row[f])
+                           : row[f]);
       }
       double d = FeatureSequenceEditDistance(f_tp, f_pr, def.value_type);
       double denom =
           static_cast<double>(std::max(f_tp.size(), f_pr.size()));
-      rates[f] = denom > 0 ? def.weight * d / denom : 0.0;
+      out.rates[f] = denom > 0 ? def.weight * d / denom : 0.0;
     } else {
       // Γ_f = w_f · mean_t |norm(f(TS_t)) − norm(r_t)|. Per the paper, the
       // normalization constant is the biggest feature value among the
@@ -173,25 +122,22 @@ std::vector<double> IrregularityAnalyzer::IrregularRates(
       // small). An all-zero partition has nothing to report: rate 0 — a
       // trip with no stay points is not "irregular" about stay points.
       double max_abs = 0;
-      std::vector<double> values;
-      std::vector<double> regulars;
       for (size_t s = seg_begin; s < seg_end; ++s) {
-        double v = segments[s].values[f];
-        double r = RegularValueForSegment(symbolic, s, f);
-        values.push_back(v);
-        regulars.push_back(r);
-        max_abs = std::max(max_abs, std::fabs(v));
+        max_abs = std::max(max_abs, std::fabs(segments[s].values[f]));
       }
       double sum = 0;
       if (max_abs > 0) {
-        for (size_t i = 0; i < values.size(); ++i) {
-          sum += std::fabs(values[i] - regulars[i]) / max_abs;
+        for (size_t s = seg_begin; s < seg_end; ++s) {
+          sum += std::fabs(segments[s].values[f] -
+                           out.segment_rows[s - seg_begin][f]) /
+                 max_abs;
         }
       }
-      rates[f] = def.weight * sum / static_cast<double>(values.size());
+      out.rates[f] =
+          def.weight * sum / static_cast<double>(seg_end - seg_begin);
     }
   }
-  return rates;
+  return out;
 }
 
 }  // namespace stmaker

@@ -26,6 +26,24 @@ double FeatureSequenceEditDistance(const std::vector<double>& a,
                                    const std::vector<double>& b,
                                    FeatureValueType type);
 
+/// \brief What one partition was compared with (Sec. V), and the result.
+///
+/// The rows view the historical feature map in place, so the comparison
+/// is valid while the analyzer's feature map is unchanged.
+struct PartitionComparison {
+  /// Γ_f(TP), one per registry feature.
+  std::vector<double> rates;
+  /// Baseline provenance, one per registry feature.
+  std::vector<BaselineStatus> baselines;
+  /// The historical row of each partition segment, in segment order (the
+  /// global row for a transition the history never saw).
+  std::vector<HistoricalFeatureMap::Row> segment_rows;
+  /// The historical row of each edge of the popular route between the
+  /// partition's endpoints; empty when there is no such route or it has
+  /// no edges.
+  std::vector<HistoricalFeatureMap::Row> route_rows;
+};
+
 /// \brief Computes per-feature irregular rates Γ_f(TP) for trajectory
 /// partitions (Sec. V).
 ///
@@ -38,51 +56,37 @@ double FeatureSequenceEditDistance(const std::vector<double>& a,
 /// against an empty sequence.
 class IrregularityAnalyzer {
  public:
-  /// All pointees must outlive the analyzer. `feature_map` is const; regular
-  /// values are fetched through the const lookup.
+  /// All pointees must outlive the analyzer. `feature_map` is const and
+  /// read in place.
   IrregularityAnalyzer(const FeatureRegistry* registry,
                        const PopularRouteMiner* miner,
                        const HistoricalFeatureMap* feature_map);
 
-  /// Irregular rates for the partition covering segments
-  /// [seg_begin, seg_end) of `symbolic` (whose per-segment features are
-  /// `segments`, covering the whole trajectory). Returns one rate per
-  /// registry feature.
+  /// Compares the partition covering segments [seg_begin, seg_end) of
+  /// `symbolic` (whose per-segment features are `segments`, covering the
+  /// whole trajectory) with its history: one popular-route lookup, one
+  /// feature-map row per partition segment and one per route edge. Returns
+  /// one rate and one baseline status per registry feature, together with
+  /// the rows they were computed from.
   ///
   /// Degraded mode: when the trained model carries no baseline for a
   /// feature at all — an empty feature map for moving features, or a miner
   /// with zero transitions for routing features — the rate is neutral (0)
-  /// and, when `baselines` is non-null, that feature is marked
-  /// BaselineStatus::kNoBaseline. A *trained* model whose history merely
-  /// lacks this partition's endpoints keeps the paper semantics (routing
-  /// maximally irregular, moving features against the global average);
-  /// only a model with nothing to compare against degrades. `baselines`,
-  /// when given, is resized to one entry per feature.
+  /// and that feature is marked BaselineStatus::kNoBaseline. A *trained*
+  /// model whose history merely lacks this partition's endpoints keeps the
+  /// paper semantics (routing maximally irregular, moving features against
+  /// the global average); only a model with nothing to compare against
+  /// degrades.
   ///
   /// `ctx` bounds the popular-route lookup. A deadline/cancel abort inside
   /// the lookup degrades the rates like a missing route would — callers on
   /// the serving path (STMaker::Summarize) re-check the context right
   /// after this call, and deadline/cancellation are sticky, so a summary
   /// built from such degraded rates is always discarded, never returned.
-  std::vector<double> IrregularRates(
+  PartitionComparison IrregularRates(
       const SymbolicTrajectory& symbolic,
       const std::vector<SegmentFeatures>& segments, size_t seg_begin,
-      size_t seg_end, std::vector<BaselineStatus>* baselines = nullptr,
-      const RequestContext* ctx = nullptr) const;
-
-  /// Per-edge regular feature vectors along the popular route between the
-  /// partition's endpoints ([edge][feature]); lets callers compute modal
-  /// categorical values where a mean would be meaningless.
-  Result<std::vector<std::vector<double>>> PopularRouteFeatureValues(
-      const SymbolicTrajectory& symbolic, size_t seg_begin, size_t seg_end,
-      const RequestContext* ctx = nullptr) const;
-
-  /// The regular (historical) value of feature `f` for segment `seg`
-  /// (between symbolic landmarks seg and seg+1), falling back to the global
-  /// average when the transition is absent from the history. Used by phrase
-  /// construction ("... than usual").
-  double RegularValueForSegment(const SymbolicTrajectory& symbolic,
-                                size_t seg, size_t feature) const;
+      size_t seg_end, const RequestContext* ctx = nullptr) const;
 
  private:
   const FeatureRegistry* registry_;

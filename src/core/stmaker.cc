@@ -14,6 +14,7 @@
 #include "common/strings.h"
 #include "common/trace.h"
 #include "core/similarity.h"
+#include "core/votes.h"
 #include "landmark/significance.h"
 #include "text/phrases.h"
 #include "text/template_engine.h"
@@ -352,25 +353,6 @@ Status STMaker::TrainIncremental(
 
 namespace {
 
-/// Length-weighted modal value over a partition's segments.
-template <typename T, typename Getter>
-T LengthWeightedMode(const std::vector<SegmentFeatures>& segments,
-                     size_t begin, size_t end, Getter getter) {
-  std::map<T, double> mass;
-  for (size_t s = begin; s < end; ++s) {
-    mass[getter(segments[s])] += segments[s].length_m;
-  }
-  T best{};
-  double best_mass = -1;
-  for (const auto& [value, m] : mass) {
-    if (m > best_mass) {
-      best_mass = m;
-      best = value;
-    }
-  }
-  return best;
-}
-
 /// The per-stage latency histograms of the serving pipeline (one per
 /// Fig. 12 stage) plus request counters, registered once. Kept in one
 /// struct so Summarize touches a single cached reference set.
@@ -458,8 +440,7 @@ Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
   }();
   STMAKER_ASSIGN_OR_RETURN(CalibratedTrajectory calibrated,
                            std::move(calibrate_result));
-  const SymbolicTrajectory& symbolic = calibrated.symbolic;
-  const size_t num_segments = symbolic.NumSegments();
+  const size_t num_segments = calibrated.NumSegments();
   STMAKER_CHECK(num_segments >= 1);
 
   // Step 2: features per segment, normalized over this trajectory.
@@ -469,6 +450,10 @@ Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
   }();
   STMAKER_ASSIGN_OR_RETURN(std::vector<SegmentFeatures> features,
                            std::move(extract_result));
+  // The summary owns the symbolic trajectory from here on.
+  Summary summary;
+  summary.symbolic = std::move(calibrated.symbolic);
+  const SymbolicTrajectory& symbolic = summary.symbolic;
   std::vector<std::vector<double>> normalized =
       NormalizeSegmentFeatures(features);
   std::vector<double> weights = registry_.Weights();
@@ -493,8 +478,6 @@ Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
                            std::move(partition_result));
 
   // Steps 4+5: per-partition feature selection and phrase construction.
-  Summary summary;
-  summary.symbolic = symbolic;
   std::vector<std::string> sentences;
   for (size_t p = 0; p < partition.partitions.size(); ++p) {
     STMAKER_RETURN_IF_ERROR(CheckContext(ctx));
@@ -511,21 +494,20 @@ Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
     ps.destination = symbolic.samples[end].landmark;
     ps.source_name = landmarks_->landmark(ps.source).name;
     ps.destination_name = landmarks_->landmark(ps.destination).name;
-    std::vector<BaselineStatus> baselines;
-    ps.irregular_rates = analyzer_->IrregularRates(symbolic, features, begin,
-                                                   end, &baselines, ctx);
+    PartitionComparison history =
+        analyzer_->IrregularRates(symbolic, features, begin, end, ctx);
     // IrregularRates cannot propagate a context abort from its internal
-    // popular-route lookup (it returns plain rates). Deadline/cancellation
+    // popular-route lookup (it returns no status). Deadline/cancellation
     // are sticky, so re-checking here always catches such an abort before
     // degraded rates can shape a returned summary (see irregularity.h).
     STMAKER_RETURN_IF_ERROR(CheckContext(ctx));
+    ps.irregular_rates = std::move(history.rates);
     // Record baseline provenance only when serving degraded — the common
     // fully-trained case keeps the summary struct (and its JSON) unchanged.
-    bool any_no_baseline = false;
-    for (BaselineStatus b : baselines) {
-      if (b == BaselineStatus::kNoBaseline) any_no_baseline = true;
+    if (std::find(history.baselines.begin(), history.baselines.end(),
+                  BaselineStatus::kNoBaseline) != history.baselines.end()) {
+      ps.baselines = std::move(history.baselines);
     }
-    if (any_no_baseline) ps.baselines = baselines;
 
     // Partition-level aggregates used by the phrases.
     double total_len = 0;
@@ -535,6 +517,11 @@ Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
     double stay_total_s = 0;
     int uturn_count = 0;
     std::vector<std::string> uturn_places;
+    // Length-weighted modes: masses summed in segment order, ties to the
+    // smallest value.
+    EnumVotes<RoadGrade, 7, double> grade_votes;
+    EnumVotes<TrafficDirection, 2, double> direction_votes;
+    NameVotes<double> road_votes;
     for (size_t s = begin; s < end; ++s) {
       const SegmentFeatures& sf = features[s];
       total_len += sf.length_m;
@@ -549,23 +536,22 @@ Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
           uturn_places.push_back(place);
         }
       }
+      grade_votes.Vote(sf.dominant_grade, sf.length_m);
+      direction_votes.Vote(sf.dominant_direction, sf.length_m);
+      road_votes.Vote(&sf.dominant_road_name, sf.length_m);
     }
-    RoadGrade modal_grade = LengthWeightedMode<RoadGrade>(
-        features, begin, end,
-        [](const SegmentFeatures& sf) { return sf.dominant_grade; });
-    TrafficDirection modal_direction = LengthWeightedMode<TrafficDirection>(
-        features, begin, end,
-        [](const SegmentFeatures& sf) { return sf.dominant_direction; });
-    std::string modal_road = LengthWeightedMode<std::string>(
-        features, begin, end,
-        [](const SegmentFeatures& sf) { return sf.dominant_road_name; });
+    const RoadGrade modal_grade = grade_votes.Best();
+    const TrafficDirection modal_direction = direction_votes.Best();
+    const std::string& modal_road = road_votes.Best();
     double mean_width = total_len > 0 ? width_sum / total_len : 0;
     double speed_kmh = total_dur > 0 ? total_len / total_dur * 3.6 : 0;
 
+    // The "usual" values phrases compare against, read from the rows the
+    // irregular rates were computed from.
     auto regular_mean = [&](size_t f) {
       double sum = 0;
-      for (size_t s = begin; s < end; ++s) {
-        sum += analyzer_->RegularValueForSegment(symbolic, s, f);
+      for (const HistoricalFeatureMap::Row& row : history.segment_rows) {
+        sum += row[f];
       }
       return sum / static_cast<double>(end - begin);
     };
@@ -574,17 +560,13 @@ Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
     // would trivially match the trip). Categorical features take the modal
     // value along the popular route; numeric ones the mean. Falls back to
     // the per-segment regulars when the endpoints have no popular route.
-    Result<std::vector<std::vector<double>>> pr_values =
-        analyzer_->PopularRouteFeatureValues(symbolic, begin, end, ctx);
-    if (!pr_values.ok() && IsContextError(pr_values.status().code())) {
-      return pr_values.status();
-    }
+    const std::vector<HistoricalFeatureMap::Row>& route = history.route_rows;
     auto routing_regular = [&](size_t f) {
-      if (!pr_values.ok()) return regular_mean(f);
+      if (route.empty()) return regular_mean(f);
       if (registry_.def(f).value_type == FeatureValueType::kCategorical) {
         std::map<long, int> votes;
-        for (const std::vector<double>& v : pr_values.value()) {
-          votes[std::lround(v[f])]++;
+        for (const HistoricalFeatureMap::Row& row : route) {
+          votes[std::lround(row[f])]++;
         }
         long best = 0;
         int best_votes = -1;
@@ -597,8 +579,8 @@ Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
         return static_cast<double>(best);
       }
       double sum = 0;
-      for (const std::vector<double>& v : pr_values.value()) sum += v[f];
-      return sum / static_cast<double>(pr_values.value().size());
+      for (const HistoricalFeatureMap::Row& row : route) sum += row[f];
+      return sum / static_cast<double>(route.size());
     };
 
     // Select features whose irregular rate exceeds η, in registry order.

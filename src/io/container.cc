@@ -24,12 +24,6 @@ static_assert(std::endian::native == std::endian::little,
 
 namespace {
 
-/// Pads `out` with zero bytes up to the next kContainerAlignment boundary.
-void PadToAlignment(std::string* out) {
-  const size_t rem = out->size() % kContainerAlignment;
-  if (rem != 0) out->append(kContainerAlignment - rem, '\0');
-}
-
 std::string_view AsView(const void* p, size_t n) {
   return std::string_view(static_cast<const char*>(p), n);
 }

@@ -53,30 +53,30 @@ double TimeAtArc(const Polyline& geometry, const RawTrajectory& raw,
 
 }  // namespace
 
-std::pair<size_t, size_t> CalibratedTrajectory::SegmentSampleRange(
-    size_t i) const {
-  STMAKER_CHECK(i < NumSegments());
-  double a0 = arc_positions[i];
-  double a1 = arc_positions[i + 1];
+std::vector<std::pair<size_t, size_t>>
+CalibratedTrajectory::SegmentSampleRanges() const {
   const size_t n = raw.samples.size();
-  // First sample strictly inside the segment.
+  std::vector<std::pair<size_t, size_t>> ranges;
+  ranges.reserve(NumSegments());
+  // `first` is the last fix at or before the segment's start: the first
+  // fix strictly inside it, widened back by one. `reach` is the first fix
+  // at or past the segment's end (or the last fix). Both are monotone in
+  // the segment's bounds, so each resumes where the previous segment
+  // left it instead of rescanning from fix 0.
   size_t first = 0;
-  while (first + 1 < n && geometry.CumulativeLength(first + 1) <= a0) {
-    ++first;
+  size_t reach = 0;
+  for (size_t i = 0; i < NumSegments(); ++i) {
+    const double a0 = arc_positions[i];
+    const double a1 = arc_positions[i + 1];
+    while (first + 1 < n && geometry.CumulativeLength(first + 1) <= a0) {
+      ++first;
+    }
+    while (reach + 1 < n && geometry.CumulativeLength(reach) < a1) {
+      ++reach;
+    }
+    ranges.emplace_back(first, std::max(first, reach) + 1);
   }
-  size_t last = first;
-  while (last + 1 < n && geometry.CumulativeLength(last) < a1) {
-    ++last;
-  }
-  return {first, last + 1};
-}
-
-RawTrajectory CalibratedTrajectory::SegmentRaw(size_t i) const {
-  auto [first, last] = SegmentSampleRange(i);
-  RawTrajectory out;
-  out.traveler = raw.traveler;
-  out.samples.assign(raw.samples.begin() + first, raw.samples.begin() + last);
-  return out;
+  return ranges;
 }
 
 std::pair<double, double> CalibratedTrajectory::SegmentTimeSpan(

@@ -49,8 +49,9 @@ struct CalibrationOptions {
 /// needed by downstream feature extraction.
 ///
 /// `arc_positions[i]` is the arc-length position of symbolic.samples[i]
-/// along the raw polyline; SegmentSampleRange(i) selects the raw fixes that
-/// belong to segment i (between landmarks i and i+1).
+/// along the raw polyline (non-decreasing in i); SegmentSampleRanges()
+/// selects the raw fixes that belong to each segment i (between landmarks
+/// i and i+1).
 struct CalibratedTrajectory {
   SymbolicTrajectory symbolic;
   std::vector<double> arc_positions;
@@ -59,13 +60,12 @@ struct CalibratedTrajectory {
 
   size_t NumSegments() const { return symbolic.NumSegments(); }
 
-  /// Half-open index range [first, last) of raw samples whose arc position
-  /// lies within segment i, widened to include the bracketing fixes so that
-  /// speeds at the boundaries are well-defined.
-  std::pair<size_t, size_t> SegmentSampleRange(size_t i) const;
-
-  /// Raw sub-trajectory of segment i (copy).
-  RawTrajectory SegmentRaw(size_t i) const;
+  /// For every segment i, in order, the half-open index range
+  /// [first, last) of raw samples whose arc position lies within segment i,
+  /// widened to include the bracketing fixes so that speeds at the
+  /// boundaries are well-defined. One forward sweep over the fixes: both
+  /// ends only move forward because arc_positions is non-decreasing.
+  std::vector<std::pair<size_t, size_t>> SegmentSampleRanges() const;
 
   /// Interval [t_i, t_{i+1}] of segment i.
   std::pair<double, double> SegmentTimeSpan(size_t i) const;

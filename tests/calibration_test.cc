@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "landmark/landmark_index.h"
 #include "roadnet/road_network.h"
+#include "scenario_dsl.h"
+#include "test_world.h"
 #include "traj/calibration.h"
 
 namespace stmaker {
@@ -121,23 +126,146 @@ TEST_F(CalibrationTest, SegmentRangesTileTheTrajectory) {
   auto c = calibrator.Calibrate(SampleByTime(10, 10, 3000));
   ASSERT_TRUE(c.ok());
   ASSERT_GE(c->NumSegments(), 1u);
+  const std::vector<std::pair<size_t, size_t>> ranges =
+      c->SegmentSampleRanges();
+  ASSERT_EQ(ranges.size(), c->NumSegments());
   for (size_t s = 0; s < c->NumSegments(); ++s) {
-    auto [first, last] = c->SegmentSampleRange(s);
+    auto [first, last] = ranges[s];
     EXPECT_LT(first, last);
     EXPECT_LE(last, c->raw.samples.size());
-    RawTrajectory seg = c->SegmentRaw(s);
-    EXPECT_EQ(seg.samples.size(), last - first);
     auto [t0, t1] = c->SegmentTimeSpan(s);
     EXPECT_LE(t0, t1);
     EXPECT_GT(c->SegmentLength(s), 0);
   }
   // Consecutive ranges overlap by at most the bracketing fix.
   for (size_t s = 1; s < c->NumSegments(); ++s) {
-    auto prev = c->SegmentSampleRange(s - 1);
-    auto cur = c->SegmentSampleRange(s);
+    auto prev = ranges[s - 1];
+    auto cur = ranges[s];
     EXPECT_LE(cur.first + 1, prev.second + 1);
     EXPECT_GE(cur.second, prev.second);
   }
+}
+
+// ---------------------------------------------------------------------------
+// The one-sweep segment ranges against the per-segment scan they replaced.
+// ---------------------------------------------------------------------------
+
+/// Segment i's fix range by the per-segment scan, restarting at fix 0: the
+/// last fix at or before the segment's start, up to the first fix at or
+/// past its end (or the last fix), half-open.
+std::pair<size_t, size_t> ScanSegment(const CalibratedTrajectory& c,
+                                      size_t i) {
+  const double a0 = c.arc_positions[i];
+  const double a1 = c.arc_positions[i + 1];
+  const size_t n = c.raw.samples.size();
+  size_t first = 0;
+  while (first + 1 < n && c.geometry.CumulativeLength(first + 1) <= a0) {
+    ++first;
+  }
+  size_t last = first;
+  while (last + 1 < n && c.geometry.CumulativeLength(last) < a1) ++last;
+  return {first, last + 1};
+}
+
+void ExpectRangesMatchTheScan(const CalibratedTrajectory& c,
+                              const ::testing::Message& what) {
+  SCOPED_TRACE(what);
+  const std::vector<std::pair<size_t, size_t>> ranges =
+      c.SegmentSampleRanges();
+  ASSERT_EQ(ranges.size(), c.NumSegments());
+  for (size_t i = 0; i < c.NumSegments(); ++i) {
+    EXPECT_EQ(ranges[i], ScanSegment(c, i)) << "segment " << i;
+  }
+}
+
+/// A hand-built calibrated trajectory over `fixes` (one per second) with
+/// landmarks at the given arc positions (non-decreasing).
+CalibratedTrajectory HandBuilt(const std::vector<Vec2>& fixes,
+                               const std::vector<double>& arcs) {
+  CalibratedTrajectory c;
+  for (size_t i = 0; i < fixes.size(); ++i) {
+    c.raw.samples.push_back({fixes[i], static_cast<double>(i)});
+  }
+  c.geometry = Polyline(fixes);
+  c.arc_positions = arcs;
+  for (size_t i = 0; i < arcs.size(); ++i) {
+    c.symbolic.samples.push_back(
+        {static_cast<LandmarkId>(i), static_cast<double>(i)});
+  }
+  return c;
+}
+
+TEST(SegmentRangeSweepTest, MatchesTheScanOnEdgeCases) {
+  // Fixes at x = 0, 100, 100 (repeated), 200, 300, 300, 300, 400.
+  const std::vector<Vec2> fixes = {{0, 0},   {100, 0}, {100, 0}, {200, 0},
+                                   {300, 0}, {300, 0}, {300, 0}, {400, 0}};
+  const std::vector<std::vector<double>> anchor_sets = {
+      {0, 400},                      // anchors at arc 0 and the very end
+      {0, 100, 100, 300, 400},       // zero-length segments on repeated fixes
+      {0, 0, 0, 400, 400},           // zero-length segments at both ends
+      {50, 150, 250, 350},           // anchors between fixes
+      {100, 300},                    // anchors exactly on repeated fixes
+      {0, 100, 200, 300, 400},       // one anchor per distinct fix
+      {399.5, 400},                  // a last segment shorter than a step
+      {0, 0.5},                      // a first segment shorter than a step
+      {250, 250, 250},               // every segment empty
+  };
+  for (const std::vector<double>& arcs : anchor_sets) {
+    ::testing::Message what;
+    what << "anchors";
+    for (double a : arcs) what << " " << a;
+    ExpectRangesMatchTheScan(HandBuilt(fixes, arcs), what);
+  }
+  // Two fixes only, and every fix at the same place.
+  ExpectRangesMatchTheScan(HandBuilt({{0, 0}, {10, 0}}, {0, 10}),
+                           ::testing::Message() << "two fixes");
+  ExpectRangesMatchTheScan(HandBuilt({{5, 5}, {5, 5}, {5, 5}}, {0, 0, 0}),
+                           ::testing::Message() << "a standing trip");
+}
+
+TEST(SegmentRangeSweepTest, MatchesTheScanOnTestWorldTrips) {
+  const testing::TestWorld& world = testing::GetTestWorld();
+  size_t checked = 0;
+  for (size_t t = 0; t < world.history.size(); ++t) {
+    Result<CalibratedTrajectory> c =
+        world.maker->Calibrate(world.history[t].raw);
+    if (!c.ok()) continue;
+    ExpectRangesMatchTheScan(*c, ::testing::Message() << "trip " << t);
+    ++checked;
+  }
+  EXPECT_GT(checked, world.history.size() / 2);
+}
+
+TEST(SegmentRangeSweepTest, MatchesTheScanOnScenarioMaps) {
+  size_t checked = 0;
+  for (const testing::NamedScenario& named : testing::ScenarioCorpus()) {
+    testing::Scenario s = named.Build();
+    Calibrator calibrator(s.landmarks.get());
+    for (double step_m : {5.0, 15.0, 40.0, 230.0}) {
+      for (double noise_m : {0.0, 12.0}) {
+        RawTrajectory trip = testing::ScenarioTrip(
+            s, named.route, /*start_time=*/0.0, /*speed_mps=*/10.0, step_m,
+            noise_m, /*seed=*/3);
+        // The same trip with every fix repeated: zero-length polyline
+        // steps under the sweep.
+        RawTrajectory doubled;
+        for (const RawSample& f : trip.samples) {
+          doubled.samples.push_back(f);
+          doubled.samples.push_back({f.pos, f.time + 0.01});
+        }
+        for (const RawTrajectory* raw : {&trip, &doubled}) {
+          Result<CalibratedTrajectory> c = calibrator.Calibrate(*raw);
+          if (!c.ok()) continue;
+          ExpectRangesMatchTheScan(
+              *c, ::testing::Message()
+                      << named.name << " step " << step_m << " noise "
+                      << noise_m << (raw == &doubled ? " doubled" : ""));
+          ++checked;
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 TEST_F(CalibrationTest, MinSpacingThinsCrowdedAnchors) {

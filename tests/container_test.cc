@@ -654,7 +654,9 @@ TEST_F(ContainerTest, DamagedHierarchySectionIsAdvisory) {
   Result<Summary> expect = cw_.maker->Summarize(cw_.raws[0]);
   Result<Summary> got = (*loaded)->maker->Summarize(cw_.raws[0]);
   ASSERT_EQ(expect.ok(), got.ok());
-  if (expect.ok()) EXPECT_EQ(expect->text, got->text);
+  if (expect.ok()) {
+    EXPECT_EQ(expect->text, got->text);
+  }
 }
 
 TEST_F(ContainerTest, DamagedTripIndexSectionIsAdvisory) {
@@ -694,7 +696,9 @@ TEST_F(ContainerTest, MapFailureFallsBackToHeapRead) {
   Result<Summary> expect = cw_.maker->Summarize(cw_.raws[1]);
   Result<Summary> got = (*loaded)->maker->Summarize(cw_.raws[1]);
   ASSERT_EQ(expect.ok(), got.ok());
-  if (expect.ok()) EXPECT_EQ(expect->text, got->text);
+  if (expect.ok()) {
+    EXPECT_EQ(expect->text, got->text);
+  }
 }
 
 // --- model-manager lifecycle ------------------------------------------------

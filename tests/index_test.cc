@@ -565,7 +565,9 @@ TEST(IndexWorldTest, IndexIsByteIdenticalAcrossThreadCounts) {
     auto a = world.maker->SimilarTrips(raws, trip, 8);
     auto b = parallel.SimilarTrips(raws, trip, 8);
     ASSERT_EQ(a.ok(), b.ok());
-    if (a.ok()) EXPECT_EQ(MatchesToString(*a), MatchesToString(*b));
+    if (a.ok()) {
+      EXPECT_EQ(MatchesToString(*a), MatchesToString(*b));
+    }
   }
 }
 
@@ -609,7 +611,9 @@ TEST(IndexTieBreakTest, EqualScoresRankByAscendingTripId) {
     bool first = true;
     for (const TrajectoryIndex::Match& m : *matches) {
       EXPECT_EQ(m.score, (*matches)[0].score) << "all scores must tie";
-      if (!first) EXPECT_GT(m.trip, last) << "ties must rank by id";
+      if (!first) {
+        EXPECT_GT(m.trip, last) << "ties must rank by id";
+      }
       last = m.trip;
       first = false;
     }

@@ -16,37 +16,45 @@ TEST(FeatureMapTest, AveragesAccumulate) {
   HistoricalFeatureMap map(2);
   map.AddSegment(1, 2, {10, 1});
   map.AddSegment(1, 2, {20, 3});
-  auto avg = map.RegularValuesCopy(1, 2);
-  ASSERT_TRUE(avg.ok());
-  EXPECT_DOUBLE_EQ((*avg)[0], 15.0);
-  EXPECT_DOUBLE_EQ((*avg)[1], 2.0);
+  HistoricalFeatureMap::Row avg = map.Lookup(1, 2);
+  EXPECT_DOUBLE_EQ(avg[0], 15.0);
+  EXPECT_DOUBLE_EQ(avg[1], 2.0);
   EXPECT_EQ(map.NumEdges(), 1u);
 }
 
 TEST(FeatureMapTest, DirectionalEdges) {
   HistoricalFeatureMap map(1);
   map.AddSegment(1, 2, {10});
-  EXPECT_TRUE(map.RegularValuesCopy(1, 2).ok());
-  EXPECT_FALSE(map.RegularValuesCopy(2, 1).ok());
+  map.AddSegment(3, 4, {30});
+  EXPECT_DOUBLE_EQ(map.Lookup(1, 2)[0], 10.0);
+  EXPECT_DOUBLE_EQ(map.Lookup(2, 1)[0], 20.0);  // unseen: global average
 }
 
-TEST(FeatureMapTest, MissingEdgeIsNotFound) {
-  HistoricalFeatureMap map(1);
-  auto missing = map.RegularValuesCopy(5, 6);
-  ASSERT_FALSE(missing.ok());
-  EXPECT_EQ(missing.status().code(), StatusCode::kNotFound);
+TEST(FeatureMapTest, MissingEdgeReadsTheGlobalAverage) {
+  HistoricalFeatureMap map(2);
+  map.AddSegment(1, 2, {10, 1});
+  map.AddSegment(3, 4, {30, 2});
+  HistoricalFeatureMap::Row missing = map.Lookup(5, 6);
+  for (size_t f = 0; f < 2; ++f) {
+    EXPECT_EQ(missing[f], map.GlobalAverage(f));
+  }
 }
 
-TEST(FeatureMapTest, MutableLookupCachesAverages) {
+TEST(FeatureMapTest, EmptyMapReadsZeros) {
+  HistoricalFeatureMap map(3);
+  HistoricalFeatureMap::Row missing = map.Lookup(5, 6);
+  for (size_t f = 0; f < 3; ++f) EXPECT_EQ(missing[f], 0.0);
+}
+
+TEST(FeatureMapTest, LookupReadsTheCurrentSums) {
+  // A row divides the edge's running sums when read: bit-identical to the
+  // average of what was accumulated so far.
   HistoricalFeatureMap map(1);
-  map.AddSegment(1, 2, {4});
-  const std::vector<double>* avg = map.RegularValues(1, 2);
-  ASSERT_NE(avg, nullptr);
-  EXPECT_DOUBLE_EQ((*avg)[0], 4.0);
-  map.AddSegment(1, 2, {8});
-  avg = map.RegularValues(1, 2);
-  EXPECT_DOUBLE_EQ((*avg)[0], 6.0);
-  EXPECT_EQ(map.RegularValues(9, 9), nullptr);
+  map.AddSegment(1, 2, {0.1});
+  map.AddSegment(1, 2, {0.2});
+  EXPECT_EQ(map.Lookup(1, 2)[0], (0.1 + 0.2) / 2.0);
+  map.AddSegment(1, 2, {0.4});
+  EXPECT_EQ(map.Lookup(1, 2)[0], (0.1 + 0.2 + 0.4) / 3.0);
 }
 
 TEST(FeatureMapTest, GlobalAverageSpansAllEdges) {
@@ -182,7 +190,8 @@ class IrregularityTest : public ::testing::Test {
 TEST_F(IrregularityTest, RegularTripHasLowRates) {
   IrregularityAnalyzer analyzer(&registry_, &miner_, &map_);
   auto segs = SegmentsWith({{3, 20, 1, 50, 0, 0}, {3, 20, 1, 50, 0, 0}});
-  std::vector<double> rates = analyzer.IrregularRates(symbolic_, segs, 0, 2);
+  std::vector<double> rates =
+      analyzer.IrregularRates(symbolic_, segs, 0, 2).rates;
   ASSERT_EQ(rates.size(), registry_.size());
   for (size_t f = 0; f < rates.size(); ++f) {
     EXPECT_LT(rates[f], 0.05) << registry_.def(f).id;
@@ -192,7 +201,8 @@ TEST_F(IrregularityTest, RegularTripHasLowRates) {
 TEST_F(IrregularityTest, SlowSpeedRaisesSpeedRateOnly) {
   IrregularityAnalyzer analyzer(&registry_, &miner_, &map_);
   auto segs = SegmentsWith({{3, 20, 1, 25, 0, 0}, {3, 20, 1, 25, 0, 0}});
-  std::vector<double> rates = analyzer.IrregularRates(symbolic_, segs, 0, 2);
+  std::vector<double> rates =
+      analyzer.IrregularRates(symbolic_, segs, 0, 2).rates;
   EXPECT_GT(rates[kSpeedFeature], 0.2);
   EXPECT_LT(rates[kGradeOfRoadFeature], 0.05);
   EXPECT_LT(rates[kStayPointsFeature], 0.05);
@@ -201,7 +211,8 @@ TEST_F(IrregularityTest, SlowSpeedRaisesSpeedRateOnly) {
 TEST_F(IrregularityTest, StaysRaiseStayRate) {
   IrregularityAnalyzer analyzer(&registry_, &miner_, &map_);
   auto segs = SegmentsWith({{3, 20, 1, 50, 2, 0}, {3, 20, 1, 50, 0, 0}});
-  std::vector<double> rates = analyzer.IrregularRates(symbolic_, segs, 0, 2);
+  std::vector<double> rates =
+      analyzer.IrregularRates(symbolic_, segs, 0, 2).rates;
   EXPECT_GT(rates[kStayPointsFeature], 0.2);
 }
 
@@ -209,7 +220,8 @@ TEST_F(IrregularityTest, DifferentRoadGradeRaisesRoutingRate) {
   IrregularityAnalyzer analyzer(&registry_, &miner_, &map_);
   // Took feeder roads (grade 7) instead of the historical grade 3.
   auto segs = SegmentsWith({{7, 20, 1, 50, 0, 0}, {7, 20, 1, 50, 0, 0}});
-  std::vector<double> rates = analyzer.IrregularRates(symbolic_, segs, 0, 2);
+  std::vector<double> rates =
+      analyzer.IrregularRates(symbolic_, segs, 0, 2).rates;
   EXPECT_GT(rates[kGradeOfRoadFeature], 0.5);
 }
 
@@ -217,9 +229,11 @@ TEST_F(IrregularityTest, FeatureWeightScalesRate) {
   ASSERT_TRUE(registry_.SetWeight("speed", 3.0).ok());
   IrregularityAnalyzer analyzer(&registry_, &miner_, &map_);
   auto segs = SegmentsWith({{3, 20, 1, 25, 0, 0}, {3, 20, 1, 25, 0, 0}});
-  std::vector<double> heavy = analyzer.IrregularRates(symbolic_, segs, 0, 2);
+  std::vector<double> heavy =
+      analyzer.IrregularRates(symbolic_, segs, 0, 2).rates;
   ASSERT_TRUE(registry_.SetWeight("speed", 1.0).ok());
-  std::vector<double> base = analyzer.IrregularRates(symbolic_, segs, 0, 2);
+  std::vector<double> base =
+      analyzer.IrregularRates(symbolic_, segs, 0, 2).rates;
   EXPECT_NEAR(heavy[kSpeedFeature], 3.0 * base[kSpeedFeature], 1e-9);
 }
 
@@ -230,7 +244,8 @@ TEST_F(IrregularityTest, NoPopularRouteMakesRoutingMaximallyIrregular) {
   SymbolicTrajectory reversed;
   reversed.samples = {{2, 0.0}, {0, 60.0}};
   auto segs = SegmentsWith({{3, 20, 1, 50, 0, 0}});
-  std::vector<double> rates = analyzer.IrregularRates(reversed, segs, 0, 1);
+  std::vector<double> rates =
+      analyzer.IrregularRates(reversed, segs, 0, 1).rates;
   EXPECT_DOUBLE_EQ(rates[kGradeOfRoadFeature], 1.0);  // w_f * d/len = 1
   EXPECT_DOUBLE_EQ(rates[kRoadWidthFeature], 1.0);
 }
@@ -239,18 +254,40 @@ TEST_F(IrregularityTest, SubPartitionUsesItsOwnPopularRoute) {
   IrregularityAnalyzer analyzer(&registry_, &miner_, &map_);
   auto segs = SegmentsWith({{3, 20, 1, 50, 0, 0}, {3, 20, 1, 50, 0, 0}});
   // Only the first segment.
-  std::vector<double> rates = analyzer.IrregularRates(symbolic_, segs, 0, 1);
+  std::vector<double> rates =
+      analyzer.IrregularRates(symbolic_, segs, 0, 1).rates;
   for (size_t f = 0; f < rates.size(); ++f) {
     EXPECT_LT(rates[f], 0.05);
   }
 }
 
-TEST_F(IrregularityTest, RegularValueFallsBackToGlobalAverage) {
+TEST_F(IrregularityTest, ComparisonReturnsTheRowsItRead) {
+  IrregularityAnalyzer analyzer(&registry_, &miner_, &map_);
+  auto segs = SegmentsWith({{3, 20, 1, 40, 0, 0}, {3, 20, 1, 40, 0, 0}});
+  PartitionComparison cmp = analyzer.IrregularRates(symbolic_, segs, 0, 2);
+  // One row per segment, one per popular-route edge (0 → 1 → 2).
+  ASSERT_EQ(cmp.segment_rows.size(), 2u);
+  ASSERT_EQ(cmp.route_rows.size(), 2u);
+  EXPECT_EQ(cmp.segment_rows[0].sums, map_.Lookup(0, 1).sums);
+  EXPECT_EQ(cmp.segment_rows[1].sums, map_.Lookup(1, 2).sums);
+  EXPECT_EQ(cmp.route_rows[0].sums, map_.Lookup(0, 1).sums);
+  EXPECT_EQ(cmp.route_rows[1].sums, map_.Lookup(1, 2).sums);
+  EXPECT_DOUBLE_EQ(cmp.segment_rows[0][kSpeedFeature], 50.0);
+  ASSERT_EQ(cmp.baselines.size(), registry_.size());
+  for (BaselineStatus b : cmp.baselines) {
+    EXPECT_EQ(b, BaselineStatus::kHistorical);
+  }
+}
+
+TEST_F(IrregularityTest, UnseenSegmentReadsTheGlobalAverage) {
   IrregularityAnalyzer analyzer(&registry_, &miner_, &map_);
   SymbolicTrajectory unknown;
   unknown.samples = {{7, 0.0}, {8, 60.0}};
-  double regular = analyzer.RegularValueForSegment(unknown, 0, kSpeedFeature);
-  EXPECT_DOUBLE_EQ(regular, 50.0);  // the global average speed
+  auto segs = SegmentsWith({{3, 20, 1, 50, 0, 0}});
+  PartitionComparison cmp = analyzer.IrregularRates(unknown, segs, 0, 1);
+  ASSERT_EQ(cmp.segment_rows.size(), 1u);
+  EXPECT_DOUBLE_EQ(cmp.segment_rows[0][kSpeedFeature], 50.0);  // global
+  EXPECT_TRUE(cmp.route_rows.empty());  // 7 → 8 has no popular route
 }
 
 }  // namespace

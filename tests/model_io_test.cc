@@ -197,10 +197,9 @@ TEST_F(ModelIoTest, FeatureMapSerializationHooks) {
   for (const auto& e : edges) {
     rebuilt.AddAccumulated(e.from, e.to, e.sums, e.count);
   }
-  auto avg = rebuilt.RegularValuesCopy(1, 2);
-  ASSERT_TRUE(avg.ok());
-  EXPECT_DOUBLE_EQ((*avg)[0], 15.0);
-  EXPECT_DOUBLE_EQ((*avg)[1], 2.0);
+  HistoricalFeatureMap::Row avg = rebuilt.Lookup(1, 2);
+  EXPECT_DOUBLE_EQ(avg[0], 15.0);
+  EXPECT_DOUBLE_EQ(avg[1], 2.0);
   EXPECT_DOUBLE_EQ(rebuilt.GlobalAverage(0), map.GlobalAverage(0));
 }
 

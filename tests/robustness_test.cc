@@ -362,9 +362,9 @@ TEST(DegradedServingTest, EmptyModelYieldsNeutralRatesAndMarksBaselines) {
     s.values.assign(registry.size(), 1.0);
   }
 
-  std::vector<BaselineStatus> baselines;
-  std::vector<double> rates =
-      analyzer.IrregularRates(symbolic, segments, 0, 2, &baselines);
+  PartitionComparison cmp = analyzer.IrregularRates(symbolic, segments, 0, 2);
+  const std::vector<double>& rates = cmp.rates;
+  const std::vector<BaselineStatus>& baselines = cmp.baselines;
   ASSERT_EQ(rates.size(), registry.size());
   ASSERT_EQ(baselines.size(), registry.size());
   for (size_t f = 0; f < rates.size(); ++f) {

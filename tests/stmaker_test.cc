@@ -171,6 +171,28 @@ TEST_F(STMakerTest, SelectedFeaturesCarryPhrasesAboveThreshold) {
   }
 }
 
+TEST_F(STMakerTest, OnePopularRouteLookupPerPartition) {
+  // Each partition is compared with one popular route (Sec. V-A); its
+  // irregular rates and its phrases share that one lookup.
+  size_t partitions = 0;
+  for (size_t trip = 0; trip < 20; ++trip) {
+    for (int k : {0, 3}) {
+      SummaryOptions options;
+      options.k = k;
+      const CacheStats before = world_.maker->RouteCacheStats();
+      auto summary =
+          world_.maker->Summarize(world_.history[trip].raw, options);
+      const CacheStats after = world_.maker->RouteCacheStats();
+      if (!summary.ok()) continue;
+      EXPECT_EQ(after.lookups() - before.lookups(),
+                summary->partitions.size())
+          << "trip " << trip << " k " << k;
+      partitions += summary->partitions.size();
+    }
+  }
+  EXPECT_GT(partitions, 40u);
+}
+
 TEST_F(STMakerTest, RushHourTripsMentionSpeedMoreOftenThanNight) {
   auto frequency = [&](double time_of_day, uint64_t seed_base) {
     int total = 0;
