@@ -1,14 +1,6 @@
 #include "common/context.h"
 
-#include <limits>
-
 namespace stmaker {
-
-double RequestContext::RemainingMs() const {
-  if (!has_deadline()) return std::numeric_limits<double>::infinity();
-  return std::chrono::duration<double, std::milli>(deadline - Clock::now())
-      .count();
-}
 
 Status RequestContext::Check() const {
   if (cancel.cancelled()) {

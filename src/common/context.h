@@ -117,10 +117,6 @@ struct RequestContext {
   /// \return True when a finite deadline is set and has passed.
   bool expired() const { return has_deadline() && Clock::now() >= deadline; }
 
-  /// \return Milliseconds until the deadline (negative once expired);
-  /// +infinity when no deadline is set.
-  double RemainingMs() const;
-
   /// Cancellation wins over the deadline because it is the more specific
   /// signal (the watchdog cancels *because* the deadline passed).
   /// \return kCancelled if the token fired, else kDeadlineExceeded if the

@@ -54,21 +54,6 @@ class CsvWriter {
   std::FILE* file_;
 };
 
-/// \brief In-memory CSV serializer: same quoting as CsvWriter, but the
-/// output accumulates in a string. Model persistence builds each file's
-/// full content with this so it can be checksummed and written atomically.
-class CsvBuilder {
- public:
-  void Row(const std::vector<std::string>& fields) {
-    text_ += FormatCsvRow(fields);
-  }
-  const std::string& str() const { return text_; }
-  std::string TakeString() { return std::move(text_); }
-
- private:
-  std::string text_;
-};
-
 /// \brief Splits CSV `text` into fields and rows per RFC 4180 — the one
 /// tokenizer behind ParseCsv and the streaming trajectory reader.
 ///

@@ -113,6 +113,4 @@ size_t Random::WeightedIndex(const std::vector<double>& weights) {
   return weights.size() - 1;
 }
 
-Random Random::Fork() { return Random(Next()); }
-
 }  // namespace stmaker

@@ -58,9 +58,6 @@ class Random {
   /// Non-positive total weight falls back to uniform.
   size_t WeightedIndex(const std::vector<double>& weights);
 
-  /// Forks an independent stream; children of distinct calls are unrelated.
-  Random Fork();
-
  private:
   uint64_t s_[4];
 };

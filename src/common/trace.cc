@@ -91,18 +91,6 @@ std::string Trace::ToJson() const {
   return out;
 }
 
-std::string Trace::ToNdjson() const {
-  std::string out;
-  for (const TraceEvent& e : Events()) {
-    out += StrFormat("{\"id\": %llu, \"parent\": %llu, \"name\": \"%s\", "
-                     "\"start_ms\": %.3f, \"end_ms\": %.3f}\n",
-                     static_cast<unsigned long long>(e.id),
-                     static_cast<unsigned long long>(e.parent),
-                     e.name.c_str(), e.start_ms, e.end_ms);
-  }
-  return out;
-}
-
 ScopedSpan::ScopedSpan(Trace* trace, const char* name, Histogram* hist)
     : trace_(trace), name_(name), hist_(hist) {
   if (trace_ == nullptr && hist_ == nullptr) return;  // disabled fast path

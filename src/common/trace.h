@@ -45,7 +45,7 @@ struct TraceEvent {
 };
 
 /// \brief The span collection of one request. Thread-safe for concurrent
-/// ScopedSpan recording; Events()/ToJson()/ToNdjson() snapshot under the
+/// ScopedSpan recording; Events()/ToJson() snapshot under the
 /// same lock.
 class Trace {
  public:
@@ -66,12 +66,6 @@ class Trace {
   /// Spans at each level are ordered by start time.
   /// \return A single-line JSON string.
   std::string ToJson() const;
-
-  /// Flat NDJSON event log: one JSON object per line, one line per span,
-  /// in completion order. Each line carries id/parent so the tree can be
-  /// rebuilt downstream.
-  /// \return Newline-delimited JSON, one event per line.
-  std::string ToNdjson() const;
 
  private:
   friend class ScopedSpan;

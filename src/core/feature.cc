@@ -48,13 +48,6 @@ const FeatureDef& FeatureRegistry::def(size_t index) const {
   return defs_[index];
 }
 
-Result<size_t> FeatureRegistry::IndexOf(const std::string& id) const {
-  for (size_t i = 0; i < defs_.size(); ++i) {
-    if (defs_[i].id == id) return i;
-  }
-  return Status::NotFound("unknown feature id: " + id);
-}
-
 Status FeatureRegistry::SetWeight(const std::string& id, double weight) {
   if (weight < 0) {
     return Status::InvalidArgument("feature weight must be non-negative");

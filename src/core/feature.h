@@ -88,9 +88,6 @@ class FeatureRegistry {
   const FeatureDef& def(size_t index) const;
   const std::vector<FeatureDef>& defs() const { return defs_; }
 
-  /// Index of the feature with the given id, or NotFound.
-  Result<size_t> IndexOf(const std::string& id) const;
-
   /// Sets w_f for one feature.
   Status SetWeight(const std::string& id, double weight);
 

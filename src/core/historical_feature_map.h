@@ -89,9 +89,11 @@ class HistoricalFeatureMap {
   /// first-annotated order. Edge set, edge order, and counts compose
   /// exactly; per-feature sums are regrouped (a + (b + c) instead of
   /// (a + b) + c), so merging partial maps can differ from one serial pass
-  /// in the last floating-point ulp. Training therefore builds one map per
-  /// ingested batch in corpus order and merges it once (see DESIGN.md
-  /// "Parallel execution & determinism").
+  /// in the last floating-point ulp. Training therefore builds the
+  /// corpus's map in corpus order and merges it once into an empty map,
+  /// which groups the global sums by edge exactly as a container load's
+  /// AddAccumulated replay does (see DESIGN.md "Parallel execution &
+  /// determinism").
   void Merge(const HistoricalFeatureMap& other);
 
  private:

@@ -62,8 +62,7 @@ Status ModelManager::Initialize() {
     return Status::FailedPrecondition("model manager already initialized");
   }
   std::shared_ptr<const ModelSnapshot> displaced;  // none: first publish
-  Status loaded =
-      ReloadLocked(options_.model_prefix, /*for_reload=*/false, &displaced);
+  Status loaded = ReloadLocked(options_.model_prefix, &displaced);
   if (!loaded.ok()) return loaded;
   reloader_ = std::thread([this] { ReloaderMain(); });
   return Status::OK();
@@ -87,7 +86,7 @@ std::shared_ptr<const ModelSnapshot> ModelManager::Publish(
 }
 
 Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
-    const std::string& model_prefix, uint64_t version, bool for_reload) {
+    const std::string& model_prefix, uint64_t version) {
   const auto start = std::chrono::steady_clock::now();
   // Chaos/robustness seam: lets tests fail a (re)load before any real I/O,
   // proving the rollback path without staging corrupt files.
@@ -140,25 +139,14 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
   snapshot->maker = std::make_unique<STMaker>(
       &snapshot->network, snapshot->landmarks.get(),
       FeatureRegistry::BuiltIn(), options_.maker);
-  STMAKER_RETURN_IF_ERROR(
-      from_container
-          ? snapshot->maker->LoadModelContainer(*snapshot->container)
-          : snapshot->maker->Train(snapshot->trajectories));
-
-  if (options_.use_hierarchy && !snapshot->maker->has_road_hierarchy()) {
-    if (!for_reload && options_.build_hierarchy_if_missing) {
-      STMAKER_RETURN_IF_ERROR(snapshot->maker->BuildRoadHierarchy());
-    } else if (for_reload) {
-      // Hierarchy-regression policy: a reload must not silently downgrade
-      // routing to Dijkstra (the old snapshot's hierarchy still works),
-      // and re-contracting would blow the bounded-I/O reload budget.
-      return Status::FailedPrecondition(
-          "reload rejected: model '" + model_prefix +
-          "' has no usable routing hierarchy (ch-rank/ch-arcs sections "
-          "missing or damaged); keeping the current snapshot");
-    }
-  } else if (!options_.use_hierarchy) {
-    snapshot->maker->DropRoadHierarchy();
+  if (from_container) {
+    // The hierarchy is the one the container carries, if any: a container
+    // load stays bounded by file I/O and never contracts.
+    STMAKER_RETURN_IF_ERROR(
+        snapshot->maker->LoadModelContainer(*snapshot->container));
+  } else {
+    STMAKER_RETURN_IF_ERROR(snapshot->maker->Train(snapshot->trajectories));
+    STMAKER_RETURN_IF_ERROR(snapshot->maker->BuildRoadHierarchy());
   }
 
   snapshot->loaded_unix_ms = NowUnixMs();
@@ -167,15 +155,27 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
 }
 
 Status ModelManager::ReloadLocked(
-    const std::string& model_prefix, bool for_reload,
+    const std::string& model_prefix,
     std::shared_ptr<const ModelSnapshot>* displaced) {
+  const bool for_reload = current_ != nullptr;
   const std::string prefix =
-      model_prefix.empty() && current_ != nullptr ? current_->model_prefix
-                                                  : model_prefix;
+      model_prefix.empty() && for_reload ? current_->model_prefix
+                                         : model_prefix;
   const uint64_t version =
       next_version_.fetch_add(1, std::memory_order_relaxed);
   Result<std::shared_ptr<const ModelSnapshot>> candidate =
-      LoadSnapshot(prefix, version, for_reload);
+      LoadSnapshot(prefix, version);
+  if (candidate.ok() && for_reload &&
+      current_->maker->has_road_hierarchy() &&
+      !(*candidate)->maker->has_road_hierarchy()) {
+    // Hierarchy-regression policy: the serving snapshot's hierarchy still
+    // works, so a reload must not silently downgrade routing to Dijkstra.
+    candidate = Status::FailedPrecondition(
+        "reload rejected: model '" + prefix +
+        "' has no usable routing hierarchy (ch-rank/ch-arcs sections "
+        "missing or damaged) and the serving snapshot has one; keeping the "
+        "current snapshot");
+  }
   if (!candidate.ok()) {
     if (for_reload) {
       c_reload_failures_.Increment();
@@ -216,7 +216,7 @@ Status ModelManager::ReloadKeeping(
   if (current_ == nullptr) {
     return Status::FailedPrecondition("model manager not initialized");
   }
-  return ReloadLocked(model_prefix, /*for_reload=*/true, displaced);
+  return ReloadLocked(model_prefix, displaced);
 }
 
 void ModelManager::RequestReload(std::string model_prefix,
@@ -224,7 +224,7 @@ void ModelManager::RequestReload(std::string model_prefix,
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (!shutting_down_.load(std::memory_order_acquire) &&
-        queue_.size() < options_.max_queued_reloads) {
+        queue_.size() < kMaxQueuedReloads) {
       queue_.push_back({std::move(model_prefix), std::move(done)});
       queue_cv_.notify_all();
       return;
@@ -236,7 +236,7 @@ void ModelManager::RequestReload(std::string model_prefix,
             ? Status::Cancelled("model manager shutting down")
             : Status::ResourceExhausted(
                   StrFormat("reload queue full (%zu pending)",
-                            options_.max_queued_reloads));
+                            kMaxQueuedReloads));
     auto current = Current();
     done(rejected, current == nullptr ? 0 : current->version);
   }

@@ -26,9 +26,15 @@
 ///     outcome when that reload actually ran — so back-to-back reloads
 ///     never interleave and the final state is the last request's.
 ///
+/// Routing hierarchy, one rule for every load: a container snapshot uses
+/// the hierarchy the container carries and never contracts one (absent or
+/// damaged means Dijkstra); a snapshot trained in-process contracts one
+/// after every Train, first load and reload alike.
+///
 /// Rollback state machine (DESIGN.md §15): a reload that fails for any
 /// reason — a missing file, a CRC mismatch, a failpoint-injected fault
-/// mid-load, or a hierarchy regression — leaves the current snapshot
+/// mid-load, or a hierarchy regression (the serving snapshot routes on a
+/// hierarchy and the candidate has none) — leaves the current snapshot
 /// serving untouched, increments `model.reload_failures`, and reports the
 /// error to the caller. There is no intermediate state visible to
 /// requests: Current() returns the old snapshot until the instant the new
@@ -103,15 +109,6 @@ struct ModelManagerOptions {
   std::string model_prefix;
   /// Forwarded to every snapshot's STMaker.
   STMakerOptions maker;
-  /// --router ch (true) vs dijkstra (false).
-  bool use_hierarchy = true;
-  /// Initial load only: contract the network when the model carries no
-  /// usable hierarchy. Reloads never rebuild — see Reload() for the
-  /// hierarchy-regression policy.
-  bool build_hierarchy_if_missing = true;
-  /// FIFO bound for RequestReload; excess requests fail fast with
-  /// kResourceExhausted instead of backing drain up without bound.
-  size_t max_queued_reloads = 8;
 };
 
 /// See the file comment. All public methods are thread-safe; NotifySighup
@@ -122,6 +119,9 @@ class ModelManager {
   /// serving after the attempt (the new version on success, the surviving
   /// one on rollback). Invoked on the reloader thread, exactly once.
   using ReloadCallback = std::function<void(const Status&, uint64_t version)>;
+
+  /// Bound of the RequestReload FIFO.
+  static constexpr size_t kMaxQueuedReloads = 8;
 
   explicit ModelManager(const ModelManagerOptions& options);
 
@@ -146,16 +146,16 @@ class ModelManager {
   /// complete candidate snapshot off to the side (empty `model_prefix`
   /// re-uses the current snapshot's source), then swaps. On any failure
   /// the current snapshot keeps serving and `model.reload_failures` is
-  /// incremented. With use_hierarchy set, a candidate whose hierarchy
-  /// failed verification is a *failed* reload (kFailedPrecondition): the
-  /// old snapshot's working hierarchy is never traded for a silent
-  /// Dijkstra downgrade, and reloads never re-contract (their latency
-  /// must stay bounded by file I/O).
+  /// incremented. A candidate without a hierarchy, while the serving
+  /// snapshot has one, is a *failed* reload (kFailedPrecondition): a
+  /// working hierarchy is never traded for a silent Dijkstra downgrade.
   Status Reload(const std::string& model_prefix = "");
 
   /// Enqueues a reload for the reloader thread (FIFO; never interleaves
   /// with another reload) and returns immediately. `done` may be null;
-  /// it runs before the displaced snapshot is released.
+  /// it runs before the displaced snapshot is released. At most
+  /// kMaxQueuedReloads wait; excess requests fail fast with
+  /// kResourceExhausted instead of backing drain up without bound.
   void RequestReload(std::string model_prefix, ReloadCallback done);
 
   /// Marks a SIGHUP-triggered in-place reload pending. Async-signal-safe:
@@ -178,15 +178,16 @@ class ModelManager {
 
   /// Builds a complete snapshot from disk (or in-process training). Pure:
   /// touches no manager state besides options, so a failure leaves
-  /// nothing to roll back. `for_reload` selects the hierarchy policy.
+  /// nothing to roll back.
   Result<std::shared_ptr<const ModelSnapshot>> LoadSnapshot(
-      const std::string& model_prefix, uint64_t version, bool for_reload);
+      const std::string& model_prefix, uint64_t version);
 
   /// The serialized body shared by Initialize/Reload: load, then publish
-  /// or roll back. Caller must hold reload_mu_. On success `*displaced`
-  /// receives the snapshot that stopped serving, for the caller to drop
-  /// once its locks are released.
-  Status ReloadLocked(const std::string& model_prefix, bool for_reload,
+  /// or roll back (a reload is any load after the first publish). Caller
+  /// must hold reload_mu_. On success `*displaced` receives the snapshot
+  /// that stopped serving, for the caller to drop once its locks are
+  /// released.
+  Status ReloadLocked(const std::string& model_prefix,
                       std::shared_ptr<const ModelSnapshot>* displaced);
 
   /// Reload() that hands the displaced snapshot to the caller instead of

@@ -43,11 +43,6 @@ Status STMaker::BuildRoadHierarchy() {
   return Status::OK();
 }
 
-void STMaker::DropRoadHierarchy() {
-  road_router_.AttachHierarchy(nullptr);
-  road_hierarchy_.reset();
-}
-
 Result<Path> STMaker::RoadRoute(NodeId src, NodeId dst,
                                 const RequestContext* ctx) const {
   return road_router_.Route(src, dst, nullptr, ctx);
@@ -111,14 +106,11 @@ struct IngestShard {
 }  // namespace
 
 Result<IngestReport> STMaker::IngestCorpus(
-    const std::vector<RawTrajectory>& history, int num_threads) {
-  const int threads = ResolveThreadCount(num_threads);
+    const std::vector<RawTrajectory>& history, VisitCorpus* visits) {
+  const int threads = ResolveThreadCount(options_.num_threads);
   std::vector<IngestShard> shards(static_cast<size_t>(threads));
   // One descriptor slot per offered trajectory — quarantined trips keep an
-  // empty slot so descriptor index always equals corpus position. The trip
-  // ids continue from any previously indexed corpus (TrainIncremental).
-  const uint32_t trip_base = static_cast<uint32_t>(
-      trip_index_ != nullptr ? trip_index_->descriptors().size() : 0);
+  // empty slot so descriptor index always equals corpus position.
   std::vector<TripDescriptor> descriptors(history.size());
   // Each trip's segment features, folded into the feature map in corpus
   // order after the parallel pass: floating-point sums depend on the
@@ -161,8 +153,7 @@ Result<IngestReport> STMaker::IngestCorpus(
                   // as soon as sanitization passed — region retrieval
                   // covers trips the scoring pipeline later rejects.
                   descriptors[i] = TrajectoryIndex::DescribeSpatial(
-                      trip_base + static_cast<uint32_t>(i), raw,
-                      options_.index);
+                      static_cast<uint32_t>(i), raw, options_.index);
                   Result<CalibratedTrajectory> calibrated =
                       calibrator_.Calibrate(raw);
                   if (!calibrated.ok()) {
@@ -196,9 +187,7 @@ Result<IngestReport> STMaker::IngestCorpus(
                 }
               });
 
-  // Decide acceptance from the merged counts *before* touching the member
-  // accumulators, so a rejected batch leaves the model exactly as it was
-  // (TrainIncremental relies on this).
+  // Decide acceptance from the merged counts before building the model.
   IngestReport report;
   for (const IngestShard& shard : shards) report.Merge(shard.report);
   if (report.total > 0 &&
@@ -214,9 +203,11 @@ Result<IngestReport> STMaker::IngestCorpus(
 
   // Merge in block order: shard 0 holds the leftmost trajectories, so this
   // replays the corpus left to right exactly as the serial loop would.
-  for (const IngestShard& shard : shards) visit_corpus_.Merge(shard.visits);
-  // The batch's feature map, built in corpus order and merged once — the
-  // same AddSegment sequence and single Merge at every thread count.
+  for (const IngestShard& shard : shards) visits->Merge(shard.visits);
+  // The feature map is built in corpus order, then folded once into an
+  // empty map: the fold regroups the global sums by edge, exactly as
+  // LoadModelContainer's replay of the feature-edges section computes
+  // them, so a trained and a container-loaded model agree to the last ulp.
   HistoricalFeatureMap batch(registry_.size());
   for (size_t i = 0; i < history.size(); ++i) {
     const std::vector<LandmarkId>& sequence = descriptors[i].sequence;
@@ -224,6 +215,7 @@ Result<IngestReport> STMaker::IngestCorpus(
       batch.AddSegment(sequence[s], sequence[s + 1], segments[i][s].values);
     }
   }
+  feature_map_ = std::make_unique<HistoricalFeatureMap>(registry_.size());
   feature_map_->Merge(batch);
   // Popular-route mining consumes the index descriptors instead of
   // rescanning the corpus: replaying each trip's symbolic sequence in
@@ -237,8 +229,8 @@ Result<IngestReport> STMaker::IngestCorpus(
       miner_.AddTransitionCount(d.sequence[s], d.sequence[s + 1], 1.0);
     }
   }
-  RebuildTrajectoryIndex(std::move(descriptors));
-  num_trained_ += report.ingested;
+  BuildTrajectoryIndex(std::move(descriptors));
+  num_trained_ = report.ingested;
   // One registry update per corpus from the merged report (not per shard),
   // so the counters are deterministic at every thread count.
   {
@@ -255,23 +247,13 @@ Result<IngestReport> STMaker::IngestCorpus(
   return report;
 }
 
-void STMaker::RebuildTrajectoryIndex(std::vector<TripDescriptor> fresh) {
-  // After a failed build the previous descriptors are gone, so an
-  // incremental batch cannot be numbered against the existing corpus —
-  // stay on the scan path until the next full Train().
-  if (index_build_failed_) return;
-  std::vector<TripDescriptor> all;
-  if (trip_index_ != nullptr) {
-    all = trip_index_->TakeDescriptors();
-    trip_index_.reset();
-  }
-  all.insert(all.end(), std::make_move_iterator(fresh.begin()),
-             std::make_move_iterator(fresh.end()));
-  for (size_t i = 0; i < all.size(); ++i) {
-    all[i].trip = static_cast<uint32_t>(i);
+void STMaker::BuildTrajectoryIndex(std::vector<TripDescriptor> descriptors) {
+  // The slots of trips quarantined before sanitization passed hold no id.
+  for (size_t i = 0; i < descriptors.size(); ++i) {
+    descriptors[i].trip = static_cast<uint32_t>(i);
   }
   Result<TrajectoryIndex> built =
-      TrajectoryIndex::Build(options_.index, std::move(all));
+      TrajectoryIndex::Build(options_.index, std::move(descriptors));
   if (!built.ok()) {
     // Advisory, like the routing hierarchy: the model is intact, only the
     // accelerator is lost — queries degrade to the (identical-result)
@@ -283,46 +265,35 @@ void STMaker::RebuildTrajectoryIndex(std::vector<TripDescriptor> fresh) {
                  "warning: trajectory index unusable, similarity/region "
                  "queries fall back to corpus scan: %s\n",
                  built.status().ToString().c_str());
-    index_build_failed_ = true;
     return;
   }
   trip_index_ = std::make_unique<TrajectoryIndex>(std::move(built).value());
 }
 
-void STMaker::RecomputeSignificance() {
-  visit_corpus_.BuildModel(landmarks_->size())
-      .Apply(landmarks_, options_.significance_iterations);
-  // Thinning breaks exact distance ties by significance, so calibrations
-  // memoized under the old scores (the ingest just ran through the cache)
-  // may keep the other anchor: start from an empty cache.
-  calibrator_ = Calibrator(landmarks_, options_.calibration);
-}
-
 Result<IngestReport> STMaker::TrainWithReport(
     const std::vector<RawTrajectory>& history) {
-  feature_map_ = std::make_unique<HistoricalFeatureMap>(registry_.size());
+  feature_map_.reset();
   miner_ = PopularRouteMiner();
-  visit_corpus_ = VisitCorpus();
   num_trained_ = 0;
   analyzer_.reset();
   trip_index_.reset();
-  index_build_failed_ = false;
 
-  Result<IngestReport> report = IngestCorpus(history, options_.num_threads);
-  if (!report.ok()) {
-    feature_map_.reset();
-    visit_corpus_ = VisitCorpus();
-    return report.status();
-  }
-
+  // The visit corpus feeds HITS and is dropped: nothing after training
+  // reads it, so the model keeps only the scores it installs.
+  VisitCorpus visits;
+  Result<IngestReport> report = IngestCorpus(history, &visits);
+  if (!report.ok()) return report.status();
   if (num_trained_ < 2) {
     feature_map_.reset();
-    visit_corpus_ = VisitCorpus();
     return Status::FailedPrecondition(
         "training corpus yielded fewer than two calibrated trajectories (" +
         report->ToString() + ")");
   }
-  RecomputeSignificance();
+  visits.BuildModel(landmarks_->size()).Apply(landmarks_);
+  // Thinning breaks exact distance ties by significance, so calibrations
+  // memoized under the old scores (the ingest just ran through the cache)
+  // may keep the other anchor: start from an empty cache.
+  calibrator_ = Calibrator(landmarks_, options_.calibration);
   analyzer_ = std::make_unique<IrregularityAnalyzer>(&registry_, &miner_,
                                                      feature_map_.get());
   return report;
@@ -330,25 +301,6 @@ Result<IngestReport> STMaker::TrainWithReport(
 
 Status STMaker::Train(const std::vector<RawTrajectory>& history) {
   return TrainWithReport(history).status();
-}
-
-Result<IngestReport> STMaker::TrainIncrementalWithReport(
-    const std::vector<RawTrajectory>& history) {
-  if (analyzer_ == nullptr || visit_corpus_.empty()) {
-    return Status::FailedPrecondition(
-        "TrainIncremental requires a prior Train() or LoadModelContainer()");
-  }
-  // IngestCorpus rejects an over-quarantined batch before merging, so the
-  // served model is untouched on failure.
-  STMAKER_ASSIGN_OR_RETURN(IngestReport report,
-                           IngestCorpus(history, options_.num_threads));
-  RecomputeSignificance();
-  return report;
-}
-
-Status STMaker::TrainIncremental(
-    const std::vector<RawTrajectory>& history) {
-  return TrainIncrementalWithReport(history).status();
 }
 
 namespace {

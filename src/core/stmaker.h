@@ -58,9 +58,8 @@ struct SummaryOptions {
 struct STMakerOptions {
   CalibrationOptions calibration;
   FeatureExtractorOptions extraction;
-  int significance_iterations = 40;  ///< HITS iterations during Train().
-  /// Worker threads for Train()/TrainIncremental() corpus ingestion and the
-  /// default for SummarizeBatch(). 1 = serial; 0 = hardware concurrency.
+  /// Worker threads for Train() corpus ingestion and the default for
+  /// SummarizeBatch(). 1 = serial; 0 = hardware concurrency.
   /// Thread count never changes results (see DESIGN.md, "Parallel execution
   /// & determinism").
   int num_threads = 1;
@@ -70,7 +69,7 @@ struct STMakerOptions {
   /// teleports) and mends the trajectory; kStrict quarantines/rejects it
   /// whole. Clean trajectories pass through bit-identical.
   SanitizeOptions sanitize;
-  /// Train/TrainIncremental fail with kFailedPrecondition when more than
+  /// Train fails with kFailedPrecondition when more than
   /// this fraction of the corpus was quarantined — a corpus that is mostly
   /// garbage signals an upstream fault, not a few bad trips. 1.0 (default)
   /// never converts quarantine into a hard error.
@@ -82,8 +81,7 @@ struct STMakerOptions {
   TrajectoryIndexOptions index;
 };
 
-/// \brief Outcome of one corpus ingestion (Train / TrainIncremental):
-/// how many trajectories made it into the model and why the rest were
+/// \brief Outcome of one training corpus ingestion (Train): how many trajectories made it into the model and why the rest were
 /// quarantined. Per-shard reports are merged deterministically (counts are
 /// additive and shard blocks are contiguous), so the report is identical at
 /// every thread count.
@@ -151,19 +149,6 @@ class STMaker {
   Result<IngestReport> TrainWithReport(
       const std::vector<RawTrajectory>& history);
 
-  /// Folds additional trajectories into an already-trained model: popular
-  /// routes and the historical feature map accumulate, and landmark
-  /// significance is recomputed over the combined visit corpus. Requires a
-  /// prior successful Train() or LoadModelContainer() (FailedPrecondition
-  /// otherwise). Quarantine semantics match Train(); when the quarantine
-  /// threshold converts to a hard error the existing model is left
-  /// untouched.
-  Status TrainIncremental(const std::vector<RawTrajectory>& history);
-
-  /// TrainIncremental(), returning the batch's IngestReport on success.
-  Result<IngestReport> TrainIncrementalWithReport(
-      const std::vector<RawTrajectory>& history);
-
   bool trained() const { return analyzer_ != nullptr; }
   size_t num_trained() const { return num_trained_; }
 
@@ -176,7 +161,7 @@ class STMaker {
   /// against concurrent Summarize/SummarizeBatch calls — the const serving
   /// path only reads the trained model, and the internal caches
   /// (calibration, popular-route queries) are mutex-guarded. Must not
-  /// overlap Train/TrainIncremental/LoadModelContainer.
+  /// overlap Train/LoadModelContainer.
   ///
   /// `ctx` (optional) bounds the request: the pipeline checks the deadline
   /// and cancellation token at every stage boundary and inside every hot
@@ -200,8 +185,8 @@ class STMaker {
 
   /// Persists the trained model *and its serving world* — road-network
   /// CSR + geometry, CH hierarchy, landmarks with significances,
-  /// popular-route transitions, the historical feature map, the visit
-  /// corpus, trajectory-index descriptors, calibration stats, and the
+  /// popular-route transitions, the historical feature map,
+  /// trajectory-index descriptors, calibration stats, and the
   /// serving trajectory corpus — as one binary container file
   /// (docs/FORMAT.md) that the server mmaps and serves from without
   /// reading any CSV (train once, serve many; `stmaker_cli train`).
@@ -220,10 +205,10 @@ class STMaker {
   /// LoadLandmarksFromContainer). Feature-set mismatch or damage to a
   /// required section fails (leaving the maker untrained); a damaged
   /// hierarchy or trajectory-index section only degrades — warning +
-  /// metric, Dijkstra/scan fallback. Restoring the visit corpus re-arms
-  /// TrainIncremental. All model state
-  /// this method restores is copied out of the mapping; only the road
-  /// network itself stays zero-copy.
+  /// metric, Dijkstra/scan fallback. The hierarchy is the one the
+  /// container carries: a load never contracts one. All model state this
+  /// method restores is copied out of the mapping; only the road network
+  /// itself stays zero-copy.
   ///
   /// \param container An open container (see MappedContainer::Open).
   /// \return OK, or the validation error.
@@ -242,10 +227,6 @@ class STMaker {
   ///
   /// \return OK, or the ContractionHierarchy::Build error.
   Status BuildRoadHierarchy();
-
-  /// Detaches and discards the hierarchy; road queries return to Dijkstra
-  /// and SaveModelContainer stops writing the hierarchy sections.
-  void DropRoadHierarchy();
 
   /// True when a hierarchy is installed (built or restored by
   /// LoadModelContainer).
@@ -331,31 +312,26 @@ class STMaker {
                                   const RequestContext* ctx) const;
 
   /// Sanitizes, calibrates, and mines every trajectory of `history` into
-  /// the current accumulators (miner, feature map, visit corpus) using
-  /// `num_threads` workers. Each worker handles a contiguous block of
-  /// `history`: the visit corpus goes into private shard accumulators
-  /// merged in block order (integral counts, so the merge is exact — see
-  /// VisitCorpus::Merge), while each trip's descriptor and segment
-  /// features land in its own slot and are folded into the miner and the
-  /// feature map in corpus order afterwards. Either way the result is the
-  /// serial left-to-right ingest, bit for bit, at every thread count.
-  /// Unusable trajectories are quarantined into the report. When the
-  /// quarantine fraction exceeds options().max_quarantine_fraction the
-  /// error is returned *before* anything is merged, leaving the member
-  /// accumulators untouched.
+  /// the miner, the feature map, the trajectory index, and `visits`,
+  /// using options().num_threads workers. Each worker handles a
+  /// contiguous block of `history`: the visit corpus goes into private
+  /// shard accumulators merged in block order (integral counts, so the
+  /// merge is exact — see VisitCorpus::Merge), while each trip's
+  /// descriptor and segment features land in its own slot and are folded
+  /// into the miner and the feature map in corpus order afterwards. Either
+  /// way the result is the serial left-to-right ingest, bit for bit, at
+  /// every thread count. Unusable trajectories are quarantined into the
+  /// report. When the quarantine fraction exceeds
+  /// options().max_quarantine_fraction the error is returned before any
+  /// model state is built.
   Result<IngestReport> IngestCorpus(const std::vector<RawTrajectory>& history,
-                                    int num_threads);
+                                    VisitCorpus* visits);
 
-  /// Rebuilds HITS significance from the visit corpus, installs the
-  /// scores into the landmark index, and empties the calibration cache.
-  void RecomputeSignificance();
-
-  /// Rebuilds the trajectory index over the previous descriptors (if any)
-  /// plus `fresh` — called at the end of every successful ingest. A build
-  /// failure (the "index/build" failpoint) downgrades to the scan path
-  /// with a warning and the `index.build_failures` counter; it never fails
-  /// training.
-  void RebuildTrajectoryIndex(std::vector<TripDescriptor> fresh);
+  /// Builds the trajectory index over the corpus descriptors (slot i is
+  /// trip i). A build failure (the "index/build" failpoint) downgrades to
+  /// the scan path with a warning and the `index.build_failures` counter;
+  /// it never fails training.
+  void BuildTrajectoryIndex(std::vector<TripDescriptor> descriptors);
 
   /// Exact region-membership test shared by the indexed refine and the
   /// scan fallback: true when the sanitized form of `raw` has a fix inside
@@ -375,19 +351,11 @@ class STMaker {
   PopularRouteMiner miner_;
   std::unique_ptr<HistoricalFeatureMap> feature_map_;
   std::unique_ptr<IrregularityAnalyzer> analyzer_;
-  /// Durable training state behind landmark significance: persisted by
-  /// SaveModelContainer, accumulated by TrainIncremental, sharded during
-  /// parallel ingestion.
-  VisitCorpus visit_corpus_;
   size_t num_trained_ = 0;
   /// The spatio-temporal trajectory index over the ingested corpus (null =
-  /// scan fallback). Built by Train/TrainIncremental, restored by
-  /// LoadModelContainer, dropped with the rest of the model on retrain.
+  /// scan fallback). Built by Train, restored by LoadModelContainer,
+  /// dropped with the rest of the model on retrain.
   std::unique_ptr<TrajectoryIndex> trip_index_;
-  /// Set when an "index/build" injection (or any build error) discarded
-  /// the descriptors: incremental ingests then stay on the scan path
-  /// instead of indexing a partial corpus.
-  bool index_build_failed_ = false;
   /// Length-metric road routing facade. The hierarchy (when present) is
   /// attached to the router, which transparently falls back to Dijkstra
   /// for custom cost functions.

@@ -6,12 +6,13 @@
 // serving corpus. The load policy:
 //
 //   - required sections (meta, feature names, transitions, feature map,
-//     stats, visits, the serving corpus, and the whole world) fail the
-//     load, leaving the maker untrained — a torn snapshot is never
-//     committed;
+//     stats, the serving corpus, and the whole world) fail the load,
+//     leaving the maker untrained — a torn snapshot is never committed;
 //   - the routing hierarchy and the trajectory index are advisory: damage
 //     costs the accelerator (warning + counter + Dijkstra/scan fallback),
-//     never the model.
+//     never the model;
+//   - any other section type is skipped unread, among them the retired
+//     visits section (type 14) of containers written by older builds.
 //
 // Determinism: sections are written in SectionType order, records in the
 // accumulators' deterministic iteration order, and every struct field —
@@ -89,7 +90,6 @@ const char* SectionName(SectionType type) {
     case SectionType::kLandmarkNames: return "landmark-names";
     case SectionType::kTransitions: return "transitions";
     case SectionType::kFeatureEdges: return "feature-edges";
-    case SectionType::kVisits: return "visits";
     case SectionType::kTripDescriptors: return "trip-descriptors";
     case SectionType::kTripCells: return "trip-cells";
     case SectionType::kTripLabels: return "trip-labels";
@@ -103,8 +103,9 @@ const char* SectionName(SectionType type) {
   return "unknown";
 }
 
-/// Looks up a section the load cannot proceed without: missing, damaged
-/// (payload CRC), or layout-version-skewed sections are hard errors.
+/// Looks up a section: missing, damaged (payload CRC), or
+/// layout-version-skewed sections are errors, which the advisory-section
+/// callers downgrade to a warning.
 Result<const SectionEntry*> RequiredSection(const MappedContainer& c,
                                             SectionType type) {
   const SectionEntry* entry = c.Find(type);
@@ -125,12 +126,6 @@ Result<const SectionEntry*> RequiredSection(const MappedContainer& c,
                                       "' CRC32 mismatch — corrupted container");
   }
   return entry;
-}
-
-/// Same checks for an advisory section (the caller downgrades the error).
-Result<const SectionEntry*> AdvisorySection(const MappedContainer& c,
-                                            SectionType type) {
-  return RequiredSection(c, type);
 }
 
 Status CountMismatch(const MappedContainer& c, SectionType type,
@@ -198,10 +193,6 @@ Status STMaker::SaveModelContainer(
       miner_.Transitions();
   const std::vector<HistoricalFeatureMap::EdgeRecord> feature_edges =
       feature_map_->Edges();
-  uint64_t num_visits = 0;
-  for (const VisitCorpus::Record& record : visit_corpus_.records()) {
-    num_visits += record.visits.size();
-  }
 
   {  // kMeta.
     ContainerMetaRecord meta{};
@@ -212,7 +203,6 @@ Status STMaker::SaveModelContainer(
     meta.num_landmarks = landmarks_->size();
     meta.num_transitions = transitions.size();
     meta.num_feature_edges = feature_edges.size();
-    meta.num_visits = num_visits;
     meta.num_trips =
         trip_index_ != nullptr ? trip_index_->descriptors().size() : 0;
     meta.ch_num_edges =
@@ -365,22 +355,6 @@ Status STMaker::SaveModelContainer(
     }
     writer.AddSection(SectionType::kFeatureEdges, kSectionVersion, width,
                       std::move(payload));
-  }
-  {  // kVisits, record order then first-visited pair order, so the replay
-     // composes identically.
-    std::string payload;
-    payload.reserve(num_visits * sizeof(VisitRecord));
-    for (const VisitCorpus::Record& record : visit_corpus_.records()) {
-      for (const auto& [landmark, count] : record.visits) {
-        VisitRecord rec{};
-        rec.key = record.key;
-        rec.landmark = landmark;
-        rec.count = count;
-        AppendPod(&payload, rec);
-      }
-    }
-    writer.AddSection(SectionType::kVisits, kSectionVersion,
-                      sizeof(VisitRecord), std::move(payload));
   }
   if (trip_index_ != nullptr) {
     // kTripDescriptors + kTripCells + kTripLabels + kTripFingerprints.
@@ -714,11 +688,10 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
   analyzer_.reset();
   feature_map_.reset();
   miner_ = PopularRouteMiner();
-  visit_corpus_ = VisitCorpus();
   num_trained_ = 0;
   trip_index_.reset();
-  index_build_failed_ = false;
-  DropRoadHierarchy();
+  road_router_.AttachHierarchy(nullptr);
+  road_hierarchy_.reset();
 
   STMAKER_ASSIGN_OR_RETURN(ContainerMetaRecord meta, ReadMeta(c));
   const size_t F = registry_.size();
@@ -820,27 +793,6 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
     }
   }
 
-  // Visit corpus, replayed in write order (traveller first-seen order,
-  // pairs first-visited) so TrainIncremental keeps composing.
-  VisitCorpus visits;
-  {
-    STMAKER_ASSIGN_OR_RETURN(const SectionEntry* entry,
-                             RequiredSection(c, SectionType::kVisits));
-    STMAKER_ASSIGN_OR_RETURN(auto records, c.Records<VisitRecord>(*entry));
-    if (records.size() != meta.num_visits) {
-      return CountMismatch(c, SectionType::kVisits, records.size(),
-                           meta.num_visits);
-    }
-    for (const VisitRecord& v : records) {
-      if (v.landmark < 0 ||
-          static_cast<size_t>(v.landmark) >= landmarks_->size() ||
-          v.count <= 0) {
-        return Status::InvalidArgument(c.path() + ": bad visits entry");
-      }
-      visits.AddVisitCount(v.key, v.landmark, v.count);
-    }
-  }
-
   // Trajectory index (advisory). Any failure warns and serves the scan
   // path — identical results, just slower — never a failed model load.
   std::unique_ptr<TrajectoryIndex> trip_index;
@@ -850,14 +802,14 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
     Status loaded = [&]() -> Status {
       STMAKER_ASSIGN_OR_RETURN(
           const SectionEntry* desc_entry,
-          AdvisorySection(c, SectionType::kTripDescriptors));
+          RequiredSection(c, SectionType::kTripDescriptors));
       STMAKER_ASSIGN_OR_RETURN(const SectionEntry* cells_entry,
-                               AdvisorySection(c, SectionType::kTripCells));
+                               RequiredSection(c, SectionType::kTripCells));
       STMAKER_ASSIGN_OR_RETURN(const SectionEntry* labels_entry,
-                               AdvisorySection(c, SectionType::kTripLabels));
+                               RequiredSection(c, SectionType::kTripLabels));
       STMAKER_ASSIGN_OR_RETURN(
           const SectionEntry* fp_entry,
-          AdvisorySection(c, SectionType::kTripFingerprints));
+          RequiredSection(c, SectionType::kTripFingerprints));
       STMAKER_ASSIGN_OR_RETURN(auto descs,
                                c.Records<TripDescRecord>(*desc_entry));
       STMAKER_ASSIGN_OR_RETURN(auto cells,
@@ -942,9 +894,9 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
         MetricsRegistry::Global().counter("router.ch.load_failures");
     Status loaded = [&]() -> Status {
       STMAKER_ASSIGN_OR_RETURN(const SectionEntry* rank_entry,
-                               AdvisorySection(c, SectionType::kChRank));
+                               RequiredSection(c, SectionType::kChRank));
       STMAKER_ASSIGN_OR_RETURN(const SectionEntry* arcs_entry,
-                               AdvisorySection(c, SectionType::kChArcs));
+                               RequiredSection(c, SectionType::kChArcs));
       STMAKER_ASSIGN_OR_RETURN(auto rank, c.Records<uint32_t>(*rank_entry));
       STMAKER_ASSIGN_OR_RETURN(auto arc_records,
                                c.Records<ChArcRecord>(*arcs_entry));
@@ -978,7 +930,6 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
   }
   miner_ = std::move(miner);
   feature_map_ = std::move(map);
-  visit_corpus_ = std::move(visits);
   analyzer_ = std::make_unique<IrregularityAnalyzer>(&registry_, &miner_,
                                                      feature_map_.get());
   return Status::OK();

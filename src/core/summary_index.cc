@@ -29,11 +29,6 @@ SummaryIndex::DocId SummaryIndex::Add(Summary summary) {
     }
   }
   for (size_t f : features) by_feature_[f].push_back(id);
-  std::set<LandmarkId> landmarks;
-  for (const SymbolicSample& s : summary.symbolic.samples) {
-    landmarks.insert(s.landmark);
-  }
-  for (LandmarkId lm : landmarks) by_landmark_[lm].push_back(id);
   summaries_.push_back(std::move(summary));
   return id;
 }
@@ -48,13 +43,6 @@ std::vector<SummaryIndex::DocId> SummaryIndex::WithFeature(
   auto it = by_feature_.find(feature);
   if (it == by_feature_.end()) return {};
   return it->second;  // insertion order == ascending ids
-}
-
-std::vector<SummaryIndex::DocId> SummaryIndex::ThroughLandmark(
-    LandmarkId landmark) const {
-  auto it = by_landmark_.find(landmark);
-  if (it == by_landmark_.end()) return {};
-  return it->second;
 }
 
 std::vector<SummaryIndex::DocId> SummaryIndex::ContainingText(
@@ -79,14 +67,6 @@ std::vector<SummaryIndex::DocId> SummaryIndex::And(
   std::vector<DocId> out;
   std::set_intersection(a.begin(), a.end(), b.begin(), b.end(),
                         std::back_inserter(out));
-  return out;
-}
-
-std::vector<SummaryIndex::DocId> SummaryIndex::Or(
-    const std::vector<DocId>& a, const std::vector<DocId>& b) {
-  std::vector<DocId> out;
-  std::set_union(a.begin(), a.end(), b.begin(), b.end(),
-                 std::back_inserter(out));
   return out;
 }
 

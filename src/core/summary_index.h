@@ -22,7 +22,7 @@ namespace stmaker {
 /// An inverted index over (a) the features each summary describes, (b) the
 /// landmarks its partitions pass through, and (c) the summary text.
 /// Queries return document ids sorted ascending, so they compose with
-/// And()/Or().
+/// And().
 class SummaryIndex {
  public:
   using DocId = size_t;
@@ -36,22 +36,16 @@ class SummaryIndex {
   /// Summaries that describe feature `feature` in some partition.
   std::vector<DocId> WithFeature(size_t feature) const;
 
-  /// Summaries whose symbolic trajectory visits `landmark`.
-  std::vector<DocId> ThroughLandmark(LandmarkId landmark) const;
-
   /// Summaries whose text contains `needle` (case-insensitive substring).
   std::vector<DocId> ContainingText(const std::string& needle) const;
 
-  /// Set intersection / union of sorted id lists.
+  /// Set intersection of sorted id lists.
   static std::vector<DocId> And(const std::vector<DocId>& a,
                                 const std::vector<DocId>& b);
-  static std::vector<DocId> Or(const std::vector<DocId>& a,
-                               const std::vector<DocId>& b);
 
  private:
   std::vector<Summary> summaries_;
   std::unordered_map<size_t, std::vector<DocId>> by_feature_;
-  std::unordered_map<LandmarkId, std::vector<DocId>> by_landmark_;
 };
 
 }  // namespace stmaker

@@ -84,18 +84,4 @@ Vec2 Polyline::InterpolateOnSegment(size_t i, double s) const {
   return points_[i] + (points_[i + 1] - points_[i]) * t;
 }
 
-double Polyline::HeadingAt(double s) const {
-  if (points_.size() < 2) return 0;
-  s = std::clamp(s, 0.0, Length());
-  auto it = std::upper_bound(cum_.begin(), cum_.end(), s);
-  size_t i = static_cast<size_t>(it - cum_.begin());
-  if (i == 0) i = 1;
-  if (i >= points_.size()) i = points_.size() - 1;
-  // Skip zero-length segments when possible.
-  size_t a = i - 1;
-  size_t b = i;
-  while (b + 1 < points_.size() && points_[a] == points_[b]) ++b;
-  return HeadingDegrees(points_[b] - points_[a]);
-}
-
 }  // namespace stmaker

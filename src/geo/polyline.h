@@ -65,10 +65,6 @@ class Polyline {
   /// Length() the last, whatever i is.
   Vec2 InterpolateOnSegment(size_t i, double s) const;
 
-  /// Heading (degrees from north) of the segment at arc-length `s`.
-  /// Returns 0 for degenerate polylines.
-  double HeadingAt(double s) const;
-
  private:
   std::vector<Vec2> points_;
   std::vector<double> cum_;  // cum_[i] = arc length at points_[i].

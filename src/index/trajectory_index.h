@@ -127,10 +127,6 @@ class TrajectoryIndex {
   const std::vector<TripDescriptor>& descriptors() const {
     return descriptors_;
   }
-  /// The descriptors, surrendered for an incremental rebuild.
-  std::vector<TripDescriptor> TakeDescriptors() {
-    return std::move(descriptors_);
-  }
   /// Total posting-list entries across every key family (observability).
   size_t num_postings() const { return num_postings_; }
 

@@ -37,8 +37,11 @@
 namespace stmaker {
 
 /// Identifies what a section's records mean. Values are part of the wire
-/// format (FORMAT.md §3) and must never be renumbered; add new sections at
-/// the end. Readers skip unknown types (forward compatibility).
+/// format (FORMAT.md §3) and must never be renumbered or reused; add new
+/// sections at the end. Readers skip unknown types (forward
+/// compatibility). Type 14 is reserved: it was the visits section, which
+/// older builds wrote and required; this build neither writes nor reads
+/// it.
 enum class SectionType : uint32_t {
   kMeta = 1,              ///< One MetaRecord: counts, flags, index geometry.
   kFeatureNames = 2,      ///< Blob: ";"-joined feature registry ids.
@@ -53,7 +56,6 @@ enum class SectionType : uint32_t {
   kLandmarkNames = 11,    ///< Blob: concatenated landmark name bytes.
   kTransitions = 12,      ///< TransitionRecord per mined transition.
   kFeatureEdges = 13,     ///< Variable-width: (from,to,count,sums[F]) rows.
-  kVisits = 14,           ///< VisitRecord per visit-corpus entry.
   kTripDescriptors = 15,  ///< TripDescRecord per corpus trip.
   kTripCells = 16,        ///< TripCellRecord: all trips' (cell,bucket) visits.
   kTripLabels = 17,       ///< int64_t: all trips' landmark labels.
@@ -117,7 +119,7 @@ struct ContainerMetaRecord {
   uint64_t num_landmarks;    ///< Landmarks (POI clusters + turning points).
   uint64_t num_transitions;  ///< Mined popular-route transitions.
   uint64_t num_feature_edges;///< Historical feature map entries.
-  uint64_t num_visits;       ///< Visit-corpus records.
+  uint64_t num_visits;       ///< Retired with section type 14: written 0.
   uint64_t num_trips;        ///< Trip descriptors (0 when index absent).
   uint64_t ch_num_edges;     ///< CH: network edge count at build time.
   uint64_t ch_num_shortcuts; ///< CH: shortcut arc count.
@@ -195,14 +197,6 @@ struct TransitionRecord {
   double count;
 };
 static_assert(sizeof(TransitionRecord) == 24, "transition layout is frozen");
-
-/// kVisits record: one visit-corpus entry.
-struct VisitRecord {
-  int64_t key;
-  int64_t landmark;
-  double count;
-};
-static_assert(sizeof(VisitRecord) == 24, "visit layout is frozen");
 
 /// kTripDescriptors record. Variable-length members (cell visits, labels,
 /// fingerprint) live in the kTripCells/kTripLabels/kTripFingerprints

@@ -116,18 +116,6 @@ JsonWriter& JsonWriter::Int(long long value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Bool(bool value) {
-  MaybeComma();
-  out_ += value ? "true" : "false";
-  return *this;
-}
-
-JsonWriter& JsonWriter::Null() {
-  MaybeComma();
-  out_ += "null";
-  return *this;
-}
-
 Result<bool> NdjsonReader::Next(std::string* line) {
   line->clear();
   std::streambuf* sb = in_->rdbuf();

@@ -32,8 +32,6 @@ class JsonWriter {
   JsonWriter& String(const std::string& value);
   JsonWriter& Number(double value);
   JsonWriter& Int(long long value);
-  JsonWriter& Bool(bool value);
-  JsonWriter& Null();
 
   /// The document so far.
   const std::string& str() const { return out_; }

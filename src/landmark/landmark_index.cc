@@ -39,7 +39,6 @@ LandmarkIndex LandmarkIndex::Build(const RoadNetwork& network,
                                    const std::vector<RawPoi>& pois,
                                    const LandmarkIndexOptions& options) {
   LandmarkIndex out;
-  out.node_to_landmark_.assign(network.NumNodes(), -1);
 
   // --- POI cluster landmarks. -----------------------------------------------
   std::vector<Vec2> positions;
@@ -82,7 +81,6 @@ LandmarkIndex LandmarkIndex::Build(const RoadNetwork& network,
     lm.pos = node.pos;
     lm.name = JunctionName(network, node.id);
     lm.kind = LandmarkKind::kTurningPoint;
-    out.node_to_landmark_[node.id] = lm.id;
     out.landmarks_.push_back(std::move(lm));
     out.network_node_.push_back(node.id);
   }
@@ -104,7 +102,7 @@ Result<LandmarkIndex> LandmarkIndex::FromParts(
   }
   if (!(index_cell_m > 0)) return fail("non-positive index cell size");
   LandmarkIndex out;
-  out.node_to_landmark_.assign(num_network_nodes, -1);
+  std::vector<bool> claimed(num_network_nodes, false);  // by NodeId
   for (size_t i = 0; i < landmarks.size(); ++i) {
     const Landmark& lm = landmarks[i];
     const NodeId node = network_node[i];
@@ -115,10 +113,8 @@ Result<LandmarkIndex> LandmarkIndex::FromParts(
       if (node < 0 || static_cast<size_t>(node) >= num_network_nodes) {
         return fail("turning-point landmark node out of range");
       }
-      if (out.node_to_landmark_[node] != -1) {
-        return fail("two landmarks claim one network node");
-      }
-      out.node_to_landmark_[node] = lm.id;
+      if (claimed[node]) return fail("two landmarks claim one network node");
+      claimed[node] = true;
     } else if (node != -1) {
       return fail("POI landmark carries a network node");
     }
@@ -159,13 +155,6 @@ void LandmarkIndex::SetSignificance(LandmarkId id, double significance) {
 NodeId LandmarkIndex::network_node(LandmarkId id) const {
   STMAKER_CHECK(id >= 0 && static_cast<size_t>(id) < network_node_.size());
   return network_node_[id];
-}
-
-LandmarkId LandmarkIndex::LandmarkOfNode(NodeId node) const {
-  if (node < 0 || static_cast<size_t>(node) >= node_to_landmark_.size()) {
-    return -1;
-  }
-  return node_to_landmark_[node];
 }
 
 }  // namespace stmaker

@@ -81,9 +81,6 @@ class LandmarkIndex {
   /// landmarks.
   NodeId network_node(LandmarkId id) const;
 
-  /// The turning-point landmark on network node `node`, or -1.
-  LandmarkId LandmarkOfNode(NodeId node) const;
-
   /// Grid-index pitch this dataset was built with; persisted by the model
   /// container so FromParts can rebuild the identical index.
   double index_cell_m() const { return index_cell_m_; }
@@ -96,7 +93,6 @@ class LandmarkIndex {
 
   std::vector<Landmark> landmarks_;
   std::vector<NodeId> network_node_;   // parallel to landmarks_.
-  std::vector<LandmarkId> node_to_landmark_;  // indexed by NodeId.
   std::unique_ptr<GridIndex> index_;
   double index_cell_m_ = 250.0;
 };

@@ -114,20 +114,6 @@ void VisitCorpus::AddTrajectory(int64_t raw_traveler,
   }
 }
 
-void VisitCorpus::AddVisitCount(int64_t key, LandmarkId landmark,
-                                double count) {
-  STMAKER_CHECK(count > 0);
-  if (key < 0) anonymous_counter_ = std::max(anonymous_counter_, -key);
-  Record& record = RecordFor(key);
-  for (auto& [existing, c] : record.visits) {
-    if (existing == landmark) {
-      c += count;
-      return;
-    }
-  }
-  record.visits.emplace_back(landmark, count);
-}
-
 void VisitCorpus::Merge(const VisitCorpus& other) {
   for (const Record& record : other.records_) {
     if (record.key < 0) {

@@ -33,7 +33,7 @@ class SignificanceModel {
   void AddVisit(int64_t traveler, LandmarkId landmark);
 
   /// Records `weight` visits at once (equivalent to `weight` AddVisit
-  /// calls). Used when rebuilding the model from an aggregated VisitCorpus.
+  /// calls). Used when building the model from an aggregated VisitCorpus.
   void AddVisitWeight(int64_t traveler, LandmarkId landmark, double weight);
 
   /// Runs `iterations` of HITS power iteration and returns the landmark
@@ -57,10 +57,9 @@ class SignificanceModel {
 /// record per traveller, in first-seen order, accumulating per-landmark
 /// visit counts across that traveller's trajectories.
 ///
-/// STMaker keeps a VisitCorpus as the durable training state (it is what
-/// SaveModelContainer persists), shards it during parallel ingestion, and
-/// rebuilds a SignificanceModel from it whenever significances must be
-/// recomputed.
+/// STMaker::Train shards one during parallel ingestion, builds a
+/// SignificanceModel from the merged corpus, and drops it once the scores
+/// are installed.
 /// Records carry the original traveller key; trajectories with no
 /// traveller id get a fresh synthetic negative key (-1, -2, ...) so they
 /// still contribute hub mass without conflating distinct vehicles.
@@ -92,16 +91,10 @@ class VisitCorpus {
   /// Folds `other` into this corpus (see class comment for ordering).
   void Merge(const VisitCorpus& other);
 
-  /// Adds `count` visits for the traveller with the given persistent key
-  /// (deserialization hook; negative keys restore anonymous records and
-  /// advance the anonymous counter).
-  void AddVisitCount(int64_t key, LandmarkId landmark, double count);
-
   /// Builds the HITS model over this corpus; traveller i of the model is
   /// records()[i].
   SignificanceModel BuildModel(size_t num_landmarks) const;
 
-  bool empty() const { return records_.empty(); }
   size_t num_travelers() const { return records_.size(); }
   const std::vector<Record>& records() const { return records_; }
 

@@ -268,11 +268,6 @@ const RoadNetwork::EdgeEndpoints& RoadNetwork::edge_endpoints(
   return edge_ends_view_[static_cast<size_t>(e)];
 }
 
-size_t RoadNetwork::Degree(NodeId id) const {
-  STMAKER_CHECK(id >= 0 && static_cast<size_t>(id) < nodes_.size());
-  return undirected_degree_[id];
-}
-
 EdgeId RoadNetwork::FindEdgeBetween(NodeId a, NodeId b) const {
   for (const Adjacency& adj : OutEdges(a)) {
     if (adj.neighbor == b) return adj.edge;

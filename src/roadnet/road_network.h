@@ -162,9 +162,6 @@ class RoadNetwork {
   /// Endpoint node ids of `e`, packed contiguously.
   const EdgeEndpoints& edge_endpoints(EdgeId e) const;
 
-  /// Out-degree plus in-degree as seen by the undirected topology.
-  size_t Degree(NodeId id) const;
-
   /// The edge joining `a` and `b` traversable from `a`, or -1.
   EdgeId FindEdgeBetween(NodeId a, NodeId b) const;
 

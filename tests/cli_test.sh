@@ -39,15 +39,6 @@ rc=0; "$CLI" unpack --model "$DIR/model.stm" --out "$DIR/x" 2>/dev/null || rc=$?
 [[ $rc -eq 2 ]] || {
   echo "unpack: want exit 2 (no such command), got $rc"; exit 1; }
 
-echo "== train --router dijkstra skips the routing hierarchy =="
-"$CLI" train --dir "$DIR" --model "$DIR/model_plain.stm" --router dijkstra
-PLAIN="$("$CLI" pack --model "$DIR/model_plain.stm" \
-  --out "$DIR/plain_copy.stm")"
-[[ "$PLAIN" != *"routing hierarchy"* ]] || {
-  echo "--router dijkstra still wrote a hierarchy"; exit 1; }
-rc=0; "$CLI" train --dir "$DIR" --model "$DIR/x" --router hc 2>/dev/null || rc=$?
-[[ $rc -eq 3 ]] || { echo "--router hc: want exit 3, got $rc"; exit 1; }
-
 echo "== summarize (trained inline) =="
 OUT1="$("$CLI" summarize --dir "$DIR" --trip 3)"
 echo "$OUT1"

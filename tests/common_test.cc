@@ -255,17 +255,6 @@ TEST(RandomTest, WeightedIndexRespectsWeights) {
   EXPECT_NEAR(static_cast<double>(counts[2]) / counts[1], 3.0, 0.3);
 }
 
-TEST(RandomTest, ForkProducesIndependentStream) {
-  Random a(11);
-  Random child = a.Fork();
-  // The child stream should not simply mirror the parent.
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (a.Next() == child.Next()) ++equal;
-  }
-  EXPECT_LT(equal, 4);
-}
-
 // --------------------------------------------------------------------------
 // Strings
 // --------------------------------------------------------------------------

@@ -347,7 +347,6 @@ TEST_F(ContainerTest, EveryDamagedSectionFollowsTheLoadPolicy) {
       {SectionType::kLandmarkNames, "landmark-names", Policy::kRequired},
       {SectionType::kTransitions, "transitions", Policy::kRequired},
       {SectionType::kFeatureEdges, "feature-edges", Policy::kRequired},
-      {SectionType::kVisits, "visits", Policy::kRequired},
       {SectionType::kTripDescriptors, "trip-descriptors", Policy::kTripIndex},
       {SectionType::kTripCells, "trip-cells", Policy::kTripIndex},
       {SectionType::kTripLabels, "trip-labels", Policy::kTripIndex},
@@ -592,6 +591,75 @@ TEST_F(ContainerTest, HostileRecordsFailTheLoadAndRollBackAReload) {
   }
 }
 
+TEST_F(ContainerTest, RetiredVisitsSectionIsSkipped) {
+  // Containers written before the visits section was retired carry a
+  // type-14 section, and meta counts its records. Today's reader skips
+  // both: such a container loads and summarizes exactly like one without
+  // them, and writing it back drops them — the bytes `train` writes today.
+  constexpr auto kRetiredVisits = static_cast<SectionType>(14);
+  Result<std::shared_ptr<MappedContainer>> good =
+      MappedContainer::Open(cw_.container_path);
+  ASSERT_TRUE(good.ok());
+  ASSERT_EQ((*good)->Find(kRetiredVisits), nullptr);
+  ContainerWriter writer;
+  for (const SectionEntry& entry : (*good)->sections()) {
+    const auto type = static_cast<SectionType>(entry.type);
+    std::string payload((*good)->Blob(entry));
+    if (type == SectionType::kMeta) {
+      ContainerMetaRecord meta{};
+      std::memcpy(&meta, payload.data(), sizeof(meta));
+      ASSERT_EQ(meta.num_visits, 0u);
+      meta.num_visits = 2;
+      std::memcpy(payload.data(), &meta, sizeof(meta));
+    }
+    writer.AddSection(type, entry.version, entry.record_width,
+                      std::move(payload));
+    if (type == SectionType::kFeatureEdges) {
+      // Two (key, landmark, count) records of 24 bytes, where older
+      // builds wrote them: after the feature map.
+      std::string visits;
+      for (const int64_t key : {int64_t{7}, int64_t{-1}}) {
+        const int64_t landmark = 0;
+        const double count = 1.0;
+        visits.append(reinterpret_cast<const char*>(&key), sizeof(key));
+        visits.append(reinterpret_cast<const char*>(&landmark),
+                      sizeof(landmark));
+        visits.append(reinterpret_cast<const char*>(&count), sizeof(count));
+      }
+      writer.AddSection(kRetiredVisits, 1, 24, std::move(visits));
+    }
+  }
+  const std::string path = TempPrefix("container_retired_visits.stm");
+  ASSERT_TRUE(writer.Finish(path).ok());
+
+  Result<std::unique_ptr<LoadedModel>> loaded = LoadModelFile(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ASSERT_NE((*loaded)->container->Find(kRetiredVisits), nullptr);
+  EXPECT_TRUE((*loaded)->maker->has_road_hierarchy());
+  EXPECT_TRUE((*loaded)->maker->has_trajectory_index());
+  std::span<const RawTrajectory> batch(cw_.raws.data(),
+                                       std::min<size_t>(cw_.raws.size(), 40));
+  std::vector<Result<Summary>> expect = cw_.maker->SummarizeBatch(batch);
+  std::vector<Result<Summary>> got = (*loaded)->maker->SummarizeBatch(batch);
+  ASSERT_EQ(expect.size(), got.size());
+  for (size_t i = 0; i < expect.size(); ++i) {
+    ASSERT_EQ(expect[i].ok(), got[i].ok()) << "trip " << i;
+    if (expect[i].ok()) {
+      EXPECT_EQ(expect[i]->text, got[i]->text) << "trip " << i;
+    }
+  }
+
+  const std::string resaved = TempPrefix("container_retired_resaved.stm");
+  ASSERT_TRUE((*loaded)->maker->SaveModelContainer(resaved, (*loaded)->corpus)
+                  .ok());
+  Result<std::string> original = ReadFileToString(cw_.container_path);
+  Result<std::string> resaved_bytes = ReadFileToString(resaved);
+  ASSERT_TRUE(original.ok());
+  ASSERT_TRUE(resaved_bytes.ok());
+  EXPECT_TRUE(*original == *resaved_bytes)
+      << "writing back kept the retired section";
+}
+
 TEST_F(ContainerTest, ContainerWithoutCorpusSectionsIsRejected) {
   // A container packed before the corpus sections existed: every other
   // section byte-identical, 22 and 23 absent. There is no fallback to
@@ -760,6 +828,44 @@ TEST_F(ContainerTest, ManagerServesContainerAndRollsBackOnCorruptReload) {
   ASSERT_TRUE(served.ok());
   EXPECT_EQ(first->text, served->text);
   ExpectSameCorpus(swapped->trajectories, before->trajectories);
+}
+
+TEST_F(ContainerTest, ManagerContractsAfterEveryInProcessTraining) {
+  // Without a model container the manager trains from the CSVs, and each
+  // trained snapshot contracts its own hierarchy — the first load and
+  // every reload alike — so an in-place reload swaps a hierarchy for a
+  // hierarchy and is never refused.
+  ModelManagerOptions opts;
+  opts.data_dir = cw_.dir;
+  ModelManager manager(opts);
+  ASSERT_TRUE(manager.Initialize().ok());
+  std::shared_ptr<const ModelSnapshot> before = manager.Current();
+  EXPECT_EQ(before->container, nullptr);
+  EXPECT_TRUE(before->maker->has_road_hierarchy());
+
+  ASSERT_TRUE(manager.Reload().ok());
+  std::shared_ptr<const ModelSnapshot> after = manager.Current();
+  EXPECT_EQ(after->version, before->version + 1);
+  EXPECT_EQ(after->container, nullptr);
+  EXPECT_TRUE(after->maker->has_road_hierarchy());
+
+  // The trained snapshot serves what the container-loaded one serves.
+  Result<std::unique_ptr<LoadedModel>> ctr = LoadModelFile(cw_.container_path);
+  ASSERT_TRUE(ctr.ok()) << ctr.status().ToString();
+  for (size_t trip : {0, 5}) {
+    Result<Summary> expect = (*ctr)->maker->Summarize((*ctr)->corpus[trip]);
+    Result<Summary> got = after->maker->Summarize(after->trajectories[trip]);
+    ASSERT_EQ(expect.ok(), got.ok()) << "trip " << trip;
+    if (expect.ok()) {
+      EXPECT_EQ(expect->text, got->text) << "trip " << trip;
+    }
+  }
+  Result<Path> expect = (*ctr)->maker->RoadRoute(0, 40);
+  Result<Path> got = after->maker->RoadRoute(0, 40);
+  ASSERT_TRUE(expect.ok()) << expect.status().ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(expect->cost, got->cost);
+  EXPECT_EQ(expect->nodes, got->nodes);
 }
 
 TEST_F(ContainerTest, ManagerServesAndReloadsContainerWithoutTrajectoriesCsv) {

@@ -67,7 +67,6 @@ TEST(RequestContextTest, DefaultContextHasNoLimits) {
   EXPECT_FALSE(ctx.has_deadline());
   EXPECT_FALSE(ctx.expired());
   EXPECT_TRUE(ctx.Check().ok());
-  EXPECT_GT(ctx.RemainingMs(), 1e18);  // +infinity
 }
 
 TEST(RequestContextTest, NullContextIsAlwaysOk) {
@@ -78,7 +77,6 @@ TEST(RequestContextTest, ExpiredDeadlineReportsDeadlineExceeded) {
   RequestContext ctx = RequestContext::WithDeadline(milliseconds(-1));
   EXPECT_TRUE(ctx.has_deadline());
   EXPECT_TRUE(ctx.expired());
-  EXPECT_LT(ctx.RemainingMs(), 0.0);
   Status status = ctx.Check();
   EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded);
 }
@@ -88,7 +86,6 @@ TEST(RequestContextTest, FutureDeadlineIsOk) {
   EXPECT_TRUE(ctx.has_deadline());
   EXPECT_FALSE(ctx.expired());
   EXPECT_TRUE(ctx.Check().ok());
-  EXPECT_GT(ctx.RemainingMs(), 0.0);
 }
 
 TEST(RequestContextTest, CancellationWinsOverExpiredDeadline) {

@@ -53,14 +53,6 @@ TEST(FeatureRegistryTest, SetWeight) {
   EXPECT_EQ(reg.SetWeight("nope", 1).code(), StatusCode::kNotFound);
 }
 
-TEST(FeatureRegistryTest, IndexOf) {
-  FeatureRegistry reg = FeatureRegistry::BuiltIn();
-  auto idx = reg.IndexOf("stay_points");
-  ASSERT_TRUE(idx.ok());
-  EXPECT_EQ(*idx, kStayPointsFeature);
-  EXPECT_FALSE(reg.IndexOf("unknown").ok());
-}
-
 TEST(FeatureRegistryTest, RegisterCustomFeature) {
   FeatureRegistry reg = FeatureRegistry::BuiltIn();
   FeatureDef def;

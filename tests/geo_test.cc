@@ -175,12 +175,6 @@ TEST(PolylineTest, InterpolateProjectConsistency) {
   }
 }
 
-TEST(PolylineTest, HeadingAt) {
-  Polyline line({{0, 0}, {10, 0}, {10, 10}});
-  EXPECT_NEAR(line.HeadingAt(5), 90.0, 1e-9);   // east leg
-  EXPECT_NEAR(line.HeadingAt(15), 0.0, 1e-9);   // north leg
-}
-
 TEST(PointSegmentDistanceTest, DegenerateSegment) {
   double t = -1;
   double d = PointSegmentDistance({3, 4}, {0, 0}, {0, 0}, &t);

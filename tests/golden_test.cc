@@ -284,7 +284,8 @@ TEST(GoldenTest, GoldensIdenticalUnderContractionHierarchy) {
 
 /// Serves a fixed model the way every real server does: `maker` is saved
 /// with `corpus` to `<TempDir>/<name>` and loaded by a one-snapshot
-/// ModelManager. No hierarchy: the verbs these goldens pin never route.
+/// ModelManager. The maker has no hierarchy, and a container load never
+/// contracts one: the verbs these goldens pin never route.
 std::unique_ptr<ModelManager> ServeSaved(
     const STMaker& maker, const std::vector<RawTrajectory>& corpus,
     const std::string& name) {
@@ -292,7 +293,6 @@ std::unique_ptr<ModelManager> ServeSaved(
   STMAKER_CHECK(maker.SaveModelContainer(path, corpus).ok());
   ModelManagerOptions options;
   options.model_prefix = path;
-  options.use_hierarchy = false;
   auto manager = std::make_unique<ModelManager>(options);
   STMAKER_CHECK(manager->Initialize().ok());
   return manager;

@@ -155,7 +155,7 @@ Summary MakeIndexedSummary(std::vector<LandmarkId> landmarks,
   return summary;
 }
 
-TEST(SummaryIndexTest, FeatureAndLandmarkQueries) {
+TEST(SummaryIndexTest, FeatureQueries) {
   SummaryIndex index;
   index.Add(MakeIndexedSummary({1, 2, 3}, {kSpeedFeature}, "fast trip"));
   index.Add(MakeIndexedSummary({3, 4}, {kUTurnsFeature}, "u-turn trip"));
@@ -167,9 +167,6 @@ TEST(SummaryIndexTest, FeatureAndLandmarkQueries) {
   EXPECT_EQ(index.WithFeature(kUTurnsFeature),
             (std::vector<SummaryIndex::DocId>{1, 2}));
   EXPECT_TRUE(index.WithFeature(kStayPointsFeature).empty());
-  EXPECT_EQ(index.ThroughLandmark(3),
-            (std::vector<SummaryIndex::DocId>{0, 1}));
-  EXPECT_TRUE(index.ThroughLandmark(99).empty());
 }
 
 TEST(SummaryIndexTest, TextSearchIsCaseInsensitive) {
@@ -189,14 +186,11 @@ TEST(SummaryIndexTest, BooleanComposition) {
   std::vector<SummaryIndex::DocId> b = {1, 2, 3, 4};
   EXPECT_EQ(SummaryIndex::And(a, b),
             (std::vector<SummaryIndex::DocId>{2, 4}));
-  EXPECT_EQ(SummaryIndex::Or(a, b),
-            (std::vector<SummaryIndex::DocId>{0, 1, 2, 3, 4, 6}));
   EXPECT_TRUE(SummaryIndex::And(a, {}).empty());
-  EXPECT_EQ(SummaryIndex::Or({}, b), b);
 }
 
 TEST(SummaryIndexTest, EndToEndSemanticQuery) {
-  // "Find trips through landmark X that had a U-turn" over real summaries.
+  // "Find trips that stopped and had unusual speed" over real summaries.
   const auto& world = GetTestWorld();
   SummaryIndex index;
   Random rng(11);
@@ -219,20 +213,17 @@ TEST(SummaryIndexTest, EndToEndSemanticQuery) {
                  with_speed.end();
     EXPECT_EQ(found, expected) << "doc " << id;
   }
-  // And() restricts correctly.
-  LandmarkId some_lm = index.summary(0).symbolic.samples[0].landmark;
-  std::vector<SummaryIndex::DocId> through =
-      index.ThroughLandmark(some_lm);
-  std::vector<SummaryIndex::DocId> both =
-      SummaryIndex::And(through, with_speed);
-  for (SummaryIndex::DocId id : both) {
-    EXPECT_TRUE(index.summary(id).ContainsFeature(kSpeedFeature));
-    bool visits = false;
-    for (const SymbolicSample& s : index.summary(id).symbolic.samples) {
-      if (s.landmark == some_lm) visits = true;
+  // And() restricts to exactly the summaries a linear scan finds.
+  std::vector<SummaryIndex::DocId> both = SummaryIndex::And(
+      index.WithFeature(kStayPointsFeature), with_speed);
+  std::vector<SummaryIndex::DocId> scanned;
+  for (SummaryIndex::DocId id = 0; id < index.size(); ++id) {
+    if (index.summary(id).ContainsFeature(kSpeedFeature) &&
+        index.summary(id).ContainsFeature(kStayPointsFeature)) {
+      scanned.push_back(id);
     }
-    EXPECT_TRUE(visits);
   }
+  EXPECT_EQ(both, scanned);
 }
 
 

@@ -571,21 +571,6 @@ TEST(IndexWorldTest, IndexIsByteIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(IndexWorldTest, IncrementalTrainingRebuildsTheSameIndex) {
-  const TestWorld& world = GetTestWorld();
-  const std::vector<RawTrajectory>& raws = world.raws;
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world.landmarks);
-
-  STMaker staged(&world.city.network, &landmarks, FeatureRegistry::BuiltIn());
-  std::vector<RawTrajectory> first(raws.begin(), raws.begin() + 150);
-  std::vector<RawTrajectory> rest(raws.begin() + 150, raws.end());
-  ASSERT_TRUE(staged.Train(first).ok());
-  ASSERT_TRUE(staged.TrainIncremental(rest).ok());
-  ASSERT_TRUE(staged.has_trajectory_index());
-  ExpectSameIndex(*staged.trip_index(), *world.maker->trip_index(),
-                  "Train(a)+TrainIncremental(b) vs Train(a+b)");
-}
-
 // --------------------------------------------------------------------------
 // Deterministic tie-breaks: duplicated trips share one fingerprint, so
 // every pairwise score ties and only the id order can decide.

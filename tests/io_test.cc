@@ -449,11 +449,11 @@ TEST(JsonWriterTest, ObjectsArraysAndCommas) {
   json.BeginObject();
   json.Key("a").Int(1);
   json.Key("b").BeginArray().Int(1).Int(2).Int(3).EndArray();
-  json.Key("c").BeginObject().Key("x").Bool(true).EndObject();
-  json.Key("d").Null();
+  json.Key("c").BeginObject().Key("x").String("y").EndObject();
+  json.Key("d").Int(4);
   json.EndObject();
-  EXPECT_EQ(json.str(), "{\"a\":1,\"b\":[1,2,3],\"c\":{\"x\":true},"
-                        "\"d\":null}");
+  EXPECT_EQ(json.str(), "{\"a\":1,\"b\":[1,2,3],\"c\":{\"x\":\"y\"},"
+                        "\"d\":4}");
 }
 
 TEST(JsonWriterTest, EscapesStrings) {

@@ -211,7 +211,6 @@ TEST_F(PoiTest, IndexCombinesPoiClustersAndTurningPoints) {
       ++junction_count;
       NodeId node = index.network_node(lm.id);
       ASSERT_GE(node, 0);
-      EXPECT_EQ(index.LandmarkOfNode(node), lm.id);
       EXPECT_EQ(Map().network.node(node).pos, lm.pos);
     }
   }

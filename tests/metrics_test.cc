@@ -406,21 +406,5 @@ TEST(TraceTest, ToJsonAssemblesTheTree) {
   EXPECT_LT(pos_children, pos_sanitize);
 }
 
-TEST(TraceTest, ToNdjsonEmitsOneLinePerSpan) {
-  Trace trace;
-  {
-    ScopedSpan root(&trace, "root");
-    { ScopedSpan child(&trace, "child"); }
-  }
-  std::string ndjson = trace.ToNdjson();
-  size_t lines = 0;
-  for (char c : ndjson) {
-    if (c == '\n') ++lines;
-  }
-  EXPECT_EQ(lines, 2u);
-  EXPECT_NE(ndjson.find("\"id\""), std::string::npos);
-  EXPECT_NE(ndjson.find("\"parent\""), std::string::npos);
-}
-
 }  // namespace
 }  // namespace stmaker

@@ -76,23 +76,6 @@ TEST_F(ModelIoTest, RoundTripReproducesSummariesExactly) {
   }
 }
 
-TEST_F(ModelIoTest, VisitCorpusRoundTripsAndSignificanceRecomputes) {
-  // Save -> load -> TrainIncremental({}) recomputes significance from the
-  // restored visit corpus; the scores must match what training installed,
-  // which pins down that the visits section round-trips the corpus.
-  std::unique_ptr<LoadedModel> loaded =
-      SaveAndLoad(*world_.maker, "model_visits.stm");
-  const LandmarkIndex& trained = *world_.landmarks;
-  ASSERT_EQ(loaded->landmarks->size(), trained.size());
-  ASSERT_TRUE(loaded->maker->TrainIncremental({}).ok());
-  for (size_t i = 0; i < trained.size(); ++i) {
-    const LandmarkId id = static_cast<LandmarkId>(i);
-    EXPECT_EQ(loaded->landmarks->landmark(id).significance,
-              trained.landmark(id).significance)
-        << "landmark " << i;
-  }
-}
-
 TEST_F(ModelIoTest, LoadRejectsDifferentFeatureSet) {
   const std::string path = TempPath("model_featmismatch.stm");
   ASSERT_TRUE(world_.maker->SaveModelContainer(path, world_.raws).ok());
@@ -124,11 +107,13 @@ TEST_F(ModelIoTest, LoadFromMissingFileIsIoError) {
 TEST_F(ModelIoTest, HierarchyRoundTripsThroughModel) {
   // A saved model with a built hierarchy carries it (ch-rank/ch-arcs), so
   // a served model cold-starts on the fast backend without re-contracting.
-  // Restored CH routes must equal plain Dijkstra.
-  ASSERT_TRUE(world_.maker->BuildRoadHierarchy().ok());
+  // Restored CH routes must equal plain Dijkstra. The hierarchy is built
+  // on a container-loaded copy: the shared world's maker stays without.
+  std::unique_ptr<LoadedModel> plain =
+      SaveAndLoad(*world_.maker, "model_plain.stm");
+  ASSERT_TRUE(plain->maker->BuildRoadHierarchy().ok());
   std::unique_ptr<LoadedModel> loaded =
-      SaveAndLoad(*world_.maker, "model_with_ch.stm");
-  world_.maker->DropRoadHierarchy();  // the world is shared; leave it as found
+      SaveAndLoad(*plain->maker, "model_with_ch.stm");
   const STMaker& restored = *loaded->maker;
   EXPECT_TRUE(restored.has_road_hierarchy());
 
@@ -148,8 +133,8 @@ TEST_F(ModelIoTest, HierarchyRoundTripsThroughModel) {
 }
 
 TEST_F(ModelIoTest, ModelWithoutHierarchyLoadsOnDijkstra) {
-  // A model trained with --router dijkstra has no hierarchy sections;
-  // loading it yields a working, Dijkstra-backed maker.
+  // A model saved without contracting has no hierarchy sections; loading
+  // it yields a working, Dijkstra-backed maker.
   ASSERT_FALSE(world_.maker->has_road_hierarchy());
   const std::string path = TempPath("model_no_ch.stm");
   ASSERT_TRUE(world_.maker->SaveModelContainer(path, world_.raws).ok());
@@ -211,14 +196,17 @@ const std::string& GetManagerModelDir() {
     const TestWorld& world = GetTestWorld();
     auto* d = new std::string(::testing::TempDir() + "/manager_models");
     ::mkdir(d->c_str(), 0755);  // EEXIST from a previous run is fine
-    STMaker& maker = *world.maker;
-    maker.DropRoadHierarchy();
-    STMAKER_CHECK(maker.SaveModelContainer(*d + "/noch.stm", world.raws).ok());
+    STMAKER_CHECK(
+        world.maker->SaveModelContainer(*d + "/noch.stm", world.raws).ok());
+    // Contract a container-loaded copy: the shared world's maker stays
+    // without a hierarchy.
+    Result<std::unique_ptr<LoadedModel>> copy = LoadModelFile(*d + "/noch.stm");
+    STMAKER_CHECK(copy.ok());
+    STMaker& maker = *(*copy)->maker;
     STMAKER_CHECK(maker.BuildRoadHierarchy().ok());
     STMAKER_CHECK(maker.SaveModelContainer(*d + "/model.stm", world.raws).ok());
     STMAKER_CHECK(
         maker.SaveModelContainer(*d + "/second.stm", world.raws).ok());
-    maker.DropRoadHierarchy();  // the world is shared; leave it as found
     return d;
   }();
   return dir;
@@ -260,6 +248,47 @@ TEST_F(ModelIoTest, ManagerReloadRollsBackWhenCandidateLosesHierarchy) {
   ASSERT_TRUE(manager.Reload(dir + "/model.stm").ok());
   EXPECT_EQ(manager.Current()->version, before->version + 2);
   EXPECT_EQ(manager.reloads_ok(), base_ok + 1);
+}
+
+TEST_F(ModelIoTest, ManagerServingWithoutHierarchyReloadsOntoDijkstra) {
+  // The hierarchy-regression policy refuses only a swap of a hierarchy
+  // for none. A container without one serves on Dijkstra, is never
+  // contracted at load, and reloads in place like any other model.
+  const std::string& dir = GetManagerModelDir();
+
+  ModelManagerOptions opts;
+  opts.model_prefix = dir + "/noch.stm";
+  ModelManager manager(opts);
+  ASSERT_TRUE(manager.Initialize().ok());
+  const uint64_t base_ok = manager.reloads_ok();
+  const uint64_t base_failures = manager.reload_failures();
+  std::shared_ptr<const ModelSnapshot> before = manager.Current();
+  EXPECT_FALSE(before->maker->has_road_hierarchy());
+
+  ASSERT_TRUE(manager.Reload().ok());
+  std::shared_ptr<const ModelSnapshot> after = manager.Current();
+  EXPECT_EQ(after->version, before->version + 1);
+  EXPECT_EQ(after->model_prefix, dir + "/noch.stm");
+  EXPECT_FALSE(after->maker->has_road_hierarchy());
+  EXPECT_EQ(manager.reloads_ok(), base_ok + 1);
+  EXPECT_EQ(manager.reload_failures(), base_failures);
+
+  ShortestPathRouter reference(&world_.city.network);
+  const NodeId n = static_cast<NodeId>(world_.city.network.NumNodes());
+  for (NodeId src = 0; src < n; src += 131) {
+    for (NodeId dst = 3; dst < n; dst += 113) {
+      Result<Path> served = after->maker->RoadRoute(src, dst);
+      Result<Path> slow = reference.Route(src, dst);
+      ASSERT_EQ(served.ok(), slow.ok()) << src << "->" << dst;
+      if (served.ok()) {
+        EXPECT_EQ(served->cost, slow->cost) << src << "->" << dst;
+      }
+    }
+  }
+
+  // Gaining a hierarchy is no regression either.
+  ASSERT_TRUE(manager.Reload(dir + "/model.stm").ok());
+  EXPECT_TRUE(manager.Current()->maker->has_road_hierarchy());
 }
 
 TEST_F(ModelIoTest, ManagerBackToBackReloadsAreSerializedFifo) {

@@ -95,9 +95,6 @@ TEST(RoadNetworkTest, OneWayEdgeRestrictsTraversal) {
                           TrafficDirection::kOneWay, "R").ok());
   EXPECT_EQ(net.OutEdges(a).size(), 1u);
   EXPECT_TRUE(net.OutEdges(b).empty());
-  // Undirected degree still counts both endpoints.
-  EXPECT_EQ(net.Degree(a), 1u);
-  EXPECT_EQ(net.Degree(b), 1u);
 }
 
 TEST(RoadNetworkTest, AddEdgeValidation) {

@@ -301,31 +301,6 @@ TEST_F(QuarantineTest, QuarantineFractionOverLimitIsHardError) {
   EXPECT_FALSE(maker.trained());
 }
 
-TEST_F(QuarantineTest, RejectedIncrementalBatchLeavesModelUntouched) {
-  STMakerOptions options;
-  options.sanitize.policy = SanitizePolicy::kStrict;
-  options.max_quarantine_fraction = 0.1;
-  STMaker maker = MakeMaker(options);
-  // Clean corpus trains fine.
-  std::vector<RawTrajectory> clean;
-  for (const GeneratedTrip& t : world_.history) clean.push_back(t.raw);
-  ASSERT_TRUE(maker.Train(clean).ok());
-  size_t trained_before = maker.num_trained();
-  size_t transitions_before = maker.popular_routes().NumTransitions();
-
-  // A batch over the quarantine limit is rejected wholesale.
-  std::vector<RawTrajectory> batch(raws_.begin(), raws_.begin() + 10);
-  for (RawTrajectory& t : batch) {
-    t.samples[t.samples.size() / 2].pos.x = kNan;  // 100% poisoned
-  }
-  Status incremental = maker.TrainIncremental(batch);
-  ASSERT_FALSE(incremental.ok());
-  EXPECT_EQ(incremental.code(), StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(maker.trained());
-  EXPECT_EQ(maker.num_trained(), trained_before);
-  EXPECT_EQ(maker.popular_routes().NumTransitions(), transitions_before);
-}
-
 TEST_F(QuarantineTest, ServingSanitizesItsInput) {
   // A trip with a NaN fix still summarizes under kRepair...
   RawTrajectory poisoned = world_.history[3].raw;

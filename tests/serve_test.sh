@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end test for `stmaker_cli serve`: NDJSON request/response over
 # stdin/stdout, per-request deadlines, malformed-input handling, the
-# shutdown report, and --threads / --max_inflight flag validation.
+# shutdown report, --threads / --max_inflight flag validation, the routing
+# backend of container and in-process models, and an in-place reload of
+# an in-process model.
 # Registered with ctest; $1 is the path to the stmaker_cli binary.
 set -euo pipefail
 
@@ -136,7 +138,7 @@ echo "$STATS2" | grep -q '"model_version": 1}$' || {
 grep '"id": 71' "$OUT4" | grep -q '"model_version": 1}$' || {
   echo "summarize response lacks model_version"; exit 1; }
 
-echo "== route requests: ch backend, flags, and dijkstra parity =="
+echo "== route requests: the container's ch backend and request flags =="
 REQ6="$DIR/requests6.ndjson"
 cat > "$REQ6" <<'EOF'
 {"id": 80, "route": 1, "src": 0, "dst": 40}
@@ -159,20 +161,9 @@ grep -q '"id": 82, "status": "resource_exhausted"' "$OUT6" || {
 grep -q '"id": 83, "status": "invalid_argument"' "$OUT6" || {
   echo "route without src/dst not rejected"; exit 1; }
 
-# The dijkstra backend answers the same route with the same bytes.
-OUT7="$DIR/responses7.ndjson"
-ERR7="$DIR/serve7.stderr"
-printf '{"id": 80, "route": 1, "src": 0, "dst": 40}\n' | \
-  "$CLI" serve --dir "$DIR" --model "$DIR/model.stm" --router dijkstra \
-  > "$OUT7" 2> "$ERR7"
-grep -q "(router: dijkstra," "$ERR7" || {
-  echo "--router dijkstra not honored"; exit 1; }
-diff <(grep '"id": 80' "$OUT6") "$OUT7" || {
-  echo "ch and dijkstra disagree on a route"; exit 1; }
-
 echo "== a corrupted hierarchy section warns and routes the same, no crash =="
-# The load drops the damaged hierarchy (Dijkstra fallback); a cold start
-# may contract a fresh one, and either backend answers the same bytes.
+# The load drops the damaged hierarchy and serves Dijkstra (a container
+# load never contracts one), which answers the same bytes.
 flip_section_byte "$DIR/model.stm" 20 "$DIR/badch.stm"  # ch-arcs
 OUT8="$DIR/responses8.ndjson"
 ERR8="$DIR/serve8.stderr"
@@ -182,14 +173,38 @@ grep -q "section 'ch-arcs' CRC32 mismatch" "$ERR8" || {
   echo "the warning does not name the damaged section"; cat "$ERR8"; exit 1; }
 grep -q "falling back to Dijkstra" "$ERR8" || {
   echo "missing fallback warning"; cat "$ERR8"; exit 1; }
+grep -q "(router: dijkstra," "$ERR8" || {
+  echo "a damaged hierarchy did not fall back to dijkstra"; cat "$ERR8"
+  exit 1; }
 diff <(grep '"id": 80' "$OUT6" | sed 's/"id": 80/"id": 84/') "$OUT8" || {
   echo "route changed after hierarchy corruption"; exit 1; }
 
-# An unknown --router value is a usage-category error -> exit 3.
-rc=0
-"$CLI" serve --dir "$DIR" --model "$DIR/model.stm" --router hc \
-  < /dev/null > /dev/null 2>&1 || rc=$?
-[[ $rc -eq 3 ]] || { echo "--router hc: want exit 3, got $rc"; exit 1; }
+echo "== serve without --model: trained in-process, contracted, reloadable =="
+# Training from the CSVs gives the model `train` saved, so a summarize and
+# a route answer the container-served bytes; the in-process snapshot
+# contracts its own hierarchy, and so does every in-place reload.
+REQ9="$DIR/requests9.ndjson"
+printf '%s\n' '{"id": 90, "trip": 3}' \
+  '{"id": 91, "route": 1, "src": 0, "dst": 40}' > "$REQ9"
+OUT9M="$DIR/responses9_model.ndjson"
+OUT9="$DIR/responses9.ndjson"
+ERR9="$DIR/serve9.stderr"
+"$CLI" serve --dir "$DIR" --model "$DIR/model.stm" \
+  < "$REQ9" > "$OUT9M" 2>/dev/null
+"$CLI" serve --dir "$DIR" < "$REQ9" > "$OUT9" 2> "$ERR9"
+grep -q "(router: ch," "$ERR9" || {
+  echo "the in-process model serves without a hierarchy"; cat "$ERR9"; exit 1; }
+[[ "$(wc -l < "$OUT9")" -eq 2 ]] || { echo "want 2 responses"; exit 1; }
+diff <(sort "$OUT9M") <(sort "$OUT9") || {
+  echo "in-process replies differ from the container-served ones"; exit 1; }
+OUT10="$DIR/responses10.ndjson"
+printf '%s\n' '{"id": 92, "route": 1, "src": 0, "dst": 40}' \
+  '{"id": 93, "reload": 1}' | "$CLI" serve --dir "$DIR" > "$OUT10" 2>/dev/null
+cat "$OUT10"
+grep -q '"id": 92, "status": "ok"' "$OUT10" || {
+  echo "route before the reload failed"; exit 1; }
+grep -q '"id": 93, "status": "ok", "reloaded": 1, "model_version": 2}' \
+  "$OUT10" || { echo "in-place reload of an in-process model failed"; exit 1; }
 
 echo "== --trace_log writes parseable span trees and changes no output =="
 REQ5="$DIR/requests5.ndjson"

@@ -15,8 +15,6 @@ namespace stmaker {
 namespace {
 
 using ::stmaker::testing::GetTestWorld;
-using ::stmaker::testing::LoadedModel;
-using ::stmaker::testing::SaveAndLoad;
 using ::stmaker::testing::TestWorld;
 
 class STMakerTest : public ::testing::Test {
@@ -278,69 +276,6 @@ TEST_F(STMakerTest, CustomFeatureEndToEnd) {
 }
 
 
-TEST_F(STMakerTest, TrainIncrementalAccumulatesKnowledge) {
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world_.landmarks);
-  STMaker maker(&world_.city.network, &landmarks,
-                FeatureRegistry::BuiltIn());
-  std::vector<RawTrajectory> first_half;
-  std::vector<RawTrajectory> second_half;
-  for (size_t i = 0; i < 200; ++i) first_half.push_back(world_.history[i].raw);
-  for (size_t i = 200; i < 400; ++i) {
-    second_half.push_back(world_.history[i].raw);
-  }
-  ASSERT_TRUE(maker.Train(first_half).ok());
-  size_t transitions_before = maker.popular_routes().NumTransitions();
-  size_t trained_before = maker.num_trained();
-  ASSERT_TRUE(maker.TrainIncremental(second_half).ok());
-  EXPECT_GT(maker.num_trained(), trained_before);
-  EXPECT_GE(maker.popular_routes().NumTransitions(), transitions_before);
-
-  // Incremental(A then B) must equal Train(A+B) observably.
-  STMaker batch(&world_.city.network, &landmarks,
-                FeatureRegistry::BuiltIn());
-  std::vector<RawTrajectory> all = first_half;
-  all.insert(all.end(), second_half.begin(), second_half.end());
-  ASSERT_TRUE(batch.Train(all).ok());
-  EXPECT_EQ(maker.num_trained(), batch.num_trained());
-  EXPECT_EQ(maker.popular_routes().NumTransitions(),
-            batch.popular_routes().NumTransitions());
-  EXPECT_EQ(maker.feature_map()->NumEdges(),
-            batch.feature_map()->NumEdges());
-  auto trip = FreshTrip(9 * 3600, 70);
-  ASSERT_TRUE(trip.ok());
-  auto a = maker.Summarize(trip->raw);
-  auto b = batch.Summarize(trip->raw);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->text, b->text);
-}
-
-TEST_F(STMakerTest, TrainIncrementalRequiresPriorTraining) {
-  LandmarkIndex& landmarks = const_cast<LandmarkIndex&>(*world_.landmarks);
-  STMaker fresh(&world_.city.network, &landmarks,
-                FeatureRegistry::BuiltIn());
-  std::vector<RawTrajectory> some = {world_.history[0].raw};
-  EXPECT_EQ(fresh.TrainIncremental(some).code(),
-            StatusCode::kFailedPrecondition);
-}
-
-TEST_F(STMakerTest, TrainIncrementalComposesWithAContainerLoad) {
-  // The container carries the visit corpus, so a restored model keeps
-  // accumulating: LoadModelContainer then TrainIncremental must behave like
-  // the original maker doing the same TrainIncremental.
-  std::unique_ptr<LoadedModel> loaded =
-      SaveAndLoad(*world_.maker, "incr_after_load.stm");
-  STMaker& restored = *loaded->maker;
-  size_t trained_before = restored.num_trained();
-  std::vector<RawTrajectory> more;
-  for (size_t i = 0; i < 50; ++i) more.push_back(world_.history[i].raw);
-  ASSERT_TRUE(restored.TrainIncremental(more).ok());
-  EXPECT_GT(restored.num_trained(), trained_before);
-  auto trip = FreshTrip(9 * 3600, 70);
-  ASSERT_TRUE(trip.ok());
-  EXPECT_TRUE(restored.Summarize(trip->raw).ok());
-}
-
 TEST_F(STMakerTest, FeatureWeightShiftsSelection) {
   // Replicates Fig. 10(a)'s mechanism: boosting w_speed increases the
   // number of summaries mentioning speed.
@@ -466,14 +401,18 @@ TEST_F(TrainedSignificanceTest, CalibrateAfterTrainUsesTrainedSignificance) {
   EXPECT_EQ(Anchors(maker.Calibrate(street_trips_[0])), want);
 }
 
-TEST_F(TrainedSignificanceTest,
-       CalibrateAfterTrainIncrementalUsesTrainedSignificance) {
+TEST_F(TrainedSignificanceTest, CalibrateAfterRetrainUsesTrainedSignificance) {
+  // The first Train memoizes the street trip's calibration under its
+  // scores; the second Train of the same maker flips them, and the memo
+  // must not outlive the flip.
   STMaker maker(&net_, landmarks_.get(), FeatureRegistry::BuiltIn());
   ASSERT_TRUE(maker.Train(street_trips_).ok());
   ASSERT_GT(Significance(tie_a_), Significance(tie_b_));
   EXPECT_EQ(Anchors(maker.Calibrate(street_trips_[0])), FreshAnchors());
 
-  ASSERT_TRUE(maker.TrainIncremental(tie_b_trips_).ok());
+  std::vector<RawTrajectory> history = street_trips_;
+  history.insert(history.end(), tie_b_trips_.begin(), tie_b_trips_.end());
+  ASSERT_TRUE(maker.Train(history).ok());
   ASSERT_GT(Significance(tie_b_), Significance(tie_a_));
   std::vector<LandmarkId> want = FreshAnchors();
   EXPECT_NE(std::find(want.begin(), want.end(), tie_b_), want.end());

@@ -154,7 +154,6 @@ int Usage() {
                "  stmaker_cli gen --dir D [--seed N] [--blocks B] "
                "[--trips T] [--pois P]\n"
                "  stmaker_cli train --dir D --model C [--threads N]\n"
-               "              [--router dijkstra|ch]\n"
                "  stmaker_cli summarize (--dir D | --model C) --trip I "
                "[--k K] [--eta E]\n"
                "              [--json|--geojson] [--threads N]\n"
@@ -164,7 +163,7 @@ int Usage() {
                "  stmaker_cli serve --dir D [--model C] [--threads N]\n"
                "              [--deadline_ms MS] [--max_inflight N]\n"
                "              [--max_expansions N] [--trace_log PATH]\n"
-               "              [--router dijkstra|ch] [--max_line_bytes B]\n"
+               "              [--max_line_bytes B]\n"
                "              [--port P [--bind ADDR] [--listen_threads N]\n"
                "               [--max_connections N] [--idle_timeout_ms MS]\n"
                "               [--loris_timeout_ms MS] "
@@ -172,16 +171,16 @@ int Usage() {
                "(--threads: worker threads for training and batch "
                "summarization; 0 = all cores, default 1, max 1024; results "
                "are identical at any thread count)\n"
-               "(--router: backend for road-network `route` requests; ch — "
-               "the default — builds/loads a contraction hierarchy, dijkstra "
-               "disables it; summaries are byte-identical either way)\n"
                "(--model C: the single-file binary model container — see "
                "docs/FORMAT.md — that train writes from the CSVs in D, with "
-               "D/trajectories.csv embedded as the serving corpus; summarize, "
+               "D/trajectories.csv embedded as the serving corpus and a "
+               "contraction hierarchy for `route` requests; summarize, "
                "serve and reload read the world, the corpus and the model "
                "from it and no CSV. pack loads C as serve does and writes it "
                "back out: a checked copy with the same bytes. Without "
-               "--model, summarize and serve train in-process from D)\n"
+               "--model, summarize and serve train in-process from D, and "
+               "serve contracts a hierarchy after each training, reloads "
+               "included)\n"
                "(--port: serve NDJSON over TCP instead of stdin; 0 picks a "
                "free port, reported as `listening on ADDR:PORT` on stderr. "
                "SIGTERM/SIGINT drain gracefully: stop accepting, finish "
@@ -268,19 +267,6 @@ Result<long> IntFlag(const Args& args, const std::string& name, long fallback,
 /// longer is a typo, not a configuration.
 constexpr long kMaxTimeoutMs = 86'400'000;
 
-/// Validates --router: "ch" (the default) selects the contraction-hierarchy
-/// backend for length-metric road routing, "dijkstra" turns it off. Any
-/// other value is a loud error, not a silent fallback — a typo like
-/// --router hc must not quietly serve the slow path.
-Result<std::string> RouterFlag(const Args& args) {
-  std::string value = args.Get("router", "ch");
-  if (value != "ch" && value != "dijkstra") {
-    return Status::InvalidArgument("--router must be 'dijkstra' or 'ch', got '" +
-                                   value + "'");
-  }
-  return value;
-}
-
 /// --threads N -> STMakerOptions with that ingestion/serving parallelism.
 STMakerOptions MakerOptions(int threads) {
   STMakerOptions options;
@@ -351,8 +337,6 @@ int RunTrain(const Args& args) {
   if (!args.Has("dir") || !args.Has("model")) return Usage();
   Result<int> threads = ThreadsFlag(args);
   if (!threads.ok()) return Fail(threads.status());
-  Result<std::string> router = RouterFlag(args);
-  if (!router.ok()) return Fail(router.status());
   Result<LoadedWorld> loaded = LoadWorld(args.Get("dir", "."));
   if (!loaded.ok()) return Fail(loaded.status());
   LoadedWorld& world = *loaded;
@@ -360,29 +344,26 @@ int RunTrain(const Args& args) {
                 FeatureRegistry::BuiltIn(), MakerOptions(*threads));
   Status st = maker.Train(world.trajectories);
   if (!st.ok()) return Fail(st);
-  if (*router == "ch") {
-    // Contract the road network once at train time so `serve --model`
-    // cold-starts with the fast routing backend instead of re-contracting.
-    st = maker.BuildRoadHierarchy();
-    if (!st.ok()) return Fail(st);
-  }
+  // Contract the road network once at train time: the container carries
+  // the hierarchy, and a container load never contracts one.
+  st = maker.BuildRoadHierarchy();
+  if (!st.ok()) return Fail(st);
   st = maker.SaveModelContainer(args.Get("model", "model.stm"),
                                 world.trajectories);
   if (!st.ok()) return Fail(st);
-  std::printf("trained on %zu trajectories; model saved to %s%s\n",
-              maker.num_trained(), args.Get("model", "model.stm").c_str(),
-              maker.has_road_hierarchy() ? " (with routing hierarchy)" : "");
+  std::printf("trained on %zu trajectories; model saved to %s (with routing "
+              "hierarchy)\n",
+              maker.num_trained(), args.Get("model", "model.stm").c_str());
   return 0;
 }
 
-/// Loads a model container exactly as `serve` does: a one-snapshot
-/// ModelManager that neither builds a missing hierarchy nor drops one.
+/// Loads a model container exactly as `serve` does, through a
+/// one-snapshot ModelManager.
 Result<std::unique_ptr<ModelManager>> OpenModel(const std::string& path,
                                                 int threads) {
   ModelManagerOptions options;
   options.model_prefix = path;
   options.maker = MakerOptions(threads);
-  options.build_hierarchy_if_missing = false;
   auto manager = std::make_unique<ModelManager>(options);
   STMAKER_RETURN_IF_ERROR(manager->Initialize());
   return manager;
@@ -599,8 +580,6 @@ int RunServe(const Args& args) {
   if (!args.Has("dir")) return Usage();
   Result<int> threads = ThreadsFlag(args);
   if (!threads.ok()) return Fail(threads.status());
-  Result<std::string> router = RouterFlag(args);
-  if (!router.ok()) return Fail(router.status());
   // Serving knobs are validated as strictly as --threads: garbage, parse
   // residue ("250ms"), and overflow all exit 3 instead of being half-read
   // by atol. A *negative* --deadline_ms stays legal: it means "already
@@ -656,7 +635,6 @@ int RunServe(const Args& args) {
   mopts.data_dir = args.Get("dir", ".");
   if (args.Has("model")) mopts.model_prefix = args.Get("model", "model.stm");
   mopts.maker = MakerOptions(*threads);
-  mopts.use_hierarchy = (*router == "ch");
   ModelManager manager(mopts);
   if (Status st = manager.Initialize(); !st.ok()) {
     if (trace_log != nullptr) std::fclose(trace_log);
