@@ -3,9 +3,6 @@
 namespace stmaker {
 
 Status RequestContext::Check() const {
-  if (cancel.cancelled()) {
-    return Status::Cancelled("request cancelled");
-  }
   if (expired()) {
     return Status::DeadlineExceeded("request deadline exceeded");
   }

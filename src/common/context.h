@@ -1,16 +1,14 @@
 #ifndef STMAKER_COMMON_CONTEXT_H_
 #define STMAKER_COMMON_CONTEXT_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 
 #include "common/status.h"
 
 /// \file
-/// \brief Per-request deadline / cancellation / cost-budget propagation.
+/// \brief Per-request deadline and cost-budget propagation.
 ///
 /// Every serving-path entry point (Summarize, Partition, Calibrate, Match,
 /// Route, ...) accepts an optional `const RequestContext*`. A null context
@@ -19,78 +17,31 @@
 ///
 /// Check-point placement rules (DESIGN.md §10):
 ///   1. Every entry point taking a context calls ctx->Check() once up
-///      front, so an already-expired or already-cancelled request fails
-///      deterministically even when the input is tiny.
+///      front, so an already-expired request fails deterministically even
+///      when the input is tiny.
 ///   2. Every unbounded or data-proportional loop (Dijkstra expansion,
 ///      the partition DP rows, calibration's polyline scan, the Viterbi
 ///      recursion) carries a CancelCheck and calls Tick() per iteration;
 ///      the clock is consulted every `stride` ticks to amortize its cost.
-///   3. A deadline/cancel abort propagates as kDeadlineExceeded /
-///      kCancelled — never as a silently truncated result — and such
-///      statuses are never memoized in any cache (they describe the
-///      request, not the computation).
+///   3. A deadline abort propagates as kDeadlineExceeded — never as a
+///      silently truncated result — and such statuses are never memoized
+///      in any cache (they describe the request, not the computation).
 
 namespace stmaker {
 
 class Trace;  // common/trace.h
 
-/// \brief Cheap, copyable view of a cancellation flag.
-///
-/// A default-constructed token can never be cancelled (the common case for
-/// code running without a CancelSource); tokens obtained from a
-/// CancelSource observe its Cancel() calls from any thread.
-class CancelToken {
- public:
-  CancelToken() = default;
-
-  /// Thread-safe (one relaxed load).
-  /// \return True once the owning CancelSource has been cancelled; always
-  /// false for a default-constructed token.
-  bool cancelled() const {
-    return flag_ != nullptr && flag_->load(std::memory_order_relaxed);
-  }
-
- private:
-  friend class CancelSource;
-  explicit CancelToken(std::shared_ptr<const std::atomic<bool>> flag)
-      : flag_(std::move(flag)) {}
-
-  std::shared_ptr<const std::atomic<bool>> flag_;
-};
-
-/// \brief Owner side of a cancellation flag (e.g. a serve-mode watchdog).
-///
-/// Cancellation is cooperative and one-way: once Cancel() is called every
-/// token stays cancelled forever. Thread-safe.
-class CancelSource {
- public:
-  CancelSource() : flag_(std::make_shared<std::atomic<bool>>(false)) {}
-
-  /// \return A token observing this source's flag; copy it into requests.
-  CancelToken token() const { return CancelToken(flag_); }
-  /// Fires the flag; every outstanding token reads cancelled from now on.
-  void Cancel() { flag_->store(true, std::memory_order_relaxed); }
-  /// \return True once Cancel() has been called.
-  bool cancelled() const { return flag_->load(std::memory_order_relaxed); }
-
- private:
-  std::shared_ptr<std::atomic<bool>> flag_;
-};
-
-/// \brief Limits attached to one request: a monotonic-clock deadline, a
-/// cooperative cancellation token, and per-call cost budgets.
+/// \brief Limits attached to one request: a monotonic-clock deadline and
+/// per-call cost budgets.
 ///
 /// Plain value type; copy it freely. The default-constructed context has
-/// no deadline, cannot be cancelled, and has unlimited budgets — identical
-/// to passing a null context pointer.
+/// no deadline and unlimited budgets — identical to passing a null
+/// context pointer.
 struct RequestContext {
   using Clock = std::chrono::steady_clock;
 
   /// Absolute deadline on the monotonic clock; time_point::max() = none.
   Clock::time_point deadline = Clock::time_point::max();
-
-  /// Cooperative cancellation flag (default: never cancels).
-  CancelToken cancel;
 
   /// Per-Route()-call cap on Dijkstra/CH node expansions; 0 = unlimited.
   /// Applies to roadnet shortest-path searches only (see DESIGN.md §10).
@@ -117,10 +68,7 @@ struct RequestContext {
   /// \return True when a finite deadline is set and has passed.
   bool expired() const { return has_deadline() && Clock::now() >= deadline; }
 
-  /// Cancellation wins over the deadline because it is the more specific
-  /// signal (the watchdog cancels *because* the deadline passed).
-  /// \return kCancelled if the token fired, else kDeadlineExceeded if the
-  /// deadline passed, else OK.
+  /// \return kDeadlineExceeded if the deadline passed, else OK.
   Status Check() const;
 };
 
@@ -145,16 +93,14 @@ inline Trace* TraceOf(const RequestContext* ctx) {
 /// the computation itself.
 inline bool IsContextError(StatusCode code) {
   return code == StatusCode::kDeadlineExceeded ||
-         code == StatusCode::kCancelled ||
          code == StatusCode::kResourceExhausted;
 }
 
-/// \brief Amortized per-iteration context check for hot loops.
+/// \brief Amortized per-iteration deadline check for hot loops.
 ///
 /// Tick() is one decrement on most calls; every `stride` ticks it consults
-/// the cancellation flag and the clock via ctx->Check(). With a null
-/// context Tick() always returns OK. Not thread-safe — make one per loop,
-/// per thread.
+/// the clock via ctx->Check(). With a null context Tick() always returns
+/// OK. Not thread-safe — make one per loop, per thread.
 ///
 /// The stride bounds how late a deadline is noticed: at most `stride`
 /// iterations of the enclosing loop after expiry. 256 keeps that latency

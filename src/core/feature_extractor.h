@@ -65,7 +65,7 @@ class FeatureExtractor {
   /// exactly trajectory.NumSegments() entries.
   ///
   /// With a context, map matching and the per-segment loop check the
-  /// deadline/cancel token and abort with kDeadlineExceeded/kCancelled.
+  /// deadline and abort with kDeadlineExceeded.
   Result<std::vector<SegmentFeatures>> Extract(
       const CalibratedTrajectory& trajectory,
       const RequestContext* ctx = nullptr) const;

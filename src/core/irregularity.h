@@ -78,10 +78,10 @@ class IrregularityAnalyzer {
   /// the global average); only a model with nothing to compare against
   /// degrades.
   ///
-  /// `ctx` bounds the popular-route lookup. A deadline/cancel abort inside
+  /// `ctx` bounds the popular-route lookup. A deadline abort inside
   /// the lookup degrades the rates like a missing route would — callers on
   /// the serving path (STMaker::Summarize) re-check the context right
-  /// after this call, and deadline/cancellation are sticky, so a summary
+  /// after this call, and an expired deadline stays expired, so a summary
   /// built from such degraded rates is always discarded, never returned.
   PartitionComparison IrregularRates(
       const SymbolicTrajectory& symbolic,

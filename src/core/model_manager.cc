@@ -96,7 +96,6 @@ Result<std::shared_ptr<const ModelSnapshot>> ModelManager::LoadSnapshot(
 
   auto snapshot = std::make_shared<ModelSnapshot>();
   snapshot->version = version;
-  snapshot->data_dir = options_.data_dir;
   snapshot->model_prefix = model_prefix;
 
   const bool from_container = !model_prefix.empty();

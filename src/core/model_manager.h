@@ -71,10 +71,6 @@ namespace stmaker {
 struct ModelSnapshot {
   /// Monotonically increasing per manager, starting at 1.
   uint64_t version = 0;
-  /// Dataset directory of the manager. The world (network/POIs) and the
-  /// serving corpus are read from it only for trained snapshots; a
-  /// container snapshot carries both and never reads it.
-  std::string data_dir;
   /// Model container path; empty when the snapshot was trained in-process.
   std::string model_prefix;
   /// Wall-clock publish time (ms since the Unix epoch).

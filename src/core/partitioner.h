@@ -46,8 +46,8 @@ class Partitioner {
   /// segments i and i+1. Both must have length n-1 where n = number of
   /// segments (n >= 1). Fails when k exceeds n or inputs mismatch.
   ///
-  /// With a context, the DP rows check the deadline/cancel token
-  /// periodically and abort with kDeadlineExceeded/kCancelled.
+  /// With a context, the DP rows check the deadline periodically and
+  /// abort with kDeadlineExceeded.
   Result<PartitionResult> Partition(
       const std::vector<double>& similarities,
       const std::vector<double>& interior_significance,

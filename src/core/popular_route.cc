@@ -149,7 +149,7 @@ Result<std::vector<LandmarkId>> PopularRouteMiner::PopularRoute(
   if (!result.ok() && result.status().code() == StatusCode::kNotFound) {
     result = PopularRouteImpl(from, to, /*min_count_ratio=*/0.0, totals, ctx);
   }
-  // Deadline/cancel aborts are request-scoped, not a property of the OD
+  // Deadline aborts are request-scoped, not a property of the OD
   // pair; memoizing one would poison every later query for the pair.
   if (!IsContextError(result.status().code())) {
     std::lock_guard<std::mutex> lock(cache_mu_);

@@ -51,11 +51,10 @@ class PopularRouteMiner {
   /// memoized in a bounded LRU cache shared behind a mutex, since
   /// summarization re-queries the same OD pairs heavily.
   ///
-  /// With a context, the transition-graph Dijkstra checks the
-  /// deadline/cancel token periodically and aborts with
-  /// kDeadlineExceeded/kCancelled; those request-scoped statuses are never
-  /// memoized. Failpoint "route/stall" (1 ms sleep per expansion)
-  /// simulates a pathological search for deadline tests.
+  /// With a context, the transition-graph Dijkstra checks the deadline
+  /// periodically and aborts with kDeadlineExceeded; that request-scoped
+  /// status is never memoized. Failpoint "route/stall" (1 ms sleep per
+  /// expansion) simulates a pathological search for deadline tests.
   Result<std::vector<LandmarkId>> PopularRoute(
       LandmarkId from, LandmarkId to,
       const RequestContext* ctx = nullptr) const;

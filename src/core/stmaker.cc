@@ -371,7 +371,7 @@ Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
   if (options.eta < 0) {
     return Status::InvalidArgument("eta must be non-negative");
   }
-  // An already-expired/cancelled request fails here, before any work, so
+  // An already-expired request fails here, before any work, so
   // tiny inputs behave exactly like large ones (rule 1 in common/context.h).
   STMAKER_RETURN_IF_ERROR(CheckContext(ctx));
 
@@ -449,8 +449,8 @@ Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
     PartitionComparison history =
         analyzer_->IrregularRates(symbolic, features, begin, end, ctx);
     // IrregularRates cannot propagate a context abort from its internal
-    // popular-route lookup (it returns no status). Deadline/cancellation
-    // are sticky, so re-checking here always catches such an abort before
+    // popular-route lookup (it returns no status). An expired deadline
+    // stays expired, so re-checking here always catches such an abort before
     // degraded rates can shape a returned summary (see irregularity.h).
     STMAKER_RETURN_IF_ERROR(CheckContext(ctx));
     ps.irregular_rates = std::move(history.rates);

@@ -164,12 +164,12 @@ class STMaker {
   /// overlap Train/LoadModelContainer.
   ///
   /// `ctx` (optional) bounds the request: the pipeline checks the deadline
-  /// and cancellation token at every stage boundary and inside every hot
-  /// loop, returning kDeadlineExceeded/kCancelled instead of a truncated
-  /// or degraded summary. A null context (the default) means no limits —
-  /// byte-identical behaviour to the pre-context API. Context aborts are
-  /// never memoized in the internal caches, so a timed-out request leaves
-  /// no observable trace for later calls.
+  /// at every stage boundary and inside every hot loop, returning
+  /// kDeadlineExceeded instead of a truncated or degraded summary. A null
+  /// context (the default) means no limits — byte-identical behaviour to
+  /// the pre-context API. Context aborts are never memoized in the
+  /// internal caches, so a timed-out request leaves no observable trace
+  /// for later calls.
   Result<Summary> Summarize(const RawTrajectory& raw,
                             const SummaryOptions& options = SummaryOptions(),
                             const RequestContext* ctx = nullptr) const;
@@ -235,7 +235,7 @@ class STMaker {
   /// Point-to-point road route under the geometric-length metric —
   /// hierarchy-accelerated when one is installed, plain Dijkstra
   /// otherwise; results are identical either way. Honors `ctx` like
-  /// Summarize (deadline, cancellation, expansion budget).
+  /// Summarize (deadline, expansion budget).
   ///
   /// \param src Start road-network node id.
   /// \param dst Destination road-network node id.

@@ -139,7 +139,7 @@ class TrajectoryIndex {
 
   /// Top-k similar trips: SimilarCandidates scored by the Eq. 3 weighted
   /// cosine of the fingerprints under `weights`, ranked by (score desc,
-  /// trip id asc). `ctx` bounds the scan (kDeadlineExceeded/kCancelled).
+  /// trip id asc). `ctx` bounds the scan (kDeadlineExceeded).
   Result<std::vector<Match>> SimilarTopK(const TripDescriptor& query,
                                          size_t k,
                                          const std::vector<double>& weights,
@@ -150,8 +150,8 @@ class TrajectoryIndex {
   /// (and, with a window, in a bucket overlapping [t0, t1]). A superset of
   /// the true result set — every trip with a fix inside the box posted the
   /// fix's own cell — which the caller refines against raw samples. `ctx`
-  /// bounds the enumeration (kDeadlineExceeded/kCancelled): box and window
-  /// arrive off the wire, so the probe loops must stay cancellable.
+  /// bounds the enumeration (kDeadlineExceeded): box and window arrive off
+  /// the wire, so the probe loops must keep checking the deadline.
   Result<std::vector<uint32_t>> RegionCandidates(const BoundingBox& box,
                                                  bool has_window, double t0,
                                                  double t1,

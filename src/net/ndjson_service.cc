@@ -9,6 +9,7 @@
 
 #include "common/strings.h"
 #include "common/trace.h"
+#include "io/json.h"
 
 namespace stmaker::net {
 
@@ -57,6 +58,13 @@ long long ClampLL(double v, long long lo, long long hi) {
 /// now() cannot overflow. ±11.5 days is far beyond any sane request
 /// deadline.
 constexpr long long kMaxDeadlineMs = 1'000'000'000;
+
+/// A numeric wire field, or `fallback` when the request omits it.
+double FieldOr(const std::map<std::string, double>& fields,
+               const std::string& key, double fallback) {
+  auto it = fields.find(key);
+  return it == fields.end() ? fallback : it->second;
+}
 
 /// The serve protocol's fields and the JSON type each one wants. HandleLine
 /// checks every request against this table before dispatch, so a known
@@ -110,44 +118,9 @@ NdjsonService::NdjsonService(ModelManager* manager,
       c_reload_requests_(registry_.counter("serve.reload_requests")),
       c_similar_requests_(registry_.counter("serve.similar_requests")),
       c_query_requests_(registry_.counter("serve.query_requests")),
-      c_watchdog_cancelled_(registry_.counter("serve.watchdog_cancelled")),
-      pool_(options.threads) {
-  // Watchdog: cancels admitted requests still running past their deadline
-  // and logs the overrun. The library's own deadline checks normally fire
-  // first; the watchdog is the backstop for code between check points.
-  watchdog_ = std::thread([this] { WatchdogMain(); });
-}
-
-NdjsonService::~NdjsonService() {
-  Drain();
-  shutting_down_.store(true, std::memory_order_relaxed);
-  if (watchdog_.joinable()) watchdog_.join();
-}
+      pool_(options.threads) {}
 
 void NdjsonService::Drain() { pool_.Wait(); }
-
-void NdjsonService::WatchdogMain() {
-  while (!shutting_down_.load(std::memory_order_relaxed)) {
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      auto now = RequestContext::Clock::now();
-      for (auto& [token, req] : inflight_) {
-        if (now >= req.deadline && !req.cancel.cancelled()) {
-          double over_ms =
-              std::chrono::duration<double, std::milli>(now - req.deadline)
-                  .count();
-          std::fprintf(stderr,
-                       "stmaker_cli: watchdog: request %ld is %.1f ms over "
-                       "deadline, cancelling\n",
-                       req.id, over_ms);
-          req.cancel.Cancel();
-          c_watchdog_cancelled_.Increment();
-        }
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-}
 
 // Mirrors the maker's LRU cache stats into gauges so a `stats` snapshot
 // carries them alongside the registry-native counters.
@@ -161,24 +134,7 @@ void NdjsonService::MirrorCacheGauges(const STMaker& maker) {
 }
 
 std::string NdjsonService::JsonEscape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (unsigned char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (c < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
+  return JsonWriter::Escape(text);
 }
 
 std::string NdjsonService::WireStatusName(StatusCode code) {
@@ -361,33 +317,22 @@ void NdjsonService::HandleRoute(long id, const ModelSnapshot& model,
   // out of the pool means routing probes work even when summarization
   // has the workers saturated.
   c_route_requests_.Increment();
-  auto field = [&](const std::string& key, double fallback) {
-    auto it = fields.find(key);
-    return it == fields.end() ? fallback : it->second;
-  };
   if (fields.count("src") == 0 || fields.count("dst") == 0) {
     respond(ErrorResponse(
         id, Status::InvalidArgument(
                 "route request lacks 'src' and/or 'dst' fields")));
     return;
   }
-  RequestContext route_ctx;
-  double route_deadline_ms =
-      field("deadline_ms", static_cast<double>(options_.default_deadline_ms));
-  if (route_deadline_ms != 0) {
-    route_ctx.deadline =
-        RequestContext::Clock::now() +
-        std::chrono::milliseconds(
-            ClampLL(route_deadline_ms, -kMaxDeadlineMs, kMaxDeadlineMs));
-  }
+  RequestContext route_ctx = DeadlineContext(fields);
   route_ctx.max_node_expansions = static_cast<size_t>(ClampLL(
-      field("max_expansions", static_cast<double>(options_.max_expansions)), 0,
-      std::numeric_limits<long long>::max()));
+      FieldOr(fields, "max_expansions",
+              static_cast<double>(options_.max_expansions)),
+      0, std::numeric_limits<long long>::max()));
   Result<Path> path = model.maker->RoadRoute(
-      static_cast<NodeId>(ClampLL(field("src", -1),
+      static_cast<NodeId>(ClampLL(FieldOr(fields, "src", -1),
                                   std::numeric_limits<long long>::min(),
                                   std::numeric_limits<long long>::max())),
-      static_cast<NodeId>(ClampLL(field("dst", -1),
+      static_cast<NodeId>(ClampLL(FieldOr(fields, "dst", -1),
                                   std::numeric_limits<long long>::min(),
                                   std::numeric_limits<long long>::max())),
       &route_ctx);
@@ -404,11 +349,7 @@ void NdjsonService::HandleRoute(long id, const ModelSnapshot& model,
 void NdjsonService::HandleSummarize(long id, Snapshot model,
                                     const std::map<std::string, double>& fields,
                                     ResponseFn respond) {
-  auto field = [&](const std::string& key, double fallback) {
-    auto it = fields.find(key);
-    return it == fields.end() ? fallback : it->second;
-  };
-  double trip_value = field("trip", 0);
+  double trip_value = FieldOr(fields, "trip", 0);
   if (trip_value < 0 || trip_value >= model->trajectories.size()) {
     respond(ErrorResponse(
         id, Status::OutOfRange(StrFormat("trip %.0f out of range (corpus has "
@@ -420,10 +361,10 @@ void NdjsonService::HandleSummarize(long id, Snapshot model,
   size_t trip = static_cast<size_t>(trip_value);
 
   SummaryOptions options;
-  options.k = static_cast<int>(ClampLL(field("k", 0),
+  options.k = static_cast<int>(ClampLL(FieldOr(fields, "k", 0),
                                        std::numeric_limits<int>::min(),
                                        std::numeric_limits<int>::max()));
-  options.eta = field("eta", 0.2);
+  options.eta = FieldOr(fields, "eta", 0.2);
 
   // When a trace log is attached every admitted request carries its own
   // Trace; the span tree is appended (one NDJSON line, under trace_mu_ so
@@ -459,62 +400,44 @@ void NdjsonService::HandleSummarize(long id, Snapshot model,
       });
 }
 
-void NdjsonService::SubmitPooled(
-    long id, const std::map<std::string, double>& fields,
-    const ResponseFn& respond, Trace* trace,
-    std::function<void(const RequestContext&)> body) {
-  auto field = [&](const std::string& key, double fallback) {
-    auto it = fields.find(key);
-    return it == fields.end() ? fallback : it->second;
-  };
-  // The deadline starts at admission, so queueing time counts against
-  // it — a request that waited out its budget in the queue fails fast
-  // instead of running anyway.
+RequestContext NdjsonService::DeadlineContext(
+    const std::map<std::string, double>& fields) const {
   RequestContext ctx;
   double deadline_ms =
-      field("deadline_ms", static_cast<double>(options_.default_deadline_ms));
+      FieldOr(fields, "deadline_ms",
+              static_cast<double>(options_.default_deadline_ms));
   if (deadline_ms != 0) {
     ctx.deadline = RequestContext::Clock::now() +
                    std::chrono::milliseconds(ClampLL(deadline_ms,
                                                      -kMaxDeadlineMs,
                                                      kMaxDeadlineMs));
   }
+  return ctx;
+}
+
+void NdjsonService::SubmitPooled(
+    long id, const std::map<std::string, double>& fields,
+    const ResponseFn& respond, Trace* trace,
+    std::function<void(const RequestContext&)> body) {
+  // The deadline starts at admission, so a request that waited out its
+  // budget in the queue fails fast instead of running anyway.
+  RequestContext ctx = DeadlineContext(fields);
   ctx.trace = trace;
-  // A deadline already expired at admission fails right here, before
-  // the request can take a pool slot or race the watchdog — this keeps
-  // non-positive deadline_ms a *deterministic* deadline_exceeded.
+  // A deadline already expired at admission fails right here, before the
+  // request can take a pool slot — this keeps non-positive deadline_ms a
+  // *deterministic* deadline_exceeded.
   if (Status at_admission = ctx.Check(); !at_admission.ok()) {
     respond(ErrorResponse(id, at_admission));
     return;
-  }
-  uint64_t token;
-  {
-    std::lock_guard<std::mutex> lock(inflight_mu_);
-    token = next_token_++;
-    InflightRequest req;
-    req.id = id;
-    req.deadline = ctx.has_deadline()
-                       ? ctx.deadline
-                       : RequestContext::Clock::time_point::max();
-    inflight_.emplace(token, req);
-    ctx.cancel = inflight_[token].cancel.token();
   }
   // `body` owns its own respond copy; this function only answers the
   // admission failures itself. `respond` is not moved into the task: when
   // TrySubmit rejects, the task is destroyed before the rejection branch
   // below still needs to answer the client.
   bool admitted = pool_.TrySubmit(
-      [this, ctx, token, body = std::move(body)] {
-        body(ctx);
-        std::lock_guard<std::mutex> lock(inflight_mu_);
-        inflight_.erase(token);
-      },
+      [ctx, body = std::move(body)] { body(ctx); },
       static_cast<size_t>(options_.max_inflight));
   if (!admitted) {
-    {
-      std::lock_guard<std::mutex> lock(inflight_mu_);
-      inflight_.erase(token);
-    }
     respond(ErrorResponse(
         id, Status::ResourceExhausted(
                 StrFormat("server at capacity (%ld requests in flight)",
@@ -526,16 +449,12 @@ void NdjsonService::HandleSimilar(long id, Snapshot model,
                                   const std::map<std::string, double>& fields,
                                   ResponseFn respond) {
   c_similar_requests_.Increment();
-  auto field = [&](const std::string& key, double fallback) {
-    auto it = fields.find(key);
-    return it == fields.end() ? fallback : it->second;
-  };
   if (fields.count("trip") == 0) {
     respond(ErrorResponse(
         id, Status::InvalidArgument("similar request lacks a 'trip' field")));
     return;
   }
-  double trip_value = field("trip", 0);
+  double trip_value = FieldOr(fields, "trip", 0);
   if (trip_value < 0 || trip_value >= model->trajectories.size()) {
     respond(ErrorResponse(
         id, Status::OutOfRange(StrFormat("trip %.0f out of range (corpus has "
@@ -545,8 +464,8 @@ void NdjsonService::HandleSimilar(long id, Snapshot model,
     return;
   }
   size_t trip = static_cast<size_t>(trip_value);
-  size_t k = static_cast<size_t>(
-      ClampLL(field("k", 5), 0, std::numeric_limits<long long>::max()));
+  size_t k = static_cast<size_t>(ClampLL(
+      FieldOr(fields, "k", 5), 0, std::numeric_limits<long long>::max()));
   SubmitPooled(
       id, fields, respond, /*trace=*/nullptr,
       [id, trip, k, respond, model = std::move(model)](

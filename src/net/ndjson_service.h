@@ -8,9 +8,8 @@
 /// the stdin/stdout loop and the epoll TCP server (net/server.h) both feed
 /// request lines into HandleLine() and get byte-identical response lines
 /// back — the golden-over-TCP test pins this. One service instance owns
-/// the worker pool, the bounded-admission gate (`max_inflight`),
-/// per-request deadlines measured from admission, and the watchdog thread
-/// that cancels requests running past their deadline (DESIGN.md §10, §14).
+/// the worker pool, the bounded-admission gate (`max_inflight`), and
+/// per-request deadlines measured from admission (DESIGN.md §10, §14).
 ///
 /// Request protocol (one flat JSON object per line; the fields and their
 /// JSON types are one table, checked before dispatch):
@@ -48,7 +47,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 
 #include "common/context.h"
 #include "common/metrics.h"
@@ -88,9 +86,6 @@ class NdjsonService {
   /// the manager may still fire after this service is gone touch only the
   /// transport's ResponseFn (safe — see HandleReload).
   NdjsonService(ModelManager* manager, const NdjsonServiceOptions& options);
-
-  /// Drains and stops the watchdog.
-  ~NdjsonService();
 
   NdjsonService(const NdjsonService&) = delete;
   NdjsonService& operator=(const NdjsonService&) = delete;
@@ -135,19 +130,11 @@ class NdjsonService {
   static std::string ErrorResponse(long id, const Status& status);
 
  private:
-  /// One admitted request being tracked by the watchdog.
-  struct InflightRequest {
-    long id = 0;
-    RequestContext::Clock::time_point deadline;
-    CancelSource cancel;
-  };
-
   /// The snapshot one request is served from, pinned once at admission.
   /// Holding it keeps the whole bundle alive for the request's lifetime —
   /// the pin that makes the swap safe.
   using Snapshot = std::shared_ptr<const ModelSnapshot>;
 
-  void WatchdogMain();
   void MirrorCacheGauges(const STMaker& maker);
   void HandleStats(long id, const ModelSnapshot& model,
                    const ResponseFn& respond);
@@ -164,10 +151,15 @@ class NdjsonService {
                    ResponseFn respond);
   void HandleReload(long id, const FlatJson& fields, ResponseFn respond);
 
+  /// The request context every verb is served under: the wire's
+  /// `deadline_ms` (else the server default) measured from now, so queueing
+  /// time counts against it.
+  RequestContext DeadlineContext(
+      const std::map<std::string, double>& fields) const;
+
   /// The one admission path for the pooled verbs (summarize, similar,
-  /// query): builds the request context from the wire fields (deadline
-  /// from admission, `trace` attached), registers the request with the
-  /// watchdog, and submits `body` under the `max_inflight` gate, answering
+  /// query): builds the request context (DeadlineContext with `trace`
+  /// attached) and submits `body` under the `max_inflight` gate, answering
   /// deadline_exceeded/resource_exhausted itself. `body` runs on a worker
   /// with the admitted context and must send exactly one response.
   void SubmitPooled(long id, const std::map<std::string, double>& fields,
@@ -187,15 +179,11 @@ class NdjsonService {
   Counter& c_reload_requests_;
   Counter& c_similar_requests_;
   Counter& c_query_requests_;
-  Counter& c_watchdog_cancelled_;
 
+  /// Declared last, so it is destroyed first: its destructor finishes
+  /// every admitted request while the members those requests use are
+  /// still alive.
   ThreadPool pool_;
-
-  std::mutex inflight_mu_;
-  std::map<uint64_t, InflightRequest> inflight_;
-  uint64_t next_token_ = 0;
-  std::atomic<bool> shutting_down_{false};
-  std::thread watchdog_;
 };
 
 }  // namespace stmaker::net

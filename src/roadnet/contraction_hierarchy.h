@@ -80,8 +80,8 @@ class ContractionHierarchy {
   /// Shortest-path distance from `src` to `dst` in meters.
   ///
   /// Exactly Dijkstra's distance (up to floating-point associativity).
-  /// Honors the context like ShortestPathRouter::Route: deadline/cancel
-  /// checks every few settled nodes, and ctx->max_node_expansions caps the
+  /// Honors the context like ShortestPathRouter::Route: deadline checks
+  /// every few settled nodes, and ctx->max_node_expansions caps the
   /// total settled nodes across both search directions
   /// (kResourceExhausted).
   ///

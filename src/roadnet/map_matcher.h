@@ -41,8 +41,8 @@ class MapMatcher {
   std::vector<EdgeId> Match(const std::vector<Vec2>& points) const;
 
   /// Context-aware matching for the serving path: the candidate scan and
-  /// the Viterbi recursion check the deadline/cancel token periodically
-  /// and abort with kDeadlineExceeded/kCancelled. With a null context
+  /// the Viterbi recursion check the deadline periodically and abort
+  /// with kDeadlineExceeded. With a null context
   /// this is exactly Match() and cannot fail.
   Result<std::vector<EdgeId>> Match(const std::vector<Vec2>& points,
                                     const RequestContext* ctx) const;

@@ -72,8 +72,8 @@ class ShortestPathRouter {
   /// Both backends return the same distances and honor the same context
   /// contract.
   ///
-  /// With a context: the expansion loop checks the deadline/cancel token
-  /// periodically (kDeadlineExceeded/kCancelled — never a truncated path),
+  /// With a context: the expansion loop checks the deadline periodically
+  /// (kDeadlineExceeded — never a truncated path),
   /// and ctx->max_node_expansions caps the number of settled nodes for
   /// this call (kResourceExhausted when the cap is hit before dst).
   ///

@@ -203,7 +203,7 @@ Result<CalibratedTrajectory> Calibrator::Calibrate(
   }
   cache_misses.Increment();
   Result<CalibratedTrajectory> result = CalibrateUncached(raw, ctx);
-  // Deadline/cancel aborts are request-scoped, never a property of the
+  // Deadline aborts are request-scoped, never a property of the
   // trajectory — memoizing one would make every later call fail too.
   if (!IsContextError(result.status().code())) {
     std::lock_guard<std::mutex> lock(shard.mu);

@@ -106,10 +106,10 @@ class Calibrator {
   /// the cache); STMaker builds a fresh one after every significance
   /// recompute.
   ///
-  /// With a context, the polyline scan checks the deadline/cancel token
-  /// periodically and aborts with kDeadlineExceeded/kCancelled; those
-  /// statuses are never memoized (they describe the request, not the
-  /// trajectory), so a later call with a fresh context recomputes.
+  /// With a context, the polyline scan checks the deadline periodically
+  /// and aborts with kDeadlineExceeded; such statuses are never memoized
+  /// (they describe the request, not the trajectory), so a later call
+  /// with a fresh context recomputes.
   Result<CalibratedTrajectory> Calibrate(
       const RawTrajectory& raw, const RequestContext* ctx = nullptr) const;
 

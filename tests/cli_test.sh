@@ -75,6 +75,26 @@ echo "== error categories map to distinct exit codes =="
 rc=0; "$CLI" bogus 2>/dev/null || rc=$?
 [[ $rc -eq 2 ]] || { echo "bogus command: want exit 2, got $rc"; exit 1; }
 
+# A flag the command does not read -> 2, naming the flag, before any work:
+# a retired (--router) or mistyped (--thread) flag is never ignored.
+rc=0
+"$CLI" train --dir "$DIR" --model "$DIR/unread.stm" --router dijkstra \
+  2>"$DIR/flag.err" || rc=$?
+[[ $rc -eq 2 ]] || { echo "train --router: want exit 2, got $rc"; exit 1; }
+grep -q "train does not take --router$" "$DIR/flag.err" || {
+  echo "error does not name --router"; cat "$DIR/flag.err"; exit 1; }
+[[ ! -e "$DIR/unread.stm" ]] || { echo "train ran with --router"; exit 1; }
+rc=0
+"$CLI" serve --dir "$DIR" --model "$DIR/model.stm" --thread 4 \
+  < /dev/null > /dev/null 2>"$DIR/flag.err" || rc=$?
+[[ $rc -eq 2 ]] || { echo "serve --thread: want exit 2, got $rc"; exit 1; }
+grep -q "serve does not take --thread$" "$DIR/flag.err" || {
+  echo "error does not name --thread"; cat "$DIR/flag.err"; exit 1; }
+# pack reads no dataset but takes --dir like every other command.
+"$CLI" pack --dir "$DIR" --model "$DIR/model.stm" --out "$DIR/copy2.stm" \
+  > /dev/null
+cmp "$DIR/model.stm" "$DIR/copy2.stm"
+
 # Out-of-range trip index -> 5.
 rc=0; "$CLI" summarize --dir "$DIR" --trip 99999 2>/dev/null || rc=$?
 [[ $rc -eq 5 ]] || { echo "out-of-range trip: want exit 5, got $rc"; exit 1; }

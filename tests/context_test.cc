@@ -1,8 +1,7 @@
-// Unit tests for the request-context subsystem: deadlines, cooperative
-// cancellation, CancelCheck amortization, cache counters, and bounded
-// thread-pool admission. Everything here is deterministic — deadlines in
-// the past, explicit admission limits — so no test depends on scheduler
-// timing.
+// Unit tests for the request-context subsystem: deadlines, CancelCheck
+// amortization, cache counters, and bounded thread-pool admission.
+// Everything here is deterministic — deadlines in the past, explicit
+// admission limits — so no test depends on scheduler timing.
 
 #include <gtest/gtest.h>
 
@@ -19,44 +18,6 @@ namespace stmaker {
 namespace {
 
 using std::chrono::milliseconds;
-
-// --------------------------------------------------------------------------
-// CancelToken / CancelSource
-// --------------------------------------------------------------------------
-
-TEST(CancelTokenTest, DefaultTokenNeverCancels) {
-  CancelToken token;
-  EXPECT_FALSE(token.cancelled());
-}
-
-TEST(CancelTokenTest, TokenObservesSourceCancel) {
-  CancelSource source;
-  CancelToken token = source.token();
-  EXPECT_FALSE(token.cancelled());
-  EXPECT_FALSE(source.cancelled());
-  source.Cancel();
-  EXPECT_TRUE(token.cancelled());
-  EXPECT_TRUE(source.cancelled());
-}
-
-TEST(CancelTokenTest, TokenOutlivesSource) {
-  CancelToken token;
-  {
-    CancelSource source;
-    token = source.token();
-    source.Cancel();
-  }
-  EXPECT_TRUE(token.cancelled());  // shared flag, not a dangling pointer
-}
-
-TEST(CancelTokenTest, CopiedTokensShareTheFlag) {
-  CancelSource source;
-  CancelToken a = source.token();
-  CancelToken b = a;
-  source.Cancel();
-  EXPECT_TRUE(a.cancelled());
-  EXPECT_TRUE(b.cancelled());
-}
 
 // --------------------------------------------------------------------------
 // RequestContext
@@ -88,20 +49,12 @@ TEST(RequestContextTest, FutureDeadlineIsOk) {
   EXPECT_TRUE(ctx.Check().ok());
 }
 
-TEST(RequestContextTest, CancellationWinsOverExpiredDeadline) {
-  CancelSource source;
-  RequestContext ctx = RequestContext::WithDeadline(milliseconds(-1));
-  ctx.cancel = source.token();
-  source.Cancel();
-  // Both fired; cancellation is the more specific signal (the watchdog
-  // cancels *because* the deadline passed).
-  EXPECT_EQ(ctx.Check().code(), StatusCode::kCancelled);
-}
-
 TEST(RequestContextTest, IsContextErrorCoversExactlyTheRequestCodes) {
   EXPECT_TRUE(IsContextError(StatusCode::kDeadlineExceeded));
-  EXPECT_TRUE(IsContextError(StatusCode::kCancelled));
   EXPECT_TRUE(IsContextError(StatusCode::kResourceExhausted));
+  // Only a model reload dropped at shutdown is cancelled; no request
+  // limit produces it.
+  EXPECT_FALSE(IsContextError(StatusCode::kCancelled));
   EXPECT_FALSE(IsContextError(StatusCode::kOk));
   EXPECT_FALSE(IsContextError(StatusCode::kIoError));
   EXPECT_FALSE(IsContextError(StatusCode::kNotFound));
@@ -120,17 +73,15 @@ TEST(CancelCheckTest, NullContextTicksForever) {
 }
 
 TEST(CancelCheckTest, ChecksOnlyEveryStrideTicks) {
-  CancelSource source;
-  RequestContext ctx;
-  ctx.cancel = source.token();
-  source.Cancel();  // cancelled from the start
+  // Expired from the start.
+  RequestContext ctx = RequestContext::WithDeadline(milliseconds(-1));
   CancelCheck check(&ctx, /*stride=*/4);
   // The first stride-1 ticks only decrement; the stride-th consults the
-  // context and sees the cancellation.
+  // context and sees the expired deadline.
   EXPECT_TRUE(check.Tick().ok());
   EXPECT_TRUE(check.Tick().ok());
   EXPECT_TRUE(check.Tick().ok());
-  EXPECT_EQ(check.Tick().code(), StatusCode::kCancelled);
+  EXPECT_EQ(check.Tick().code(), StatusCode::kDeadlineExceeded);
 }
 
 TEST(CancelCheckTest, ZeroStrideBehavesAsEveryTick) {

@@ -466,25 +466,25 @@ TEST(IndexWorldTest, PlanetSpanningRangesTakeThePostingsWalkNotTheProbeLoop) {
 
 TEST(IndexWorldTest, RegionCandidateLoopsObserveCancellation) {
   // The candidate loops run unbounded client-chosen ranges, so they must
-  // consult the request context: a pre-cancelled context surfaces
-  // kCancelled from inside the enumeration instead of running it out.
+  // consult the request context: an expired deadline surfaces
+  // kDeadlineExceeded from inside the enumeration instead of running it
+  // out. RegionCandidates has no up-front check, so only the loops' own
+  // CancelCheck can stop it.
   const TestWorld& world = GetTestWorld();
   ASSERT_TRUE(world.maker->has_trajectory_index());
   const TrajectoryIndex& index = *world.maker->trip_index();
 
-  CancelSource source;
-  source.Cancel();
-  RequestContext cancelled;
-  cancelled.cancel = source.token();
+  RequestContext expired =
+      RequestContext::WithDeadline(std::chrono::milliseconds(-1));
 
   // An enumerable strip of ~30k probes: far past the CancelCheck stride,
-  // so the cancellation must fire mid-loop.
+  // so the deadline must fire mid-loop.
   BoundingBox strip;
   strip.Extend(Vec2{0, 0});
   strip.Extend(Vec2{250.0 * 30000, 10});
-  auto probed = index.RegionCandidates(strip, false, 0, 0, &cancelled);
+  auto probed = index.RegionCandidates(strip, false, 0, 0, &expired);
   ASSERT_FALSE(probed.ok());
-  EXPECT_EQ(probed.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(probed.status().code(), StatusCode::kDeadlineExceeded);
 
   // The windowed probe loop ticks too: one cell × ~20k buckets is still
   // enumerable, and far past the stride.
@@ -492,11 +492,11 @@ TEST(IndexWorldTest, RegionCandidateLoopsObserveCancellation) {
   cell.Extend(Vec2{0, 0});
   cell.Extend(Vec2{100, 100});
   auto windowed = index.RegionCandidates(cell, true, 0, 3600.0 * 20000,
-                                         &cancelled);
+                                         &expired);
   ASSERT_FALSE(windowed.ok());
-  EXPECT_EQ(windowed.status().code(), StatusCode::kCancelled);
+  EXPECT_EQ(windowed.status().code(), StatusCode::kDeadlineExceeded);
 
-  // A null context still means "never cancel".
+  // A null context still means "no limits".
   auto free_run = index.RegionCandidates(strip, false, 0, 0, nullptr);
   EXPECT_TRUE(free_run.ok());
 }
@@ -716,7 +716,7 @@ TEST(IndexRobustnessTest, BuildFailpointDegradesTrainingToScanPath) {
 }
 
 // --------------------------------------------------------------------------
-// Contexts: deadlines and cancellation surface deterministically.
+// Contexts: deadlines surface deterministically.
 // --------------------------------------------------------------------------
 
 TEST(IndexContextTest, ExpiredDeadlineFailsBothVerbsDeterministically) {
@@ -735,26 +735,6 @@ TEST(IndexContextTest, ExpiredDeadlineFailsBothVerbsDeterministically) {
   auto region = world.maker->QueryRegion(raws, box, std::nullopt, &expired);
   ASSERT_FALSE(region.ok());
   EXPECT_EQ(region.status().code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST(IndexContextTest, PreCancelledContextFailsBothVerbs) {
-  const TestWorld& world = GetTestWorld();
-  const std::vector<RawTrajectory>& raws = world.raws;
-  CancelSource source;
-  source.Cancel();
-  RequestContext cancelled;
-  cancelled.cancel = source.token();
-
-  auto similar = world.maker->SimilarTrips(raws, 0, 5, &cancelled);
-  ASSERT_FALSE(similar.ok());
-  EXPECT_EQ(similar.status().code(), StatusCode::kCancelled);
-
-  BoundingBox box;
-  box.Extend(Vec2{0, 0});
-  box.Extend(Vec2{4000, 4000});
-  auto region = world.maker->QueryRegion(raws, box, std::nullopt, &cancelled);
-  ASSERT_FALSE(region.ok());
-  EXPECT_EQ(region.status().code(), StatusCode::kCancelled);
 }
 
 TEST(IndexContextTest, OutOfRangeTripIsAnError) {

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 
+#include <condition_variable>
+#include <memory>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -354,6 +356,64 @@ TEST_F(ModelIoTest, ReloadCallbackRunsBeforeTheDisplacedSnapshotIsFreed) {
   EXPECT_TRUE(outcome.ok()) << outcome.ToString();
   EXPECT_TRUE(alive_in_callback);
   EXPECT_TRUE(displaced.expired());
+}
+
+TEST_F(ModelIoTest, ManagerShutdownAnswersEveryQueuedReloadOnce) {
+  // Destroying the manager finishes the reload in progress and runs no
+  // other: the reloads still queued fail with kCancelled. Either way every
+  // callback fires exactly once, so no admin caller waits forever.
+  const std::string& dir = GetManagerModelDir();
+
+  ModelManagerOptions opts;
+  opts.model_prefix = dir + "/model.stm";
+  auto manager = std::make_unique<ModelManager>(opts);
+  ASSERT_TRUE(manager->Initialize().ok());
+  const uint64_t v0 = manager->Current()->version;
+
+  struct Outcome {
+    int calls = 0;
+    StatusCode code = StatusCode::kInternal;
+    uint64_t version = 0;
+  };
+  constexpr size_t kReloads = ModelManager::kMaxQueuedReloads;
+  std::mutex mu;
+  std::condition_variable answered;
+  std::vector<Outcome> outcomes(kReloads);
+  for (size_t i = 0; i < kReloads; ++i) {
+    manager->RequestReload(
+        dir + (i % 2 == 0 ? "/second.stm" : "/model.stm"),
+        [&, i](const Status& s, uint64_t version) {
+          std::lock_guard<std::mutex> lock(mu);
+          ++outcomes[i].calls;
+          outcomes[i].code = s.code();
+          outcomes[i].version = version;
+          answered.notify_all();
+        });
+  }
+  // Shut down mid-queue: once the first reload has answered, the others
+  // are running or still queued.
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    answered.wait(lock, [&] { return outcomes[0].calls > 0; });
+  }
+  manager.reset();
+
+  // FIFO: the reloads that ran are a prefix, each publishing the next
+  // version; every later one was cancelled and reports the version that
+  // was serving at shutdown.
+  std::lock_guard<std::mutex> lock(mu);
+  size_t ran = 0;
+  while (ran < kReloads && outcomes[ran].code == StatusCode::kOk) ++ran;
+  EXPECT_GE(ran, 1u);
+  for (size_t i = 0; i < kReloads; ++i) {
+    EXPECT_EQ(outcomes[i].calls, 1) << "reload " << i;
+    if (i < ran) {
+      EXPECT_EQ(outcomes[i].version, v0 + 1 + i) << "reload " << i;
+    } else {
+      EXPECT_EQ(outcomes[i].code, StatusCode::kCancelled) << "reload " << i;
+      EXPECT_EQ(outcomes[i].version, v0 + ran) << "reload " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -471,9 +471,9 @@ TEST_P(ContextTransparencyTest, PassiveContextIsByteIdentical) {
   auto trip = world.generator->GenerateTrip(10 * 3600.0, &rng);
   ASSERT_TRUE(trip.ok());
 
-  // A default context: no deadline, no cancellation, no budget. Threading
-  // it through the pipeline must not perturb a single byte of output —
-  // the check points are pure observers.
+  // A default context: no deadline, no budget. Threading it through the
+  // pipeline must not perturb a single byte of output — the check points
+  // are pure observers.
   RequestContext passive;
   auto with_ctx =
       world.maker->Summarize(trip->raw, SummaryOptions(), &passive);

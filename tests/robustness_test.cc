@@ -579,7 +579,7 @@ TEST_F(FailpointSpecTest, ReloadFailpointsFromEnvReArmsFromTheVariable) {
 }
 
 // --------------------------------------------------------------------------
-// Request contexts on the serving path: deadlines, cancellation, budgets,
+// Request contexts on the serving path: deadlines, budgets,
 // admission control, and retry recovery.
 // --------------------------------------------------------------------------
 
@@ -592,18 +592,6 @@ TEST(RequestContextServingTest, ExpiredContextFailsSummarizeUpFront) {
       world.maker->Summarize(world.history[0].raw, SummaryOptions(), &ctx);
   ASSERT_FALSE(summary.ok());
   EXPECT_EQ(summary.status().code(), StatusCode::kDeadlineExceeded);
-}
-
-TEST(RequestContextServingTest, CancelledContextFailsSummarize) {
-  const TestWorld& world = GetTestWorld();
-  CancelSource source;
-  source.Cancel();
-  RequestContext ctx;
-  ctx.cancel = source.token();
-  Result<Summary> summary =
-      world.maker->Summarize(world.history[0].raw, SummaryOptions(), &ctx);
-  ASSERT_FALSE(summary.ok());
-  EXPECT_EQ(summary.status().code(), StatusCode::kCancelled);
 }
 
 TEST(RequestContextServingTest, NodeExpansionBudgetCapsShortestPath) {

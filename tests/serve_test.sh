@@ -2,8 +2,8 @@
 # End-to-end test for `stmaker_cli serve`: NDJSON request/response over
 # stdin/stdout, per-request deadlines, malformed-input handling, the
 # shutdown report, --threads / --max_inflight flag validation, the routing
-# backend of container and in-process models, and an in-place reload of
-# an in-process model.
+# backend of container and in-process models, a container served without
+# --dir, and an in-place reload of an in-process model.
 # Registered with ctest; $1 is the path to the stmaker_cli binary.
 set -euo pipefail
 
@@ -205,6 +205,19 @@ grep -q '"id": 92, "status": "ok"' "$OUT10" || {
   echo "route before the reload failed"; exit 1; }
 grep -q '"id": 93, "status": "ok", "reloaded": 1, "model_version": 2}' \
   "$OUT10" || { echo "in-place reload of an in-process model failed"; exit 1; }
+
+echo "== serve --model without --dir: the container is the whole world =="
+OUT11="$DIR/responses11.ndjson"
+"$CLI" serve --model "$DIR/model.stm" < "$REQ9" > "$OUT11" 2>/dev/null
+diff <(sort "$OUT9M") <(sort "$OUT11") || {
+  echo "serving a container without --dir changed the replies"; exit 1; }
+OUT12="$DIR/responses12.ndjson"
+printf '{"id": 94, "reload": 1}\n' | "$CLI" serve --model "$DIR/model.stm" \
+  > "$OUT12" 2>/dev/null
+grep -q '"id": 94, "status": "ok", "reloaded": 1, "model_version": 2}' \
+  "$OUT12" || { echo "in-place reload without --dir failed"; exit 1; }
+rc=0; "$CLI" serve < /dev/null > /dev/null 2>&1 || rc=$?
+[[ $rc -eq 2 ]] || { echo "serve without --dir/--model: want 2, got $rc"; exit 1; }
 
 echo "== --trace_log writes parseable span trees and changes no output =="
 REQ5="$DIR/requests5.ndjson"

@@ -160,7 +160,7 @@ int Usage() {
                "  stmaker_cli pack --model C --out C2\n"
                "  stmaker_cli stats --dir D [--trips T] [--threads N]\n"
                "  stmaker_cli group --dir D [--from-hour H] [--to-hour H]\n"
-               "  stmaker_cli serve --dir D [--model C] [--threads N]\n"
+               "  stmaker_cli serve (--dir D | --model C) [--threads N]\n"
                "              [--deadline_ms MS] [--max_inflight N]\n"
                "              [--max_expansions N] [--trace_log PATH]\n"
                "              [--max_line_bytes B]\n"
@@ -196,7 +196,8 @@ int Usage() {
                "\n"
                "exit codes:\n"
                "  0  success\n"
-               "  2  usage error (bad command line)\n"
+               "  2  usage error (bad command line, e.g. a flag the command "
+               "does not take)\n"
                "  3  invalid argument (malformed input data or flag value)\n"
                "  4  not found\n"
                "  5  out of range (e.g. --trip beyond the corpus)\n"
@@ -537,10 +538,8 @@ int RunGroup(const Args& args) {
 // A per-request "deadline_ms" overrides --deadline_ms; a non-positive value
 // means already expired (deterministic deadline_exceeded — used by tests).
 // Requests beyond --max_inflight are rejected immediately with
-// "resource_exhausted" instead of queueing without bound. A watchdog thread
-// additionally cancels requests still running past their deadline, so even
-// code between check points cannot hold a worker hostage forever. `route`
-// and `stats` requests answer synchronously (see ndjson_service.h).
+// "resource_exhausted" instead of queueing without bound. `route` and
+// `stats` requests answer synchronously (see ndjson_service.h).
 //
 // TCP mode (--port; 0 picks an ephemeral port, reported on stderr as
 // "listening on HOST:PORT"): multiple clients, pipelined requests over
@@ -577,7 +576,7 @@ void HandleReloadSignal(int) {
 }
 
 int RunServe(const Args& args) {
-  if (!args.Has("dir")) return Usage();
+  if (!args.Has("dir") && !args.Has("model")) return Usage();
   Result<int> threads = ThreadsFlag(args);
   if (!threads.ok()) return Fail(threads.status());
   // Serving knobs are validated as strictly as --threads: garbage, parse
@@ -632,7 +631,7 @@ int RunServe(const Args& args) {
   // immutable versioned bundle; SIGHUP or the reload verb swaps it with
   // zero downtime and rollback on failure (DESIGN.md §15).
   ModelManagerOptions mopts;
-  mopts.data_dir = args.Get("dir", ".");
+  mopts.data_dir = args.Get("dir", "");  // read only without --model
   if (args.Has("model")) mopts.model_prefix = args.Get("model", "model.stm");
   mopts.maker = MakerOptions(*threads);
   ModelManager manager(mopts);
@@ -753,14 +752,12 @@ int RunServe(const Args& args) {
   // come from the same registry the `stats` request serves — the report is
   // just the final snapshot rendered for humans.
   std::fprintf(stderr, "stmaker_cli: served %zu requests (%zu malformed, "
-               "%zu admitted, %zu rejected, %zu watchdog-cancelled)\n",
+               "%zu admitted, %zu rejected)\n",
                static_cast<size_t>(
                    registry.counter("serve.requests").value()),
                static_cast<size_t>(
                    registry.counter("serve.malformed").value()),
-               service.pool_admitted(), service.pool_rejected(),
-               static_cast<size_t>(
-                   registry.counter("serve.watchdog_cancelled").value()));
+               service.pool_admitted(), service.pool_rejected());
   std::shared_ptr<const ModelSnapshot> final_model = manager.Current();
   std::fprintf(stderr,
                "stmaker_cli: model v%llu (%llu reloads ok, %llu rolled "
@@ -787,16 +784,50 @@ int RunServe(const Args& args) {
   return 0;
 }
 
+/// A command and the flags it reads. Any other `--flag` is a usage error
+/// naming it, so a mistyped or retired flag fails instead of being ignored.
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  std::vector<std::string> flags;
+};
+
+const std::vector<Command>& Commands() {
+  static const std::vector<Command> commands = {
+      {"gen", RunGen, {"dir", "seed", "blocks", "trips", "pois"}},
+      {"train", RunTrain, {"dir", "model", "threads"}},
+      // `pack` reads no dataset, but takes --dir like every other command.
+      {"pack", RunPack, {"model", "out", "dir"}},
+      {"summarize",
+       RunSummarize,
+       {"dir", "model", "trip", "k", "eta", "json", "geojson", "threads"}},
+      {"stats", RunStats, {"dir", "trips", "threads"}},
+      {"group", RunGroup, {"dir", "from-hour", "to-hour"}},
+      {"serve",
+       RunServe,
+       {"dir", "model", "threads", "deadline_ms", "max_inflight",
+        "max_expansions", "trace_log", "max_line_bytes", "port", "bind",
+        "listen_threads", "max_connections", "idle_timeout_ms",
+        "loris_timeout_ms", "drain_deadline_ms"}},
+  };
+  return commands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   Args args = ParseArgs(argc, argv);
-  if (args.command == "gen") return RunGen(args);
-  if (args.command == "train") return RunTrain(args);
-  if (args.command == "pack") return RunPack(args);
-  if (args.command == "summarize") return RunSummarize(args);
-  if (args.command == "stats") return RunStats(args);
-  if (args.command == "group") return RunGroup(args);
-  if (args.command == "serve") return RunServe(args);
+  for (const Command& command : Commands()) {
+    if (args.command != command.name) continue;
+    for (const auto& [flag, value] : args.options) {
+      if (std::find(command.flags.begin(), command.flags.end(), flag) ==
+          command.flags.end()) {
+        std::fprintf(stderr, "error: %s does not take --%s\n", command.name,
+                     flag.c_str());
+        return Usage();
+      }
+    }
+    return command.run(args);
+  }
   return Usage();
 }
