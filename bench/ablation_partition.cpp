@@ -150,14 +150,12 @@ int main() {
 
   std::printf("\n--- checks ---\n");
   std::printf("dp potential <= topsig potential:  %s\n",
-              dp.potential <= topsig.potential + 1e-9 ? "OK" : "VIOLATED");
+              Verdict(dp.potential <= topsig.potential + 1e-9));
   std::printf("dp potential <= uniform potential: %s\n",
-              dp.potential <= uniform.potential + 1e-9 ? "OK" : "VIOLATED");
+              Verdict(dp.potential <= uniform.potential + 1e-9));
   std::printf("dp boundary significance > uniform's: %s\n",
-              dp.boundary_significance / dp.cut_count >
+              Verdict(dp.boundary_significance / dp.cut_count >
                       uniform.boundary_significance /
-                          std::max(1, uniform.cut_count)
-                  ? "OK"
-                  : "VIOLATED");
-  return 0;
+                          std::max(1, uniform.cut_count)));
+  return ShapeCheckExitCode();
 }

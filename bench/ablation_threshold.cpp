@@ -91,9 +91,9 @@ int main() {
     }
   }
   std::printf("selected features fall with eta: %s\n",
-              monotone_features ? "OK" : "VIOLATED");
+              Verdict(monotone_features));
   std::printf("recall at eta=0.05 (%.2f) > recall at eta=0.5 (%.2f): %s\n",
               recall_at[0], recall_at[5],
-              recall_at[0] > recall_at[5] ? "OK" : "VIOLATED");
-  return 0;
+              Verdict(recall_at[0] > recall_at[5]));
+  return ShapeCheckExitCode();
 }

@@ -80,6 +80,20 @@ inline BenchWorld BuildBenchWorld(
   return world;
 }
 
+/// Shape checks that printed VIOLATED so far in this process.
+inline int violated_checks = 0;
+
+/// The verdict a shape check prints: `pass` when the paper's claim holds,
+/// "VIOLATED" (counted) when it does not.
+inline const char* Verdict(bool holds, const char* pass = "OK") {
+  if (!holds) ++violated_checks;
+  return holds ? pass : "VIOLATED";
+}
+
+/// main's exit status: 1 when any shape check was violated, so ctest
+/// fails when a paper claim stops holding.
+inline int ShapeCheckExitCode() { return violated_checks == 0 ? 0 : 1; }
+
 /// Short labels matching the paper's figures.
 inline const char* FeatureLabel(size_t f) {
   static const char* kLabels[] = {"GR", "RW", "TD", "Spe", "Stay", "U-turn"};

@@ -104,17 +104,15 @@ int main() {
 
   std::printf("\n--- shape checks ---\n");
   std::printf("k=1 gives a single sentence: %s\n",
-              k1->partitions.size() == 1 ? "OK" : "VIOLATED");
+              Verdict(k1->partitions.size() == 1));
   std::printf("k=1 already flags an irregularity: %s\n",
-              !k1->partitions[0].selected.empty() ? "OK" : "VIOLATED");
+              Verdict(!k1->partitions[0].selected.empty()));
   std::printf(
       "k=3 surfaces the discrete events (stays=%d, u-turns=%d): %s\n",
       chosen.events.num_stays, chosen.events.num_uturns,
-      (k3->ContainsFeature(kStayPointsFeature) ||
-       k3->ContainsFeature(kUTurnsFeature))
-          ? "OK"
-          : "VIOLATED");
+      Verdict(k3->ContainsFeature(kStayPointsFeature) ||
+              k3->ContainsFeature(kUTurnsFeature)));
   std::printf("summary text does not shrink materially with k: %s\n",
-              monotone_info ? "OK" : "VIOLATED");
-  return 0;
+              Verdict(monotone_info));
+  return ShapeCheckExitCode();
 }

@@ -13,14 +13,14 @@
 #include <cstdio>
 
 #include "bench_world.h"
-#include "traj/congestion.h"
+#include "core/corpus_stats.h"
 
 using namespace stmaker;
 using namespace stmaker::bench;
 
 int main() {
   BenchWorld world = BuildBenchWorld();
-  const int kTripsPerBucket = 150;
+  const size_t kTripsPerBucket = 150;
 
   std::printf("\n=== Fig. 8 — feature FF by time of day ===\n");
   std::printf("%-12s %6s %6s %6s %6s %6s %7s %7s\n", "bucket", "GR", "RW",
@@ -35,32 +35,29 @@ int main() {
 
   Random rng(9);
   for (int bucket = 0; bucket < 12; ++bucket) {
-    int counts[kNumBuiltInFeatures] = {0};
-    int total = 0;
-    while (total < kTripsPerBucket) {
+    std::vector<Summary> summaries;
+    while (summaries.size() < kTripsPerBucket) {
       double start = (bucket * 2.0 + rng.Uniform(0, 2.0)) * 3600.0;
       Result<GeneratedTrip> trip = world.generator->GenerateTrip(start, &rng);
       if (!trip.ok()) continue;
       Result<Summary> summary = world.maker->Summarize(trip->raw);
       if (!summary.ok()) continue;
-      ++total;
-      for (size_t f = 0; f < kNumBuiltInFeatures; ++f) {
-        if (summary->ContainsFeature(f)) ++counts[f];
-      }
+      summaries.push_back(std::move(summary).value());
     }
+    const std::vector<double> ff =
+        ComputeFeatureFrequencies(summaries, kNumBuiltInFeatures);
     std::printf("%02d:00-%02d:00 ", bucket * 2, bucket * 2 + 2);
     for (size_t f = 0; f < kNumBuiltInFeatures; ++f) {
-      double ff = static_cast<double>(counts[f]) / total;
-      std::printf("%6.2f ", ff);
+      std::printf("%6.2f ", ff[f]);
       bool is_day = bucket >= 3 && bucket < 9;  // 06:00–18:00
-      if (is_day) day_ff[f] += ff;
-      else night_ff[f] += ff;
+      if (is_day) day_ff[f] += ff[f];
+      else night_ff[f] += ff[f];
     }
-    std::printf("%7d\n", total);
+    std::printf("%7zu\n", summaries.size());
     if (bucket >= 3 && bucket < 9) ++day_buckets;
     else ++night_buckets;
 
-    double speed_ff = static_cast<double>(counts[kSpeedFeature]) / total;
+    double speed_ff = ff[kSpeedFeature];
     if (bucket == 3 || bucket == 4 || bucket == 8 || bucket == 9) {
       rush_speed += speed_ff / 4.0;
     }
@@ -75,10 +72,10 @@ int main() {
     double night = night_ff[f] / night_buckets;
     std::printf("%-7s day FF %.3f vs night FF %.3f  -> %s\n",
                 FeatureLabel(f), day, night,
-                day > night ? "day > night OK" : "VIOLATED");
+                Verdict(day > night, "day > night OK"));
   }
   std::printf("speed: rush-hour FF %.3f vs midday FF %.3f  -> %s\n",
               rush_speed, offpeak_day_speed,
-              rush_speed > offpeak_day_speed ? "rush spike OK" : "VIOLATED");
-  return 0;
+              Verdict(rush_speed > offpeak_day_speed, "rush spike OK"));
+  return ShapeCheckExitCode();
 }

@@ -78,11 +78,11 @@ int main() {
   double top3 = (usage[0] + usage[1] + usage[2]) / total_used;
   std::printf("\n--- shape checks ---\n");
   std::printf("top-10%% share: %.1f%% (paper: ~40%%)  -> %s\n", 100 * top1,
-              top1 > 0.25 ? "long tail OK" : "VIOLATED");
+              Verdict(top1 > 0.25, "long tail OK"));
   std::printf("top-30%% share: %.1f%% (paper: ~60%%)  -> %s\n", 100 * top3,
-              top3 > 0.5 ? "majority in top deciles OK" : "VIOLATED");
+              Verdict(top3 > 0.5, "majority in top deciles OK"));
   bool monotone_head = usage[0] > usage[3] && usage[0] > usage[9];
   std::printf("head dominates tail -> %s\n",
-              monotone_head ? "OK" : "VIOLATED");
-  return 0;
+              Verdict(monotone_head));
+  return ShapeCheckExitCode();
 }

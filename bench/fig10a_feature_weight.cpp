@@ -12,6 +12,7 @@
 #include <cstdio>
 
 #include "bench_world.h"
+#include "core/corpus_stats.h"
 
 using namespace stmaker;
 using namespace stmaker::bench;
@@ -38,22 +39,19 @@ int main() {
   for (size_t wi = 0; wi < std::size(kWeights); ++wi) {
     Status st = world.maker->registry().SetWeight("speed", kWeights[wi]);
     STMAKER_CHECK(st.ok());
-    int counts[kNumBuiltInFeatures] = {0};
-    int total = 0;
+    std::vector<Summary> summaries;
     for (const GeneratedTrip& trip : trips) {
       Result<Summary> summary = world.maker->Summarize(trip.raw);
-      if (!summary.ok()) continue;
-      ++total;
-      for (size_t f = 0; f < kNumBuiltInFeatures; ++f) {
-        if (summary->ContainsFeature(f)) ++counts[f];
-      }
+      if (summary.ok()) summaries.push_back(std::move(summary).value());
     }
+    const std::vector<double> ff =
+        ComputeFeatureFrequencies(summaries, kNumBuiltInFeatures);
     std::printf("%8.1f ", kWeights[wi]);
     for (size_t f = 0; f < kNumBuiltInFeatures; ++f) {
-      std::printf("%6.2f ", static_cast<double>(counts[f]) / total);
+      std::printf("%6.2f ", ff[f]);
     }
     std::printf("\n");
-    speed_ff_at[wi] = static_cast<double>(counts[kSpeedFeature]) / total;
+    speed_ff_at[wi] = ff[kSpeedFeature];
   }
   Status st = world.maker->registry().SetWeight("speed", 1.0);
   STMAKER_CHECK(st.ok());
@@ -66,8 +64,8 @@ int main() {
   std::printf("FF(Spe) non-decreasing in w: %.2f -> %.2f -> %.2f -> %.2f -> "
               "%.2f  -> %s\n",
               speed_ff_at[0], speed_ff_at[1], speed_ff_at[2], speed_ff_at[3],
-              speed_ff_at[4], monotone ? "OK" : "VIOLATED");
+              speed_ff_at[4], Verdict(monotone));
   std::printf("FF(Spe) grows overall (w=4 vs w=0.5): %s\n",
-              speed_ff_at[4] > speed_ff_at[0] ? "OK" : "VIOLATED");
-  return 0;
+              Verdict(speed_ff_at[4] > speed_ff_at[0]));
+  return ShapeCheckExitCode();
 }

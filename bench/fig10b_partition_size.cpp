@@ -20,6 +20,7 @@
 #include <cstdio>
 
 #include "bench_world.h"
+#include "core/corpus_stats.h"
 
 using namespace stmaker;
 using namespace stmaker::bench;
@@ -45,56 +46,45 @@ int main() {
   double routing_rate[8] = {0};
   double moving_rate[8] = {0};
   for (int k = 1; k <= 7; ++k) {
-    int per_summary[kNumBuiltInFeatures] = {0};
-    int per_partition[kNumBuiltInFeatures] = {0};
-    int total = 0;
-    int partitions = 0;
     SummaryOptions options;
     options.k = k;
+    std::vector<Summary> summaries;
     for (const GeneratedTrip& trip : trips) {
       Result<Summary> summary = world.maker->Summarize(trip.raw, options);
-      if (!summary.ok()) continue;
-      ++total;
-      for (size_t f = 0; f < kNumBuiltInFeatures; ++f) {
-        if (summary->ContainsFeature(f)) ++per_summary[f];
-      }
-      for (const PartitionSummary& p : summary->partitions) {
-        ++partitions;
-        for (size_t f = 0; f < kNumBuiltInFeatures; ++f) {
-          if (p.ContainsFeature(f)) ++per_partition[f];
-        }
-      }
+      if (summary.ok()) summaries.push_back(std::move(summary).value());
     }
+    const std::vector<double> per_partition =
+        ComputePartitionDescriptionRates(summaries, kNumBuiltInFeatures);
+    const std::vector<double> per_summary =
+        ComputeFeatureFrequencies(summaries, kNumBuiltInFeatures);
     std::printf("%4d | ", k);
     for (size_t f = 0; f < kNumBuiltInFeatures; ++f) {
-      std::printf("%6.3f ",
-                  static_cast<double>(per_partition[f]) / partitions);
+      std::printf("%6.3f ", per_partition[f]);
     }
     std::printf("| ");
     for (size_t f = 0; f < kNumBuiltInFeatures; ++f) {
-      std::printf("%.2f ", static_cast<double>(per_summary[f]) / total);
+      std::printf("%.2f ", per_summary[f]);
     }
     std::printf("\n");
 
-    routing_rate[k] =
-        static_cast<double>(per_partition[kGradeOfRoadFeature] +
-                            per_partition[kRoadWidthFeature] +
-                            per_partition[kTrafficDirectionFeature]) /
-        (3.0 * partitions);
-    moving_rate[k] = static_cast<double>(per_partition[kSpeedFeature] +
-                                         per_partition[kStayPointsFeature] +
-                                         per_partition[kUTurnsFeature]) /
-                     (3.0 * partitions);
+    routing_rate[k] = (per_partition[kGradeOfRoadFeature] +
+                       per_partition[kRoadWidthFeature] +
+                       per_partition[kTrafficDirectionFeature]) /
+                      3.0;
+    moving_rate[k] = (per_partition[kSpeedFeature] +
+                      per_partition[kStayPointsFeature] +
+                      per_partition[kUTurnsFeature]) /
+                     3.0;
   }
 
   std::printf("\n--- shape checks (per-partition description rate) ---\n");
   std::printf("routing rate k=1 %.3f vs k=7 %.3f  -> %s\n", routing_rate[1],
               routing_rate[7],
-              routing_rate[1] > routing_rate[7] ? "decreases with k OK"
-                                                : "VIOLATED");
+              Verdict(routing_rate[1] > routing_rate[7],
+                      "decreases with k OK"));
   std::printf("moving rate  k=1 %.3f vs k=7 %.3f  -> %s\n", moving_rate[1],
               moving_rate[7],
-              moving_rate[7] > moving_rate[1] ? "increases with k OK"
-                                              : "VIOLATED");
-  return 0;
+              Verdict(moving_rate[7] > moving_rate[1],
+                      "increases with k OK"));
+  return ShapeCheckExitCode();
 }

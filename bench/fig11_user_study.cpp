@@ -139,13 +139,12 @@ int main() {
   // paper's 55%% under the exact-recall rubric.
   std::printf("level 4 share %.1f%% (paper ~55%%, exact-recall rubric) -> %s\n",
               100 * level4,
-              level4 > 0.25 && level_counts[4] > level_counts[2]
-                  ? "large share OK"
-                  : "VIOLATED");
+              Verdict(level4 > 0.25 && level_counts[4] > level_counts[2],
+                      "large share OK"));
   std::printf("level 3+4 share %.1f%% (paper ~80%%)    -> %s\n",
-              100 * level34, level34 > 0.7 ? "OK" : "VIOLATED");
+              100 * level34, Verdict(level34 > 0.7));
   std::printf("level 1 is rare (%.1f%%)               -> %s\n",
               100.0 * level_counts[1] / kNumSummaries,
-              level_counts[1] < kNumSummaries / 10 ? "OK" : "VIOLATED");
-  return 0;
+              Verdict(level_counts[1] < kNumSummaries / 10));
+  return ShapeCheckExitCode();
 }

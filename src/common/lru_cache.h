@@ -18,7 +18,7 @@ namespace stmaker {
 
 /// \brief Effectiveness counters for one cache: lookups that hit, lookups
 /// that missed, and entries evicted to make room. Monotonic over the
-/// cache's lifetime (Clear() drops entries, not counters).
+/// cache's lifetime.
 struct CacheStats {
   size_t hits = 0;
   size_t misses = 0;
@@ -98,12 +98,6 @@ class LruCache {
       order_.pop_back();
       ++evictions_;
     }
-  }
-
-  /// Drops every entry (hit/miss counters persist).
-  void Clear() {
-    index_.clear();
-    order_.clear();
   }
 
  private:

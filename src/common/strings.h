@@ -19,9 +19,6 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// Strips ASCII whitespace from both ends.
 std::string_view Trim(std::string_view s);
 
-bool StartsWith(std::string_view s, std::string_view prefix);
-bool EndsWith(std::string_view s, std::string_view suffix);
-
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));

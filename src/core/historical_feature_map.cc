@@ -4,26 +4,28 @@
 
 namespace stmaker {
 
-HistoricalFeatureMap::HistoricalFeatureMap(size_t num_features)
+HistoricalFeatureMap::HistoricalFeatureMap(
+    size_t num_features, std::span<const EdgeRecord> records)
     : num_features_(num_features), global_sum_(num_features, 0.0) {
   STMAKER_CHECK(num_features > 0);
-}
-
-void HistoricalFeatureMap::AddSegment(
-    LandmarkId from, LandmarkId to,
-    const std::vector<double>& feature_values) {
-  STMAKER_CHECK(feature_values.size() == num_features_);
-  Accumulator& acc = edges_[{from, to}];
-  if (acc.sum.empty()) {
-    acc.sum.assign(num_features_, 0.0);
-    key_order_.push_back({from, to});
+  for (const EdgeRecord& record : records) {
+    STMAKER_CHECK(record.sums.size() == num_features_);
+    STMAKER_CHECK(record.count > 0);
+    Accumulator& acc = edges_[{record.from, record.to}];
+    if (acc.sum.empty()) {
+      acc.sum.assign(num_features_, 0.0);
+      key_order_.push_back({record.from, record.to});
+    }
+    for (size_t f = 0; f < num_features_; ++f) acc.sum[f] += record.sums[f];
+    acc.count += record.count;
   }
-  for (size_t f = 0; f < num_features_; ++f) {
-    acc.sum[f] += feature_values[f];
-    global_sum_[f] += feature_values[f];
+  // The global row groups its sums by edge, so a map rebuilt from its own
+  // Edges() has the same global row, bit for bit.
+  for (const Key& key : key_order_) {
+    const Accumulator& acc = edges_.find(key)->second;
+    for (size_t f = 0; f < num_features_; ++f) global_sum_[f] += acc.sum[f];
+    global_count_ += acc.count;
   }
-  acc.count += 1;
-  global_count_ += 1;
 }
 
 HistoricalFeatureMap::Row HistoricalFeatureMap::Lookup(LandmarkId from,
@@ -42,32 +44,6 @@ std::vector<HistoricalFeatureMap::EdgeRecord> HistoricalFeatureMap::Edges()
     out.push_back({key.from, key.to, acc.sum, acc.count});
   }
   return out;
-}
-
-void HistoricalFeatureMap::Merge(const HistoricalFeatureMap& other) {
-  STMAKER_CHECK(other.num_features_ == num_features_);
-  for (const Key& key : other.key_order_) {
-    const Accumulator& acc = other.edges_.find(key)->second;
-    AddAccumulated(key.from, key.to, acc.sum, acc.count);
-  }
-}
-
-void HistoricalFeatureMap::AddAccumulated(LandmarkId from, LandmarkId to,
-                                          const std::vector<double>& sums,
-                                          double count) {
-  STMAKER_CHECK(sums.size() == num_features_);
-  STMAKER_CHECK(count > 0);
-  Accumulator& acc = edges_[{from, to}];
-  if (acc.sum.empty()) {
-    acc.sum.assign(num_features_, 0.0);
-    key_order_.push_back({from, to});
-  }
-  for (size_t f = 0; f < num_features_; ++f) {
-    acc.sum[f] += sums[f];
-    global_sum_[f] += sums[f];
-  }
-  acc.count += count;
-  global_count_ += count;
 }
 
 double HistoricalFeatureMap::GlobalAverage(size_t feature) const {

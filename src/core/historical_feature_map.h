@@ -6,6 +6,7 @@
 /// directed landmark pair, accumulated from the training corpus.
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -23,23 +24,30 @@ namespace stmaker {
 /// running averages too; a Row reports them as-is and callers round to the
 /// nearest category when a categorical reading is needed.
 ///
-/// Thread-safety: the map is read-only once training (or a model load) has
-/// built it. Concurrent const reads (Lookup, GlobalAverage, Edges) are
-/// safe; the mutations (AddSegment, AddAccumulated, Merge) belong to
-/// training and must be serialized against everything else.
+/// Thread-safety: the map is fixed at construction; concurrent const reads
+/// (Lookup, GlobalAverage, Edges) are safe.
 class HistoricalFeatureMap {
  public:
-  /// `num_features` fixes the annotation dimensionality (|F|).
-  explicit HistoricalFeatureMap(size_t num_features);
+  /// One annotated edge in raw accumulator form: a record of the
+  /// container's feature-edges section, or one training segment (count 1).
+  struct EdgeRecord {
+    LandmarkId from;
+    LandmarkId to;
+    std::vector<double> sums;  ///< Per-feature value sums.
+    double count;              ///< Number of accumulated segments.
+  };
 
-  /// Accumulates one historical segment's feature vector on edge
-  /// (from → to). The vector length must equal num_features().
-  void AddSegment(LandmarkId from, LandmarkId to,
-                  const std::vector<double>& feature_values);
+  /// Builds the map over `num_features` features (|F|) from `records`:
+  /// the records of one (from, to) edge sum in order, edges keep
+  /// first-seen order, and the global row sums the edges' totals in that
+  /// order. Every record must carry num_features sums and a positive
+  /// count.
+  explicit HistoricalFeatureMap(size_t num_features,
+                                std::span<const EdgeRecord> records = {});
 
   /// The regular feature values of one edge, read in place from its
   /// accumulator: feature f is sums[f] / count, divided at the point of
-  /// use. Valid while the map is unchanged.
+  /// use. Valid while the map lives.
   struct Row {
     const double* sums = nullptr;
     double count = 0;
@@ -68,33 +76,9 @@ class HistoricalFeatureMap {
   /// kNoBaseline instead of comparing against them.
   bool empty() const { return global_count_ == 0; }
 
-  /// One annotated edge in raw accumulator form, for model persistence.
-  struct EdgeRecord {
-    LandmarkId from;
-    LandmarkId to;
-    std::vector<double> sums;  ///< Per-feature value sums.
-    double count;              ///< Number of accumulated segments.
-  };
-
-  /// All edges in deterministic first-annotated order (serialization hook).
+  /// All edges in deterministic first-annotated order, one record per
+  /// distinct edge (serialization hook).
   std::vector<EdgeRecord> Edges() const;
-
-  /// Merges a pre-aggregated edge record (deserialization hook). The sums
-  /// length must equal num_features() and count must be positive.
-  void AddAccumulated(LandmarkId from, LandmarkId to,
-                      const std::vector<double>& sums, double count);
-
-  /// Folds every edge accumulator of `other` (which must have the same
-  /// feature dimensionality) into this map, replaying them in `other`'s
-  /// first-annotated order. Edge set, edge order, and counts compose
-  /// exactly; per-feature sums are regrouped (a + (b + c) instead of
-  /// (a + b) + c), so merging partial maps can differ from one serial pass
-  /// in the last floating-point ulp. Training therefore builds the
-  /// corpus's map in corpus order and merges it once into an empty map,
-  /// which groups the global sums by edge exactly as a container load's
-  /// AddAccumulated replay does (see DESIGN.md "Parallel execution &
-  /// determinism").
-  void Merge(const HistoricalFeatureMap& other);
 
  private:
   struct Key {

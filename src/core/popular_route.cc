@@ -20,106 +20,60 @@ namespace {
 constexpr size_t kRouteCacheCapacity = 8192;
 }  // namespace
 
-PopularRouteMiner::PopularRouteMiner() : route_cache_(kRouteCacheCapacity) {}
-
-PopularRouteMiner::PopularRouteMiner(PopularRouteMiner&& other) noexcept
-    : graph_(std::move(other.graph_)),
-      from_order_(std::move(other.from_order_)),
-      num_transitions_(std::exchange(other.num_transitions_, 0)),
-      max_count_(other.max_count_),
-      route_cache_(kRouteCacheCapacity) {}
-
-PopularRouteMiner& PopularRouteMiner::operator=(
-    PopularRouteMiner&& other) noexcept {
-  if (this != &other) {
-    graph_ = std::move(other.graph_);
-    from_order_ = std::move(other.from_order_);
-    num_transitions_ = std::exchange(other.num_transitions_, 0);
-    max_count_ = other.max_count_;
-    InvalidateCache();
-  }
-  return *this;
-}
-
-void PopularRouteMiner::AddTrajectory(const SymbolicTrajectory& trajectory) {
-  for (size_t i = 0; i + 1 < trajectory.samples.size(); ++i) {
-    LandmarkId a = trajectory.samples[i].landmark;
-    LandmarkId b = trajectory.samples[i + 1].landmark;
-    if (a == b) continue;
-    AddTransitionCount(a, b, 1.0);
-  }
-}
-
-void PopularRouteMiner::AddTransitionCount(LandmarkId a, LandmarkId b,
-                                           double count) {
-  if (a == b || count <= 0) return;
-  InvalidateCache();
-  auto [it, inserted] = graph_.try_emplace(a);
-  if (inserted) from_order_.push_back(a);
-  std::vector<OutEdge>& out = it->second;
-  for (OutEdge& e : out) {
-    if (e.to == b) {
-      e.count += count;
-      max_count_ = std::max(max_count_, e.count);
-      return;
+PopularRouteMiner::PopularRouteMiner(
+    std::span<const Transition> transitions)
+    : route_cache_(kRouteCacheCapacity) {
+  for (const Transition& t : transitions) {
+    if (t.from == t.to || t.count <= 0) continue;
+    auto [it, inserted] = node_index_.try_emplace(t.from, nodes_.size());
+    if (inserted) nodes_.push_back({t.from, {}});
+    std::vector<OutEdge>& out = nodes_[it->second].out;
+    auto edge = std::find_if(out.begin(), out.end(),
+                             [&](const OutEdge& e) { return e.to == t.to; });
+    if (edge != out.end()) {
+      edge->count += t.count;
+    } else {
+      out.push_back({t.to, t.count, 0.0});
     }
   }
-  out.push_back({b, count});
-  ++num_transitions_;
-  max_count_ = std::max(max_count_, count);
+  // Smoothed transfer probabilities (after Chen et al. [7]):
+  //   P = count(a→b) / (Σ_c count(a→c) + κ),  κ = mean out-degree mass.
+  // Summing in first-mined order (not hash order) fixes κ to the last bit
+  // for a given transition list.
+  std::vector<double> out_total(nodes_.size(), 0.0);
+  double total_mass = 0;
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    Node& node = nodes_[i];
+    for (const OutEdge& e : node.out) {
+      out_total[i] += e.count;
+      node.busiest = std::max(node.busiest, e.count);
+    }
+    total_mass += out_total[i];
+    num_transitions_ += node.out.size();
+  }
+  // Pure counts favour globally busy corridors even where they are
+  // locally improbable; pure conditional probabilities make deserted
+  // one-option chains free. The κ smoothing charges rarely-travelled hops
+  // for their rarity while still preferring the likely continuation at
+  // busy landmarks.
+  const double kappa =
+      nodes_.empty() ? 1.0
+                     : total_mass / static_cast<double>(nodes_.size());
+  for (size_t i = 0; i < nodes_.size(); ++i) {
+    for (OutEdge& e : nodes_[i].out) {
+      e.cost = -std::log(e.count / (out_total[i] + kappa));
+    }
+  }
 }
 
 std::vector<PopularRouteMiner::Transition> PopularRouteMiner::Transitions()
     const {
   std::vector<Transition> out;
   out.reserve(NumTransitions());
-  for (LandmarkId from : from_order_) {
-    for (const OutEdge& e : graph_.find(from)->second) {
-      out.push_back({from, e.to, e.count});
-    }
+  for (const Node& node : nodes_) {
+    for (const OutEdge& e : node.out) out.push_back({node.id, e.to, e.count});
   }
   return out;
-}
-
-double PopularRouteMiner::TransitionCount(LandmarkId a, LandmarkId b) const {
-  auto it = graph_.find(a);
-  if (it == graph_.end()) return 0;
-  for (const OutEdge& e : it->second) {
-    if (e.to == b) return e.count;
-  }
-  return 0;
-}
-
-void PopularRouteMiner::InvalidateCache() {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  totals_.reset();
-  route_cache_.Clear();
-}
-
-const PopularRouteMiner::QueryTotals& PopularRouteMiner::EnsureTotals()
-    const {
-  std::lock_guard<std::mutex> lock(cache_mu_);
-  if (totals_ == nullptr) {
-    // Smoothed transfer probabilities (after Chen et al. [7]):
-    //   P = count(a→b) / (Σ_c count(a→c) + κ),  κ = mean out-degree mass.
-    // Iterating from_order_ (not the hash map) keeps the floating-point
-    // accumulation order — and hence κ to the last bit — independent of
-    // hash-table layout, so miners holding the same transitions in the same
-    // first-mined order agree.
-    auto totals = std::make_unique<QueryTotals>();
-    double total_mass = 0;
-    for (LandmarkId from : from_order_) {
-      double total = 0;
-      for (const OutEdge& e : graph_.find(from)->second) total += e.count;
-      totals->out_total[from] = total;
-      total_mass += total;
-    }
-    totals->kappa = graph_.empty()
-                        ? 1.0
-                        : total_mass / static_cast<double>(graph_.size());
-    totals_ = std::move(totals);
-  }
-  return *totals_;
 }
 
 Result<std::vector<LandmarkId>> PopularRouteMiner::PopularRoute(
@@ -138,16 +92,15 @@ Result<std::vector<LandmarkId>> PopularRouteMiner::PopularRoute(
   }
   cache_misses.Increment();
   STMAKER_RETURN_IF_ERROR(CheckContext(ctx));
-  const QueryTotals& totals = EnsureTotals();
   // First try the pruned graph (rare transitions dropped); rare "skip"
   // transitions — artifacts of one trip's anchor set skipping landmarks that
   // every other trip keeps — otherwise beat whole chains of genuine hops by
   // virtue of being a single edge. Fall back to the full graph when pruning
   // disconnects the endpoints.
   Result<std::vector<LandmarkId>> result =
-      PopularRouteImpl(from, to, /*min_count_ratio=*/0.1, totals, ctx);
+      PopularRouteImpl(from, to, /*min_count_ratio=*/0.1, ctx);
   if (!result.ok() && result.status().code() == StatusCode::kNotFound) {
-    result = PopularRouteImpl(from, to, /*min_count_ratio=*/0.0, totals, ctx);
+    result = PopularRouteImpl(from, to, /*min_count_ratio=*/0.0, ctx);
   }
   // Deadline aborts are request-scoped, not a property of the OD
   // pair; memoizing one would poison every later query for the pair.
@@ -165,17 +118,12 @@ CacheStats PopularRouteMiner::Stats() const {
 
 Result<std::vector<LandmarkId>> PopularRouteMiner::PopularRouteImpl(
     LandmarkId from, LandmarkId to, double min_count_ratio,
-    const QueryTotals& totals, const RequestContext* ctx) const {
+    const RequestContext* ctx) const {
   if (from == to) return std::vector<LandmarkId>{from};
-  if (graph_.find(from) == graph_.end()) {
+  if (node_index_.find(from) == node_index_.end()) {
     return Status::NotFound("no historical transitions leave the source");
   }
-  // Dijkstra under cost(a→b) = -log(P(b | a)). Pure counts favour globally
-  // busy corridors even where they are locally improbable; pure conditional
-  // probabilities make deserted one-option chains free. The κ smoothing
-  // charges rarely-travelled hops for their rarity while still preferring
-  // the likely continuation at busy landmarks.
-  const double kappa = totals.kappa;
+  // Dijkstra under cost(a→b) = -log(P(b | a)), precomputed per edge.
   std::unordered_map<LandmarkId, double> dist;
   std::unordered_map<LandmarkId, LandmarkId> prev;
   using QItem = std::pair<double, LandmarkId>;
@@ -198,15 +146,12 @@ Result<std::vector<LandmarkId>> PopularRouteMiner::PopularRouteImpl(
     auto du = dist.find(u);
     if (du != dist.end() && d > du->second) continue;
     if (u == to) break;
-    auto it = graph_.find(u);
-    if (it == graph_.end()) continue;
-    double out_max = 0;
-    for (const OutEdge& e : it->second) out_max = std::max(out_max, e.count);
-    const double u_total = totals.out_total.at(u);
-    for (const OutEdge& e : it->second) {
-      if (e.count < min_count_ratio * out_max) continue;
-      double w = -std::log(e.count / (u_total + kappa));
-      double nd = d + w;
+    auto it = node_index_.find(u);
+    if (it == node_index_.end()) continue;
+    const Node& node = nodes_[it->second];
+    for (const OutEdge& e : node.out) {
+      if (e.count < min_count_ratio * node.busiest) continue;
+      double nd = d + e.cost;
       auto dv = dist.find(e.to);
       if (dv == dist.end() || nd < dv->second) {
         dist[e.to] = nd;

@@ -6,16 +6,16 @@
 /// and its memoized point queries.
 
 #include <cstdint>
-#include <memory>
 #include <mutex>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/context.h"
 #include "common/lru_cache.h"
 #include "common/status.h"
 #include "landmark/landmark.h"
-#include "traj/trajectory.h"
 
 namespace stmaker {
 
@@ -29,21 +29,24 @@ namespace stmaker {
 /// Because more-travelled transitions cost less, the result is the route
 /// "most drivers choose".
 ///
-/// Thread-safety: concurrent const queries (PopularRoute, TransitionCount,
-/// Transitions, ...) are safe — the internal query cache is mutex-guarded.
-/// Mutations (AddTrajectory, AddTransitionCount) must not overlap
-/// queries or each other; STMaker serializes them inside Train.
+/// The graph is fixed at construction. Thread-safety: concurrent const
+/// queries are safe — the route cache is mutex-guarded.
 class PopularRouteMiner {
  public:
-  PopularRouteMiner();
-  PopularRouteMiner(PopularRouteMiner&&) noexcept;
-  PopularRouteMiner& operator=(PopularRouteMiner&&) noexcept;
+  /// One mined transition: a record of the container's transitions
+  /// section.
+  struct Transition {
+    LandmarkId from;
+    LandmarkId to;
+    double count;
+  };
 
-  /// Accumulates the transitions of one historical trajectory.
-  void AddTrajectory(const SymbolicTrajectory& trajectory);
-
-  /// Count of direct transitions from `a` to `b` in the history.
-  double TransitionCount(LandmarkId a, LandmarkId b) const;
+  /// Builds the transition graph from `transitions`: counts of a repeated
+  /// (from, to) pair sum in order; self-transitions and non-positive
+  /// counts are skipped. The smoothing constant κ, each out-edge's -log
+  /// cost and each landmark's busiest out-edge count are computed here,
+  /// once.
+  explicit PopularRouteMiner(std::span<const Transition> transitions = {});
 
   /// The popular route from `from` to `to` as a landmark sequence
   /// (inclusive of both endpoints). NotFound when the history contains no
@@ -62,20 +65,9 @@ class PopularRouteMiner {
   /// Number of distinct (from, to) transitions mined; O(1).
   size_t NumTransitions() const { return num_transitions_; }
 
-  /// One mined transition, for model persistence.
-  struct Transition {
-    LandmarkId from;
-    LandmarkId to;
-    double count;
-  };
-
-  /// All transitions in deterministic first-mined order (serialization
-  /// hook).
+  /// All transitions in deterministic first-mined order, one per distinct
+  /// pair (serialization hook).
   std::vector<Transition> Transitions() const;
-
-  /// Adds `count` pre-aggregated transitions from `a` to `b`
-  /// (deserialization hook).
-  void AddTransitionCount(LandmarkId a, LandmarkId b, double count);
 
   /// Cache observability for benchmarks and serve mode: hit/miss/eviction
   /// counters of the route cache since construction.
@@ -85,13 +77,15 @@ class PopularRouteMiner {
   struct OutEdge {
     LandmarkId to;
     double count;
+    /// -log of the smoothed transfer probability, the Dijkstra weight.
+    double cost;
   };
 
-  /// Pre-query state derived from the graph: per-landmark out-degree mass
-  /// and the smoothing constant κ, rebuilt lazily after mutations.
-  struct QueryTotals {
-    std::unordered_map<LandmarkId, double> out_total;
-    double kappa = 1.0;
+  /// One source landmark and its out-edges, in first-mined order.
+  struct Node {
+    LandmarkId id;
+    std::vector<OutEdge> out;
+    double busiest = 0;  ///< Largest out-edge count.
   };
 
   struct PairHash {
@@ -102,26 +96,18 @@ class PopularRouteMiner {
     }
   };
 
-  /// Drops memoized query state; called by every mutation.
-  void InvalidateCache();
-
-  /// Returns the lazily built totals (caller must not hold cache_mu_).
-  const QueryTotals& EnsureTotals() const;
-
   /// Dijkstra over the transition graph, considering only out-edges whose
   /// count is at least `min_count_ratio` of the landmark's busiest out-edge.
   Result<std::vector<LandmarkId>> PopularRouteImpl(
       LandmarkId from, LandmarkId to, double min_count_ratio,
-      const QueryTotals& totals, const RequestContext* ctx) const;
+      const RequestContext* ctx) const;
 
-  std::unordered_map<LandmarkId, std::vector<OutEdge>> graph_;
-  std::vector<LandmarkId> from_order_;  ///< first-seen order of graph_ keys
-  size_t num_transitions_ = 0;  ///< out-edges across graph_, kept on insert
-  double max_count_ = 0;
+  std::vector<Node> nodes_;  ///< first-mined order
+  std::unordered_map<LandmarkId, size_t> node_index_;  ///< id -> nodes_ slot
+  size_t num_transitions_ = 0;  ///< out-edges across nodes_
 
-  /// Query-side memoization (route LRU + totals), guarded by cache_mu_.
+  /// Query-side memoization, guarded by cache_mu_.
   mutable std::mutex cache_mu_;
-  mutable std::unique_ptr<QueryTotals> totals_;
   mutable LruCache<std::pair<LandmarkId, LandmarkId>,
                    Result<std::vector<LandmarkId>>, PairHash>
       route_cache_;

@@ -28,6 +28,7 @@ STMaker::STMaker(const RoadNetwork* network, LandmarkIndex* landmarks,
       registry_(std::move(registry)),
       options_(options),
       calibrator_(landmarks, options.calibration),
+      miner_(std::make_unique<const PopularRouteMiner>()),
       road_router_(network) {
   STMAKER_CHECK(network != nullptr);
   STMAKER_CHECK(landmarks != nullptr);
@@ -204,31 +205,22 @@ Result<IngestReport> STMaker::IngestCorpus(
   // Merge in block order: shard 0 holds the leftmost trajectories, so this
   // replays the corpus left to right exactly as the serial loop would.
   for (const IngestShard& shard : shards) visits->Merge(shard.visits);
-  // The feature map is built in corpus order, then folded once into an
-  // empty map: the fold regroups the global sums by edge, exactly as
-  // LoadModelContainer's replay of the feature-edges section computes
-  // them, so a trained and a container-loaded model agree to the last ulp.
-  HistoricalFeatureMap batch(registry_.size());
+  // One transition and one feature-map record per corpus segment, in
+  // corpus order: the miner and the map sum them exactly as they sum the
+  // records of a container load.
+  std::vector<PopularRouteMiner::Transition> transitions;
+  std::vector<HistoricalFeatureMap::EdgeRecord> edges;
   for (size_t i = 0; i < history.size(); ++i) {
     const std::vector<LandmarkId>& sequence = descriptors[i].sequence;
     for (size_t s = 0; s + 1 < sequence.size(); ++s) {
-      batch.AddSegment(sequence[s], sequence[s + 1], segments[i][s].values);
+      transitions.push_back({sequence[s], sequence[s + 1], 1.0});
+      edges.push_back({sequence[s], sequence[s + 1],
+                       std::move(segments[i][s].values), 1.0});
     }
   }
-  feature_map_ = std::make_unique<HistoricalFeatureMap>(registry_.size());
-  feature_map_->Merge(batch);
-  // Popular-route mining consumes the index descriptors instead of
-  // rescanning the corpus: replaying each trip's symbolic sequence in
-  // corpus order performs exactly the AddTrajectory() calls of a serial
-  // ingest (consecutive pairs, self-transitions skipped, +1 per pair), so
-  // the transition graph — and its serialization — is unchanged and
-  // thread-count independent.
-  for (const TripDescriptor& d : descriptors) {
-    for (size_t s = 0; s + 1 < d.sequence.size(); ++s) {
-      if (d.sequence[s] == d.sequence[s + 1]) continue;
-      miner_.AddTransitionCount(d.sequence[s], d.sequence[s + 1], 1.0);
-    }
-  }
+  miner_ = std::make_unique<const PopularRouteMiner>(transitions);
+  feature_map_ =
+      std::make_unique<HistoricalFeatureMap>(registry_.size(), edges);
   BuildTrajectoryIndex(std::move(descriptors));
   num_trained_ = report.ingested;
   // One registry update per corpus from the merged report (not per shard),
@@ -272,10 +264,10 @@ void STMaker::BuildTrajectoryIndex(std::vector<TripDescriptor> descriptors) {
 
 Result<IngestReport> STMaker::TrainWithReport(
     const std::vector<RawTrajectory>& history) {
-  feature_map_.reset();
-  miner_ = PopularRouteMiner();
-  num_trained_ = 0;
   analyzer_.reset();
+  feature_map_.reset();
+  miner_ = std::make_unique<const PopularRouteMiner>();
+  num_trained_ = 0;
   trip_index_.reset();
 
   // The visit corpus feeds HITS and is dropped: nothing after training
@@ -289,13 +281,17 @@ Result<IngestReport> STMaker::TrainWithReport(
         "training corpus yielded fewer than two calibrated trajectories (" +
         report->ToString() + ")");
   }
-  visits.BuildModel(landmarks_->size()).Apply(landmarks_);
+  const std::vector<double> significance =
+      visits.Significance(landmarks_->size());
+  for (size_t i = 0; i < significance.size(); ++i) {
+    landmarks_->SetSignificance(static_cast<LandmarkId>(i), significance[i]);
+  }
   // Thinning breaks exact distance ties by significance, so calibrations
   // memoized under the old scores (the ingest just ran through the cache)
   // may keep the other anchor: start from an empty cache.
   calibrator_ = Calibrator(landmarks_, options_.calibration);
-  analyzer_ = std::make_unique<IrregularityAnalyzer>(&registry_, &miner_,
-                                                     feature_map_.get());
+  analyzer_ = std::make_unique<IrregularityAnalyzer>(
+      &registry_, miner_.get(), feature_map_.get());
   return report;
 }
 
@@ -368,7 +364,7 @@ Result<Summary> STMaker::SummarizeStages(const RawTrajectory& raw,
   if (analyzer_ == nullptr) {
     return Status::FailedPrecondition("STMaker::Train must run first");
   }
-  if (options.eta < 0) {
+  if (!(options.eta >= 0)) {  // also rejects NaN
     return Status::InvalidArgument("eta must be non-negative");
   }
   // An already-expired request fails here, before any work, so

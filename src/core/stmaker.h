@@ -292,9 +292,9 @@ class STMaker {
   /// Hit/miss/eviction counters of the serving-path caches (serve mode
   /// prints these on shutdown).
   CacheStats CalibrationCacheStats() const { return calibrator_.Stats(); }
-  CacheStats RouteCacheStats() const { return miner_.Stats(); }
+  CacheStats RouteCacheStats() const { return miner_->Stats(); }
 
-  const PopularRouteMiner& popular_routes() const { return miner_; }
+  const PopularRouteMiner& popular_routes() const { return *miner_; }
   const HistoricalFeatureMap* feature_map() const {
     return feature_map_.get();
   }
@@ -317,8 +317,8 @@ class STMaker {
   /// contiguous block of `history`: the visit corpus goes into private
   /// shard accumulators merged in block order (integral counts, so the
   /// merge is exact — see VisitCorpus::Merge), while each trip's
-  /// descriptor and segment features land in its own slot and are folded
-  /// into the miner and the feature map in corpus order afterwards. Either
+  /// descriptor and segment features land in its own slot, from which the
+  /// miner and the feature map are built once, in corpus order. Either
   /// way the result is the serial left-to-right ingest, bit for bit, at
   /// every thread count. Unusable trajectories are quarantined into the
   /// report. When the quarantine fraction exceeds
@@ -348,7 +348,9 @@ class STMaker {
   Calibrator calibrator_;
   std::unique_ptr<FeatureExtractor> extractor_;
   Partitioner partitioner_;
-  PopularRouteMiner miner_;
+  /// Never null: an empty miner until Train or LoadModelContainer builds
+  /// one.
+  std::unique_ptr<const PopularRouteMiner> miner_;
   std::unique_ptr<HistoricalFeatureMap> feature_map_;
   std::unique_ptr<IrregularityAnalyzer> analyzer_;
   size_t num_trained_ = 0;

@@ -190,7 +190,7 @@ Status STMaker::SaveModelContainer(
   ContainerWriter writer;
 
   const std::vector<PopularRouteMiner::Transition> transitions =
-      miner_.Transitions();
+      miner_->Transitions();
   const std::vector<HistoricalFeatureMap::EdgeRecord> feature_edges =
       feature_map_->Edges();
 
@@ -687,7 +687,7 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
   // routing hierarchy goes too — it belongs to the model being replaced.
   analyzer_.reset();
   feature_map_.reset();
-  miner_ = PopularRouteMiner();
+  miner_ = std::make_unique<const PopularRouteMiner>();
   num_trained_ = 0;
   trip_index_.reset();
   road_router_.AttachHierarchy(nullptr);
@@ -720,8 +720,8 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
 
   // --- Parse every section into locals; commit only after all succeed. ------
 
-  // Transitions, replayed in first-mined order.
-  PopularRouteMiner miner;
+  // Transitions, in first-mined order.
+  std::unique_ptr<const PopularRouteMiner> miner;
   {
     STMAKER_ASSIGN_OR_RETURN(const SectionEntry* entry,
                              RequiredSection(c, SectionType::kTransitions));
@@ -731,14 +731,17 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
       return CountMismatch(c, SectionType::kTransitions, records.size(),
                            meta.num_transitions);
     }
+    std::vector<PopularRouteMiner::Transition> transitions;
+    transitions.reserve(records.size());
     for (const TransitionRecord& t : records) {
-      miner.AddTransitionCount(t.from, t.to, t.count);
+      transitions.push_back({t.from, t.to, t.count});
     }
+    miner = std::make_unique<const PopularRouteMiner>(transitions);
   }
 
-  // Feature map, replayed in first-annotated order; the stats section is
-  // recomputed over the same replay and must match bitwise.
-  auto map = std::make_unique<HistoricalFeatureMap>(F);
+  // Feature map, one record per edge in first-annotated order; the stats
+  // section is recomputed over the same records and must match bitwise.
+  std::unique_ptr<HistoricalFeatureMap> map;
   double stats_count = 0;
   std::vector<double> stats_sums(F, 0.0);
   {
@@ -756,22 +759,29 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
     }
     const std::string_view blob = c.Blob(*entry);
     const char* p = blob.data();
-    std::vector<double> sums(F, 0.0);
+    std::vector<HistoricalFeatureMap::EdgeRecord> edges;
+    edges.reserve(entry->record_count);
     for (uint64_t i = 0; i < entry->record_count; ++i) {
-      const int64_t from = ReadPodAt<int64_t>(p);
-      const int64_t to = ReadPodAt<int64_t>(p + 8);
-      const double count = ReadPodAt<double>(p + 16);
+      HistoricalFeatureMap::EdgeRecord edge{ReadPodAt<int64_t>(p),
+                                            ReadPodAt<int64_t>(p + 8),
+                                            std::vector<double>(F),
+                                            ReadPodAt<double>(p + 16)};
       for (size_t f = 0; f < F; ++f) {
-        sums[f] = ReadPodAt<double>(p + 24 + 8 * f);
+        edge.sums[f] = ReadPodAt<double>(p + 24 + 8 * f);
       }
       p += width;
-      if (count <= 0) {
+      if (edge.count <= 0) {
         return Status::InvalidArgument(c.path() +
                                        ": non-positive feature map count");
       }
-      map->AddAccumulated(from, to, sums, count);
-      stats_count += count;
-      for (size_t f = 0; f < F; ++f) stats_sums[f] += sums[f];
+      stats_count += edge.count;
+      for (size_t f = 0; f < F; ++f) stats_sums[f] += edge.sums[f];
+      edges.push_back(std::move(edge));
+    }
+    map = std::make_unique<HistoricalFeatureMap>(F, edges);
+    if (map->NumEdges() != edges.size()) {
+      return Status::InvalidArgument(
+          c.path() + ": feature-edges section repeats an edge");
     }
   }
   {
@@ -930,8 +940,8 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
   }
   miner_ = std::move(miner);
   feature_map_ = std::move(map);
-  analyzer_ = std::make_unique<IrregularityAnalyzer>(&registry_, &miner_,
-                                                     feature_map_.get());
+  analyzer_ = std::make_unique<IrregularityAnalyzer>(
+      &registry_, miner_.get(), feature_map_.get());
   return Status::OK();
 }
 

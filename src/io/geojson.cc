@@ -16,35 +16,6 @@ void EmitPosition(JsonWriter* json, const LocalProjection& projection,
 
 }  // namespace
 
-std::string TrajectoryToGeoJson(const RawTrajectory& trajectory,
-                                const LocalProjection& projection) {
-  JsonWriter json;
-  json.BeginObject();
-  json.Key("type").String("FeatureCollection");
-  json.Key("features").BeginArray();
-  json.BeginObject();
-  json.Key("type").String("Feature");
-  json.Key("properties").BeginObject();
-  json.Key("kind").String("raw_trajectory");
-  json.Key("traveler").Int(trajectory.traveler);
-  json.Key("start_time").Number(trajectory.StartTime());
-  json.Key("end_time").Number(trajectory.EndTime());
-  json.Key("num_fixes").Int(static_cast<long long>(trajectory.size()));
-  json.EndObject();
-  json.Key("geometry").BeginObject();
-  json.Key("type").String("LineString");
-  json.Key("coordinates").BeginArray();
-  for (const RawSample& s : trajectory.samples) {
-    EmitPosition(&json, projection, s.pos);
-  }
-  json.EndArray();
-  json.EndObject();
-  json.EndObject();
-  json.EndArray();
-  json.EndObject();
-  return json.str();
-}
-
 std::string SummaryToGeoJson(const Summary& summary,
                              const LandmarkIndex& landmarks,
                              const LocalProjection& projection) {

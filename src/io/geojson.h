@@ -2,14 +2,13 @@
 #define STMAKER_IO_GEOJSON_H_
 
 /// \file
-/// GeoJSON export of trajectories and summaries for map visualization.
+/// GeoJSON export of summaries for map visualization.
 
 #include <string>
 
 #include "core/summary.h"
 #include "geo/projection.h"
 #include "landmark/landmark_index.h"
-#include "traj/trajectory.h"
 
 namespace stmaker {
 
@@ -17,11 +16,6 @@ namespace stmaker {
 ///
 /// Coordinates are converted from the local plane back to WGS-84 with the
 /// supplied projection.
-
-/// The raw trajectory as a FeatureCollection holding one LineString with
-/// `start_time`/`end_time` properties.
-std::string TrajectoryToGeoJson(const RawTrajectory& trajectory,
-                                const LocalProjection& projection);
 
 /// A summary as a FeatureCollection: one Point per partition-boundary
 /// landmark (name, significance, and the partition sentence on the source

@@ -21,8 +21,9 @@ enum class LandmarkKind {
 };
 
 /// A stable, trajectory-independent geographical anchor (Def. 2). The
-/// significance field (l.s in the paper) is filled in by SignificanceModel
-/// and drives partition boundaries.
+/// significance field (l.s in the paper) is filled in by training (HITS
+/// over the visit corpus, VisitCorpus::Significance) and drives partition
+/// boundaries.
 struct Landmark {
   LandmarkId id = -1;
   Vec2 pos;

@@ -73,7 +73,8 @@ class LandmarkIndex {
   /// Nearest landmark id, or -1 (respecting `max_radius` if >= 0).
   LandmarkId Nearest(const Vec2& p, double max_radius = -1) const;
 
-  /// Installs the significance score (l.s) computed by SignificanceModel.
+  /// Installs the significance score (l.s) computed by
+  /// VisitCorpus::Significance.
   void SetSignificance(LandmarkId id, double significance);
 
   /// For a turning-point landmark, the road-network node it sits on; -1 for

@@ -114,7 +114,6 @@ RoadNetwork& RoadNetwork::operator=(RoadNetwork&& other) noexcept {
   csr_offsets_view_ = other.csr_offsets_view_;
   csr_entries_view_ = other.csr_entries_view_;
   adopted_ = other.adopted_;
-  pending_ = std::move(other.pending_);
   csr_dirty_.store(other.csr_dirty_.load(std::memory_order_acquire),
                    std::memory_order_release);
   csr_mu_ = std::move(other.csr_mu_);
@@ -166,11 +165,6 @@ Result<EdgeId> RoadNetwork::AddEdge(NodeId from, NodeId to, RoadGrade grade,
       {static_cast<int32_t>(from), static_cast<int32_t>(to)});
   edge_geom_view_ = edge_geom_;
   edge_ends_view_ = edge_ends_;
-
-  pending_.push_back({from, Adjacency{id, to, /*forward=*/true}});
-  if (direction == TrafficDirection::kTwoWay) {
-    pending_.push_back({to, Adjacency{id, from, /*forward=*/false}});
-  }
   csr_dirty_.store(true, std::memory_order_release);
   undirected_degree_[from]++;
   undirected_degree_[to]++;
@@ -182,40 +176,33 @@ void RoadNetwork::FinalizeAdjacency() const {
   std::lock_guard<std::mutex> lock(*csr_mu_);
   if (!csr_dirty_.load(std::memory_order_relaxed)) return;  // raced; done
 
-  // Merge the already-packed entries with the pending ones via a stable
-  // counting sort keyed by node, preserving AddEdge order per node (the
-  // order the old per-node vectors produced, which tie-breaks in routing
-  // and trip generation depend on).
+  // Rebuild the block from the edge list with a counting sort keyed by
+  // node. Edges are visited in id order, which is AddEdge order, so each
+  // node keeps its entries in AddEdge order (the order routing and trip
+  // generation tie-breaks depend on).
   const size_t n = nodes_.size();
-  std::vector<uint32_t> counts(n + 1, 0);
-  std::vector<uint32_t> old_offsets = std::move(csr_offsets_);
-  std::vector<Adjacency> old_entries = std::move(csr_entries_);
-  const size_t old_nodes =
-      old_offsets.empty() ? 0 : old_offsets.size() - 1;
-  for (size_t u = 0; u < old_nodes; ++u) {
-    counts[u] += old_offsets[u + 1] - old_offsets[u];
-  }
-  for (const auto& [u, adj] : pending_) {
-    counts[static_cast<size_t>(u)]++;
-  }
   std::vector<uint32_t> offsets(n + 1, 0);
-  for (size_t u = 0; u < n; ++u) offsets[u + 1] = offsets[u] + counts[u];
-  std::vector<Adjacency> entries(offsets[n]);
-  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-  for (size_t u = 0; u < old_nodes; ++u) {
-    for (uint32_t i = old_offsets[u]; i < old_offsets[u + 1]; ++i) {
-      entries[cursor[u]++] = old_entries[i];
+  for (const RoadEdge& e : edges_) {
+    ++offsets[static_cast<size_t>(e.from) + 1];
+    if (e.direction == TrafficDirection::kTwoWay) {
+      ++offsets[static_cast<size_t>(e.to) + 1];
     }
   }
-  for (const auto& [u, adj] : pending_) {
-    entries[cursor[static_cast<size_t>(u)]++] = adj;
+  for (size_t u = 0; u < n; ++u) offsets[u + 1] += offsets[u];
+  std::vector<Adjacency> entries(offsets[n]);
+  std::vector<uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const RoadEdge& e : edges_) {
+    entries[cursor[static_cast<size_t>(e.from)]++] =
+        Adjacency{e.id, e.to, /*forward=*/true};
+    if (e.direction == TrafficDirection::kTwoWay) {
+      entries[cursor[static_cast<size_t>(e.to)]++] =
+          Adjacency{e.id, e.from, /*forward=*/false};
+    }
   }
   csr_offsets_ = std::move(offsets);
   csr_entries_ = std::move(entries);
   csr_offsets_view_ = csr_offsets_;
   csr_entries_view_ = csr_entries_;
-  pending_.clear();
-  pending_.shrink_to_fit();
   csr_dirty_.store(false, std::memory_order_release);
 }
 

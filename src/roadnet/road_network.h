@@ -226,10 +226,9 @@ class RoadNetwork {
   bool adopted() const { return adopted_; }
 
  private:
-  /// Rebuilds the CSR adjacency block from `pending_` (entries added since
-  /// the last finalize). Called lazily from OutEdges under `csr_mu_`;
-  /// logically const (the directed adjacency it materializes is fixed by
-  /// the AddEdge history).
+  /// Rebuilds the CSR adjacency block from the edge list. Called lazily
+  /// from OutEdges under `csr_mu_`; logically const (the directed
+  /// adjacency it materializes is fixed by the edge list).
   void FinalizeAdjacency() const;
 
   /// Deduplicating exact-distance scan over the index cells overlapping
@@ -264,11 +263,9 @@ class RoadNetwork {
   // Mutable + mutex: finalized lazily on first query after a mutation.
   mutable std::vector<uint32_t> csr_offsets_;
   mutable std::vector<Adjacency> csr_entries_;
-  /// Directed entries recorded since the last finalize, in insertion order.
-  mutable std::vector<std::pair<NodeId, Adjacency>> pending_;
-  /// True when `pending_` holds entries (or nodes were added) not yet
-  /// merged into the CSR block. Acquire/release pairs the lazy finalize
-  /// with concurrent readers.
+  /// True when nodes or edges were added since the CSR block was last
+  /// built. Acquire/release pairs the lazy finalize with concurrent
+  /// readers.
   mutable std::atomic<bool> csr_dirty_{false};
   mutable std::unique_ptr<std::mutex> csr_mu_ =
       std::make_unique<std::mutex>();

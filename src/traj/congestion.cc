@@ -54,9 +54,4 @@ double IntersectionStopMeanSeconds(double time_of_day_s) {
   return 25.0 + 50.0 * intensity;
 }
 
-int TwoHourBucket(double time_of_day_s) {
-  int bucket = static_cast<int>(Hours(time_of_day_s) / 2.0);
-  return std::clamp(bucket, 0, 11);
-}
-
 }  // namespace stmaker

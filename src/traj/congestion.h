@@ -29,10 +29,6 @@ double IntersectionStopProbability(double time_of_day_s);
 /// Mean duration of an intersection hold, seconds, at the given time of day.
 double IntersectionStopMeanSeconds(double time_of_day_s);
 
-/// The 12 two-hour buckets used throughout the evaluation (Fig. 8);
-/// bucket i covers [2i, 2i+2) hours. Returns i in [0, 12).
-int TwoHourBucket(double time_of_day_s);
-
 }  // namespace stmaker
 
 #endif  // STMAKER_TRAJ_CONGESTION_H_

@@ -95,6 +95,34 @@ grep -q "serve does not take --thread$" "$DIR/flag.err" || {
   > /dev/null
 cmp "$DIR/model.stm" "$DIR/copy2.stm"
 
+# A word that is neither a flag nor a flag's value -> 2; the switches
+# --json and --geojson take no value.
+for extra in "stray" "--json extra"; do
+  rc=0
+  # shellcheck disable=SC2086  # word-split the extra words on purpose
+  "$CLI" summarize --model "$DIR/model.stm" --trip 3 $extra \
+    > /dev/null 2>&1 || rc=$?
+  [[ $rc -eq 2 ]] || {
+    echo "summarize --trip 3 $extra: want exit 2, got $rc"; exit 1; }
+done
+
+# Numeric flags are read strictly: a malformed, non-finite or out-of-range
+# value -> 3, before any work (never read as 0, never a generator CHECK).
+for bad in "summarize --model $DIR/model.stm --trip abc" \
+           "summarize --model $DIR/model.stm --trip 3 --k two" \
+           "summarize --model $DIR/model.stm --trip 3 --eta nan" \
+           "gen --dir $DIR/gen_bad --blocks ten" \
+           "gen --dir $DIR/gen_bad --blocks 3" \
+           "gen --dir $DIR/gen_bad --pois -3" \
+           "gen --dir $DIR/gen_bad --trips -5" \
+           "stats --dir $DIR --trips many" \
+           "group --dir $DIR --from-hour 25"; do
+  rc=0
+  # shellcheck disable=SC2086  # word-split the command on purpose
+  "$CLI" $bad > /dev/null 2>&1 || rc=$?
+  [[ $rc -eq 3 ]] || { echo "$bad: want exit 3, got $rc"; exit 1; }
+done
+
 # Out-of-range trip index -> 5.
 rc=0; "$CLI" summarize --dir "$DIR" --trip 99999 2>/dev/null || rc=$?
 [[ $rc -eq 5 ]] || { echo "out-of-range trip: want exit 5, got $rc"; exit 1; }

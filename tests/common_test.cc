@@ -281,14 +281,6 @@ TEST(StringsTest, Trim) {
   EXPECT_EQ(Trim("\t a b \n"), "a b");
 }
 
-TEST(StringsTest, StartsEndsWith) {
-  EXPECT_TRUE(StartsWith("foobar", "foo"));
-  EXPECT_FALSE(StartsWith("foobar", "bar"));
-  EXPECT_TRUE(EndsWith("foobar", "bar"));
-  EXPECT_FALSE(EndsWith("foobar", "foo"));
-  EXPECT_TRUE(StartsWith("x", ""));
-}
-
 TEST(StringsTest, StrFormat) {
   EXPECT_EQ(StrFormat("%d-%s", 3, "abc"), "3-abc");
   EXPECT_EQ(StrFormat("%.2f", 1.005), "1.00");

@@ -80,18 +80,11 @@ SectionEntry EntryOf(const std::string& bytes, SectionType type) {
   return SectionEntry{};
 }
 
-/// Overwrites record `index` of the `type` section with `record`, then
-/// recomputes the section CRC and re-seals the header: the
-/// hostile-but-checksummed file that only the semantic validation can
-/// catch.
-template <typename Record>
-void PatchRecord(std::string* bytes, SectionType type, size_t index,
-                 const Record& record) {
+/// Recomputes the CRC of the `type` section after a payload patch and
+/// re-seals the header: the hostile-but-checksummed file that only the
+/// semantic validation can catch.
+void ResealSectionCrc(std::string* bytes, SectionType type) {
   const SectionEntry entry = EntryOf(*bytes, type);
-  ASSERT_EQ(entry.record_width, sizeof(record));
-  ASSERT_LT(index, entry.record_count);
-  std::memcpy(bytes->data() + entry.offset + index * sizeof(record), &record,
-              sizeof(record));
   const uint32_t crc = Crc32(std::string_view(
       bytes->data() + entry.offset, static_cast<size_t>(entry.bytes)));
   for (size_t i = 0; i < TableOf(*bytes).size(); ++i) {
@@ -103,6 +96,19 @@ void PatchRecord(std::string* bytes, SectionType type, size_t index,
     std::memcpy(bytes->data() + at, &e, sizeof(e));
   }
   ResealHeaderCrc(bytes);
+}
+
+/// Overwrites record `index` of the `type` section with `record`, then
+/// re-seals every CRC.
+template <typename Record>
+void PatchRecord(std::string* bytes, SectionType type, size_t index,
+                 const Record& record) {
+  const SectionEntry entry = EntryOf(*bytes, type);
+  ASSERT_EQ(entry.record_width, sizeof(record));
+  ASSERT_LT(index, entry.record_count);
+  std::memcpy(bytes->data() + entry.offset + index * sizeof(record), &record,
+              sizeof(record));
+  ResealSectionCrc(bytes, type);
 }
 
 template <typename Record>
@@ -553,6 +559,18 @@ TEST_F(ContainerTest, HostileRecordsFailTheLoadAndRollBackAReload) {
          PatchRecord(bytes, SectionType::kLandmarks, 0, nan_landmark);
        },
        "section 'landmarks' record 0 position"},
+      // Record 1 takes record 0's (from, to) and keeps its own count and
+      // sums, so the stats section, which sums only those, still agrees.
+      {"feature map repeats an edge", SectionType::kFeatureEdges,
+       [](std::string* bytes) {
+         const SectionEntry entry =
+             EntryOf(*bytes, SectionType::kFeatureEdges);
+         ASSERT_GE(entry.record_count, 2u);
+         std::memcpy(bytes->data() + entry.offset + entry.record_width,
+                     bytes->data() + entry.offset, 2 * sizeof(int64_t));
+         ResealSectionCrc(bytes, SectionType::kFeatureEdges);
+       },
+       "feature-edges section repeats an edge"},
   };
 
   ModelManagerOptions opts;

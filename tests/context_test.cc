@@ -120,17 +120,6 @@ TEST(CacheStatsTest, OverwritingAKeyIsNotAnEviction) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-TEST(CacheStatsTest, ClearDropsEntriesButKeepsCounters) {
-  LruCache<int, int> cache(2);
-  cache.Put(1, 10);
-  (void)cache.Get(1);
-  (void)cache.Get(9);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
-}
-
 TEST(CacheStatsTest, ToStringIsHumanReadable) {
   CacheStats stats{3, 1, 2};
   EXPECT_EQ(stats.ToString(),

@@ -531,19 +531,6 @@ TEST(SummaryJsonTest, SerializesRealSummary) {
 // GeoJSON export
 // --------------------------------------------------------------------------
 
-TEST(GeoJsonTest, TrajectoryExportIsWellFormed) {
-  LocalProjection projection(LatLon{39.9, 116.4});
-  RawTrajectory t;
-  t.traveler = 3;
-  t.samples = {{{0, 0}, 100.0}, {{500, 0}, 150.0}, {{500, 500}, 200.0}};
-  std::string geojson = TrajectoryToGeoJson(t, projection);
-  EXPECT_NE(geojson.find("\"FeatureCollection\""), std::string::npos);
-  EXPECT_NE(geojson.find("\"LineString\""), std::string::npos);
-  EXPECT_NE(geojson.find("\"raw_trajectory\""), std::string::npos);
-  // The first coordinate is the projection origin (lon first per GeoJSON).
-  EXPECT_NE(geojson.find("[116.4,39.9]"), std::string::npos);
-}
-
 TEST(GeoJsonTest, SummaryExportContainsPartitionsAndLandmarks) {
   const auto& world = GetTestWorld();
   Random rng(12);

@@ -12,10 +12,11 @@ namespace {
 // HistoricalFeatureMap
 // --------------------------------------------------------------------------
 
+using EdgeRecords = std::vector<HistoricalFeatureMap::EdgeRecord>;
+
 TEST(FeatureMapTest, AveragesAccumulate) {
-  HistoricalFeatureMap map(2);
-  map.AddSegment(1, 2, {10, 1});
-  map.AddSegment(1, 2, {20, 3});
+  HistoricalFeatureMap map(2, EdgeRecords{{1, 2, {10, 1}, 1},
+                                          {1, 2, {20, 3}, 1}});
   HistoricalFeatureMap::Row avg = map.Lookup(1, 2);
   EXPECT_DOUBLE_EQ(avg[0], 15.0);
   EXPECT_DOUBLE_EQ(avg[1], 2.0);
@@ -23,17 +24,14 @@ TEST(FeatureMapTest, AveragesAccumulate) {
 }
 
 TEST(FeatureMapTest, DirectionalEdges) {
-  HistoricalFeatureMap map(1);
-  map.AddSegment(1, 2, {10});
-  map.AddSegment(3, 4, {30});
+  HistoricalFeatureMap map(1, EdgeRecords{{1, 2, {10}, 1}, {3, 4, {30}, 1}});
   EXPECT_DOUBLE_EQ(map.Lookup(1, 2)[0], 10.0);
   EXPECT_DOUBLE_EQ(map.Lookup(2, 1)[0], 20.0);  // unseen: global average
 }
 
 TEST(FeatureMapTest, MissingEdgeReadsTheGlobalAverage) {
-  HistoricalFeatureMap map(2);
-  map.AddSegment(1, 2, {10, 1});
-  map.AddSegment(3, 4, {30, 2});
+  HistoricalFeatureMap map(2, EdgeRecords{{1, 2, {10, 1}, 1},
+                                          {3, 4, {30, 2}, 1}});
   HistoricalFeatureMap::Row missing = map.Lookup(5, 6);
   for (size_t f = 0; f < 2; ++f) {
     EXPECT_EQ(missing[f], map.GlobalAverage(f));
@@ -46,22 +44,33 @@ TEST(FeatureMapTest, EmptyMapReadsZeros) {
   for (size_t f = 0; f < 3; ++f) EXPECT_EQ(missing[f], 0.0);
 }
 
-TEST(FeatureMapTest, LookupReadsTheCurrentSums) {
-  // A row divides the edge's running sums when read: bit-identical to the
-  // average of what was accumulated so far.
-  HistoricalFeatureMap map(1);
-  map.AddSegment(1, 2, {0.1});
-  map.AddSegment(1, 2, {0.2});
-  EXPECT_EQ(map.Lookup(1, 2)[0], (0.1 + 0.2) / 2.0);
-  map.AddSegment(1, 2, {0.4});
-  EXPECT_EQ(map.Lookup(1, 2)[0], (0.1 + 0.2 + 0.4) / 3.0);
+TEST(FeatureMapTest, LookupDividesTheEdgeSums) {
+  // A row divides the edge's sums when read: bit-identical to the average
+  // of its records.
+  HistoricalFeatureMap two(1, EdgeRecords{{1, 2, {0.1}, 1},
+                                          {1, 2, {0.2}, 1}});
+  EXPECT_EQ(two.Lookup(1, 2)[0], (0.1 + 0.2) / 2.0);
+  HistoricalFeatureMap three(1, EdgeRecords{{1, 2, {0.1}, 1},
+                                            {1, 2, {0.2}, 1},
+                                            {1, 2, {0.4}, 1}});
+  EXPECT_EQ(three.Lookup(1, 2)[0], (0.1 + 0.2 + 0.4) / 3.0);
 }
 
 TEST(FeatureMapTest, GlobalAverageSpansAllEdges) {
-  HistoricalFeatureMap map(1);
-  map.AddSegment(1, 2, {10});
-  map.AddSegment(3, 4, {30});
+  HistoricalFeatureMap map(1, EdgeRecords{{1, 2, {10}, 1}, {3, 4, {30}, 1}});
   EXPECT_DOUBLE_EQ(map.GlobalAverage(0), 20.0);
+}
+
+TEST(FeatureMapTest, GlobalRowSumsEdgeTotalsInFirstSeenOrder) {
+  // Records a, b, c on edges e1, e2, e1: the global sum is (a + c) + b,
+  // grouped by edge, as a map rebuilt from Edges() computes it. Record
+  // order would give (a + b) + c = 0, since 1e16 + 1 rounds to 1e16.
+  HistoricalFeatureMap map(1, EdgeRecords{{1, 2, {1e16}, 1},
+                                          {3, 4, {1}, 1},
+                                          {1, 2, {-1e16}, 1}});
+  EXPECT_EQ(map.GlobalAverage(0), 1.0 / 3.0);
+  HistoricalFeatureMap rebuilt(1, map.Edges());
+  EXPECT_EQ(rebuilt.GlobalAverage(0), map.GlobalAverage(0));
 }
 
 TEST(FeatureMapTest, GlobalAverageEmptyMapIsZero) {
@@ -156,16 +165,27 @@ class IrregularityTest : public ::testing::Test {
  protected:
   IrregularityTest()
       : registry_(FeatureRegistry::BuiltIn()),
-        map_(registry_.size()) {
-    // History: ten identical trips.
-    for (int i = 0; i < 10; ++i) {
-      SymbolicTrajectory t;
-      t.samples = {{0, 0.0}, {1, 60.0}, {2, 120.0}};
-      miner_.AddTrajectory(t);
-      map_.AddSegment(0, 1, {3, 20, 1, 50, 0, 0});
-      map_.AddSegment(1, 2, {3, 20, 1, 50, 0, 0});
-    }
+        miner_(HistoryTransitions()),
+        map_(registry_.size(), HistoryEdges()) {
     symbolic_.samples = {{0, 0.0}, {1, 60.0}, {2, 120.0}};
+  }
+
+  // History: ten identical trips 0→1→2.
+  static std::vector<PopularRouteMiner::Transition> HistoryTransitions() {
+    std::vector<PopularRouteMiner::Transition> out;
+    for (int i = 0; i < 10; ++i) {
+      out.push_back({0, 1, 1.0});
+      out.push_back({1, 2, 1.0});
+    }
+    return out;
+  }
+  static EdgeRecords HistoryEdges() {
+    EdgeRecords out;
+    for (int i = 0; i < 10; ++i) {
+      out.push_back({0, 1, {3, 20, 1, 50, 0, 0}, 1});
+      out.push_back({1, 2, {3, 20, 1, 50, 0, 0}, 1});
+    }
+    return out;
   }
 
   std::vector<SegmentFeatures> SegmentsWith(

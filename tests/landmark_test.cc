@@ -268,17 +268,17 @@ TEST_F(PoiTest, SetSignificancePersists) {
 }
 
 // --------------------------------------------------------------------------
-// SignificanceModel (HITS)
+// Landmark significance (HITS over the visit corpus)
 // --------------------------------------------------------------------------
 
 TEST(SignificanceTest, MoreVisitedLandmarkScoresHigher) {
-  SignificanceModel model(/*num_travelers=*/20, /*num_landmarks=*/3);
+  VisitCorpus corpus;
   // Landmark 0 visited by everyone, landmark 1 by half, landmark 2 never.
   for (int64_t u = 0; u < 20; ++u) {
-    model.AddVisit(u, 0);
-    if (u % 2 == 0) model.AddVisit(u, 1);
+    corpus.AddTrajectory(u, u % 2 == 0 ? std::vector<LandmarkId>{0, 1}
+                                       : std::vector<LandmarkId>{0});
   }
-  std::vector<double> s = model.Compute();
+  std::vector<double> s = corpus.Significance(3);
   ASSERT_EQ(s.size(), 3u);
   EXPECT_DOUBLE_EQ(s[0], 1.0);  // max-normalized
   EXPECT_GT(s[0], s[1]);
@@ -287,24 +287,23 @@ TEST(SignificanceTest, MoreVisitedLandmarkScoresHigher) {
 }
 
 TEST(SignificanceTest, RepeatVisitsAddWeight) {
-  SignificanceModel model(2, 2);
-  model.AddVisit(0, 0);
-  model.AddVisit(0, 0);
-  model.AddVisit(0, 0);
-  model.AddVisit(1, 1);
-  std::vector<double> s = model.Compute();
+  VisitCorpus corpus;
+  corpus.AddTrajectory(0, {0, 0, 0});
+  corpus.AddTrajectory(1, {1});
+  std::vector<double> s = corpus.Significance(2);
   EXPECT_GT(s[0], s[1]);
 }
 
 TEST(SignificanceTest, ScoresAreMaxNormalized) {
-  SignificanceModel model(5, 4);
+  VisitCorpus corpus;
   Random rng(4);
   for (int64_t u = 0; u < 5; ++u) {
     for (int v = 0; v < 6; ++v) {
-      model.AddVisit(u, rng.UniformInt(static_cast<uint64_t>(4)));
+      corpus.AddTrajectory(
+          u, {static_cast<LandmarkId>(rng.UniformInt(uint64_t{4}))});
     }
   }
-  std::vector<double> s = model.Compute();
+  std::vector<double> s = corpus.Significance(4);
   double max = *std::max_element(s.begin(), s.end());
   EXPECT_DOUBLE_EQ(max, 1.0);
   for (double x : s) {
@@ -314,38 +313,25 @@ TEST(SignificanceTest, ScoresAreMaxNormalized) {
 }
 
 TEST(SignificanceTest, NoVisitsGivesAllZero) {
-  SignificanceModel model(3, 3);
-  std::vector<double> s = model.Compute();
+  std::vector<double> s = VisitCorpus().Significance(3);
+  ASSERT_EQ(s.size(), 3u);
   for (double x : s) EXPECT_DOUBLE_EQ(x, 0.0);
 }
 
 TEST(SignificanceTest, ConvergesQuickly) {
   // Scores after 30 and 60 iterations should agree.
-  SignificanceModel model(10, 5);
+  VisitCorpus corpus;
   Random rng(9);
   for (int64_t u = 0; u < 10; ++u) {
     for (int v = 0; v < 4; ++v) {
-      model.AddVisit(u, rng.Zipf(5, 1.2));
+      corpus.AddTrajectory(u, {static_cast<LandmarkId>(rng.Zipf(5, 1.2))});
     }
   }
-  std::vector<double> a = model.Compute(30);
-  std::vector<double> b = model.Compute(60);
+  std::vector<double> a = corpus.Significance(5, 30);
+  std::vector<double> b = corpus.Significance(5, 60);
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_NEAR(a[i], b[i], 1e-9);
   }
-}
-
-TEST(SignificanceTest, ApplyInstallsScores) {
-  MapGeneratorOptions options;
-  options.blocks_x = 4;
-  options.blocks_y = 4;
-  GeneratedMap map = MapGenerator(options).Generate();
-  LandmarkIndex index = LandmarkIndex::Build(map.network, {});
-  SignificanceModel model(2, index.size());
-  model.AddVisit(0, 0);
-  model.AddVisit(1, 0);
-  model.Apply(&index);
-  EXPECT_DOUBLE_EQ(index.landmark(0).significance, 1.0);
 }
 
 }  // namespace

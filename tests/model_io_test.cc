@@ -53,6 +53,41 @@ TEST_F(ModelIoTest, RoundTripReproducesSummariesExactly) {
   EXPECT_EQ(restored.feature_map()->NumEdges(),
             world_.maker->feature_map()->NumEdges());
 
+  // Train and the container load build the same model, bit for bit.
+  const std::vector<PopularRouteMiner::Transition> trained_transitions =
+      world_.maker->popular_routes().Transitions();
+  const std::vector<PopularRouteMiner::Transition> loaded_transitions =
+      restored.popular_routes().Transitions();
+  ASSERT_EQ(loaded_transitions.size(), trained_transitions.size());
+  for (size_t i = 0; i < trained_transitions.size(); ++i) {
+    EXPECT_EQ(loaded_transitions[i].from, trained_transitions[i].from);
+    EXPECT_EQ(loaded_transitions[i].to, trained_transitions[i].to);
+    EXPECT_EQ(loaded_transitions[i].count, trained_transitions[i].count);
+  }
+  const std::vector<HistoricalFeatureMap::EdgeRecord> trained_edges =
+      world_.maker->feature_map()->Edges();
+  const std::vector<HistoricalFeatureMap::EdgeRecord> loaded_edges =
+      restored.feature_map()->Edges();
+  ASSERT_EQ(loaded_edges.size(), trained_edges.size());
+  for (size_t i = 0; i < trained_edges.size(); ++i) {
+    EXPECT_EQ(loaded_edges[i].from, trained_edges[i].from);
+    EXPECT_EQ(loaded_edges[i].to, trained_edges[i].to);
+    EXPECT_EQ(loaded_edges[i].count, trained_edges[i].count);
+    EXPECT_EQ(loaded_edges[i].sums, trained_edges[i].sums);
+  }
+  for (size_t f = 0; f < restored.registry().size(); ++f) {
+    EXPECT_EQ(restored.feature_map()->GlobalAverage(f),
+              world_.maker->feature_map()->GlobalAverage(f))
+        << "feature " << f;
+  }
+  ASSERT_EQ(restored.landmarks().size(), world_.maker->landmarks().size());
+  for (size_t i = 0; i < restored.landmarks().size(); ++i) {
+    const LandmarkId id = static_cast<LandmarkId>(i);
+    EXPECT_EQ(restored.landmarks().landmark(id).significance,
+              world_.maker->landmarks().landmark(id).significance)
+        << "landmark " << i;
+  }
+
   // Fresh trips summarize to byte-identical text through both makers.
   Random rng(99);
   int compared = 0;
@@ -152,38 +187,31 @@ TEST_F(ModelIoTest, ModelWithoutHierarchyLoadsOnDijkstra) {
 }
 
 TEST_F(ModelIoTest, MinerSerializationHooks) {
-  PopularRouteMiner miner;
-  SymbolicTrajectory t;
-  t.samples = {{1, 0.0}, {2, 60.0}, {3, 120.0}};
-  miner.AddTrajectory(t);
-  miner.AddTrajectory(t);
+  const std::vector<PopularRouteMiner::Transition> history = {
+      {1, 2, 1.0}, {2, 3, 1.0}, {1, 2, 1.0}, {2, 3, 1.0}};
+  PopularRouteMiner miner(history);
   std::vector<PopularRouteMiner::Transition> transitions =
       miner.Transitions();
   ASSERT_EQ(transitions.size(), 2u);
 
-  PopularRouteMiner rebuilt;
-  for (const auto& tr : transitions) {
-    rebuilt.AddTransitionCount(tr.from, tr.to, tr.count);
+  PopularRouteMiner rebuilt(transitions);
+  ASSERT_EQ(rebuilt.Transitions().size(), 2u);
+  for (const PopularRouteMiner::Transition& t : rebuilt.Transitions()) {
+    EXPECT_DOUBLE_EQ(t.count, 2.0);
   }
-  EXPECT_DOUBLE_EQ(rebuilt.TransitionCount(1, 2), 2.0);
-  EXPECT_DOUBLE_EQ(rebuilt.TransitionCount(2, 3), 2.0);
   auto route = rebuilt.PopularRoute(1, 3);
   ASSERT_TRUE(route.ok());
   EXPECT_EQ(*route, (std::vector<LandmarkId>{1, 2, 3}));
 }
 
 TEST_F(ModelIoTest, FeatureMapSerializationHooks) {
-  HistoricalFeatureMap map(2);
-  map.AddSegment(1, 2, {10, 1});
-  map.AddSegment(1, 2, {20, 3});
-  map.AddSegment(4, 5, {6, 0});
+  const std::vector<HistoricalFeatureMap::EdgeRecord> segments = {
+      {1, 2, {10, 1}, 1}, {1, 2, {20, 3}, 1}, {4, 5, {6, 0}, 1}};
+  HistoricalFeatureMap map(2, segments);
   std::vector<HistoricalFeatureMap::EdgeRecord> edges = map.Edges();
   ASSERT_EQ(edges.size(), 2u);
 
-  HistoricalFeatureMap rebuilt(2);
-  for (const auto& e : edges) {
-    rebuilt.AddAccumulated(e.from, e.to, e.sums, e.count);
-  }
+  HistoricalFeatureMap rebuilt(2, edges);
   HistoricalFeatureMap::Row avg = rebuilt.Lookup(1, 2);
   EXPECT_DOUBLE_EQ(avg[0], 15.0);
   EXPECT_DOUBLE_EQ(avg[1], 2.0);

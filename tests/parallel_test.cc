@@ -1,5 +1,5 @@
 // Tests for the parallel pipeline: thread-pool/loop primitives, the LRU
-// cache, the shard Merge() operations, and — the load-bearing property —
+// cache, the visit corpus shard Merge(), and — the load-bearing property —
 // that thread count never changes any result: training, single summaries,
 // and batch summaries are byte-identical at 1, 2, and 4 threads.
 
@@ -100,50 +100,16 @@ TEST(LruCacheTest, EvictsLeastRecentlyTouched) {
   EXPECT_EQ(cache.misses(), 1u);
 }
 
-TEST(LruCacheTest, PutOverwritesAndClearDropsEntries) {
+TEST(LruCacheTest, PutOverwrites) {
   LruCache<int, int> cache(4);
   cache.Put(1, 10);
   cache.Put(1, 11);
   ASSERT_NE(cache.Get(1), nullptr);
   EXPECT_EQ(*cache.Get(1), 11);
   EXPECT_EQ(cache.size(), 1u);
-  cache.Clear();
-  EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.Get(1), nullptr);
 }
 
 // --- Shard merges on hand-built inputs. -------------------------------------
-
-TEST(HistoricalFeatureMapMergeTest, MergeMatchesSerialAccumulation) {
-  const std::vector<double> f1 = {1.0, 2.0};
-  const std::vector<double> f2 = {0.5, 4.0};
-  const std::vector<double> f3 = {2.5, 1.5};
-
-  HistoricalFeatureMap serial(2);
-  serial.AddSegment(1, 2, f1);
-  serial.AddSegment(2, 3, f2);
-  serial.AddSegment(1, 2, f3);
-
-  HistoricalFeatureMap shard1(2);
-  shard1.AddSegment(1, 2, f1);
-  HistoricalFeatureMap shard2(2);
-  shard2.AddSegment(2, 3, f2);
-  shard2.AddSegment(1, 2, f3);
-  shard1.Merge(shard2);
-
-  auto a = serial.Edges();
-  auto b = shard1.Edges();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].from, b[i].from);
-    EXPECT_EQ(a[i].to, b[i].to);
-    EXPECT_EQ(a[i].count, b[i].count);
-    ASSERT_EQ(a[i].sums.size(), b[i].sums.size());
-    for (size_t f = 0; f < a[i].sums.size(); ++f) {
-      EXPECT_DOUBLE_EQ(a[i].sums[f], b[i].sums[f]);
-    }
-  }
-}
 
 TEST(VisitCorpusMergeTest, AnonymousRecordsStayDistinctAndOrdered) {
   // Serial: anon, traveller 7, anon, traveller 7 again.

@@ -120,6 +120,18 @@ TEST_F(STMakerTest, OversizedKIsClamped) {
   EXPECT_EQ(summary->partitions.size(), summary->symbolic.NumSegments());
 }
 
+TEST_F(STMakerTest, NegativeOrNanEtaIsRejected) {
+  auto trip = FreshTrip(12 * 3600, 5);
+  ASSERT_TRUE(trip.ok());
+  for (double eta : {-0.1, std::nan("")}) {
+    SummaryOptions options;
+    options.eta = eta;
+    auto summary = world_.maker->Summarize(trip->raw, options);
+    ASSERT_FALSE(summary.ok()) << "eta " << eta;
+    EXPECT_EQ(summary.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 TEST_F(STMakerTest, HighEtaYieldsSmoothSummaries) {
   auto trip = FreshTrip(12 * 3600, 5);
   ASSERT_TRUE(trip.ok());

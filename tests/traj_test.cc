@@ -284,15 +284,5 @@ TEST(CongestionTest, StopsMoreLikelyAtRushHour) {
             IntersectionStopMeanSeconds(3.0 * 3600));
 }
 
-TEST(CongestionTest, TwoHourBuckets) {
-  EXPECT_EQ(TwoHourBucket(0), 0);
-  EXPECT_EQ(TwoHourBucket(1.99 * 3600), 0);
-  EXPECT_EQ(TwoHourBucket(2.0 * 3600), 1);
-  EXPECT_EQ(TwoHourBucket(17.0 * 3600), 8);
-  EXPECT_EQ(TwoHourBucket(23.99 * 3600), 11);
-  // Absolute times fold into the day.
-  EXPECT_EQ(TwoHourBucket(kSecondsPerDay + 3 * 3600), 1);
-}
-
 }  // namespace
 }  // namespace stmaker

@@ -41,10 +41,12 @@
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -81,7 +83,6 @@ using namespace stmaker;
 namespace {
 
 struct Args {
-  std::string command;
   std::map<std::string, std::string> options;
 
   bool Has(const std::string& key) const { return options.count(key) > 0; }
@@ -89,32 +90,7 @@ struct Args {
     auto it = options.find(key);
     return it == options.end() ? fallback : it->second;
   }
-  long GetInt(const std::string& key, long fallback) const {
-    auto it = options.find(key);
-    return it == options.end() ? fallback : std::atol(it->second.c_str());
-  }
-  double GetDouble(const std::string& key, double fallback) const {
-    auto it = options.find(key);
-    return it == options.end() ? fallback : std::atof(it->second.c_str());
-  }
 };
-
-Args ParseArgs(int argc, char** argv) {
-  Args args;
-  if (argc >= 2) args.command = argv[1];
-  for (int i = 2; i < argc; ++i) {
-    std::string token = argv[i];
-    if (token.rfind("--", 0) == 0) {
-      std::string key = token.substr(2);
-      if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
-        args.options[key] = argv[++i];
-      } else {
-        args.options[key] = "true";  // boolean flag
-      }
-    }
-  }
-  return args;
-}
 
 // Exit codes: every Status category maps to a distinct code so scripts can
 // tell "bad input" from "bad environment" without parsing stderr. Keep this
@@ -197,7 +173,7 @@ int Usage() {
                "exit codes:\n"
                "  0  success\n"
                "  2  usage error (bad command line, e.g. a flag the command "
-               "does not take)\n"
+               "does not take or a stray word)\n"
                "  3  invalid argument (malformed input data or flag value)\n"
                "  4  not found\n"
                "  5  out of range (e.g. --trip beyond the corpus)\n"
@@ -264,6 +240,34 @@ Result<long> IntFlag(const Args& args, const std::string& name, long fallback,
   return value;
 }
 
+/// IntFlag's twin for real-valued flags: the whole value must parse as a
+/// finite double (no "nan", "inf" or residue) in [min_value, max_value].
+Result<double> DoubleFlag(const Args& args, const std::string& name,
+                          double fallback, double min_value,
+                          double max_value) {
+  if (!args.Has(name)) return fallback;
+  const std::string& text = args.options.at(name);
+  char* end = nullptr;
+  errno = 0;
+  double value = std::strtod(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value)) {
+    return Status::InvalidArgument("--" + name +
+                                   " wants a finite number, got '" + text +
+                                   "'");
+  }
+  if (value < min_value || value > max_value) {
+    return Status::InvalidArgument(StrFormat("--%s must be in [%g, %g], got %g",
+                                             name.c_str(), min_value,
+                                             max_value, value));
+  }
+  return value;
+}
+
+/// Ceiling for --trips: far above any corpus, low enough that a typo
+/// cannot ask the generator for billions of trips.
+constexpr long kMaxTrips = 1'000'000;
+
 /// A day in milliseconds: the ceiling for every timeout-ish flag. Anything
 /// longer is a typo, not a configuration.
 constexpr long kMaxTimeoutMs = 86'400'000;
@@ -278,24 +282,33 @@ STMakerOptions MakerOptions(int threads) {
 int RunGen(const Args& args) {
   if (!args.Has("dir")) return Usage();
   const std::string dir = args.Get("dir", ".");
-  uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 42));
+  Result<long> seed =
+      IntFlag(args, "seed", 42, 0, std::numeric_limits<long>::max());
+  if (!seed.ok()) return Fail(seed.status());
+  // The generators' own minimums: a 4 x 4 block grid and one POI site.
+  Result<long> blocks = IntFlag(args, "blocks", 16, 4, 1000);
+  if (!blocks.ok()) return Fail(blocks.status());
+  Result<long> num_pois = IntFlag(args, "pois", 300, 1, 1'000'000);
+  if (!num_pois.ok()) return Fail(num_pois.status());
+  Result<long> num_trips = IntFlag(args, "trips", 800, 1, kMaxTrips);
+  if (!num_trips.ok()) return Fail(num_trips.status());
 
   MapGeneratorOptions map_options;
-  map_options.blocks_x = static_cast<int>(args.GetInt("blocks", 16));
+  map_options.blocks_x = static_cast<int>(*blocks);
   map_options.blocks_y = map_options.blocks_x;
-  map_options.seed = seed;
+  map_options.seed = static_cast<uint64_t>(*seed);
   GeneratedMap city = MapGenerator(map_options).Generate();
 
   PoiGeneratorOptions poi_options;
-  poi_options.num_sites = static_cast<int>(args.GetInt("pois", 300));
-  poi_options.seed = seed + 1;
+  poi_options.num_sites = static_cast<int>(*num_pois);
+  poi_options.seed = map_options.seed + 1;
   std::vector<RawPoi> pois = PoiGenerator(poi_options).Generate(city.network);
   LandmarkIndex landmarks = LandmarkIndex::Build(city.network, pois);
 
   TrajectoryGenerator generator(&city.network, &landmarks);
   std::vector<GeneratedTrip> trips = generator.GenerateCorpus(
-      static_cast<size_t>(args.GetInt("trips", 800)),
-      /*num_travelers=*/100, /*num_days=*/14, seed + 2);
+      static_cast<size_t>(*num_trips),
+      /*num_travelers=*/100, /*num_days=*/14, map_options.seed + 2);
   std::vector<RawTrajectory> raws;
   raws.reserve(trips.size());
   for (const GeneratedTrip& t : trips) raws.push_back(t.raw);
@@ -402,9 +415,15 @@ Status TripOutOfRange(size_t trip, size_t size) {
 /// Summarizes `raw` and prints it as text, --json, or --geojson.
 int PrintSummary(const Args& args, const STMaker& maker,
                  const LandmarkIndex& landmarks, const RawTrajectory& raw) {
+  Result<long> k =
+      IntFlag(args, "k", 0, 0, std::numeric_limits<int>::max());
+  if (!k.ok()) return Fail(k.status());
+  Result<double> eta = DoubleFlag(args, "eta", 0.2, 0,
+                                  std::numeric_limits<double>::infinity());
+  if (!eta.ok()) return Fail(eta.status());
   SummaryOptions options;
-  options.k = static_cast<int>(args.GetInt("k", 0));
-  options.eta = args.GetDouble("eta", 0.2);
+  options.k = static_cast<int>(*k);
+  options.eta = *eta;
   Result<Summary> summary = maker.Summarize(raw, options);
   if (!summary.ok()) return Fail(summary.status());
 
@@ -426,7 +445,10 @@ int RunSummarize(const Args& args) {
   }
   Result<int> threads = ThreadsFlag(args);
   if (!threads.ok()) return Fail(threads.status());
-  const size_t trip = static_cast<size_t>(args.GetInt("trip", 0));
+  Result<long> trip_flag =
+      IntFlag(args, "trip", 0, 0, std::numeric_limits<long>::max());
+  if (!trip_flag.ok()) return Fail(trip_flag.status());
+  const size_t trip = static_cast<size_t>(*trip_flag);
 
   if (args.Has("model")) {
     // The container supplies the world, the corpus, and the model.
@@ -464,6 +486,8 @@ int RunStats(const Args& args) {
   if (!args.Has("dir")) return Usage();
   Result<int> threads = ThreadsFlag(args);
   if (!threads.ok()) return Fail(threads.status());
+  Result<long> limit = IntFlag(args, "trips", 200, 0, kMaxTrips);
+  if (!limit.ok()) return Fail(limit.status());
   Result<LoadedWorld> loaded = LoadWorld(args.Get("dir", "."));
   if (!loaded.ok()) return Fail(loaded.status());
   LoadedWorld& world = *loaded;
@@ -473,10 +497,9 @@ int RunStats(const Args& args) {
   Status st = maker.Train(world.trajectories);
   if (!st.ok()) return Fail(st);
 
-  size_t limit = static_cast<size_t>(args.GetInt("trips", 200));
   std::span<const RawTrajectory> batch(
       world.trajectories.data(),
-      std::min(limit, world.trajectories.size()));
+      std::min(static_cast<size_t>(*limit), world.trajectories.size()));
   std::vector<Result<Summary>> results = maker.SummarizeBatch(batch);
   std::vector<Summary> summaries;
   for (Result<Summary>& summary : results) {
@@ -493,6 +516,10 @@ int RunStats(const Args& args) {
 
 int RunGroup(const Args& args) {
   if (!args.Has("dir")) return Usage();
+  Result<double> from_h = DoubleFlag(args, "from-hour", 0, 0, 24);
+  if (!from_h.ok()) return Fail(from_h.status());
+  Result<double> to_h = DoubleFlag(args, "to-hour", 24, 0, 24);
+  if (!to_h.ok()) return Fail(to_h.status());
   Result<LoadedWorld> loaded = LoadWorld(args.Get("dir", "."));
   if (!loaded.ok()) return Fail(loaded.status());
   LoadedWorld& world = *loaded;
@@ -502,18 +529,16 @@ int RunGroup(const Args& args) {
   Status st = maker.Train(world.trajectories);
   if (!st.ok()) return Fail(st);
 
-  double from_h = args.GetDouble("from-hour", 0);
-  double to_h = args.GetDouble("to-hour", 24);
   std::vector<RawTrajectory> group;
   for (const RawTrajectory& raw : world.trajectories) {
     double tod_h = TimeOfDaySeconds(raw.StartTime()) / 3600.0;
-    if (tod_h >= from_h && tod_h < to_h) group.push_back(raw);
+    if (tod_h >= *from_h && tod_h < *to_h) group.push_back(raw);
   }
   GroupSummarizer group_summarizer(&maker);
   Result<GroupSummary> summary = group_summarizer.Summarize(group);
   if (!summary.ok()) return Fail(summary.status());
   std::printf("window %02.0f:00-%02.0f:00, %zu trips (%zu unusable)\n",
-              from_h, to_h, summary->num_trajectories, summary->num_failed);
+              *from_h, *to_h, summary->num_trajectories, summary->num_failed);
   std::printf("%s\n", summary->text.c_str());
   return 0;
 }
@@ -813,21 +838,46 @@ const std::vector<Command>& Commands() {
   return commands;
 }
 
+/// Reads `command`'s flags from argv[2..]. Every word is a `--flag` the
+/// command reads, followed by its value unless the flag is a switch
+/// (`--json`, `--geojson`). Anything else — a flag the command does not
+/// read, a missing value, a stray word — is an error naming it.
+Result<Args> ParseArgs(const Command& command, int argc, char** argv) {
+  Args args;
+  for (int i = 2; i < argc; ++i) {
+    const std::string token = argv[i];
+    if (token.rfind("--", 0) != 0) {
+      return Status::InvalidArgument("unexpected argument '" + token + "'");
+    }
+    const std::string flag = token.substr(2);
+    if (std::find(command.flags.begin(), command.flags.end(), flag) ==
+        command.flags.end()) {
+      return Status::InvalidArgument(
+          StrFormat("%s does not take --%s", command.name, flag.c_str()));
+    }
+    if (flag == "json" || flag == "geojson") {
+      args.options[flag] = "true";
+    } else if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
+      args.options[flag] = argv[++i];
+    } else {
+      return Status::InvalidArgument("--" + flag + " wants a value");
+    }
+  }
+  return args;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  Args args = ParseArgs(argc, argv);
+  const std::string name = argc >= 2 ? argv[1] : "";
   for (const Command& command : Commands()) {
-    if (args.command != command.name) continue;
-    for (const auto& [flag, value] : args.options) {
-      if (std::find(command.flags.begin(), command.flags.end(), flag) ==
-          command.flags.end()) {
-        std::fprintf(stderr, "error: %s does not take --%s\n", command.name,
-                     flag.c_str());
-        return Usage();
-      }
+    if (name != command.name) continue;
+    Result<Args> args = ParseArgs(command, argc, argv);
+    if (!args.ok()) {
+      std::fprintf(stderr, "error: %s\n", args.status().message().c_str());
+      return Usage();
     }
-    return command.run(args);
+    return command.run(*args);
   }
   return Usage();
 }
