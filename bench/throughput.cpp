@@ -1,40 +1,44 @@
 // Operational throughput of the parallel train/serve pipeline (not a paper
-// figure, but the numbers a deployment needs): a thread sweep of corpus
-// ingestion (Train) and batch summarization (SummarizeBatch), per-stage
-// serving latencies (calibration cold/cached, feature extraction,
-// popular-route queries with the LRU warm), and the routing backends —
-// plain Dijkstra against the contraction hierarchy point queries on the
-// largest generated map.
+// figure): the numbers the serving benchmark (perfbench/) cannot show,
+// because it serves one build at one thread count over one map. Kept here:
+//   - Train and SummarizeBatch at 1, 2, 4, ... threads up to the core
+//     count, every thread count checked against the serial output;
+//   - per-stage micro rows: calibration uncached and cached, feature
+//     extraction, popular-route queries with the LRU warm;
+//   - the map matcher per topology of the scenario corpus
+//     (tests/scenario_dsl.h), so a candidate-pruning regression on, say,
+//     dense grids shows up as its own row;
+//   - Dijkstra against contraction-hierarchy point queries on a map larger
+//     than the bench city, every CH cost checked against Dijkstra;
+//   - similarity top-K and region queries through the trajectory index,
+//     replayed through the scan fallback (the `_scan` rows, the base of
+//     the speedups) and checked equal.
+// Tracing overhead, cold start, reload, the first request after a swap and
+// the per-stage latencies are perfbench metrics (perfbench/METRICS.md).
 //
-// Every parallel configuration is checked against the serial one — the
-// sweep aborts with a nonzero exit if any thread count changes a single
-// byte of output — and every CH route is checked against Dijkstra, so the
-// emitted numbers are certified equal-output.
+// Every row runs kReps times in this process and records the median and
+// quartiles of its per-rep items/s and p50, so two runs are told apart from
+// noise by the rule in tools/bench_report.py --compare. Any divergence from
+// the reference output exits nonzero, so the numbers are certified
+// equal-output.
 //
 // Run:  ./build/bench/throughput [out.json]
-// Emits one JSON record per (benchmark, threads) pair:
-//   {"name", "threads", "items_per_sec", "p50_ms", "p99_ms"}
-// plus special records: "ch_routing" (map size, build cost, measured
-// CH-over-Dijkstra speedup), "index_retrieval" (indexed-vs-scan speedups),
-// "machine" (hardware concurrency plus CPU model and ISA flags, so
-// scaling and SIMD-sensitive numbers can be read against the silicon that
-// produced them), and the registry histograms accumulated over the run. The matcher is additionally benchmarked
-// per-topology over the shared scenario corpus (tests/scenario_dsl.h), so
-// a candidate-pruning regression on, say, dense grids shows up as its own
-// row instead of vanishing into the city-wide aggregate.
-
-#include <stdlib.h>
+// Emits one JSON record per (benchmark, threads) row:
+//   {"name", "threads", "reps", "items_per_sec": band, "p50_ms": band}
+// with band = {"q1", "median", "q3"}, plus "ch_routing" and
+// "index_retrieval" (per-rep speedup bands) and "machine" (core count and
+// CPU model, to read the sweeps against).
 
 #include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <limits>
-#include <memory>
-#include <mutex>
+#include <numeric>
 #include <optional>
 #include <random>
 #include <span>
@@ -43,18 +47,11 @@
 #include <vector>
 
 #include "bench_world.h"
-#include "common/metrics.h"
 #include "common/parallel.h"
-#include "common/trace.h"
+#include "common/strings.h"
 #include "core/feature_extractor.h"
-#include "core/model_manager.h"
 #include "geo/bounding_box.h"
 #include "index/trajectory_index.h"
-#include "io/container.h"
-#include "io/poi_io.h"
-#include "io/road_network_io.h"
-#include "io/trajectory_io.h"
-#include "net/ndjson_service.h"
 #include "roadnet/contraction_hierarchy.h"
 #include "roadnet/map_matcher.h"
 #include "roadnet/shortest_path.h"
@@ -66,20 +63,12 @@ using namespace stmaker::bench;
 
 namespace {
 
-constexpr int kThreadSweep[] = {1, 2, 4, 8};
+constexpr int kReps = 5;
 constexpr size_t kTrainCorpusSize = 800;
-constexpr int kTrainReps = 3;
 constexpr size_t kServeBatchSize = 300;
-constexpr int kServeReps = 3;
 constexpr size_t kMicroIters = 2000;
 
-double NowMs() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-/// Nearest-rank percentile over per-item (or per-rep) latencies.
+/// Nearest-rank percentile.
 double Percentile(std::vector<double> samples, double q) {
   STMAKER_CHECK(!samples.empty());
   std::sort(samples.begin(), samples.end());
@@ -88,91 +77,116 @@ double Percentile(std::vector<double> samples, double q) {
   return samples[std::min(idx, samples.size() - 1)];
 }
 
-struct BenchResult {
-  std::string name;
-  int threads;
-  double items_per_sec;
-  double p50_ms;
-  double p99_ms;
+/// Median and quartiles of one quantity over a row's reps.
+struct Band {
+  double q1;
+  double median;
+  double q3;
 };
 
-/// CPU identity for the "machine" record: model string plus the ISA flags
-/// that actually move these benchmarks (vector width, FMA, AES, BMI). The
-/// full /proc/cpuinfo flag line runs to hundreds of tokens; anything not on
-/// this list is noise for a latency comparison, so it is dropped.
-struct CpuInfo {
-  std::string model;
-  std::string flags;
-};
-
-CpuInfo ReadCpuInfo() {
-  CpuInfo info;
-  std::FILE* f = std::fopen("/proc/cpuinfo", "r");
-  if (f == nullptr) return info;  // non-Linux: fields stay empty
-  static constexpr const char* kWanted[] = {
-      "sse4_2", "popcnt", "aes",     "avx",        "fma",     "bmi1",
-      "bmi2",   "avx2",   "avx512f", "avx512dq",   "avx512bw", "avx512vl",
-      "avx512_vnni", "avx512_bf16", "avx512_fp16", "amx_tile",
-  };
-  char line[4096];
-  while (std::fgets(line, sizeof line, f) != nullptr) {
-    std::string s(line);
-    size_t colon = s.find(':');
-    if (colon == std::string::npos) continue;
-    std::string key = s.substr(0, colon);
-    while (!key.empty() && (key.back() == ' ' || key.back() == '\t')) {
-      key.pop_back();
-    }
-    std::string value = s.substr(colon + 1);
-    if (!value.empty() && value.front() == ' ') value.erase(0, 1);
-    while (!value.empty() && (value.back() == '\n' || value.back() == ' ')) {
-      value.pop_back();
-    }
-    if (key == "model name" && info.model.empty()) {
-      // Keep the record safely quotable: drop anything outside a plain
-      // printable subset (model strings are vendor-controlled text).
-      for (char c : value) {
-        if (std::isalnum(static_cast<unsigned char>(c)) ||
-            std::strchr(" ()@.-_/", c) != nullptr) {
-          info.model.push_back(c);
-        }
-      }
-    } else if (key == "flags" && info.flags.empty()) {
-      std::string token;
-      std::string padded = value;
-      padded.push_back(' ');
-      for (char c : padded) {
-        if (c == ' ') {
-          for (const char* want : kWanted) {
-            if (token == want) {
-              if (!info.flags.empty()) info.flags.push_back(' ');
-              info.flags += token;
-            }
-          }
-          token.clear();
-        } else {
-          token.push_back(c);
-        }
-      }
-    }
-    if (!info.model.empty() && !info.flags.empty()) break;
-  }
-  std::fclose(f);
-  return info;
+Band BandOf(const std::vector<double>& per_rep) {
+  return {Percentile(per_rep, 25), Percentile(per_rep, 50),
+          Percentile(per_rep, 75)};
 }
 
-BenchResult Summarize(const std::string& name, int threads,
-                      const std::vector<double>& latencies_ms,
-                      size_t items, double total_ms) {
-  BenchResult r;
-  r.name = name;
-  r.threads = threads;
-  r.items_per_sec = total_ms > 0 ? items / (total_ms / 1000.0) : 0;
-  r.p50_ms = Percentile(latencies_ms, 50);
-  r.p99_ms = Percentile(latencies_ms, 99);
-  std::printf("%-28s threads=%d  %10.1f items/s  p50 %8.3f ms  p99 %8.3f ms\n",
-              name.c_str(), threads, r.items_per_sec, r.p50_ms, r.p99_ms);
-  return r;
+std::string BandJson(const Band& b, int digits) {
+  return StrFormat("{\"q1\": %.*f, \"median\": %.*f, \"q3\": %.*f}", digits,
+                   b.q1, digits, b.median, digits, b.q3);
+}
+
+/// One rep of a row: the items it processed and each timed call's latency.
+/// Its items/s is the items over the sum of those latencies, so untimed
+/// set-up and checks inside a rep do not count.
+struct Rep {
+  size_t items = 0;
+  std::vector<double> latencies_ms;
+};
+
+/// A measured row: one items/s and one p50 per rep.
+struct Row {
+  std::string name;
+  int threads;
+  std::vector<double> items_per_sec;
+  std::vector<double> p50_ms;
+};
+
+/// The one measuring helper: runs `rep` kReps times and records each rep's
+/// items/s and p50.
+template <typename RepFn>
+Row Measure(std::string name, int threads, RepFn rep) {
+  Row row{std::move(name), threads, {}, {}};
+  for (int r = 0; r < kReps; ++r) {
+    const Rep done = rep();
+    const double busy_ms = std::accumulate(done.latencies_ms.begin(),
+                                           done.latencies_ms.end(), 0.0);
+    row.items_per_sec.push_back(busy_ms > 0 ? done.items / (busy_ms / 1000.0)
+                                            : 0.0);
+    row.p50_ms.push_back(Percentile(done.latencies_ms, 50));
+  }
+  const Band ips = BandOf(row.items_per_sec);
+  const Band p50 = BandOf(row.p50_ms);
+  std::printf("%-26s threads=%d  %10.1f items/s [%.1f, %.1f]  "
+              "p50 %8.4f ms [%.4f, %.4f]\n",
+              row.name.c_str(), threads, ips.median, ips.q1, ips.q3,
+              p50.median, p50.q1, p50.q3);
+  return row;
+}
+
+/// Calls `f`, appends its wall time to `rep`, and returns its result.
+template <typename F>
+auto Timed(Rep* rep, F&& f) {
+  const auto t0 = std::chrono::steady_clock::now();
+  auto result = f();
+  rep->latencies_ms.push_back(std::chrono::duration<double, std::milli>(
+                                  std::chrono::steady_clock::now() - t0)
+                                  .count());
+  return result;
+}
+
+/// A rep of `iters` single calls `call(i)`, each timed.
+template <typename F>
+Rep TimedLoop(size_t iters, F&& call) {
+  Rep rep;
+  rep.items = iters;
+  rep.latencies_ms.reserve(iters);
+  for (size_t i = 0; i < iters; ++i) Timed(&rep, [&] { return call(i); });
+  return rep;
+}
+
+/// Per-rep ratio of two rows' items/s: the speedup of `fast` over `slow`.
+Band SpeedupBand(const Row& fast, const Row& slow) {
+  std::vector<double> ratios;
+  for (int r = 0; r < kReps; ++r) {
+    ratios.push_back(slow.items_per_sec[r] > 0
+                         ? fast.items_per_sec[r] / slow.items_per_sec[r]
+                         : 0.0);
+  }
+  return BandOf(ratios);
+}
+
+[[noreturn]] void Diverged(const std::string& what) {
+  std::fprintf(stderr, "FATAL: %s\n", what.c_str());
+  std::exit(1);
+}
+
+/// The "model name" of /proc/cpuinfo, cut to a plain printable subset so
+/// the record quotes safely; empty where there is none.
+std::string CpuModel() {
+  std::ifstream cpuinfo("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(cpuinfo, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    std::string model;
+    for (char c : line.substr(line.find(':') + 1)) {
+      if (std::isalnum(static_cast<unsigned char>(c)) ||
+          std::strchr(" ()@.-_/", c) != nullptr) {
+        model.push_back(c);
+      }
+    }
+    model.erase(0, model.find_first_not_of(' '));
+    return model;
+  }
+  return "";
 }
 
 int Run(const char* out_path) {
@@ -186,89 +200,69 @@ int Run(const char* out_path) {
   std::vector<RawTrajectory> serve_batch(
       raws.begin(), raws.begin() + std::min(kServeBatchSize, raws.size()));
 
-  std::vector<BenchResult> results;
+  std::vector<Row> rows;
 
-  // --- Train thread sweep. The serial run is the reference: every other
-  // thread count must reproduce its transitions and probe summary exactly.
+  // --- Thread sweeps: 1, 2, 4, ... below the core count, then the core
+  // count. The pool caps its workers there, so a wider row would measure
+  // the same workers under a wrong label.
+  const int cores = ResolveThreadCount(0);
+  std::vector<int> sweep;
+  for (int t = 1; t < cores; t *= 2) sweep.push_back(t);
+  sweep.push_back(cores);
+
+  // Train: the first serial rep is the reference; every rep at every thread
+  // count must reproduce its transitions and probe summary exactly.
   std::vector<PopularRouteMiner::Transition> ref_transitions;
   std::string ref_probe_text;
-  const RawTrajectory& probe = raws[raws.size() - 1];
-  for (int threads : kThreadSweep) {
-    std::vector<double> rep_ms;
-    size_t items = 0;
-    double total_ms = 0;
-    for (int rep = 0; rep < kTrainReps; ++rep) {
+  const RawTrajectory& probe = raws.back();
+  for (int threads : sweep) {
+    rows.push_back(Measure("Train", threads, [&] {
       STMakerOptions options;
       options.num_threads = threads;
       STMaker maker(&world.city.network, world.landmarks.get(),
                     FeatureRegistry::BuiltIn(), options);
-      double t0 = NowMs();
-      Status st = maker.Train(train_corpus);
-      double dt = NowMs() - t0;
-      STMAKER_CHECK(st.ok());
-      rep_ms.push_back(dt);
-      total_ms += dt;
-      items += maker.num_trained();
-      if (rep == 0) {
-        auto summary = maker.Summarize(probe);
-        std::string text = summary.ok() ? summary->text : "<failed>";
-        if (threads == 1) {
-          ref_transitions = maker.popular_routes().Transitions();
-          ref_probe_text = text;
-        } else {
-          auto transitions = maker.popular_routes().Transitions();
-          bool same = transitions.size() == ref_transitions.size() &&
-                      text == ref_probe_text;
-          for (size_t i = 0; same && i < transitions.size(); ++i) {
-            same = transitions[i].from == ref_transitions[i].from &&
-                   transitions[i].to == ref_transitions[i].to &&
-                   transitions[i].count == ref_transitions[i].count;
-          }
-          if (!same) {
-            std::fprintf(stderr,
-                         "FATAL: Train with %d threads diverged from serial\n",
-                         threads);
-            return 1;
-          }
-        }
+      Rep rep;
+      Status trained = Timed(&rep, [&] { return maker.Train(train_corpus); });
+      STMAKER_CHECK(trained.ok());
+      rep.items = maker.num_trained();
+      std::vector<PopularRouteMiner::Transition> transitions =
+          maker.popular_routes().Transitions();
+      Result<Summary> summary = maker.Summarize(probe);
+      std::string text = summary.ok() ? summary->text : "<failed>";
+      if (ref_transitions.empty()) {
+        ref_transitions = std::move(transitions);
+        ref_probe_text = std::move(text);
+      } else if (text != ref_probe_text || transitions != ref_transitions) {
+        Diverged(StrFormat("Train with %d threads diverged from serial",
+                           threads));
       }
-    }
-    results.push_back(Summarize("Train", threads, rep_ms, items, total_ms));
+      return rep;
+    }));
   }
 
-  // --- SummarizeBatch thread sweep against the shared trained maker.
+  // SummarizeBatch against the shared trained maker, checked the same way.
   std::vector<std::string> ref_summaries;
-  for (int threads : kThreadSweep) {
-    std::vector<double> rep_ms;
-    size_t items = 0;
-    double total_ms = 0;
-    for (int rep = 0; rep < kServeReps; ++rep) {
-      double t0 = NowMs();
-      std::vector<Result<Summary>> batch =
-          world.maker->SummarizeBatch(serve_batch, SummaryOptions(), threads);
-      double dt = NowMs() - t0;
-      rep_ms.push_back(dt);
-      total_ms += dt;
-      items += batch.size();
-      if (rep == 0) {
-        std::vector<std::string> texts;
-        texts.reserve(batch.size());
-        for (const Result<Summary>& r : batch) {
-          texts.push_back(r.ok() ? r->text : "<" + r.status().ToString() + ">");
-        }
-        if (threads == 1) {
-          ref_summaries = std::move(texts);
-        } else if (texts != ref_summaries) {
-          std::fprintf(
-              stderr,
-              "FATAL: SummarizeBatch with %d threads diverged from serial\n",
-              threads);
-          return 1;
-        }
+  for (int threads : sweep) {
+    rows.push_back(Measure("SummarizeBatch", threads, [&] {
+      Rep rep;
+      std::vector<Result<Summary>> batch = Timed(&rep, [&] {
+        return world.maker->SummarizeBatch(serve_batch, SummaryOptions(),
+                                           threads);
+      });
+      rep.items = batch.size();
+      std::vector<std::string> texts;
+      texts.reserve(batch.size());
+      for (const Result<Summary>& r : batch) {
+        texts.push_back(r.ok() ? r->text : r.status().ToString());
       }
-    }
-    results.push_back(
-        Summarize("SummarizeBatch", threads, rep_ms, items, total_ms));
+      if (ref_summaries.empty()) {
+        ref_summaries = std::move(texts);
+      } else if (texts != ref_summaries) {
+        Diverged(StrFormat(
+            "SummarizeBatch with %d threads diverged from serial", threads));
+      }
+      return rep;
+    }));
   }
   std::printf("# parallel outputs byte-identical to serial: yes\n");
 
@@ -280,160 +274,75 @@ int Run(const char* out_path) {
   }
   STMAKER_CHECK(!calibrated.empty());
 
-  {
-    CalibrationOptions no_cache;
-    no_cache.cache_size = 0;
-    Calibrator cold(world.landmarks.get(), no_cache);
-    std::vector<double> lat;
-    double t0 = NowMs();
-    for (size_t i = 0; i < kMicroIters; ++i) {
-      double c0 = NowMs();
-      auto result = cold.Calibrate(serve_batch[i % serve_batch.size()]);
-      lat.push_back(NowMs() - c0);
-      (void)result;
-    }
-    results.push_back(
-        Summarize("Calibrate_nocache", 1, lat, kMicroIters, NowMs() - t0));
-  }
-  {
-    // Shared calibrator, 256-entry LRU: the batch fits, so steady state is
-    // all hits — this is the serving fast path after warmup.
-    std::vector<double> lat;
-    double t0 = NowMs();
-    for (size_t i = 0; i < kMicroIters; ++i) {
-      double c0 = NowMs();
-      auto result = world.maker->Calibrate(serve_batch[i % 200]);
-      lat.push_back(NowMs() - c0);
-      (void)result;
-    }
-    results.push_back(
-        Summarize("Calibrate_cached", 1, lat, kMicroIters, NowMs() - t0));
-  }
-  {
-    FeatureRegistry registry = FeatureRegistry::BuiltIn();
-    FeatureExtractor extractor(&world.city.network, world.landmarks.get(),
-                               &registry);
-    std::vector<double> lat;
-    double t0 = NowMs();
-    for (size_t i = 0; i < kMicroIters; ++i) {
-      double c0 = NowMs();
-      auto result = extractor.Extract(calibrated[i % calibrated.size()]);
-      lat.push_back(NowMs() - c0);
-      (void)result;
-    }
-    results.push_back(
-        Summarize("ExtractFeatures", 1, lat, kMicroIters, NowMs() - t0));
-  }
-  {
-    // OD pairs cycle through ~calibrated.size() distinct keys, well inside
-    // the 8192-entry route LRU: steady state measures the cached path.
-    std::vector<double> lat;
-    double t0 = NowMs();
-    for (size_t i = 0; i < kMicroIters; ++i) {
-      const auto& symbolic = calibrated[i % calibrated.size()].symbolic;
-      double c0 = NowMs();
-      auto route = world.maker->popular_routes().PopularRoute(
-          symbolic.samples.front().landmark,
-          symbolic.samples.back().landmark);
-      lat.push_back(NowMs() - c0);
-      (void)route;
-    }
-    results.push_back(
-        Summarize("PopularRouteQuery", 1, lat, kMicroIters, NowMs() - t0));
-    CacheStats rc = world.maker->popular_routes().Stats();
-    std::printf("# popular-route cache: %s\n", rc.ToString().c_str());
-  }
+  CalibrationOptions no_cache;
+  no_cache.cache_size = 0;
+  Calibrator cold(world.landmarks.get(), no_cache);
+  rows.push_back(Measure("Calibrate_nocache", 1, [&] {
+    return TimedLoop(kMicroIters, [&](size_t i) {
+      return cold.Calibrate(serve_batch[i % serve_batch.size()]);
+    });
+  }));
+  // The maker's shared calibrator, 256-entry LRU: 200 trips fit, so steady
+  // state is all hits — the serving fast path after warmup.
+  rows.push_back(Measure("Calibrate_cached", 1, [&] {
+    return TimedLoop(kMicroIters, [&](size_t i) {
+      return world.maker->Calibrate(serve_batch[i % 200]);
+    });
+  }));
+  FeatureRegistry registry = FeatureRegistry::BuiltIn();
+  FeatureExtractor extractor(&world.city.network, world.landmarks.get(),
+                             &registry);
+  rows.push_back(Measure("ExtractFeatures", 1, [&] {
+    return TimedLoop(kMicroIters, [&](size_t i) {
+      return extractor.Extract(calibrated[i % calibrated.size()]);
+    });
+  }));
+  // OD pairs cycle through ~calibrated.size() distinct keys, well inside
+  // the 8192-entry route LRU: steady state measures the cached path.
+  rows.push_back(Measure("PopularRouteQuery", 1, [&] {
+    return TimedLoop(kMicroIters, [&](size_t i) {
+      const SymbolicTrajectory& symbolic =
+          calibrated[i % calibrated.size()].symbolic;
+      return world.maker->popular_routes().PopularRoute(
+          symbolic.samples.front().landmark, symbolic.samples.back().landmark);
+    });
+  }));
+  std::printf("# popular-route cache: %s\n",
+              world.maker->popular_routes().Stats().ToString().c_str());
 
-  // --- Tracing overhead: the same summaries with and without a span sink.
-  // Certifies both halves of the observability contract: tracing must not
-  // change a byte of output, and its cost must stay in the noise.
-  {
-    const size_t n = std::min<size_t>(serve_batch.size(), 100);
-    std::vector<std::string> plain_texts, traced_texts;
-    std::vector<double> plain_lat, traced_lat;
-    double plain_t0 = NowMs();
-    for (size_t i = 0; i < n; ++i) {
-      double c0 = NowMs();
-      auto summary = world.maker->Summarize(serve_batch[i]);
-      plain_lat.push_back(NowMs() - c0);
-      plain_texts.push_back(summary.ok() ? summary->text : "<failed>");
-    }
-    double plain_total = NowMs() - plain_t0;
-    double traced_t0 = NowMs();
-    for (size_t i = 0; i < n; ++i) {
-      Trace trace;
-      RequestContext ctx;
-      ctx.trace = &trace;
-      double c0 = NowMs();
-      auto summary = world.maker->Summarize(serve_batch[i],
-                                            SummaryOptions(), &ctx);
-      traced_lat.push_back(NowMs() - c0);
-      traced_texts.push_back(summary.ok() ? summary->text : "<failed>");
-      STMAKER_CHECK(!trace.Events().empty());
-    }
-    double traced_total = NowMs() - traced_t0;
-    if (plain_texts != traced_texts) {
-      std::fprintf(stderr, "FATAL: tracing changed summary output\n");
-      return 1;
-    }
-    results.push_back(
-        Summarize("Summarize_untraced", 1, plain_lat, n, plain_total));
-    results.push_back(
-        Summarize("Summarize_traced", 1, traced_lat, n, traced_total));
-    std::printf("# traced outputs byte-identical to untraced: yes "
-                "(overhead %+.1f%%)\n",
-                plain_total > 0
-                    ? (traced_total - plain_total) / plain_total * 100.0
-                    : 0.0);
-  }
-
-  // --- Per-topology matcher benchmarks over the scenario corpus. -----------
-  // The same hand-drawn maps the scenario/property tests certify against
-  // brute force and the reference matcher. Each row matches the corpus
-  // route at three noise levels (clean, urban, degraded), so the JSON
-  // carries a per-topology latency profile of the pruned candidate search
-  // — a regression on dense grids or long Viterbi chains gets its own row.
+  // --- Per-topology matcher rows over the scenario corpus. -----------------
+  // Each rep matches the corpus route at three noise levels (clean, urban,
+  // degraded) kScenarioPasses times.
   {
     using stmaker::testing::NamedScenario;
     using stmaker::testing::Scenario;
     using stmaker::testing::ScenarioCorpus;
     using stmaker::testing::ScenarioPath;
-    const int kScenarioReps = 300;
+    const int kScenarioPasses = 60;
     const double kNoiseLevels[] = {0.0, 8.0, 30.0};
     for (const NamedScenario& ns : ScenarioCorpus()) {
       Scenario s = ns.Build();
       MapMatcher matcher(&s.network);
       std::vector<std::vector<Vec2>> trips;
-      size_t fixes_per_pass = 0;
       for (double noise : kNoiseLevels) {
         trips.push_back(ScenarioPath(s, ns.route, /*step_m=*/40.0, noise,
                                      /*seed=*/11));
-        fixes_per_pass += trips.back().size();
       }
       // Warm pass: fault in the spatial index pages and thread-local
-      // scratch so the timed loop measures steady state.
+      // scratch so the timed reps measure steady state.
       for (const auto& trip : trips) (void)matcher.Match(trip);
-      std::vector<double> lat;
-      lat.reserve(kScenarioReps * trips.size());
-      size_t fixes = 0;
-      double t0 = NowMs();
-      for (int rep = 0; rep < kScenarioReps; ++rep) {
-        for (const auto& trip : trips) {
-          double c0 = NowMs();
-          std::vector<EdgeId> matched = matcher.Match(trip);
-          lat.push_back(NowMs() - c0);
-          STMAKER_CHECK(matched.size() == trip.size());
-          fixes += matched.size();
+      rows.push_back(Measure("MapMatch_" + ns.name, 1, [&] {
+        Rep rep;
+        for (int pass = 0; pass < kScenarioPasses; ++pass) {
+          for (const auto& trip : trips) {
+            std::vector<EdgeId> matched =
+                Timed(&rep, [&] { return matcher.Match(trip); });
+            STMAKER_CHECK(matched.size() == trip.size());
+            ++rep.items;
+          }
         }
-      }
-      double total = NowMs() - t0;
-      results.push_back(Summarize("MapMatch_" + ns.name, 1, lat,
-                                  kScenarioReps * trips.size(), total));
-      std::printf("# scenario %-16s %zu nodes %zu edges, %zu fixes/pass, "
-                  "%.0f fixes/s\n",
-                  ns.name.c_str(), s.network.NumNodes(), s.network.NumEdges(),
-                  fixes_per_pass,
-                  total > 0 ? fixes / (total / 1000.0) : 0.0);
+        return rep;
+      }));
     }
   }
 
@@ -441,8 +350,7 @@ int Run(const char* out_path) {
   // A dedicated map, larger than the bench city, so the asymptotic gap is
   // visible: uninformed Dijkstra settles O(n) nodes per query while the CH
   // search touches a few dozen regardless of distance.
-  double ch_build_ms = 0;
-  double ch_speedup = 0;
+  Band ch_speedup{};
   size_t routing_nodes = 0;
   {
     MapGeneratorOptions big;
@@ -452,15 +360,12 @@ int Run(const char* out_path) {
     GeneratedMap metro = MapGenerator(big).Generate();
     const RoadNetwork& net = metro.network;
     routing_nodes = net.NumNodes();
-    std::printf("# routing map: %zu nodes, %zu edges\n", net.NumNodes(),
-                net.NumEdges());
-
-    double b0 = NowMs();
     Result<ContractionHierarchy> ch = ContractionHierarchy::Build(net);
-    ch_build_ms = NowMs() - b0;
     STMAKER_CHECK(ch.ok());
-    std::printf("# ch build: %.1f ms, %zu arcs (%zu shortcuts)\n",
-                ch_build_ms, ch->NumArcs(), ch->NumShortcuts());
+    std::printf("# routing map: %zu nodes, %zu edges; hierarchy: %zu arcs "
+                "(%zu shortcuts)\n",
+                net.NumNodes(), net.NumEdges(), ch->NumArcs(),
+                ch->NumShortcuts());
 
     const size_t kPairs = 600;
     std::mt19937_64 rng(123);
@@ -472,183 +377,43 @@ int Run(const char* out_path) {
     }
 
     ShortestPathRouter dijkstra(&net);
-    std::vector<double> dj_cost(kPairs, -1), dj_lat;
-    dj_lat.reserve(kPairs);
-    double t0 = NowMs();
-    for (size_t i = 0; i < kPairs; ++i) {
-      double c0 = NowMs();
-      Result<Path> p = dijkstra.Route(pairs[i].first, pairs[i].second);
-      dj_lat.push_back(NowMs() - c0);
-      if (p.ok()) dj_cost[i] = p->cost;
-    }
-    double dj_total = NowMs() - t0;
-    results.push_back(
-        Summarize("RouteDijkstra", 1, dj_lat, kPairs, dj_total));
-
-    std::vector<double> ch_lat;
-    ch_lat.reserve(kPairs);
-    t0 = NowMs();
-    for (size_t i = 0; i < kPairs; ++i) {
-      double c0 = NowMs();
-      Result<Path> p = ch->Route(pairs[i].first, pairs[i].second);
-      ch_lat.push_back(NowMs() - c0);
-      double got = p.ok() ? p->cost : -1;
-      if (std::abs(got - dj_cost[i]) > 1e-6 * (1.0 + std::abs(dj_cost[i]))) {
-        std::fprintf(stderr,
-                     "FATAL: CH route %zu disagrees with Dijkstra "
-                     "(%.9g vs %.9g)\n",
-                     i, got, dj_cost[i]);
-        return 1;
-      }
-    }
-    double ch_total = NowMs() - t0;
-    results.push_back(Summarize("RouteCH", 1, ch_lat, kPairs, ch_total));
-    ch_speedup = ch_total > 0 ? dj_total / ch_total : 0;
-    std::printf("# ch routes identical to dijkstra: yes "
-                "(point-query speedup %.1fx)\n",
-                ch_speedup);
-  }
-
-  // --- Model lifecycle: cold start, reload latency, and post-swap
-  // first-request cost over a dedicated small world (a reload re-maps and
-  // re-validates the whole container, so the bench world's 3000-trip
-  // corpus would mostly time the corpus copy, not the swap), staged the way
-  // `stmaker_cli gen`+`train` lay it out. ModelColdStart_container is the
-  // time from nothing-in-memory to a maker ready to answer;
-  // ModelReload_container is the wall time of a full Reload() — map,
-  // section CRCs, model replay, commit; PostSwapFirstRequest is the
-  // latency of the first summarize answered by the freshly swapped
-  // snapshot (its caches are stone cold — that cost is the price of the
-  // zero-downtime design and deserves its own row).
-  {
-    char dir_template[] = "/tmp/stmaker_bench_reload_XXXXXX";
-    char* dir_c = mkdtemp(dir_template);
-    STMAKER_CHECK(dir_c != nullptr);
-    std::string dir(dir_c);
-
-    BenchWorldOptions small;
-    small.blocks = 10;
-    small.poi_sites = 150;
-    small.history_size = 300;
-    small.num_travelers = 30;
-    small.num_days = 7;
-    BenchWorld lifecycle_world = BuildBenchWorld(small);
-    STMAKER_CHECK(
-        WriteRoadNetworkCsv(dir + "/network", lifecycle_world.city.network)
-            .ok());
-    PoiGeneratorOptions poi_options;
-    poi_options.num_sites = small.poi_sites;
-    poi_options.seed = small.seed + 1;
-    std::vector<RawPoi> pois =
-        PoiGenerator(poi_options).Generate(lifecycle_world.city.network);
-    STMAKER_CHECK(WritePoisCsv(dir + "/pois.csv", pois).ok());
-    std::vector<RawTrajectory> small_raws;
-    small_raws.reserve(lifecycle_world.history.size());
-    for (const GeneratedTrip& t : lifecycle_world.history) {
-      small_raws.push_back(t.raw);
-    }
-    STMAKER_CHECK(
-        WriteTrajectoriesCsv(dir + "/trajectories.csv", small_raws).ok());
-    // Train on the world and corpus as read back from CSV, exactly what
-    // `train` does.
-    const std::string container_path = dir + "/model.stm";
-    {
-      Result<RoadNetwork> network = ReadRoadNetworkCsv(dir + "/network");
-      STMAKER_CHECK(network.ok());
-      Result<std::vector<RawPoi>> loaded_pois = ReadPoisCsv(dir + "/pois.csv");
-      STMAKER_CHECK(loaded_pois.ok());
-      Result<std::vector<RawTrajectory>> corpus =
-          ReadTrajectoriesCsv(dir + "/trajectories.csv");
-      STMAKER_CHECK(corpus.ok());
-      LandmarkIndex index = LandmarkIndex::Build(*network, *loaded_pois);
-      STMaker trainer(&*network, &index, FeatureRegistry::BuiltIn());
-      STMAKER_CHECK(trainer.Train(*corpus).ok());
-      STMAKER_CHECK(trainer.BuildRoadHierarchy().ok());
-      STMAKER_CHECK(trainer.SaveModelContainer(container_path, *corpus).ok());
-    }
-
-    // Cold start, measured with direct loads rather than the ModelManager
-    // so the row isolates the container path: mmap + header/CRC walk, no
-    // per-row text parse.
-    const int kColdReps = 5;
-    std::vector<double> cold_ms;
-    double cold_total = 0;
-    for (int rep = 0; rep < kColdReps; ++rep) {
-      double t0 = NowMs();
-      Result<std::shared_ptr<MappedContainer>> container =
-          MappedContainer::Open(container_path);
-      STMAKER_CHECK(container.ok());
-      Result<RoadNetwork> network = LoadNetworkFromContainer(**container);
-      STMAKER_CHECK(network.ok());
-      Result<LandmarkIndex> index =
-          LoadLandmarksFromContainer(**container, *network);
-      STMAKER_CHECK(index.ok());
-      STMaker maker(&*network, &*index, FeatureRegistry::BuiltIn());
-      STMAKER_CHECK(maker.LoadModelContainer(**container).ok());
-      double dt = NowMs() - t0;
-      cold_ms.push_back(dt);
-      cold_total += dt;
-    }
-    results.push_back(Summarize("ModelColdStart_container", 1, cold_ms,
-                                kColdReps, cold_total));
-
-    ModelManagerOptions mopts;
-    mopts.model_prefix = container_path;
-    ModelManager manager(mopts);
-    STMAKER_CHECK(manager.Initialize().ok());
-    net::NdjsonServiceOptions sopts;
-    sopts.threads = 2;
-    net::NdjsonService service(&manager, sopts);
-
-    const int kReloadReps = 10;
-    std::vector<double> reload_ms, first_request_ms;
-    double reload_total = 0, first_total = 0;
-    for (int rep = 0; rep < kReloadReps; ++rep) {
-      double t0 = NowMs();
-      STMAKER_CHECK(manager.Reload().ok());
-      double dt = NowMs() - t0;
-      reload_ms.push_back(dt);
-      reload_total += dt;
-
-      std::mutex mu;
-      std::condition_variable cv;
-      bool answered = false;
-      std::string request =
-          "{\"id\": 1, \"trip\": " +
-          std::to_string(rep % lifecycle_world.history.size()) + "}";
-      t0 = NowMs();
-      service.HandleLine(request, [&](const std::string& line) {
-        STMAKER_CHECK(line.find("\"status\": \"ok\"") != std::string::npos);
-        std::lock_guard<std::mutex> lock(mu);
-        answered = true;
-        cv.notify_all();
+    std::vector<double> dj_cost(kPairs, -1);
+    Row dijkstra_row = Measure("RouteDijkstra", 1, [&] {
+      return TimedLoop(kPairs, [&](size_t i) {
+        Result<Path> p = dijkstra.Route(pairs[i].first, pairs[i].second);
+        if (p.ok()) dj_cost[i] = p->cost;
+        return p;
       });
-      {
-        std::unique_lock<std::mutex> lock(mu);
-        cv.wait(lock, [&] { return answered; });
-      }
-      dt = NowMs() - t0;
-      first_request_ms.push_back(dt);
-      first_total += dt;
-    }
-    service.Drain();
-    manager.WaitIdle();
-    results.push_back(Summarize("ModelReload_container", 1, reload_ms,
-                                kReloadReps, reload_total));
-    results.push_back(Summarize("PostSwapFirstRequest", 1, first_request_ms,
-                                kReloadReps, first_total));
+    });
+    Row ch_row = Measure("RouteCH", 1, [&] {
+      return TimedLoop(kPairs, [&](size_t i) {
+        Result<Path> p = ch->Route(pairs[i].first, pairs[i].second);
+        double got = p.ok() ? p->cost : -1;
+        if (std::abs(got - dj_cost[i]) >
+            1e-6 * (1.0 + std::abs(dj_cost[i]))) {
+          Diverged(StrFormat("CH route %zu disagrees with Dijkstra "
+                             "(%.9g vs %.9g)",
+                             i, got, dj_cost[i]));
+        }
+        return p;
+      });
+    });
+    ch_speedup = SpeedupBand(ch_row, dijkstra_row);
+    rows.insert(rows.end(), {dijkstra_row, ch_row});
+    std::printf("# ch routes identical to dijkstra: yes "
+                "(point-query speedup %.1fx [%.1f, %.1f])\n",
+                ch_speedup.median, ch_speedup.q1, ch_speedup.q3);
   }
 
   // --- Trajectory-index retrieval: similarity top-K and region/time-window
   // queries (DESIGN.md §16) — the serving paths behind the `similar` and
   // `query` verbs. The indexed rows come first; the speedup record then
   // drops the index and replays a query subset through the full-corpus
-  // scan fallback, insisting on identical answers before trusting the
-  // timing — the same certified-equal-output discipline as the CH rows.
-  // This section runs last (just before emit) because the scan replay
-  // leaves the shared maker without its index.
-  double index_similar_speedup = 0;
-  double index_region_speedup = 0;
+  // scan fallback, insisting on identical answers — the same
+  // certified-equal-output discipline as the CH rows. This section runs
+  // last because the scan replay leaves the shared maker without its index.
+  Band similar_speedup{};
+  Band region_speedup{};
   size_t index_postings = 0;
   {
     STMAKER_CHECK(world.maker->has_trajectory_index());
@@ -699,150 +464,113 @@ int Run(const char* out_path) {
     for (size_t i = 0; i < kSimilarQueries; ++i) {
       query_trips.push_back((i * 97) % corpus.size());
     }
-
-    std::vector<std::vector<TrajectoryIndex::Match>> indexed_similar;
-    indexed_similar.reserve(kSimilarQueries);
-    std::vector<double> sim_lat;
-    sim_lat.reserve(kSimilarQueries);
-    double t0 = NowMs();
-    for (size_t trip : query_trips) {
-      double c0 = NowMs();
-      auto matches = world.maker->SimilarTrips(corpus, trip, kSimilarK);
-      sim_lat.push_back(NowMs() - c0);
-      STMAKER_CHECK(matches.ok());
-      indexed_similar.push_back(std::move(matches).value());
-    }
-    double indexed_similar_ms = NowMs() - t0;
-    results.push_back(Summarize("SimilarTopK", 1, sim_lat, kSimilarQueries,
-                                indexed_similar_ms));
-
-    std::vector<std::vector<uint32_t>> indexed_region;
-    indexed_region.reserve(kRegionQueries);
-    std::vector<double> reg_lat;
-    reg_lat.reserve(kRegionQueries);
-    t0 = NowMs();
-    for (size_t i = 0; i < kRegionQueries; ++i) {
-      double c0 = NowMs();
-      auto trips = world.maker->QueryRegion(corpus, boxes[i], windows[i]);
-      reg_lat.push_back(NowMs() - c0);
-      STMAKER_CHECK(trips.ok());
-      indexed_region.push_back(std::move(trips).value());
-    }
-    double indexed_region_ms = NowMs() - t0;
-    results.push_back(
-        Summarize("RegionQuery", 1, reg_lat, kRegionQueries,
-                  indexed_region_ms));
-
-    // Scan replay. The similarity scan re-describes the whole corpus per
-    // query (sanitize → calibrate → extract × corpus size), so only a
-    // subset is replayed — enough to time, far too slow for all 400. The
-    // speedup compares per-query averages: the indexed side over its full
-    // query set, the scan side over the replayed subset.
-    const size_t kScanSimilar = 4;
-    const size_t kScanRegion = 8;
-    world.maker->DropTrajectoryIndex();
-    t0 = NowMs();
-    for (size_t i = 0; i < kScanSimilar; ++i) {
-      auto matches =
+    auto similar = [&](size_t i) {
+      Result<std::vector<TrajectoryIndex::Match>> matches =
           world.maker->SimilarTrips(corpus, query_trips[i], kSimilarK);
       STMAKER_CHECK(matches.ok());
-      bool same = matches->size() == indexed_similar[i].size();
-      for (size_t j = 0; same && j < matches->size(); ++j) {
-        same = (*matches)[j].trip == indexed_similar[i][j].trip &&
-               (*matches)[j].score == indexed_similar[i][j].score;
-      }
-      if (!same) {
-        std::fprintf(stderr,
-                     "FATAL: scan SimilarTrips(%zu) diverged from the "
-                     "indexed path\n",
-                     query_trips[i]);
-        return 1;
-      }
-    }
-    double scan_similar_ms = NowMs() - t0;
-    t0 = NowMs();
-    for (size_t i = 0; i < kScanRegion; ++i) {
-      auto trips = world.maker->QueryRegion(corpus, boxes[i], windows[i]);
+      return std::move(matches).value();
+    };
+    auto region = [&](size_t i) {
+      Result<std::vector<uint32_t>> trips =
+          world.maker->QueryRegion(corpus, boxes[i], windows[i]);
       STMAKER_CHECK(trips.ok());
-      if (*trips != indexed_region[i]) {
-        std::fprintf(stderr,
-                     "FATAL: scan QueryRegion(%zu) diverged from the "
-                     "indexed path\n",
-                     i);
-        return 1;
-      }
+      return std::move(trips).value();
+    };
+
+    Row indexed_similar = Measure("SimilarTopK", 1, [&] {
+      return TimedLoop(kSimilarQueries, similar);
+    });
+    Row indexed_region = Measure("RegionQuery", 1, [&] {
+      return TimedLoop(kRegionQueries, region);
+    });
+
+    // Scan replay, the base of the speedups. The similarity scan
+    // re-describes the whole corpus per query (sanitize → calibrate →
+    // extract × corpus size), so each rep replays only a subset, compared
+    // per query against the indexed answers kept below.
+    const size_t kScanSimilar = 1;
+    const size_t kScanRegion = 8;
+    std::vector<std::vector<TrajectoryIndex::Match>> want_similar;
+    for (size_t i = 0; i < kScanSimilar; ++i) {
+      want_similar.push_back(similar(i));
     }
-    double scan_region_ms = NowMs() - t0;
-    const double indexed_similar_per_query =
-        indexed_similar_ms / kSimilarQueries;
-    const double indexed_region_per_query = indexed_region_ms / kRegionQueries;
-    index_similar_speedup =
-        indexed_similar_per_query > 0
-            ? (scan_similar_ms / kScanSimilar) / indexed_similar_per_query
-            : 0;
-    index_region_speedup =
-        indexed_region_per_query > 0
-            ? (scan_region_ms / kScanRegion) / indexed_region_per_query
-            : 0;
+    std::vector<std::vector<uint32_t>> want_region;
+    for (size_t i = 0; i < kScanRegion; ++i) want_region.push_back(region(i));
+    auto same_match = [](const TrajectoryIndex::Match& a,
+                         const TrajectoryIndex::Match& b) {
+      return a.trip == b.trip && a.score == b.score;
+    };
+    world.maker->DropTrajectoryIndex();
+    Row scan_similar = Measure("SimilarTopK_scan", 1, [&] {
+      return TimedLoop(kScanSimilar, [&](size_t i) {
+        std::vector<TrajectoryIndex::Match> got = similar(i);
+        if (!std::equal(got.begin(), got.end(), want_similar[i].begin(),
+                        want_similar[i].end(), same_match)) {
+          Diverged(StrFormat("scan SimilarTrips(%zu) diverged from the "
+                             "indexed path",
+                             query_trips[i]));
+        }
+        return got;
+      });
+    });
+    Row scan_region = Measure("RegionQuery_scan", 1, [&] {
+      return TimedLoop(kScanRegion, [&](size_t i) {
+        std::vector<uint32_t> got = region(i);
+        if (got != want_region[i]) {
+          Diverged(StrFormat("scan QueryRegion(%zu) diverged from the "
+                             "indexed path",
+                             i));
+        }
+        return got;
+      });
+    });
+    similar_speedup = SpeedupBand(indexed_similar, scan_similar);
+    region_speedup = SpeedupBand(indexed_region, scan_region);
+    rows.insert(rows.end(),
+                {indexed_similar, indexed_region, scan_similar, scan_region});
     std::printf("# indexed retrieval identical to full scan: yes "
-                "(similar speedup %.0fx, region speedup %.1fx, "
-                "%zu postings)\n",
-                index_similar_speedup, index_region_speedup, index_postings);
+                "(similar speedup %.0fx [%.0f, %.0f], region speedup %.1fx "
+                "[%.1f, %.1f], %zu postings)\n",
+                similar_speedup.median, similar_speedup.q1,
+                similar_speedup.q3, region_speedup.median, region_speedup.q1,
+                region_speedup.q3, index_postings);
   }
 
   // --- Emit JSON. -----------------------------------------------------------
+  std::vector<std::string> records;
+  for (const Row& r : rows) {
+    records.push_back(StrFormat(
+        "{\"name\": \"%s\", \"threads\": %d, \"reps\": %d, "
+        "\"items_per_sec\": %s, \"p50_ms\": %s}",
+        r.name.c_str(), r.threads, kReps,
+        BandJson(BandOf(r.items_per_sec), 2).c_str(),
+        BandJson(BandOf(r.p50_ms), 4).c_str()));
+  }
+  records.push_back(StrFormat(
+      "{\"name\": \"ch_routing\", \"map_nodes\": %zu, \"reps\": %d, "
+      "\"speedup_vs_dijkstra\": %s}",
+      routing_nodes, kReps, BandJson(ch_speedup, 2).c_str()));
+  records.push_back(StrFormat(
+      "{\"name\": \"index_retrieval\", \"corpus_trips\": %zu, "
+      "\"postings\": %zu, \"reps\": %d, \"similar_speedup_vs_scan\": %s, "
+      "\"region_speedup_vs_scan\": %s}",
+      raws.size(), index_postings, kReps,
+      BandJson(similar_speedup, 1).c_str(),
+      BandJson(region_speedup, 1).c_str()));
+  records.push_back(StrFormat(
+      "{\"name\": \"machine\", \"hardware_concurrency\": %u, "
+      "\"cpu_model\": \"%s\"}",
+      std::thread::hardware_concurrency(), CpuModel().c_str()));
+
   std::FILE* out = std::fopen(out_path, "w");
   if (out == nullptr) {
     std::fprintf(stderr, "cannot open %s\n", out_path);
     return 1;
   }
-  // Registry histograms accumulated by the instrumented pipeline over the
-  // whole run ride along as records of a second shape, so BENCH JSON
-  // carries the same per-stage latency picture serve mode's `stats` does.
-  MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-  size_t num_hists = 0;
-  for (const auto& [name, hist] : snapshot.histograms) {
-    if (hist.count > 0) ++num_hists;
-  }
   std::fprintf(out, "[\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const BenchResult& r = results[i];
-    // The two special records below always follow, so every result row
-    // takes a trailing comma.
-    std::fprintf(out,
-                 "  {\"name\": \"%s\", \"threads\": %d, "
-                 "\"items_per_sec\": %.2f, \"p50_ms\": %.4f, "
-                 "\"p99_ms\": %.4f},\n",
-                 r.name.c_str(), r.threads, r.items_per_sec, r.p50_ms,
-                 r.p99_ms);
-  }
-  std::fprintf(out,
-               "  {\"name\": \"ch_routing\", \"map_nodes\": %zu, "
-               "\"build_ms\": %.1f, \"speedup_vs_dijkstra\": %.2f},\n",
-               routing_nodes, ch_build_ms, ch_speedup);
-  std::fprintf(out,
-               "  {\"name\": \"index_retrieval\", \"corpus_trips\": %zu, "
-               "\"postings\": %zu, \"similar_speedup_vs_scan\": %.1f, "
-               "\"region_speedup_vs_scan\": %.1f},\n",
-               raws.size(), index_postings, index_similar_speedup,
-               index_region_speedup);
-  CpuInfo cpu = ReadCpuInfo();
-  std::fprintf(out,
-               "  {\"name\": \"machine\", \"hardware_concurrency\": %u, "
-               "\"cpu_model\": \"%s\", \"cpu_flags\": \"%s\"}%s\n",
-               std::thread::hardware_concurrency(), cpu.model.c_str(),
-               cpu.flags.c_str(), num_hists > 0 ? "," : "");
-  size_t emitted = 0;
-  for (const auto& [name, hist] : snapshot.histograms) {
-    if (hist.count == 0) continue;
-    ++emitted;
-    std::fprintf(out,
-                 "  {\"name\": \"histogram\", \"metric\": \"%s\", "
-                 "\"count\": %llu, \"mean_ms\": %.4f, \"p50_ms\": %.4f, "
-                 "\"p95_ms\": %.4f, \"p99_ms\": %.4f}%s\n",
-                 name.c_str(), static_cast<unsigned long long>(hist.count),
-                 hist.mean(), hist.p50(), hist.p95(), hist.p99(),
-                 emitted < num_hists ? "," : "");
+  for (size_t i = 0; i < records.size(); ++i) {
+    std::fprintf(out, "  %s%s\n", records[i].c_str(),
+                 i + 1 < records.size() ? "," : "");
   }
   std::fprintf(out, "]\n");
   std::fclose(out);

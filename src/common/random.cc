@@ -82,21 +82,6 @@ double Random::Exponential(double mean) {
   return -mean * std::log(u);
 }
 
-uint64_t Random::Zipf(uint64_t n, double s) {
-  STMAKER_CHECK(n > 0);
-  // Inverse-CDF over the (cached-free) harmonic weights. n is small in our
-  // use (number of landmarks), so a linear scan is acceptable and exact.
-  double total = 0;
-  for (uint64_t k = 0; k < n; ++k) total += 1.0 / std::pow(k + 1.0, s);
-  double target = Uniform() * total;
-  double acc = 0;
-  for (uint64_t k = 0; k < n; ++k) {
-    acc += 1.0 / std::pow(k + 1.0, s);
-    if (acc >= target) return k;
-  }
-  return n - 1;
-}
-
 size_t Random::WeightedIndex(const std::vector<double>& weights) {
   STMAKER_CHECK(!weights.empty());
   double total = 0;

@@ -50,10 +50,6 @@ class Random {
   /// Exponential with the given mean (> 0).
   double Exponential(double mean);
 
-  /// Zipf-distributed rank in [0, n) with exponent s: P(k) ∝ 1/(k+1)^s.
-  /// Used to skew landmark popularity for the HITS significance corpus.
-  uint64_t Zipf(uint64_t n, double s);
-
   /// Samples an index in [0, weights.size()) proportionally to weights.
   /// Non-positive total weight falls back to uniform.
   size_t WeightedIndex(const std::vector<double>& weights);

@@ -39,6 +39,8 @@ class PopularRouteMiner {
     LandmarkId from;
     LandmarkId to;
     double count;
+
+    bool operator==(const Transition&) const = default;
   };
 
   /// Builds the transition graph from `transitions`: counts of a repeated

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <optional>
@@ -92,27 +93,20 @@ std::string IngestReport::ToString() const {
   return out;
 }
 
-namespace {
-
-/// Private accumulators of one ingestion worker. Shard s sees only the
-/// trajectories of index block s; the blocks are merged left to right.
-/// Trip descriptors and segment features are not sharded: workers fill
-/// disjoint slots of pre-sized vectors, so slot i is trip i at every
-/// thread count.
-struct IngestShard {
-  VisitCorpus visits;
-  IngestReport report;
-};
-
-}  // namespace
-
 Result<IngestReport> STMaker::IngestCorpus(
     const std::vector<RawTrajectory>& history, VisitCorpus* visits) {
   const int threads = ResolveThreadCount(options_.num_threads);
-  std::vector<IngestShard> shards(static_cast<size_t>(threads));
+  // One report per ingestion worker, merged after the parallel pass. Shard
+  // s sees only the trajectories of index block s. Everything else is not
+  // sharded: workers fill disjoint slots of pre-sized vectors, so slot i
+  // is trip i at every thread count.
+  std::vector<IngestReport> shard_reports(static_cast<size_t>(threads));
   // One descriptor slot per offered trajectory — quarantined trips keep an
   // empty slot so descriptor index always equals corpus position.
   std::vector<TripDescriptor> descriptors(history.size());
+  // Whether trip i passed every stage. Bytes, not std::vector<bool>:
+  // workers write neighbouring slots at once, and packed bits would race.
+  std::vector<uint8_t> ingested(history.size(), 0);
   // Each trip's segment features, folded into the feature map in corpus
   // order after the parallel pass: floating-point sums depend on the
   // order of their terms, so per-shard partial sums would differ from the
@@ -120,14 +114,14 @@ Result<IngestReport> STMaker::IngestCorpus(
   std::vector<std::vector<SegmentFeatures>> segments(history.size());
 
   // The shard body is exactly the serial per-trajectory ingest, writing to
-  // the shard's private accumulators. The calibrator and extractor are
+  // the shard's report and the trip's slots. The calibrator and extractor are
   // shared but thread-safe (const pipelines; the calibration cache locks).
   // Unusable trajectories are quarantined into the shard report instead of
   // failing the batch; one poisoned trip never takes the corpus down.
   ParallelFor(history.size(), threads,
               [&](size_t begin, size_t end, int shard_index) {
-                IngestShard& shard = shards[static_cast<size_t>(shard_index)];
-                IngestReport& report = shard.report;
+                IngestReport& report =
+                    shard_reports[static_cast<size_t>(shard_index)];
                 for (size_t i = begin; i < end; ++i) {
                   ++report.total;
                   bool injected = false;
@@ -172,25 +166,23 @@ Result<IngestReport> STMaker::IngestCorpus(
 
                   const SymbolicTrajectory& symbolic = calibrated->symbolic;
                   // Complete the descriptor: landmark labels, the symbolic
-                  // sequence (popular-route mining replays transitions from
-                  // it after the merge), and the Eq. 3 fingerprint.
+                  // sequence (popular-route mining and the visit corpus
+                  // replay it after the parallel pass), and the Eq. 3
+                  // fingerprint.
                   TrajectoryIndex::FinishDescriptor(
                       symbolic, NormalizeSegmentFeatures(*features),
                       registry_.size(), &descriptors[i]);
                   segments[i] = std::move(*features);
-                  // Record visits for HITS significance. Anonymous
-                  // trajectories get a fresh traveller record so they still
-                  // contribute hub mass without conflating distinct
-                  // vehicles.
-                  shard.visits.AddTrajectory(raw.traveler,
-                                             descriptors[i].sequence);
+                  ingested[i] = 1;
                   ++report.ingested;
                 }
               });
 
   // Decide acceptance from the merged counts before building the model.
   IngestReport report;
-  for (const IngestShard& shard : shards) report.Merge(shard.report);
+  for (const IngestReport& shard_report : shard_reports) {
+    report.Merge(shard_report);
+  }
   if (report.total > 0 &&
       report.QuarantineFraction() > options_.max_quarantine_fraction) {
     return Status::FailedPrecondition(StrFormat(
@@ -202,16 +194,16 @@ Result<IngestReport> STMaker::IngestCorpus(
         report.ToString().c_str()));
   }
 
-  // Merge in block order: shard 0 holds the leftmost trajectories, so this
-  // replays the corpus left to right exactly as the serial loop would.
-  for (const IngestShard& shard : shards) visits->Merge(shard.visits);
-  // One transition and one feature-map record per corpus segment, in
-  // corpus order: the miner and the map sum them exactly as they sum the
-  // records of a container load.
+  // In corpus order: each ingested trip's visits for HITS significance
+  // (an anonymous trip gets a fresh traveller record, so it still
+  // contributes hub mass without conflating distinct vehicles), and one
+  // transition and one feature-map record per segment, which the miner
+  // and the map sum exactly as they sum the records of a container load.
   std::vector<PopularRouteMiner::Transition> transitions;
   std::vector<HistoricalFeatureMap::EdgeRecord> edges;
   for (size_t i = 0; i < history.size(); ++i) {
     const std::vector<LandmarkId>& sequence = descriptors[i].sequence;
+    if (ingested[i]) visits->AddTrajectory(history[i].traveler, sequence);
     for (size_t s = 0; s + 1 < sequence.size(); ++s) {
       transitions.push_back({sequence[s], sequence[s + 1], 1.0});
       edges.push_back({sequence[s], sequence[s + 1],

@@ -314,16 +314,14 @@ class STMaker {
   /// Sanitizes, calibrates, and mines every trajectory of `history` into
   /// the miner, the feature map, the trajectory index, and `visits`,
   /// using options().num_threads workers. Each worker handles a
-  /// contiguous block of `history`: the visit corpus goes into private
-  /// shard accumulators merged in block order (integral counts, so the
-  /// merge is exact — see VisitCorpus::Merge), while each trip's
-  /// descriptor and segment features land in its own slot, from which the
-  /// miner and the feature map are built once, in corpus order. Either
-  /// way the result is the serial left-to-right ingest, bit for bit, at
-  /// every thread count. Unusable trajectories are quarantined into the
-  /// report. When the quarantine fraction exceeds
-  /// options().max_quarantine_fraction the error is returned before any
-  /// model state is built.
+  /// contiguous block of `history`, and each trip's descriptor and segment
+  /// features land in its own slot, from which `visits`, the miner and
+  /// the feature map are built once, in corpus order: the serial
+  /// left-to-right ingest, bit for bit, at every thread count. Only the
+  /// per-worker reports are merged (integral counts, so the merge is
+  /// exact). Unusable trajectories are quarantined into the report. When
+  /// the quarantine fraction exceeds options().max_quarantine_fraction the
+  /// error is returned before any model state is built.
   Result<IngestReport> IngestCorpus(const std::vector<RawTrajectory>& history,
                                     VisitCorpus* visits);
 

@@ -737,6 +737,15 @@ Status STMaker::LoadModelContainer(const MappedContainer& c) {
       transitions.push_back({t.from, t.to, t.count});
     }
     miner = std::make_unique<const PopularRouteMiner>(transitions);
+    // The miner sums repeated pairs, skips self-transitions and
+    // non-positive counts, and groups pairs by source; a section it does
+    // not give back record for record would not `pack` to the same bytes.
+    if (miner->Transitions() != transitions) {
+      return Status::InvalidArgument(
+          c.path() + ": transitions section does not round-trip (a repeated "
+                     "pair, a self-transition, a non-positive count, or "
+                     "records not grouped by source)");
+    }
   }
 
   // Feature map, one record per edge in first-annotated order; the stats

@@ -9,17 +9,16 @@ namespace stmaker {
 
 namespace {
 
-/// Adds `count` visits of `landmark` to `record`, coalescing onto its
+/// Adds one visit of `landmark` to `record`, coalescing onto its
 /// first-seen pair for that landmark.
-void AddVisits(VisitCorpus::Record* record, LandmarkId landmark,
-               double count) {
-  for (auto& [existing, c] : record->visits) {
+void AddVisit(VisitCorpus::Record* record, LandmarkId landmark) {
+  for (auto& [existing, count] : record->visits) {
     if (existing == landmark) {
-      c += count;
+      count += 1.0;
       return;
     }
   }
-  record->visits.emplace_back(landmark, count);
+  record->visits.emplace_back(landmark, 1.0);
 }
 
 }  // namespace
@@ -36,24 +35,7 @@ void VisitCorpus::AddTrajectory(int64_t raw_traveler,
                                 const std::vector<LandmarkId>& landmarks) {
   int64_t key = raw_traveler >= 0 ? raw_traveler : -(++anonymous_counter_);
   Record& record = RecordFor(key);
-  for (LandmarkId lm : landmarks) AddVisits(&record, lm, 1.0);
-}
-
-void VisitCorpus::Merge(const VisitCorpus& other) {
-  for (const Record& record : other.records_) {
-    if (record.key < 0) {
-      // Anonymous travellers stay distinct across shards: allocate the
-      // next master key in replay order, matching what a serial ingest
-      // would have assigned.
-      Record& fresh = RecordFor(-(++anonymous_counter_));
-      fresh.visits = record.visits;
-      continue;
-    }
-    Record& mine = RecordFor(record.key);
-    for (const auto& [lm, count] : record.visits) {
-      AddVisits(&mine, lm, count);
-    }
-  }
+  for (LandmarkId lm : landmarks) AddVisit(&record, lm);
 }
 
 std::vector<double> VisitCorpus::Significance(size_t num_landmarks,

@@ -18,22 +18,17 @@ namespace stmaker {
 /// record per traveller, in first-seen order, accumulating per-landmark
 /// visit counts across that traveller's trajectories.
 ///
-/// STMaker::Train shards one during parallel ingestion, computes the
-/// significance of the merged corpus, and drops it once the scores are
-/// installed.
+/// STMaker::Train builds one after its parallel ingestion, adding each
+/// ingested trip in corpus order, computes its significance, and drops it
+/// once the scores are installed.
 /// Records carry the original traveller key; trajectories with no
 /// traveller id get a fresh synthetic negative key (-1, -2, ...) so they
 /// still contribute hub mass without conflating distinct vehicles.
 ///
 /// Determinism: records keep insertion order and per-record visit pairs
-/// keep first-visited order; Merge() replays `other`'s records in that
-/// order. Merging per-shard corpora of a trajectory list split into
-/// contiguous index blocks (shard 0 first) therefore reproduces exactly
-/// the corpus a serial pass would build — traveller numbering, anonymous
-/// key assignment, pair order, and (integral) counts alike.
+/// keep first-visited order, so one trajectory order gives one corpus.
 ///
-/// Not internally synchronized; each ingestion shard owns a private
-/// corpus and the merge is serial.
+/// Not internally synchronized.
 class VisitCorpus {
  public:
   /// One traveller's accumulated visits.
@@ -48,9 +43,6 @@ class VisitCorpus {
   /// fresh anonymous record.
   void AddTrajectory(int64_t raw_traveler,
                      const std::vector<LandmarkId>& landmarks);
-
-  /// Folds `other` into this corpus (see class comment for ordering).
-  void Merge(const VisitCorpus& other);
 
   /// HITS-like landmark significance (Sec. IV-B; Zheng et al. WWW'09
   /// [41]). Travellers are modelled as authorities, landmarks as hubs, and

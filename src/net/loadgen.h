@@ -14,8 +14,7 @@
 /// (their superposition is again Poisson at the full rate).
 ///
 /// Used by `tools/loadgen.cc` (command-line client, HDR-style percentile
-/// report) and by the SLO sweep in `bench/throughput.cpp` (drives an
-/// in-process server to saturation and records the p99-vs-QPS knee).
+/// report) and `tools/chaos.cc` (load during reload storms).
 
 #include <cstddef>
 #include <cstdint>
@@ -78,7 +77,7 @@ struct LoadgenReport {
 
   /// Multi-line human report (percentile table).
   std::string ToString() const;
-  /// One flat JSON object (rides in BENCH_throughput.json records).
+  /// One flat JSON object (`tools/loadgen --json`).
   std::string ToJson() const;
 };
 

@@ -234,17 +234,6 @@ TEST(RandomTest, ExponentialMean) {
   EXPECT_NEAR(sum / n, 40.0, 2.0);
 }
 
-TEST(RandomTest, ZipfIsSkewedTowardLowRanks) {
-  Random rng(9);
-  int low = 0;
-  const int n = 5000;
-  for (int i = 0; i < n; ++i) {
-    if (rng.Zipf(100, 1.0) < 10) ++low;
-  }
-  // Under Zipf(s=1) the first 10 of 100 ranks carry ~56% of the mass.
-  EXPECT_GT(low, n / 3);
-}
-
 TEST(RandomTest, WeightedIndexRespectsWeights) {
   Random rng(10);
   std::vector<double> weights = {0.0, 1.0, 3.0};

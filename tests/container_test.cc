@@ -571,6 +571,27 @@ TEST_F(ContainerTest, HostileRecordsFailTheLoadAndRollBackAReload) {
          ResealSectionCrc(bytes, SectionType::kFeatureEdges);
        },
        "feature-edges section repeats an edge"},
+      // The miner would sum the repeat, or drop the self-transition, so
+      // the load would build a model that `pack` writes back differently.
+      {"transitions repeat a pair", SectionType::kTransitions,
+       [](std::string* bytes) {
+         TransitionRecord second =
+             RecordAt<TransitionRecord>(*bytes, SectionType::kTransitions, 1);
+         const TransitionRecord first =
+             RecordAt<TransitionRecord>(*bytes, SectionType::kTransitions, 0);
+         second.from = first.from;
+         second.to = first.to;
+         PatchRecord(bytes, SectionType::kTransitions, 1, second);
+       },
+       "transitions section does not round-trip"},
+      {"transition to itself", SectionType::kTransitions,
+       [](std::string* bytes) {
+         TransitionRecord first =
+             RecordAt<TransitionRecord>(*bytes, SectionType::kTransitions, 0);
+         first.to = first.from;
+         PatchRecord(bytes, SectionType::kTransitions, 0, first);
+       },
+       "transitions section does not round-trip"},
   };
 
   ModelManagerOptions opts;

@@ -109,32 +109,27 @@ TEST(LruCacheTest, PutOverwrites) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
-// --- Shard merges on hand-built inputs. -------------------------------------
+// --- The visit corpus Train builds after the parallel pass. -----------------
 
-TEST(VisitCorpusMergeTest, AnonymousRecordsStayDistinctAndOrdered) {
-  // Serial: anon, traveller 7, anon, traveller 7 again.
-  VisitCorpus serial;
-  serial.AddTrajectory(-1, {10, 11});
-  serial.AddTrajectory(7, {11});
-  serial.AddTrajectory(-1, {12});
-  serial.AddTrajectory(7, {10, 11});
+TEST(VisitCorpusTest, AnonymousRecordsStayDistinctAndOrdered) {
+  // Anon, traveller 7, anon, traveller 7 again: each anonymous trajectory
+  // takes the next negative key, and a traveller's visits coalesce onto
+  // their first-seen pairs.
+  VisitCorpus corpus;
+  corpus.AddTrajectory(-1, {10, 11});
+  corpus.AddTrajectory(7, {11});
+  corpus.AddTrajectory(-1, {12});
+  corpus.AddTrajectory(7, {10, 11});
 
-  // Same stream split after the second trajectory.
-  VisitCorpus shard1;
-  shard1.AddTrajectory(-1, {10, 11});
-  shard1.AddTrajectory(7, {11});
-  VisitCorpus shard2;
-  shard2.AddTrajectory(-1, {12});
-  shard2.AddTrajectory(7, {10, 11});
-  shard1.Merge(shard2);
-
-  ASSERT_EQ(shard1.num_travelers(), serial.num_travelers());
-  for (size_t i = 0; i < serial.records().size(); ++i) {
-    const auto& a = serial.records()[i];
-    const auto& b = shard1.records()[i];
-    EXPECT_EQ(a.key, b.key) << "record " << i;
-    EXPECT_EQ(a.visits, b.visits) << "record " << i;
-  }
+  using Visits = std::vector<std::pair<LandmarkId, double>>;
+  ASSERT_EQ(corpus.num_travelers(), 3u);
+  const std::vector<VisitCorpus::Record>& records = corpus.records();
+  EXPECT_EQ(records[0].key, -1);
+  EXPECT_EQ(records[0].visits, (Visits{{10, 1.0}, {11, 1.0}}));
+  EXPECT_EQ(records[1].key, 7);
+  EXPECT_EQ(records[1].visits, (Visits{{11, 2.0}, {10, 1.0}}));
+  EXPECT_EQ(records[2].key, -2);
+  EXPECT_EQ(records[2].visits, (Visits{{12, 1.0}}));
 }
 
 // --- Serial-vs-parallel equivalence on real corpora. ------------------------

@@ -12,16 +12,16 @@ Output is deterministic for a given JSON file (no timestamps), so a
 regeneration with unchanged numbers produces a byte-identical report and
 an empty diff.
 
-Regression gate
----------------
+Comparing two runs
+------------------
 
     python3 tools/bench_report.py --compare old.json new.json
 
-matches rows between the two runs (throughput rows by (name, threads),
-registry histograms by metric name), prints the p99 delta for every pair,
-and exits nonzero if any p99 regressed by more than 10%. Sub-0.05 ms rows
-are reported but never fail the gate: at that scale a single scheduler
-blip outweighs any code change, and a gate that cries wolf gets deleted.
+matches rows by (name, threads). Every row carries the median and quartiles
+of its per-rep items/s. A row is flagged only when each side's median lies
+outside the other side's quartile range: a smaller move is inside the
+noise the runs themselves show. The script exits 1 only when a flagged row
+got slower.
 """
 
 import argparse
@@ -33,22 +33,15 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_INPUT = REPO_ROOT / "BENCH_throughput.json"
 DEFAULT_OUTPUT = REPO_ROOT / "docs" / "BENCHMARKS.md"
 
-# --compare fails on a >10% p99 regression...
-REGRESSION_THRESHOLD = 0.10
-# ...unless both sides sit below the timer-noise floor (ms).
-NOISE_FLOOR_MS = 0.05
 
-
-def fmt(x, digits=2):
-    """Format a number with fixed digits, keeping integers unadorned."""
-    if isinstance(x, int):
-        return str(x)
-    return f"{x:.{digits}f}"
+def band(b, digits):
+    """A band as "median (q1–q3)"."""
+    median, q1, q3 = (f"{b[k]:.{digits}f}" for k in ("median", "q1", "q3"))
+    return f"{median} ({q1}–{q3})"
 
 
 def render(records):
-    throughput = [r for r in records if "items_per_sec" in r]
-    histograms = [r for r in records if r.get("name") == "histogram"]
+    rows = [r for r in records if "items_per_sec" in r]
     ch = next((r for r in records if r.get("name") == "ch_routing"), None)
     idx = next((r for r in records if r.get("name") == "index_retrieval"),
                None)
@@ -70,71 +63,59 @@ def render(records):
                "baseline and exits")
     out.append("nonzero on any divergence, so a table below never trades "
                "correctness for speed.")
+    out.append("Each row runs its reps in one process; a cell reads "
+               "median (q1–q3) over the")
+    out.append("per-rep values, and `tools/bench_report.py --compare` "
+               "flags a row only when")
+    out.append("each run's median lies outside the other run's quartiles.")
+    out.append("")
+    out.append("The served cost is measured end to end by the serving "
+               "benchmark")
+    out.append("(`perfbench/`, metrics in perfbench/METRICS.md): tracing "
+               "overhead")
+    out.append("(`trace.overhead_p50_ms`, `trace.overhead_rps`), cold start "
+               "and reload")
+    out.append("(`setup.coldstart_s`, `reload_ms`, `model.reload_ms`), the "
+               "first request after")
+    out.append("a swap (`model.postswap_first_ms`) and the per-stage "
+               "latencies. This report")
+    out.append("keeps what it cannot show: thread sweeps, single-stage "
+               "rows, the matcher per")
+    out.append("topology, and the routing and index speedups over their "
+               "baselines.")
     out.append("")
 
     if machine is not None:
-        hc = machine.get("hardware_concurrency", 0)
         out.append("## Machine")
         out.append("")
-        out.append(f"- `std::thread::hardware_concurrency()` = **{hc}**")
+        out.append("- `std::thread::hardware_concurrency()` = "
+                   f"**{machine['hardware_concurrency']}**; the thread "
+                   "sweeps stop there")
         if machine.get("cpu_model"):
             out.append(f"- CPU model: `{machine['cpu_model']}`")
-        if machine.get("cpu_flags"):
-            out.append(f"- ISA flags: `{machine['cpu_flags']}`")
         out.append("")
-        if hc <= 1:
-            out.append("> **Interpreting the thread sweeps below:** this "
-                       "report was generated on a")
-            out.append("> single-core machine. The thread pool caps its "
-                       "workers at the core count")
-            out.append("> (`src/common/parallel.cc`) — oversubscribing a "
-                       "CPU-bound pool only adds")
-            out.append("> context-switch latency, which previously showed "
-                       "up as tens-of-ms p99")
-            out.append("> tails — so every `threads = 2/4/8` row here "
-                       "executes with one worker and")
-            out.append("> measures the serial path. Regenerate this file "
-                       "on a multi-core box to see")
-            out.append("> the sweep spread out; output is certified "
-                       "byte-identical at every width.")
-            out.append("")
 
     out.append("## Throughput and latency")
     out.append("")
-    out.append("| benchmark | threads | items/sec | p50 (ms) | p99 (ms) |")
+    out.append("| benchmark | threads | reps | items/sec | p50 (ms) |")
     out.append("|---|---:|---:|---:|---:|")
-    for r in throughput:
+    for r in rows:
         out.append(
-            f"| {r['name']} | {r['threads']} | {fmt(r['items_per_sec'])} "
-            f"| {fmt(r['p50_ms'], 4)} | {fmt(r['p99_ms'], 4)} |")
+            f"| {r['name']} | {r['threads']} | {r['reps']} "
+            f"| {band(r['items_per_sec'], 1)} | {band(r['p50_ms'], 4)} |")
     out.append("")
-    if any(r["name"].startswith("MapMatch_") for r in throughput):
-        out.append("`MapMatch_*` rows run the map matcher over the shared "
-                   "scenario corpus")
-        out.append("(`tests/scenario_dsl.h`): each row matches that "
-                   "topology's corpus route at")
-        out.append("three noise levels (0 m, 8 m, 30 m), so a "
-                   "candidate-pruning regression on one")
-        out.append("map shape surfaces as its own row instead of averaging "
-                   "away city-wide.")
-        out.append("")
-    if any(r["name"].startswith("Model") or r["name"] == "PostSwapFirstRequest"
-           for r in throughput):
-        out.append("`ModelColdStart_container` is the time from "
-                   "nothing-in-memory to a maker ready")
-        out.append("to answer: mmap the model container (docs/FORMAT.md), "
-                   "walk its header, section")
-        out.append("table, and CRCs. `ModelReload_container` is the wall "
-                   "time of one full")
-        out.append("zero-downtime model swap (DESIGN.md §15): the same "
-                   "load, then an atomic commit —")
-        out.append("the old snapshot serves throughout. "
-                   "`PostSwapFirstRequest` is the first")
-        out.append("summarize answered by the freshly published snapshot, "
-                   "with every cache cold:")
-        out.append("the steady-state cost of a reload as a request actually "
-                   "feels it.")
-        out.append("")
+    out.append("`Train` and `SummarizeBatch` items are trips; a rep is one "
+               "call over the whole")
+    out.append("corpus or batch, so their p50 is that call's wall time. "
+               "`MapMatch_*` rows run")
+    out.append("the map matcher over the shared scenario corpus "
+               "(`tests/scenario_dsl.h`): each")
+    out.append("row matches that topology's corpus route at three noise "
+               "levels (0 m, 8 m,")
+    out.append("30 m), so a candidate-pruning regression on one map shape "
+               "surfaces as its own")
+    out.append("row instead of averaging away city-wide.")
+    out.append("")
 
     if ch is not None:
         out.append("## Contraction-hierarchy routing")
@@ -146,13 +127,15 @@ def render(records):
                    "queries with a")
         out.append("bidirectional upward search over the hierarchy instead "
                    "of a full Dijkstra.")
+        out.append("The speedup is `RouteCH` over `RouteDijkstra` items/s, "
+                   "one ratio per rep.")
         out.append("")
         out.append("| metric | value |")
         out.append("|---|---:|")
         out.append(f"| map size (nodes) | {ch['map_nodes']} |")
-        out.append(f"| one-time build (ms) | {fmt(ch['build_ms'], 1)} |")
+        out.append(f"| reps | {ch['reps']} |")
         out.append("| point-query speedup vs Dijkstra | "
-                   f"**{fmt(ch['speedup_vs_dijkstra'])}×** |")
+                   f"**{band(ch['speedup_vs_dijkstra'], 2)}×** |")
         out.append("")
         out.append("Every CH cost is cross-checked against plain Dijkstra "
                    "inside the bench run")
@@ -165,46 +148,28 @@ def render(records):
         out.append("Similarity top-K and region/time-window queries "
                    "(DESIGN.md §16) served by the")
         out.append("grid-bucketed trajectory index versus the full-corpus "
-                   "scan fallback, over")
-        out.append("identical query sets. Both paths return identical "
-                   "results (the bench aborts")
-        out.append("on any divergence; `tests/index_test.cc` pins the same "
-                   "equality against a")
-        out.append("brute-force oracle), so the speedups trade nothing for "
-                   "correctness. The")
+                   "scan fallback. The")
         out.append("`SimilarTopK` and `RegionQuery` rows above are the "
                    "indexed serving paths")
-        out.append("behind the `similar` and `query` verbs.")
+        out.append("behind the `similar` and `query` verbs; the `_scan` rows "
+                   "replay a subset of")
+        out.append("the same queries after the index is dropped and are the "
+                   "speedups' base, one")
+        out.append("ratio per rep. Both paths return identical results (the "
+                   "bench aborts on any")
+        out.append("divergence; `tests/index_test.cc` pins the same equality "
+                   "against a brute-force")
+        out.append("oracle), so the speedups trade nothing for correctness.")
         out.append("")
         out.append("| metric | value |")
         out.append("|---|---:|")
         out.append(f"| corpus trips | {idx['corpus_trips']} |")
         out.append(f"| posting-list entries | {idx['postings']} |")
+        out.append(f"| reps | {idx['reps']} |")
         out.append("| SimilarTopK speedup vs scan | "
-                   f"**{fmt(idx['similar_speedup_vs_scan'], 1)}×** |")
+                   f"**{band(idx['similar_speedup_vs_scan'], 1)}×** |")
         out.append("| RegionQuery speedup vs scan | "
-                   f"**{fmt(idx['region_speedup_vs_scan'], 1)}×** |")
-        out.append("")
-
-    if histograms:
-        out.append("## Pipeline stage latencies")
-        out.append("")
-        out.append("Histogram snapshots from the metrics registry "
-                   "(`common/metrics.h`) after the")
-        out.append("bench workload; the same names are served live by "
-                   "`stmaker_cli serve` via")
-        out.append('`{"stats": 1}` requests. See docs/ARCHITECTURE.md for '
-                   "the walkthrough of")
-        out.append("where a request spends its time.")
-        out.append("")
-        out.append("| metric | count | mean (ms) | p50 (ms) | p95 (ms) "
-                   "| p99 (ms) |")
-        out.append("|---|---:|---:|---:|---:|---:|")
-        for r in sorted(histograms, key=lambda r: r["metric"]):
-            out.append(
-                f"| `{r['metric']}` | {r['count']} | {fmt(r['mean_ms'], 4)} "
-                f"| {fmt(r['p50_ms'], 4)} | {fmt(r['p95_ms'], 4)} "
-                f"| {fmt(r['p99_ms'], 4)} |")
+                   f"**{band(idx['region_speedup_vs_scan'], 1)}×** |")
         out.append("")
 
     return "\n".join(out)
@@ -232,42 +197,49 @@ def load(path):
     return records
 
 
-def p99_rows(records):
-    """Comparable (key, p99) pairs of one run, in file order.
-
-    Throughput rows key as "name @Nt" so the same benchmark at different
-    sweep widths compares independently; registry histograms key by their
-    metric name.
-    """
+def items_per_sec_bands(path):
+    """The items/s band of every row of one run, keyed "name @Nt"."""
     rows = {}
-    for r in records:
-        if "items_per_sec" in r:
-            rows[f"{r['name']} @{r['threads']}t"] = r["p99_ms"]
-        elif r.get("name") == "histogram":
-            rows[r["metric"]] = r["p99_ms"]
+    for r in load(path):
+        if "items_per_sec" not in r:
+            continue
+        b = r["items_per_sec"]
+        if not isinstance(b, dict):
+            raise SystemExit(
+                f"{path}: row {r['name']} has no quartiles; it was written "
+                "by a bench binary that ran each row once — regenerate it.")
+        rows[f"{r['name']} @{r['threads']}t"] = b
     return rows
 
 
+def outside(x, b):
+    return x < b["q1"] or x > b["q3"]
+
+
 def compare(old_path, new_path):
-    old_rows = p99_rows(load(old_path))
-    new_rows = p99_rows(load(new_path))
+    old_rows = items_per_sec_bands(old_path)
+    new_rows = items_per_sec_bands(new_path)
     shared = [k for k in new_rows if k in old_rows]
     if not shared:
         raise SystemExit("no comparable rows between the two runs")
 
     width = max(len(k) for k in shared)
-    regressions = []
-    print(f"{'row':<{width}}  {'old p99':>9}  {'new p99':>9}  delta")
+    slower = []
+    print(f"{'row':<{width}}  {'old items/s (q1–q3)':>32}  "
+          f"{'new items/s (q1–q3)':>32}  delta")
     for key in shared:
-        old_p99, new_p99 = old_rows[key], new_rows[key]
-        delta = (new_p99 - old_p99) / old_p99 if old_p99 > 0 else 0.0
-        regressed = (delta > REGRESSION_THRESHOLD and
-                     max(old_p99, new_p99) >= NOISE_FLOOR_MS)
-        flag = "  << REGRESSION" if regressed else ""
-        print(f"{key:<{width}}  {old_p99:>9.4f}  {new_p99:>9.4f}  "
+        old, new = old_rows[key], new_rows[key]
+        delta = ((new["median"] - old["median"]) / old["median"]
+                 if old["median"] > 0 else 0.0)
+        flag = ""
+        if outside(old["median"], new) and outside(new["median"], old):
+            if new["median"] < old["median"]:
+                flag = "  << SLOWER"
+                slower.append(key)
+            else:
+                flag = "  << faster"
+        print(f"{key:<{width}}  {band(old, 1):>32}  {band(new, 1):>32}  "
               f"{delta:>+7.1%}{flag}")
-        if regressed:
-            regressions.append(key)
     only_old = sorted(set(old_rows) - set(new_rows))
     only_new = sorted(set(new_rows) - set(old_rows))
     if only_old:
@@ -275,14 +247,14 @@ def compare(old_path, new_path):
     if only_new:
         print(f"# rows only in {new_path}: {', '.join(only_new)}")
 
-    if regressions:
-        print(f"\nFAIL: {len(regressions)} row(s) regressed p99 by more "
-              f"than {REGRESSION_THRESHOLD:.0%}:")
-        for key in regressions:
+    if slower:
+        print(f"\nFAIL: {len(slower)} row(s) slower, each median outside "
+              "the other run's quartiles:")
+        for key in slower:
             print(f"  - {key}")
         return 1
-    print(f"\nOK: no p99 regression above {REGRESSION_THRESHOLD:.0%} "
-          f"across {len(shared)} rows")
+    print(f"\nOK: no row slower beyond both runs' quartiles across "
+          f"{len(shared)} rows")
     return 0
 
 
@@ -294,8 +266,9 @@ def main(argv):
     parser.add_argument("output", nargs="?", default=DEFAULT_OUTPUT,
                         help="markdown destination (default: docs/)")
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
-                        help="diff p99 between two runs instead of "
-                             "rendering; exits 1 on a >10%% regression")
+                        help="compare items/s between two runs instead of "
+                             "rendering; exits 1 when a row got slower "
+                             "beyond both runs' quartiles")
     args = parser.parse_args(argv[1:])
 
     if args.compare:
